@@ -24,7 +24,6 @@ import pytest
 from repro.apps.dependencies import DependencyAnalyzer
 from repro.pathindex import run_sequences
 from repro.prov.constants import PROV
-from repro.sparql.paths import PathAlternative, PathClosure, PathInverse, eval_path
 from repro.store import QuadStore, StoreDataset, ingest_corpus
 
 from .conftest import write_artifact
@@ -69,18 +68,18 @@ def test_deep_lineage_closure(union, generated_entities, artifacts_dir):
     """
     sample = generated_entities[::2]
 
-    def ancestors(entity, use_index):
+    def ancestors(entity, indexed):
         analyzer = DependencyAnalyzer(union)
-        if not use_index:
+        if not indexed:
             analyzer._index = None
         return analyzer.transitive_dependencies(entity)
 
     start = time.perf_counter()
-    decoded_sets = [ancestors(e, use_index=False) for e in sample]
+    decoded_sets = [ancestors(e, indexed=False) for e in sample]
     decoded_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    indexed_sets = [ancestors(e, use_index=True) for e in sample]
+    indexed_sets = [ancestors(e, indexed=True) for e in sample]
     indexed_s = time.perf_counter() - start
 
     assert indexed_sets == decoded_sets  # identical answers, always
@@ -95,30 +94,6 @@ def test_deep_lineage_closure(union, generated_entities, artifacts_dir):
         "decoded_s": round(decoded_s, 4),
         "indexed_s": round(indexed_s, 4),
         "speedup": round(speedup, 1),
-    }
-    write_artifact(artifacts_dir, "paths_bench.json", json.dumps(_ARTIFACT, indent=2))
-
-
-def test_closure_query_parity_speed(union, artifacts_dir):
-    """SPARQL-level lineage closure, index-served vs BFS fallback."""
-    path = PathClosure(
-        PathAlternative((PROV.used, PathInverse(PROV.wasGeneratedBy))), False
-    )
-
-    start = time.perf_counter()
-    bfs_rows = list(eval_path(union, path, None, None, use_index=False))
-    bfs_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    indexed_rows = list(eval_path(union, path, None, None, use_index=True))
-    indexed_s = time.perf_counter() - start
-
-    assert indexed_rows == bfs_rows  # byte-identical, same order
-    _ARTIFACT["closure_eval"] = {
-        "rows": len(bfs_rows),
-        "bfs_s": round(bfs_s, 4),
-        "indexed_s": round(indexed_s, 4),
-        "speedup": round(bfs_s / indexed_s, 1) if indexed_s else None,
     }
     write_artifact(artifacts_dir, "paths_bench.json", json.dumps(_ARTIFACT, indent=2))
 

@@ -6,13 +6,11 @@ the system restrictions: Q4 timestamps Taverna-only, Q6 Wings-only).
 """
 
 import json
-import time
 
 import pytest
 
-from repro.queries import CorpusQueries, Q1_WORKFLOW_RUNS, exemplar_queries, \
+from repro.queries import CorpusQueries, exemplar_queries, \
     taverna_workflow_iri, wings_template_iri
-from repro.sparql import QueryEngine
 from repro.taverna import TAVERNA_RUN_NS
 from repro.wings import OPMW_EXPORT_NS
 from .conftest import write_artifact
@@ -21,21 +19,6 @@ from .conftest import write_artifact
 @pytest.fixture(scope="module")
 def queries(corpus_dataset):
     return CorpusQueries(corpus_dataset)
-
-
-@pytest.fixture(scope="module")
-def store_pair(tmp_path_factory, corpus):
-    """(StoreDataset, QuadStore) over the full corpus, for the encoded
-    pipeline benches (probe counters live on the store)."""
-    from repro.corpus import write_corpus
-    from repro.store import QuadStore, StoreDataset, ingest_corpus
-
-    corpus_dir = tmp_path_factory.mktemp("bench-queries-corpus")
-    write_corpus(corpus, corpus_dir)
-    store = QuadStore(tmp_path_factory.mktemp("bench-queries-store") / "store")
-    ingest_corpus(store, corpus_dir)
-    yield StoreDataset(store), store
-    store.close()
 
 
 @pytest.fixture(scope="module")
@@ -125,100 +108,6 @@ def test_query_plan_digests(queries, corpus, artifacts_dir):
         for name, plan in sorted(plans.items())
     }
     write_artifact(artifacts_dir, "query_plans.json", json.dumps(payload, indent=2))
-
-
-def _canon_rows(rows):
-    return sorted(
-        tuple(sorted((name, term.n3()) for name, term in row.asdict().items()))
-        for row in rows
-    )
-
-
-#: A lineage join over the three densest provenance predicates — every
-#: step after the first joins on a variable that sits in a segment sort
-#: prefix, so the encoded pipeline runs it entirely with sorted-key
-#: galloping merges.
-LINEAGE_JOIN = """
-SELECT ?act ?ent ?t WHERE {
-  ?act prov:used ?ent .
-  ?ent prov:wasGeneratedBy ?gen .
-  ?act prov:startedAtTime ?t .
-}
-"""
-
-
-def test_encoded_vs_decoded_pipeline(store_pair, corpus_dataset, artifacts_dir):
-    """The encoded id-space pipeline vs the per-binding decoded baseline.
-
-    Two workloads: the merge-join-eligible lineage join (batch merges
-    dominate — strictly fewer probes *and* a faster best-of-3 cold run)
-    and exemplar Q1 (dominated by per-solution ``FILTER NOT EXISTS``
-    re-evaluations that cannot batch, so only the probe reduction is
-    asserted and latency is just recorded).  Rows must be byte-identical
-    across both pipelines and the in-memory evaluator throughout; the
-    numbers land in ``query_encoded.json``.
-    """
-    from repro.sparql.encoded import _SCAN_STRATEGY
-
-    store_ds, store = store_pair
-
-    def run_cold(query, encoded):
-        """Best-of-3 cold evaluations (fresh engine each round: empty
-        result cache); probes are deterministic, so last round's do."""
-        best_s, rows, probes = None, None, None
-        for _ in range(3):
-            engine = QueryEngine(store_ds, encoded=encoded)
-            before = store.runtime_counters()[0]
-            started = time.perf_counter()
-            rows = engine.query(query)
-            elapsed = time.perf_counter() - started
-            probes = store.runtime_counters()[0] - before
-            best_s = elapsed if best_s is None else min(best_s, elapsed)
-        return rows, best_s, probes
-
-    payload = {}
-    for name, query in [("lineage_join", LINEAGE_JOIN),
-                        ("q1_workflow_runs", Q1_WORKFLOW_RUNS)]:
-        merge_before = _SCAN_STRATEGY.labels("merge").value
-        bisect_before = _SCAN_STRATEGY.labels("bisect").value
-        encoded_rows, encoded_s, encoded_probes = run_cold(query, encoded=True)
-        merge_batches = _SCAN_STRATEGY.labels("merge").value - merge_before
-        bisect_batches = _SCAN_STRATEGY.labels("bisect").value - bisect_before
-        decoded_rows, decoded_s, decoded_probes = run_cold(query, encoded=False)
-
-        # Encoded vs decoded over the same store: byte-identical rows in
-        # identical order.  Vs the in-memory evaluator: the same row
-        # *multiset* (these queries carry no ORDER BY, and store scans
-        # run in id order, not memory insertion order).
-        assert [r.asdict() for r in encoded_rows] == \
-            [r.asdict() for r in decoded_rows]
-        memory_rows = QueryEngine(corpus_dataset).query(query)
-        assert _canon_rows(encoded_rows) == _canon_rows(memory_rows)
-        assert merge_batches > 0
-        assert encoded_probes < decoded_probes
-
-        payload[name] = {
-            "rows": len(encoded_rows),
-            "encoded": {
-                "cold_ms": round(encoded_s * 1000, 3),
-                "segment_probes": encoded_probes,
-                "merge_batches": merge_batches,
-                "bisect_batches": bisect_batches,
-            },
-            "decoded": {
-                "cold_ms": round(decoded_s * 1000, 3),
-                "segment_probes": decoded_probes,
-            },
-            "probe_reduction": round(1 - encoded_probes / decoded_probes, 4),
-        }
-
-    assert payload["q1_workflow_runs"]["rows"] == 198
-    # The merge-join workload must win outright on the wall clock too.
-    lineage = payload["lineage_join"]
-    assert lineage["encoded"]["cold_ms"] < lineage["decoded"]["cold_ms"]
-
-    write_artifact(artifacts_dir, "query_encoded.json",
-                   json.dumps(payload, indent=2))
 
 
 def test_q6_services_wings_only(queries, taverna_trace, wings_trace, benchmark):

@@ -146,9 +146,9 @@ def test_paths_trajectory(artifacts_dir):
     """Fold this run's path-index numbers into the trajectory.
 
     ``bench_paths.py`` writes ``paths_bench.json``; the deep-lineage
-    speedup, the closure-eval timings, and the trie mining cost are
-    appended to ``paths_trajectory.json`` so future PRs can see whether
-    the index keeps paying for itself.
+    speedup and the trie mining cost are appended to
+    ``paths_trajectory.json`` so future PRs can see whether the index
+    keeps paying for itself.
     """
     current = artifacts_dir / "paths_bench.json"
     if not current.exists():
@@ -159,8 +159,6 @@ def test_paths_trajectory(artifacts_dir):
         "recorded_at": dt.datetime.now().isoformat(timespec="seconds"),
         "deep_lineage_speedup": data["deep_lineage"]["speedup"],
         "deep_lineage_queries": data["deep_lineage"]["queries"],
-        "closure_eval_speedup": data["closure_eval"]["speedup"],
-        "closure_rows": data["closure_eval"]["rows"],
         "frequent_patterns": data["frequent_patterns"]["patterns"],
         "trie_mine_s": data["frequent_patterns"]["trie_mine_s"],
         "metrics": _registry_metrics(),

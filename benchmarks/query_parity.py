@@ -1,22 +1,22 @@
-"""Query-parity gate: every execution configuration must agree on Q1–Q6.
+"""Query-parity gate: every source must agree on Q1–Q6 and P1–P4.
 
-Builds the deterministic corpus, ingests it into two stores (``--jobs 1``
-and ``--jobs 2``), then evaluates all six exemplar queries across the
-full configuration grid:
+Builds the deterministic corpus, ingests it into three stores, then
+evaluates the six exemplar queries and four property-path queries over
+the four sources the engine can be handed:
 
-    source    ∈ {in-memory dataset, store (jobs=1), store (jobs=2)}
-    optimizer ∈ {on, off}
-    pipeline  ∈ {encoded id-space, decoded per-binding}
+    memory     the in-memory dataset (per-binding BGPs, graph-walk BFS)
+    store-j1   ``--jobs 1`` ingest (id-space BGPs, index-served paths)
+    store-j2   ``--jobs 2`` ingest (same bytes, or this gate fails)
+    store-bfs  ingested with ``path_index=False``: no index files, so
+               every path falls back to graph-walk BFS over the store
 
-For each query the canonical row multiset must be identical in every
-configuration, and the EXPLAIN plan digest must be identical between the
-two store builds (plan determinism across parallel ingest) and across
-the encoded toggle (the digest keys the plan, not the runtime pipeline).
-
-A second matrix covers property-path queries with the persisted path
-index toggled on/off (index-served closures must be byte-identical to
-graph BFS), and the three index files themselves must be byte-identical
-between the ``--jobs 1`` and ``--jobs 2`` stores.
+The engine has no switches; which pipeline runs is decided by what each
+source can do.  For each query the canonical row multiset must be
+identical across all four sources, the path queries must come back in
+the *same row order* from the indexed and the index-less store, the
+EXPLAIN plan digest must be identical between the two indexed builds
+(plan determinism across parallel ingest), and the three index files
+must be byte-identical between them.
 
 Run as a script (CI gate)::
 
@@ -61,8 +61,8 @@ PATH_QUERIES = {
 }
 
 
-def _engine(source, optimize: bool, encoded: bool) -> QueryEngine:
-    engine = QueryEngine(source, optimize_joins=optimize, encoded=encoded)
+def _engine(source) -> QueryEngine:
+    engine = QueryEngine(source, cache_size=0)
     # The exemplar queries rely on the exporters' extension prefixes
     # (mirrors CorpusQueries).
     engine.namespaces.bind(
@@ -86,106 +86,71 @@ def run_parity(workdir: Path) -> int:
     corpus = CorpusBuilder(seed=SEED).build()
     corpus_dir = workdir / "corpus"
     write_corpus(corpus, corpus_dir)
-    queries = exemplar_queries(corpus)
+    queries = {**exemplar_queries(corpus), **PATH_QUERIES}
 
     stores = {}
-    for jobs in (1, 2):
-        store = QuadStore(workdir / f"store-j{jobs}")
-        report = ingest_corpus(store, corpus_dir, jobs=jobs)
-        print(f"ingested store-j{jobs}: {len(report.parsed)} files")
-        stores[jobs] = store
+    for name, options in (
+        ("store-j1", {"jobs": 1}),
+        ("store-j2", {"jobs": 2}),
+        ("store-bfs", {"jobs": 1, "path_index": False}),
+    ):
+        store = QuadStore(workdir / name)
+        report = ingest_corpus(store, corpus_dir, **options)
+        print(f"ingested {name}: {len(report.parsed)} files, "
+              f"path index {report.path_index}")
+        stores[name] = store
 
-    sources = {
-        "memory": corpus.dataset(),
-        "store-j1": StoreDataset(stores[1]),
-        "store-j2": StoreDataset(stores[2]),
-    }
+    engines = {"memory": _engine(corpus.dataset())}
+    for name, store in stores.items():
+        engines[name] = _engine(StoreDataset(store))
 
     failures = 0
     summary = {}
     try:
         for name, text in sorted(queries.items()):
-            results = {}
-            digests = {}
-            for source_name, source in sources.items():
-                for optimize in (True, False):
-                    for encoded in (True, False):
-                        config = (
-                            f"{source_name}/opt={'on' if optimize else 'off'}"
-                            f"/enc={'on' if encoded else 'off'}"
-                        )
-                        engine = _engine(source, optimize, encoded)
-                        results[config] = _canon_rows(engine.query(text))
-                        digests[config] = engine.explain(text).digest
-
-            baseline_config, baseline = next(iter(results.items()))
+            tables = {source: engine.query(text) for source, engine in engines.items()}
+            results = {source: _canon_rows(table) for source, table in tables.items()}
+            baseline = results["memory"]
             mismatched = [
-                config for config, rows in results.items() if rows != baseline
+                source for source, rows in results.items() if rows != baseline
             ]
             if mismatched:
                 failures += 1
-                print(f"FAIL {name}: rows diverge from {baseline_config}: "
+                print(f"FAIL {name}: rows diverge from memory: "
                       f"{', '.join(mismatched)}")
             else:
                 print(f"ok   {name}: {len(baseline)} rows identical "
-                      f"across {len(results)} configurations")
-
-            # Digest checks: per optimizer setting, the two store builds
-            # and the encoded toggle must agree (the digest keys the
-            # plan; the optimizer legitimately changes it).
-            for optimize in ("on", "off"):
-                store_digests = {
-                    config: digest for config, digest in digests.items()
-                    if config.startswith("store-") and f"/opt={optimize}/" in config
-                }
-                if len(set(store_digests.values())) > 1:
-                    failures += 1
-                    print(f"FAIL {name}: store plan digests diverge "
-                          f"(opt={optimize}): {store_digests}")
-            summary[name] = {
-                "rows": len(baseline),
-                "digests": {
-                    "store_opt_on": digests["store-j1/opt=on/enc=on"],
-                    "store_opt_off": digests["store-j1/opt=off/enc=on"],
-                    "memory_opt_on": digests["memory/opt=on/enc=on"],
-                },
-            }
-        # Property-path matrix: the path index must be invisible in the
-        # results, whichever sources/optimizer it combines with.
-        for name, text in sorted(PATH_QUERIES.items()):
-            results = {}
-            for source_name, source in sources.items():
-                for optimize in (True, False):
-                    for use_index in (True, False):
-                        config = (
-                            f"{source_name}/opt={'on' if optimize else 'off'}"
-                            f"/idx={'on' if use_index else 'off'}"
-                        )
-                        engine = QueryEngine(
-                            source, optimize_joins=optimize,
-                            path_index=use_index, cache_size=0,
-                        )
-                        results[config] = _canon_rows(engine.query(text))
-            baseline_config, baseline = next(iter(results.items()))
-            mismatched = [
-                config for config, rows in results.items() if rows != baseline
-            ]
-            if mismatched:
-                failures += 1
-                print(f"FAIL {name}: rows diverge from {baseline_config}: "
-                      f"{', '.join(mismatched)}")
-            else:
-                print(f"ok   {name}: {len(baseline)} rows identical "
-                      f"across {len(results)} configurations")
+                      f"across {len(results)} sources")
             summary[name] = {"rows": len(baseline)}
+
+            if name in PATH_QUERIES:
+                # The index must replay BFS discovery order, not just
+                # reach the same pairs.
+                indexed = [row.asdict() for row in tables["store-j1"]]
+                walked = [row.asdict() for row in tables["store-bfs"]]
+                if indexed != walked:
+                    failures += 1
+                    print(f"FAIL {name}: index-served row order differs "
+                          f"from the index-less store's BFS")
+                continue
+
+            digests = {source: engine.explain(text).digest
+                       for source, engine in engines.items()}
+            if digests["store-j1"] != digests["store-j2"]:
+                failures += 1
+                print(f"FAIL {name}: store plan digests diverge: {digests}")
+            summary[name]["digests"] = {
+                "store": digests["store-j1"],
+                "memory": digests["memory"],
+            }
 
         # The index derives purely from the (byte-identical) segments,
         # so its own files must not depend on the ingest job count.
         from repro.pathindex import FWD_FILE, INV_FILE, TRIE_FILE
 
         for file_name in (FWD_FILE, INV_FILE, TRIE_FILE):
-            bytes_j1 = (stores[1].path / file_name).read_bytes()
-            bytes_j2 = (stores[2].path / file_name).read_bytes()
+            bytes_j1 = (stores["store-j1"].path / file_name).read_bytes()
+            bytes_j2 = (stores["store-j2"].path / file_name).read_bytes()
             if bytes_j1 != bytes_j2:
                 failures += 1
                 print(f"FAIL path index {file_name} differs between "

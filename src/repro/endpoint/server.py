@@ -79,6 +79,10 @@ from ..sparql.tokenizer import SparqlSyntaxError
 
 __all__ = ["SparqlEndpoint"]
 
+#: Largest POST body the endpoint reads.  Query texts are a few KB; a
+#: larger declared length is answered 413 before a byte of it is read.
+MAX_BODY_BYTES = 1 << 20
+
 _KNOWN_ROUTES = ("/", "/sparql", "/stats", "/metrics", "/healthz", "/slowlog",
                  "/trace", "/debug/profile")
 
@@ -188,6 +192,15 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
             self._send_error(400, "malformed Content-Length header")
+            return
+        # rfile.read(-1) would block until the client hangs up, and an
+        # unchecked length lets one request buffer whatever it declares.
+        if length < 0:
+            self._send_error(400, f"negative Content-Length: {length}")
+            return
+        if length > MAX_BODY_BYTES:
+            self._send_error(
+                413, f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit")
             return
         raw = self.rfile.read(length)
         if len(raw) != length:

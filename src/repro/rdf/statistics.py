@@ -1,6 +1,6 @@
 """Version-keyed, thread-safe per-graph statistics.
 
-The SPARQL join planner (:func:`repro.sparql.evaluator.plan_bgp`) ranks
+The SPARQL join planner (:func:`repro.sparql.plan.plan_bgp_steps`) ranks
 triple patterns by predicate cardinality.  Before this module existed it
 rebuilt a cardinality dict from scratch on *every query*; now each
 :class:`~repro.rdf.graph.Graph` owns one :class:`GraphStatistics` (via

@@ -12,7 +12,6 @@ from .algebra import AskQuery, SelectQuery, Var
 from .evaluator import (
     DEFAULT_RESULT_CACHE_SIZE,
     QueryEngine,
-    plan_bgp,
     plan_bgp_steps,
 )
 from .parser import parse_query
@@ -24,7 +23,6 @@ __all__ = [
     "QueryEngine",
     "DEFAULT_RESULT_CACHE_SIZE",
     "parse_query",
-    "plan_bgp",
     "plan_bgp_steps",
     "build_plan",
     "QueryPlan",

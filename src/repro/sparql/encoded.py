@@ -1,10 +1,11 @@
 """Encoded-ID BGP execution over store-backed graphs.
 
-The decoded pipeline resolves every pattern against a solution's *terms*
-and re-encodes them per binding inside ``StoreGraph.triples()`` — paying
-a dictionary lookup, a fresh binary search, and a per-record decode for
-every partial solution.  This module keeps the whole BGP in u32 term
-ids instead:
+The per-binding pipeline (``QueryEngine._extend_with_pattern``, what
+in-memory graphs and path-bearing BGPs run) resolves every pattern
+against a solution's *terms*; over a store that means re-encoding them
+per binding inside ``StoreGraph.triples()`` — a dictionary lookup, a
+fresh binary search, and a per-record decode for every partial solution.
+This module keeps the whole BGP in u32 term ids instead:
 
 * constants are resolved to ids once per pattern (an unknown constant
   empties the batch immediately);
@@ -13,10 +14,10 @@ ids instead:
 * ids are decoded back to terms only once, when the finished batch
   leaves the BGP.
 
-Patterns probe the same four sorted segment orderings the decoded path
+Patterns probe the same four sorted segment orderings ``triples()``
 uses (the ordering choice replicates ``StoreGraph._match_ids`` exactly,
-so row order is byte-identical), but batch execution unlocks two
-operators the per-binding path cannot express:
+so row order does not depend on which pipeline ran), but batch
+execution unlocks two operators the per-binding path cannot express:
 
 * **bisect** — when no join-bound variable sits in the ordering's sort
   prefix, every solution in the group shares one probe key, so the
@@ -28,7 +29,7 @@ operators the per-binding path cannot express:
 
 The executor is created per BGP via :func:`encoded_executor`, which
 duck-types on ``graph.encoded_scope()`` — in-memory graphs (no encoded
-surface) and BGPs containing property paths fall back to the decoded
+surface) and BGPs containing property paths take the per-binding
 pipeline.  Paths must: a zero-length closure (``p*``) yields ``(t, t)``
 even for a term the dictionary has never seen, which id space cannot
 represent.

@@ -4,8 +4,7 @@ The evaluator walks the algebra tree with *lateral* semantics: every
 pattern is evaluated against a list of partial solutions and extends each
 one, which gives correct OPTIONAL/EXISTS behavior without a separate join
 machinery.  Basic graph patterns are reordered by a selectivity heuristic
-before evaluation (see :func:`plan_bgp`); the ablation bench compares this
-against the written order.
+before evaluation (see :func:`~repro.sparql.plan.plan_bgp_steps`).
 
 Entry point: :class:`QueryEngine` — construct over a :class:`Graph` or a
 :class:`Dataset` and call :meth:`QueryEngine.query` with SPARQL text.
@@ -26,7 +25,7 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Union as TyUnion
+from typing import Dict, List, Optional, Union as TyUnion
 
 from ..rdf.graph import Dataset, Graph
 from ..rdf.namespace import CORE_PREFIXES, NamespaceManager
@@ -72,11 +71,10 @@ from .plan import (
     QueryProfile,
     build_plan,
     plan_bgp_steps,
-    written_order_steps,
 )
 from .results import ResultTable
 
-__all__ = ["QueryEngine", "plan_bgp", "plan_bgp_steps", "DEFAULT_RESULT_CACHE_SIZE"]
+__all__ = ["QueryEngine", "plan_bgp_steps", "DEFAULT_RESULT_CACHE_SIZE"]
 
 Binding = Dict[str, Term]
 
@@ -103,26 +101,6 @@ del _event, _phase
 _MISS = object()  # sentinel: cached-None must be distinguishable
 
 
-def plan_bgp(
-    patterns: List[TriplePattern],
-    bound_vars: Iterable[str] = (),
-    graph: Optional[Graph] = None,
-) -> List[TriplePattern]:
-    """Order triple patterns most-selective-first.
-
-    Greedy: repeatedly pick the pattern with the most bound positions
-    (constants plus variables already bound by previously chosen patterns),
-    preferring bound subjects over bound objects over bound predicates, and
-    using the graph's predicate cardinalities as a tiebreaker when
-    available.  This mirrors classic selectivity-based BGP reordering.
-
-    Thin wrapper over :func:`repro.sparql.plan.plan_bgp_steps` — the
-    annotated planner EXPLAIN renders — so the plan shown and the plan
-    executed can never diverge.
-    """
-    return [step.pattern for step in plan_bgp_steps(patterns, bound_vars, graph)]
-
-
 class QueryEngine:
     """Evaluates SPARQL queries over a Graph or Dataset.
 
@@ -136,12 +114,9 @@ class QueryEngine:
         self,
         source: TyUnion[Graph, Dataset],
         namespaces: Optional[NamespaceManager] = None,
-        optimize_joins: bool = True,
         cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
         tracer=None,
         slow_log=None,
-        encoded: bool = True,
-        path_index: bool = True,
         latency_sketch=None,
     ):
         if isinstance(source, Dataset):
@@ -155,15 +130,6 @@ class QueryEngine:
         else:
             raise TypeError("QueryEngine requires a Graph or Dataset")
         self.namespaces = namespaces if namespaces is not None else _corpus_namespaces(source)
-        self.optimize_joins = optimize_joins
-        #: Run BGPs in id space over store-backed graphs (merge/bisect
-        #: batch scans, decode at BGP egress).  ``False`` forces the
-        #: per-binding decoded pipeline — the parity baseline.
-        self.encoded = encoded
-        #: Serve property-path closures from the persisted path index on
-        #: index-capable graphs.  ``False`` forces graph-API BFS — the
-        #: parity baseline for path queries.
-        self.path_index = path_index
         self.tracer = tracer
         #: Optional :class:`repro.obs.slowlog.SlowQueryLog`; when set,
         #: string queries are profiled (cheap batch-level collection) so
@@ -348,8 +314,7 @@ class QueryEngine:
             parsed = query
         with self._lock:
             self._refresh_default_locked()
-        return build_plan(parsed, self._default, text=text,
-                          optimize=self.optimize_joins)
+        return build_plan(parsed, self._default, text=text)
 
     def profile(self, query: TyUnion[str, SelectQuery, AskQuery]) -> QueryProfile:
         """PROFILE: execute with per-operator statistics collection.
@@ -368,8 +333,7 @@ class QueryEngine:
             parsed = query
         with self._lock:
             self._refresh_default_locked()
-        plan = build_plan(parsed, self._default, text=text,
-                          optimize=self.optimize_joins)
+        plan = build_plan(parsed, self._default, text=text)
         collector = ProfileCollector()
         self._install_profiler(collector)
         started = time.perf_counter()
@@ -400,8 +364,7 @@ class QueryEngine:
                 return digest
         if parsed is None:
             return None
-        plan = build_plan(parsed, self._default, text=text,
-                          optimize=self.optimize_joins)
+        plan = build_plan(parsed, self._default, text=text)
         with self._lock:
             self._digest_cache[key] = plan.digest
             while len(self._digest_cache) > _DIGEST_CACHE_SIZE:
@@ -433,8 +396,7 @@ class QueryEngine:
             "operators": [],
         }
         if parsed is not None:
-            plan = build_plan(parsed, self._default, text=text,
-                              optimize=self.optimize_joins)
+            plan = build_plan(parsed, self._default, text=text)
             record["plan_digest"] = plan.digest
             if collector is not None:
                 report = plan.profile_report(collector, duration_ms)
@@ -834,15 +796,12 @@ class QueryEngine:
                 bound.intersection_update(sol)
         else:
             bound = set()
-        if self.optimize_joins:
-            if self.tracer is not None:
-                with _span(self.tracer, "sparql.plan", cat="query",
-                           patterns=len(bgp.triples)):
-                    steps = plan_bgp_steps(bgp.triples, bound, graph)
-            else:
+        if self.tracer is not None:
+            with _span(self.tracer, "sparql.plan", cat="query",
+                       patterns=len(bgp.triples)):
                 steps = plan_bgp_steps(bgp.triples, bound, graph)
         else:
-            steps = written_order_steps(bgp.triples, graph)
+            steps = plan_bgp_steps(bgp.triples, bound, graph)
         profiler = (getattr(self._tlocal, "profiler", None)
                     if self._profiling else None)
         # The encoded pipeline pays off when a step can see more than
@@ -852,8 +811,7 @@ class QueryEngine:
         # one binding at a time) has exactly one scan range either way,
         # so the leaner per-binding path wins.
         batchable = len(bgp.triples) > 1 or len(inputs) > 1
-        executor = (encoded_executor(graph, bgp.triples)
-                    if self.encoded and batchable else None)
+        executor = encoded_executor(graph, bgp.triples) if batchable else None
         if executor is not None:
             # Id-space pipeline: encode once, extend batches of encoded
             # bindings (merge/bisect scans), decode once at egress.
@@ -878,7 +836,7 @@ class QueryEngine:
         return solutions
 
     def _extend_step(self, step, solutions: List[Binding], graph: Graph) -> List[Binding]:
-        """Profiler callback for the decoded pipeline (the profiler hands
+        """Profiler callback for the per-binding pipeline (the profiler hands
         the full :class:`PlanStep` so encoded execution can reuse its
         annotations; here only the pattern matters)."""
         return self._extend_with_pattern(step.pattern, solutions, graph)
@@ -897,7 +855,6 @@ class QueryEngine:
                     tp.predicate,
                     s if not isinstance(s, Var) else None,
                     o if not isinstance(o, Var) else None,
-                    use_index=self.path_index,
                 ):
                     extended = dict(sol)
                     if _bind(extended, s, s_val) and _bind(extended, o, o_val):

@@ -14,23 +14,25 @@ engine supports the core path operators in the predicate position:
 
 Paths are evaluated by :func:`eval_path`, which yields ``(subject,
 object)`` pairs given optionally-bound endpoints; closures are computed
-with BFS over the graph, seeded from whichever endpoint is bound.  With
-both endpoints unbound, BFS is seeded from the nodes that can actually
-begin the path (the subjects/objects of its predicates) — zero-length
-``*`` pairs still cover every node, as the spec requires, but no BFS
-runs from nodes with no outgoing step.
+with BFS, seeded from whichever endpoint is bound.  With both endpoints
+unbound, BFS is seeded from the nodes that can actually begin the path
+(the subjects/objects of its predicates) — zero-length ``*`` pairs
+still cover every node, as the spec requires, but no BFS runs from
+nodes with no outgoing step.
 
-Store-backed graphs can advertise a persisted reachability index via a
-duck-typed ``path_index()`` capability (the same pattern as
-``encoded_scope()`` — this module never imports ``repro.store`` or
-``repro.pathindex``).  When the path's predicates all map to indexed
-relations, the whole evaluation runs in u32 id space over mmap'd sorted
-adjacency — same BFS, no per-step term decode — and decodes pairs only
-at egress.  The id-space mirror replays the decoded evaluator's
-discovery order operation for operation, so results are byte-identical;
-anything unmappable (unknown predicates, ``GRAPH``-scoped views,
-``p*`` with both endpoints unbound) falls back to graph-API BFS.  The
-``repro_pathindex_total{outcome}`` counter tallies the dispatch.
+There is one evaluator (:func:`_eval`); what varies is the *edge
+source* it walks.  Store-backed graphs can advertise a persisted
+reachability index via a duck-typed ``path_index()`` capability (the
+same pattern as ``encoded_scope()`` — this module never imports
+``repro.store`` or ``repro.pathindex``).  When the path's predicates
+all map to indexed relations, the evaluator runs in u32 id space over
+mmap'd sorted adjacency — no per-step term decode — and pairs are
+decoded only at egress.  Anything the index cannot serve (no index,
+unknown predicates, ``GRAPH``-scoped views, ``p*`` with both endpoints
+unbound) runs the same evaluator over :class:`_GraphEdges`, which
+exposes the index's surface on top of ``graph.triples()`` with terms
+standing in for ids.  The ``repro_pathindex_total{outcome}`` counter
+tallies the dispatch.
 """
 
 from __future__ import annotations
@@ -96,17 +98,14 @@ def eval_path(
     path,
     subject: Optional[Term] = None,
     obj: Optional[Term] = None,
-    use_index: bool = True,
 ) -> Iterator[Tuple[Term, Term]]:
     """Yield (subject, object) pairs connected by *path*.
 
     Either endpoint may be bound (a concrete term) or None.  Duplicate
-    pairs are suppressed.  With ``use_index=False`` the persisted path
-    index is bypassed even on index-capable graphs — the BFS parity
-    baseline.
+    pairs are suppressed.
     """
     seen: Set[Tuple[Term, Term]] = set()
-    for pair in _dispatch(graph, path, subject, obj, use_index):
+    for pair in _dispatch(graph, path, subject, obj):
         if pair not in seen:
             seen.add(pair)
             yield pair
@@ -122,25 +121,32 @@ def _live_index(graph: Graph):
     return probe() if callable(probe) else None
 
 
-def _compile(index, path):
-    """Map *path* onto index relations; an op tree, or None when any
-    predicate is not an indexed relation."""
+def _compile(path, rel_of):
+    """Map *path* onto an edge source's relations; an op tree, or None
+    when *rel_of* knows no relation for some predicate IRI (or *path* is
+    no path at all)."""
     if isinstance(path, IRI):
-        rel = index.rel_for(path.value)
+        rel = rel_of(path)
         return None if rel is None else ("rel", rel)
     if isinstance(path, PathInverse):
-        sub = _compile(index, path.inner)
+        sub = _compile(path.inner, rel_of)
         return None if sub is None else ("inv", sub)
     if isinstance(path, PathAlternative):
-        subs = tuple(_compile(index, option) for option in path.options)
+        subs = tuple(_compile(option, rel_of) for option in path.options)
         return None if any(sub is None for sub in subs) else ("alt", subs)
     if isinstance(path, PathSequence):
-        subs = tuple(_compile(index, step) for step in path.steps)
+        subs = tuple(_compile(step, rel_of) for step in path.steps)
         return None if any(sub is None for sub in subs) else ("seq", subs)
     if isinstance(path, PathClosure):
-        sub = _compile(index, path.inner)
+        sub = _compile(path.inner, rel_of)
         return None if sub is None else ("closure", sub, path.include_zero)
     return None
+
+
+def _index_ops(index, path):
+    """*path* compiled onto the index's relation codes, or None when any
+    predicate is not an indexed relation."""
+    return _compile(path, lambda predicate: index.rel_for(predicate.value))
 
 
 def _safe(op, s_bound: bool, o_bound: bool) -> bool:
@@ -186,113 +192,150 @@ def index_supported(path, index) -> bool:
     unbound) still fall back at runtime; the static answer keys the plan
     the way ``choose_access`` does for plain patterns.
     """
-    return index is not None and _compile(index, path) is not None
+    return index is not None and _index_ops(index, path) is not None
 
 
-def _dispatch(graph, path, subject, obj, use_index):
-    index = _live_index(graph) if use_index else None
-    if use_index:
-        if index is None:
-            _PATHINDEX_TOTAL.labels("no-index").inc()
-        else:
-            ops = _compile(index, path)
-            sid = graph.term_to_id(subject) if subject is not None else None
-            oid = graph.term_to_id(obj) if obj is not None else None
-            servable = (
-                ops is not None
-                and _safe(ops, subject is not None, obj is not None)
-                # A bound endpoint the dictionary has never seen matches
-                # nothing (or only a zero-length pair) — the decoded
-                # evaluator already handles that cheaply.
-                and not (subject is not None and sid is None)
-                and not (obj is not None and oid is None)
-            )
-            if servable:
-                _PATHINDEX_TOTAL.labels("hit").inc()
-                decode = graph.id_to_term
-                for s_id, o_id in _ieval(index, ops, sid, oid):
-                    yield (decode(s_id), decode(o_id))
-                return
-            _PATHINDEX_TOTAL.labels("fallback").inc()
-    yield from _eval(graph, path, subject, obj)
+def _dispatch(graph, path, subject, obj):
+    index = _live_index(graph)
+    if index is None:
+        _PATHINDEX_TOTAL.labels("no-index").inc()
+    else:
+        ops = _index_ops(index, path)
+        sid = graph.term_to_id(subject) if subject is not None else None
+        oid = graph.term_to_id(obj) if obj is not None else None
+        servable = (
+            ops is not None
+            and _safe(ops, subject is not None, obj is not None)
+            # A bound endpoint the dictionary has never seen matches
+            # nothing (or only a zero-length pair) — the graph walk
+            # already handles that cheaply.
+            and not (subject is not None and sid is None)
+            and not (obj is not None and oid is None)
+        )
+        if servable:
+            _PATHINDEX_TOTAL.labels("hit").inc()
+            decode = graph.id_to_term
+            for s_id, o_id in _eval(index, ops, sid, oid):
+                yield (decode(s_id), decode(o_id))
+            return
+        _PATHINDEX_TOTAL.labels("fallback").inc()
+    ops = _compile(path, lambda predicate: predicate)
+    if ops is None:
+        raise TypeError(f"not a path expression: {path!r}")
+    yield from _eval(_GraphEdges(graph), ops, subject, obj)
+
+
+class _GraphEdges:
+    """The path index's read surface over ``graph.triples()``.
+
+    Terms stand in for node ids and a predicate IRI is its own relation
+    (no ``rel_for`` step), so the one evaluator below also walks graphs
+    the index cannot serve.
+    Unlike the edge index it can enumerate every node, which is what the
+    zero-length pairs of a both-unbound ``p*`` need.
+    """
+
+    __slots__ = ("graph",)
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+
+    def has_edge(self, rel, src, dst) -> bool:
+        return next(iter(self.graph.triples(src, rel, dst)), None) is not None
+
+    def neighbors(self, rel, node):
+        return (t.object for t in self.graph.triples(node, rel, None))
+
+    def neighbors_inv(self, rel, node):
+        return (t.subject for t in self.graph.triples(None, rel, node))
+
+    def pairs(self, rel):
+        return ((t.subject, t.object) for t in self.graph.triples(None, rel, None))
+
+    def all_nodes(self):
+        """Every subject/object node, deduplicated in encounter order (a
+        set would iterate in hash order — nondeterministic across runs)."""
+        return dict.fromkeys(
+            node for t in self.graph for node in (t.subject, t.object))
 
 
 # ---------------------------------------------------------------------------
-# Id-space evaluation (index-backed; mirrors the decoded evaluator's
-# iteration order operation for operation)
+# The evaluator: one walk over an edge source — the persisted index (u32
+# ids) or _GraphEdges (terms) — so both yield in the same discovery order
 # ---------------------------------------------------------------------------
 
 
-def _ieval(index, op, s: Optional[int], o: Optional[int]) -> Iterator[Tuple[int, int]]:
+def _eval(edges, op, s, o) -> Iterator[Tuple[object, object]]:
     kind = op[0]
     if kind == "rel":
         rel = op[1]
         if s is not None:
             if o is not None:
-                if index.has_edge(rel, s, o):
+                if edges.has_edge(rel, s, o):
                     yield (s, o)
             else:
-                for neighbor in index.neighbors(rel, s):
+                for neighbor in edges.neighbors(rel, s):
                     yield (s, neighbor)
         elif o is not None:
-            for neighbor in index.neighbors_inv(rel, o):
+            for neighbor in edges.neighbors_inv(rel, o):
                 yield (neighbor, o)
         else:
-            # pairs() yields in (dst, src) order — the order a union
-            # posg scan hands the decoded evaluator the same triples.
-            yield from index.pairs(rel)
+            # The index's pairs() yields in (dst, src) order — the order
+            # a union posg scan yields the same triples off the store.
+            yield from edges.pairs(rel)
         return
     if kind == "inv":
-        for s2, o2 in _ieval(index, op[1], o, s):
+        for s2, o2 in _eval(edges, op[1], o, s):
             yield (o2, s2)
         return
     if kind == "alt":
         for sub in op[1]:
-            yield from _ieval(index, sub, s, o)
+            yield from _eval(edges, sub, s, o)
         return
     if kind == "seq":
-        yield from _ieval_seq(index, list(op[1]), s, o)
+        yield from _eval_seq(edges, list(op[1]), s, o)
         return
-    yield from _ieval_closure(index, op, s, o)
+    yield from _eval_closure(edges, op, s, o)
 
 
-def _ieval_seq(index, ops: List, s, o) -> Iterator[Tuple[int, int]]:
+def _eval_seq(edges, ops: List, s, o) -> Iterator[Tuple[object, object]]:
     if len(ops) == 1:
-        yield from _ieval(index, ops[0], s, o)
+        yield from _eval(edges, ops[0], s, o)
         return
     if s is not None or o is None:
         head, rest = ops[0], ops[1:]
-        for s1, mid in _ieval(index, head, s, None):
-            for _, o1 in _ieval_seq(index, rest, mid, o):
+        for s1, mid in _eval(edges, head, s, None):
+            for _, o1 in _eval_seq(edges, rest, mid, o):
                 yield (s1, o1)
     else:
         rest, last = ops[:-1], ops[-1]
-        for mid, o1 in _ieval(index, last, None, o):
-            for s1, _ in _ieval_seq(index, rest, None, mid):
+        for mid, o1 in _eval(edges, last, None, o):
+            for s1, _ in _eval_seq(edges, rest, None, mid):
                 yield (s1, o1)
 
 
-def _istep_forward(index, op, node: int) -> Iterator[int]:
-    for _, neighbor in _ieval(index, op, node, None):
+def _step_forward(edges, op, node) -> Iterator[object]:
+    for _, neighbor in _eval(edges, op, node, None):
         yield neighbor
 
 
-def _istep_backward(index, op, node: int) -> Iterator[int]:
-    for neighbor, _ in _ieval(index, op, None, node):
+def _step_backward(edges, op, node) -> Iterator[object]:
+    for neighbor, _ in _eval(edges, op, None, node):
         yield neighbor
 
 
-def _iclosure_from(index, op, start: int, include_zero: bool,
-                   backward: bool = False) -> Iterator[int]:
+def _closure_from(edges, op, start, include_zero: bool,
+                  backward: bool = False) -> Iterator[object]:
+    """BFS over *op* steps from *start*; yields reachable nodes."""
     if include_zero:
         yield start
-    step = _istep_backward if backward else _istep_forward
-    visited: Set[int] = {start} if include_zero else set()
+    step = _step_backward if backward else _step_forward
+    visited: Set[object] = {start} if include_zero else set()
     frontier = [start]
     while frontier:
         next_frontier = []
         for node in frontier:
-            for neighbor in step(index, op, node):
+            for neighbor in step(edges, op, node):
                 if neighbor not in visited:
                     visited.add(neighbor)
                     next_frontier.append(neighbor)
@@ -300,135 +343,25 @@ def _iclosure_from(index, op, start: int, include_zero: bool,
         frontier = next_frontier
 
 
-def _ieval_closure(index, op, s, o) -> Iterator[Tuple[int, int]]:
+def _eval_closure(edges, op, s, o) -> Iterator[Tuple[object, object]]:
     sub, include_zero = op[1], op[2]
     if s is not None:
-        for node in _iclosure_from(index, sub, s, include_zero):
+        for node in _closure_from(edges, sub, s, include_zero):
             if o is None or node == o:
                 yield (s, node)
         return
     if o is not None:
-        for node in _iclosure_from(index, sub, o, include_zero, backward=True):
+        for node in _closure_from(edges, sub, o, include_zero, backward=True):
             yield (node, o)
         return
-    # Both unbound (`+` only; `*` is rejected by _safe): seed from the
-    # nodes that can begin the path, in their discovery order.
-    starts = dict.fromkeys(s1 for s1, _ in _ieval(index, sub, None, None))
-    for node in starts:
-        for reached in _iclosure_from(index, sub, node, False):
-            yield (node, reached)
-
-
-# ---------------------------------------------------------------------------
-# Graph-API evaluation (the BFS fallback and in-memory path)
-# ---------------------------------------------------------------------------
-
-
-def _eval(graph: Graph, path, subject, obj) -> Iterator[Tuple[Term, Term]]:
-    if isinstance(path, IRI):
-        for t in graph.triples(subject, path, obj):
-            yield (t.subject, t.object)
-        return
-    if isinstance(path, PathInverse):
-        for s, o in _eval(graph, path.inner, obj, subject):
-            yield (o, s)
-        return
-    if isinstance(path, PathAlternative):
-        for option in path.options:
-            yield from _eval(graph, option, subject, obj)
-        return
-    if isinstance(path, PathSequence):
-        yield from _eval_sequence(graph, list(path.steps), subject, obj)
-        return
-    if isinstance(path, PathClosure):
-        yield from _eval_closure(graph, path, subject, obj)
-        return
-    raise TypeError(f"not a path expression: {path!r}")
-
-
-def _eval_sequence(graph: Graph, steps: List, subject, obj) -> Iterator[Tuple[Term, Term]]:
-    if len(steps) == 1:
-        yield from _eval(graph, steps[0], subject, obj)
-        return
-    # Chain from the bound side to keep intermediate sets small.
-    if subject is not None or obj is None:
-        head, rest = steps[0], steps[1:]
-        for s, mid in _eval(graph, head, subject, None):
-            for _, o in _eval_sequence(graph, rest, mid, obj):
-                yield (s, o)
-    else:
-        rest, last = steps[:-1], steps[-1]
-        for mid, o in _eval(graph, last, None, obj):
-            for s, _ in _eval_sequence(graph, rest, subject, mid):
-                yield (s, o)
-
-
-def _step_forward(graph: Graph, path, node: Term) -> Iterator[Term]:
-    for _, o in _eval(graph, path, node, None):
-        yield o
-
-
-def _step_backward(graph: Graph, path, node: Term) -> Iterator[Term]:
-    for s, _ in _eval(graph, path, None, node):
-        yield s
-
-
-def _closure_from(graph: Graph, path, start: Term, include_zero: bool,
-                  backward: bool = False) -> Iterator[Term]:
-    """BFS over *path* steps from *start*; yields reachable nodes."""
+    # Both unbound: BFS only from nodes that can begin the path, in their
+    # discovery order — never from every node in the graph.
     if include_zero:
-        yield start
-    step = _step_backward if backward else _step_forward
-    visited: Set[Term] = {start} if include_zero else set()
-    frontier = [start]
-    while frontier:
-        next_frontier = []
-        for node in frontier:
-            for neighbor in step(graph, path.inner, node):
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    next_frontier.append(neighbor)
-                    yield neighbor
-        frontier = next_frontier
-
-
-def _all_nodes(graph: Graph) -> Iterator[Term]:
-    """Every subject/object node, deduplicated in encounter order (a
-    set would iterate in hash order — nondeterministic across runs)."""
-    seen: Set[Term] = set()
-    for t in graph:
-        for node in (t.subject, t.object):
-            if node not in seen:
-                seen.add(node)
-                yield node
-
-
-def _start_nodes(graph: Graph, inner) -> Iterator[Term]:
-    """Nodes with at least one outgoing *inner* step — the only useful
-    BFS seeds — deduplicated in encounter order."""
-    seen: Set[Term] = set()
-    for s, _ in _eval(graph, inner, None, None):
-        if s not in seen:
-            seen.add(s)
-            yield s
-
-
-def _eval_closure(graph: Graph, path: PathClosure, subject, obj):
-    if subject is not None:
-        for node in _closure_from(graph, path, subject, path.include_zero):
-            if obj is None or node == obj:
-                yield (subject, node)
-        return
-    if obj is not None:
-        for node in _closure_from(graph, path, obj, path.include_zero, backward=True):
-            yield (node, obj)
-        return
-    # Both unbound: BFS only from nodes that can begin the path (the
-    # subjects of its predicates), never from every node in the graph.
-    if path.include_zero:
-        # Zero-length: the spec pairs every node with itself.
-        for node in _all_nodes(graph):
+        # Zero-length: the spec pairs every node with itself.  _safe
+        # keeps the edge index, which cannot enumerate them, out of here.
+        for node in edges.all_nodes():
             yield (node, node)
-    for node in _start_nodes(graph, path.inner):
-        for reached in _closure_from(graph, path, node, False):
+    starts = dict.fromkeys(s1 for s1, _ in _eval(edges, sub, None, None))
+    for node in starts:
+        for reached in _closure_from(edges, sub, node, False):
             yield (node, reached)

@@ -1,9 +1,9 @@
 """EXPLAIN / PROFILE: serializable query plans and operator statistics.
 
 The planner (:func:`plan_bgp_steps`) is the single source of truth for
-BGP join ordering: :func:`repro.sparql.evaluator.plan_bgp` delegates to
-it, so the order EXPLAIN shows is — by construction, not by convention —
-the order the evaluator executes.  Each chosen pattern carries:
+BGP join ordering: the evaluator executes its steps directly, so the
+order EXPLAIN shows is — by construction, not by convention — the order
+the evaluator executes.  Each chosen pattern carries:
 
 * a **bound mask** (one char per position: ``b`` constant, ``j``
   join-bound variable, ``?`` free) at the moment it was selected;
@@ -189,7 +189,7 @@ class PlanStep:
     #: a join-bound variable sits in the chosen ordering's sort prefix
     #: (batch sorted, monotone galloping cursor), "bisect" otherwise.
     #: ``None`` on graphs without an encoded surface, and for BGPs
-    #: containing property paths (those run on the decoded pipeline).
+    #: containing property paths (those run on the per-binding pipeline).
     access: Optional[str] = None
     #: Segment ordering the scan ranges over (spog/posg/ospg/gspo).
     ordering: Optional[str] = None
@@ -313,8 +313,8 @@ def plan_bgp_steps(
     patterns), preferring plain patterns over property paths, bound
     subjects over bound objects, and using the graph's predicate
     cardinalities as the final tiebreaker.  This is the planner the
-    evaluator executes (``plan_bgp`` is a thin wrapper), so EXPLAIN
-    output is the executed order by construction.
+    evaluator executes, so EXPLAIN output is the executed order by
+    construction.
     """
     remaining = list(patterns)
     bound = set(bound_vars)
@@ -360,25 +360,6 @@ def plan_bgp_steps(
         steps.append(PlanStep(best, mask, estimate, reason, access, ordering))
         remaining.pop(best_index)
         bound.update(best.variables())
-    return steps
-
-
-def written_order_steps(
-    patterns: List[TriplePattern], graph=None
-) -> List[PlanStep]:
-    """Steps for an engine with join optimization disabled.
-
-    Masks are computed with no assumed bindings (matching historical
-    EXPLAIN output for optimizer-off engines), so the static operator
-    choice here can only be "bisect"; the encoded executor still picks
-    merge at runtime from the solutions' actual bound sets.
-    """
-    annotate = _access_annotator(patterns, graph)
-    steps = []
-    for tp in patterns:
-        mask = _mask(tp, set())
-        access, ordering = annotate(mask, tp)
-        steps.append(PlanStep(tp, mask, 0, "written order", access, ordering))
     return steps
 
 
@@ -543,16 +524,13 @@ def _render_detail(detail: Dict[str, object]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def build_plan(
-    query, graph=None, text: Optional[str] = None, optimize: bool = True
-) -> QueryPlan:
+def build_plan(query, graph=None, text: Optional[str] = None) -> QueryPlan:
     """EXPLAIN a parsed query against *graph* (for cardinality estimates).
 
     Purely static: nothing is executed.  Variable boundness is
     propagated the way the lateral evaluator binds variables (left to
     right through joins, into OPTIONAL right sides), so the BGP orders
-    shown match execution.  Pass ``optimize=False`` to mirror an engine
-    with join reordering disabled (patterns stay in written order).
+    shown match execution.
     """
     if isinstance(query, SelectQuery):
         detail: Dict[str, object] = {
@@ -574,10 +552,10 @@ def build_plan(
             detail["limit"] = query.limit
         if query.offset:
             detail["offset"] = query.offset
-        child, _ = _pattern_node(query.where, set(), graph, optimize)
+        child, _ = _pattern_node(query.where, set(), graph)
         root = PlanNode("select", detail, [child], key=id(query))
     elif isinstance(query, AskQuery):
-        child, _ = _pattern_node(query.where, set(), graph, optimize)
+        child, _ = _pattern_node(query.where, set(), graph)
         root = PlanNode("ask", {}, [child], key=id(query))
     elif isinstance(query, ConstructQuery):
         detail = {"template_triples": len(query.template)}
@@ -585,13 +563,13 @@ def build_plan(
             detail["limit"] = query.limit
         if query.offset:
             detail["offset"] = query.offset
-        child, _ = _pattern_node(query.where, set(), graph, optimize)
+        child, _ = _pattern_node(query.where, set(), graph)
         root = PlanNode("construct", detail, [child], key=id(query))
     elif isinstance(query, DescribeQuery):
         detail = {"targets": [render_term(t) for t in query.targets]}
         children = []
         if query.where is not None:
-            child, _ = _pattern_node(query.where, set(), graph, optimize)
+            child, _ = _pattern_node(query.where, set(), graph)
             children.append(child)
         root = PlanNode("describe", detail, children, key=id(query))
     else:
@@ -599,16 +577,10 @@ def build_plan(
     return QueryPlan(root, query=text)
 
 
-def _pattern_node(
-    pattern: Pattern, bound: set, graph, optimize: bool = True
-) -> Tuple[PlanNode, set]:
+def _pattern_node(pattern: Pattern, bound: set, graph) -> Tuple[PlanNode, set]:
     """(plan node, variables bound after the pattern)."""
     if isinstance(pattern, BGP):
-        steps = (
-            plan_bgp_steps(pattern.triples, bound, graph)
-            if optimize
-            else written_order_steps(pattern.triples, graph)
-        )
+        steps = plan_bgp_steps(pattern.triples, bound, graph)
         children = []
         for index, step in enumerate(steps):
             detail: Dict[str, object] = {
@@ -629,34 +601,34 @@ def _pattern_node(
             out |= tp.variables()
         return PlanNode("bgp", {"patterns": len(steps)}, children, key=id(pattern)), out
     if isinstance(pattern, Join):
-        left, bound_left = _pattern_node(pattern.left, bound, graph, optimize)
-        right, bound_out = _pattern_node(pattern.right, bound_left, graph, optimize)
+        left, bound_left = _pattern_node(pattern.left, bound, graph)
+        right, bound_out = _pattern_node(pattern.right, bound_left, graph)
         return PlanNode("join", {}, [left, right], key=id(pattern)), bound_out
     if isinstance(pattern, LeftJoin):
-        left, bound_left = _pattern_node(pattern.left, bound, graph, optimize)
-        right, bound_out = _pattern_node(pattern.right, bound_left, graph, optimize)
+        left, bound_left = _pattern_node(pattern.left, bound, graph)
+        right, bound_out = _pattern_node(pattern.right, bound_left, graph)
         detail = {}
         if pattern.condition is not None:
             detail["condition"] = render_expression(pattern.condition)
         return PlanNode("optional", detail, [left, right], key=id(pattern)), bound_out
     if isinstance(pattern, Union):
-        left, bound_left = _pattern_node(pattern.left, bound, graph, optimize)
-        right, bound_right = _pattern_node(pattern.right, bound, graph, optimize)
+        left, bound_left = _pattern_node(pattern.left, bound, graph)
+        right, bound_right = _pattern_node(pattern.right, bound, graph)
         return (
             PlanNode("union", {}, [left, right], key=id(pattern)),
             bound_left | bound_right,
         )
     if isinstance(pattern, Minus):
-        left, bound_left = _pattern_node(pattern.left, bound, graph, optimize)
+        left, bound_left = _pattern_node(pattern.left, bound, graph)
         # MINUS right side is evaluated from scratch (no shared bindings).
-        right, _ = _pattern_node(pattern.right, set(), graph, optimize)
+        right, _ = _pattern_node(pattern.right, set(), graph)
         return PlanNode("minus", {}, [left, right], key=id(pattern)), bound_left
     if isinstance(pattern, Filter):
-        child, bound_out = _pattern_node(pattern.pattern, bound, graph, optimize)
+        child, bound_out = _pattern_node(pattern.pattern, bound, graph)
         detail = {"condition": render_expression(pattern.condition)}
         return PlanNode("filter", detail, [child], key=id(pattern)), bound_out
     if isinstance(pattern, Bind):
-        child, bound_out = _pattern_node(pattern.pattern, bound, graph, optimize)
+        child, bound_out = _pattern_node(pattern.pattern, bound, graph)
         detail = {
             "var": f"?{pattern.var.name}",
             "expression": render_expression(pattern.expression),
@@ -670,7 +642,7 @@ def _pattern_node(
         detail = {"name": render_term(pattern.name)}
         if isinstance(pattern.name, Var):
             seeded.add(pattern.name.name)
-        child, bound_out = _pattern_node(pattern.pattern, seeded, graph, optimize)
+        child, bound_out = _pattern_node(pattern.pattern, seeded, graph)
         return PlanNode("graph", detail, [child], key=id(pattern)), bound_out
     if isinstance(pattern, Values):
         detail = {
@@ -680,7 +652,7 @@ def _pattern_node(
         children = []
         bound_out = set(bound) | {v.name for v in pattern.variables}
         if pattern.pattern is not None:
-            child, inner_bound = _pattern_node(pattern.pattern, bound, graph, optimize)
+            child, inner_bound = _pattern_node(pattern.pattern, bound, graph)
             children.append(child)
             bound_out |= inner_bound
         return PlanNode("values", detail, children, key=id(pattern)), bound_out

@@ -3,7 +3,10 @@
 The session corpus is written to disk once and ingested twice — serially
 and with two workers — so byte-level determinism of the index can be
 asserted directly.  `indexed_store` / `store_union` serve the read-side
-tests from the serial store.
+tests from the serial store.  A third ingest with `path_index=False`
+leaves a store with no index files: over it the engine can only walk the
+graph, which makes `bfs_union` the BFS baseline the indexed stores must
+match pair for pair.
 """
 
 from __future__ import annotations
@@ -20,13 +23,13 @@ def pathindex_corpus_dir(tmp_path_factory, corpus):
     return root
 
 
-def _ingest(tmp_path_factory, corpus_dir, jobs: int):
+def _ingest(tmp_path_factory, corpus_dir, jobs: int, path_index: bool = True):
     from repro.store import QuadStore, ingest_corpus
 
     directory = tmp_path_factory.mktemp(f"pathindex-store-j{jobs}") / "store"
     with QuadStore(directory) as store:
-        report = ingest_corpus(store, corpus_dir, jobs=jobs)
-        assert report.path_index == "built"
+        report = ingest_corpus(store, corpus_dir, jobs=jobs, path_index=path_index)
+        assert report.path_index == ("built" if path_index else "skipped")
     return directory
 
 
@@ -53,6 +56,24 @@ def store_union(indexed_store):
     from repro.store import StoreDataset
 
     return StoreDataset(indexed_store).union_graph()
+
+
+@pytest.fixture(scope="session")
+def bfs_store(tmp_path_factory, pathindex_corpus_dir):
+    from repro.store import QuadStore
+
+    directory = _ingest(tmp_path_factory, pathindex_corpus_dir, jobs=1,
+                        path_index=False)
+    with QuadStore(directory) as store:
+        assert store.path_index() is None
+        yield store
+
+
+@pytest.fixture(scope="session")
+def bfs_union(bfs_store):
+    from repro.store import StoreDataset
+
+    return StoreDataset(bfs_store).union_graph()
 
 
 @pytest.fixture(scope="session")

@@ -32,14 +32,27 @@ def store_dataset(indexed_store):
     return StoreDataset(indexed_store)
 
 
+@pytest.fixture(scope="module")
+def indexed_datasets(store_dataset, store_dir_j2):
+    """The indexed stores of both ingest job counts, keyed by count."""
+    from repro.store import QuadStore, StoreDataset
+
+    with QuadStore(store_dir_j2) as parallel:
+        yield {1: store_dataset, 2: StoreDataset(parallel)}
+
+
+# "Off" is a store ingested without index files — the engine sees no
+# path_index() there and walks the graph.  The second axis is the job
+# count of the indexed store's ingest; its ids are the recorded ones of
+# the optimizer on/off axis it replaced (the test floor tracks ids).
 @pytest.mark.parametrize("name", sorted(QUERIES))
-@pytest.mark.parametrize("optimize", [True, False], ids=["opt", "noopt"])
-def test_rows_identical_index_on_off(store_dataset, name, optimize):
-    on = QueryEngine(store_dataset, optimize_joins=optimize, path_index=True,
-                     cache_size=0)
-    off = QueryEngine(store_dataset, optimize_joins=optimize, path_index=False,
-                      cache_size=0)
-    assert _rows(on, QUERIES[name]) == _rows(off, QUERIES[name])
+@pytest.mark.parametrize("jobs", [1, 2], ids=["opt", "noopt"])
+def test_rows_identical_index_on_off(indexed_datasets, bfs_store, name, jobs):
+    from repro.store import StoreDataset
+
+    on = QueryEngine(indexed_datasets[jobs], cache_size=0)
+    off = QueryEngine(StoreDataset(bfs_store), cache_size=0)
+    assert _rows(on, QUERIES[name]) == _rows(off, QUERIES[name])  # same order
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))

@@ -1,9 +1,10 @@
 """Index-backed property-path evaluation is byte-identical to BFS.
 
-The contract the whole tentpole stands on: over a store-backed union
-graph, `eval_path` with the index enabled yields the *same pairs in the
-same order* as the graph-API BFS fallback, and set-identical results to
-an in-memory evaluation of the same corpus.
+The contract the path index stands on: over a store-backed union graph,
+`eval_path` served by the index yields the *same pairs in the same
+order* as the graph walk over a store of the same corpus ingested
+without index files (`bfs_union`), and set-identical results to an
+in-memory evaluation of the same corpus.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def _some_entity(graph):
 
 
 @pytest.mark.parametrize("name,path", PATHS, ids=[name for name, _ in PATHS])
-def test_index_matches_bfs_ordered(store_union, name, path):
+def test_index_matches_bfs_ordered(store_union, bfs_union, name, path):
     bindings = [
         (None, None),
         (_some_activity(store_union), None),
@@ -53,32 +54,33 @@ def test_index_matches_bfs_ordered(store_union, name, path):
         (None, _some_entity(store_union)),
     ]
     for subject, obj in bindings:
-        indexed = list(eval_path(store_union, path, subject, obj, use_index=True))
-        bfs = list(eval_path(store_union, path, subject, obj, use_index=False))
+        indexed = list(eval_path(store_union, path, subject, obj))
+        bfs = list(eval_path(bfs_union, path, subject, obj))
         assert indexed == bfs  # same pairs, same order
 
 
 @pytest.mark.parametrize("name,path", PATHS, ids=[name for name, _ in PATHS])
 def test_store_matches_memory(store_union, memory_union, name, path):
-    stored = set(eval_path(store_union, path, None, None, use_index=True))
+    stored = set(eval_path(store_union, path, None, None))
     memory = set(eval_path(memory_union, path, None, None))
     assert stored == memory
 
 
-def test_bound_pair_endpoint(store_union):
+def test_bound_pair_endpoint(store_union, bfs_union):
     # entity --wasGeneratedBy--> activity --used--> input: the ancestor walk
     path = PathClosure(PathAlternative((GENERATED_BY, USED)), False)
     entity = _some_entity(store_union)
-    reached = [o for _, o in eval_path(store_union, path, entity, None, use_index=True)]
+    reached = [o for _, o in eval_path(store_union, path, entity, None)]
     assert reached
     for target in reached[:3]:
-        both = list(eval_path(store_union, path, entity, target, use_index=True))
-        assert both == list(eval_path(store_union, path, entity, target, use_index=False))
+        both = list(eval_path(store_union, path, entity, target))
+        assert both == list(eval_path(bfs_union, path, entity, target))
         assert both == [(entity, target)]
 
 
-def test_memory_graph_has_no_index(memory_union):
+def test_memory_graph_has_no_index(memory_union, bfs_union):
     assert getattr(memory_union, "path_index", None) is None
+    assert bfs_union.path_index() is None
 
 
 def test_index_supported_reports_compilable_paths(store_union):

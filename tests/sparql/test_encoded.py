@@ -1,4 +1,4 @@
-"""Encoded-ID execution: planner seeding, parity with the decoded path.
+"""Encoded-ID execution: planner seeding, parity with the in-memory path.
 
 The planner-seeding test reproduces a latent bug: `_eval_bgp` seeded
 `plan_bgp_steps` with `set(inputs[0])`, so after an OPTIONAL (or UNION)
@@ -7,10 +7,13 @@ all of them.  The correct seed is the intersection of bound-variable
 sets across the inputs.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.rdf import Dataset, Graph, Namespace, PROV, RDF
-from repro.sparql import QueryEngine
+from repro.rdf import Dataset, Literal, Namespace, PROV, RDF, XSD
+from repro.sparql import QueryEngine, parse_query
+from repro.sparql.algebra import BGP, Pattern
 
 EX = Namespace("http://example.org/")
 
@@ -134,7 +137,34 @@ def parity_pair(tmp_path_factory):
 
 
 def _rows(engine, query):
-    return [row.asdict() for row in engine.select(query)]
+    return [row.asdict() for row in engine.query(query)]
+
+
+def _reversed_bgps(engine, text):
+    """*text* parsed, with every BGP's patterns in reverse written order.
+
+    The planner owes the same answer whatever order the patterns were
+    written in; feeding it the reversal is the independent check on its
+    choice (it breaks ties by written position, so the plan does move).
+    """
+    parsed = parse_query(text, namespaces=engine.namespaces)
+
+    def visit(node):
+        if isinstance(node, BGP):
+            node.triples.reverse()
+        elif isinstance(node, Pattern):
+            for field in dataclasses.fields(node):
+                visit(getattr(node, field.name))
+
+    visit(parsed.where)
+    return parsed
+
+
+#: A query as written, and with every BGP reversed.  The ids are the
+#: recorded ones of the optimizer on/off axis this replaced; the test
+#: floor tracks tests by id, so they stay.
+WRITTEN_ORDERS = pytest.mark.parametrize(
+    "reverse", [False, True], ids=["opt", "literal"])
 
 HETEROGENEOUS_QUERY = """
 PREFIX prov: <http://www.w3.org/ns/prov#>
@@ -242,43 +272,52 @@ class TestChooseAccess:
 
 
 class TestQueryParity:
-    """Encoded pipeline vs decoded pipeline vs in-memory evaluator must
-    agree byte for byte on every query shape the executor dispatches on."""
+    """The store-backed engine (id-space pipeline wherever a step can
+    batch) must agree with the in-memory evaluator on every query shape
+    the executor dispatches on, whatever order the patterns are written
+    in."""
 
-    @pytest.mark.parametrize("optimize", [True, False], ids=["opt", "literal"])
+    @WRITTEN_ORDERS
     @pytest.mark.parametrize("name", sorted(PARITY_QUERIES))
-    def test_three_way_parity(self, parity_pair, name, optimize):
+    def test_three_way_parity(self, parity_pair, name, reverse):
+        """Store == memory == the query as written (all ORDER BY total,
+        so the comparison is on row lists, not just multisets)."""
         store_ds, mem_ds = parity_pair
-        query = PARITY_QUERIES[name]
-        encoded = _rows(QueryEngine(store_ds, optimize_joins=optimize), query)
-        decoded = _rows(
-            QueryEngine(store_ds, optimize_joins=optimize, encoded=False), query
-        )
-        memory = _rows(QueryEngine(mem_ds, optimize_joins=optimize), query)
-        assert encoded == decoded
-        assert encoded == memory
+        text = PARITY_QUERIES[name]
+        stored, memory = QueryEngine(store_ds), QueryEngine(mem_ds)
+        as_written = _rows(memory, text)
+        query = _reversed_bgps(stored, text) if reverse else text
+        assert _rows(stored, query) == as_written
+        assert _rows(memory, query) == as_written
 
     NO_ORDER_QUERY = """
         SELECT ?run ?end ?data WHERE {
           ?run a prov:Activity .
           OPTIONAL { ?run prov:endedAtTime ?end }
           ?run prov:used ?data .
+          ?data a prov:Entity .
         }
     """
 
-    @pytest.mark.parametrize("optimize", [True, False], ids=["opt", "literal"])
-    def test_row_order_byte_identity_without_order_by(self, parity_pair, optimize):
-        """Without ORDER BY the encoded pipeline must reproduce the
-        decoded pipeline's row *order*, not just its row set — the
-        heterogeneous batch (?end bound for run0/run1 only) exercises
-        per-group dispatch with outputs re-flattened in input order."""
+    @WRITTEN_ORDERS
+    def test_row_order_byte_identity_without_order_by(self, parity_pair, reverse):
+        """Without ORDER BY the batch pipeline must still emit rows in
+        scan order, binding by binding — the heterogeneous batch (?end
+        bound for run0/run1 only) exercises per-group dispatch with
+        outputs re-flattened in input order.  The expected list is the
+        order the per-binding pipeline walks this store in."""
         store_ds, _ = parity_pair
-        encoded = _rows(QueryEngine(store_ds, optimize_joins=optimize), self.NO_ORDER_QUERY)
-        decoded = _rows(
-            QueryEngine(store_ds, optimize_joins=optimize, encoded=False),
-            self.NO_ORDER_QUERY,
-        )
-        assert encoded == decoded
+        engine = QueryEngine(store_ds)
+        query = self.NO_ORDER_QUERY
+        if reverse:
+            query = _reversed_bgps(engine, query)
+        end = {run: Literal(f"2013-01-01T{hour}:00:00", datatype=XSD.DATETIME)
+               for run, hour in ((EX.run0, 11), (EX.run1, 12))}
+        assert _rows(engine, query) == [
+            {"run": EX.run0, "end": end[EX.run0], "data": EX.data0},
+            {"run": EX.run0, "end": end[EX.run0], "data": EX.data1},
+            {"run": EX.run1, "end": end[EX.run1], "data": EX.data1},
+        ]
 
     def test_ask_parity(self, parity_pair):
         store_ds, mem_ds = parity_pair
@@ -322,7 +361,7 @@ PATH_QUERIES = {
 
 
 class TestPathParity:
-    """Property paths fall back to the decoded pipeline; store-backed and
+    """Property paths run on the per-binding pipeline; store-backed and
     in-memory evaluation must still agree for every endpoint mask."""
 
     @pytest.mark.parametrize("name", sorted(PATH_QUERIES))
@@ -410,15 +449,6 @@ class TestPlanRendering:
         assert "join=bisect" not in text
         assert "join=pathindex" in text
 
-    def test_digest_stable_across_encoded_toggle(self, parity_pair):
-        """The digest keys the plan, not the runtime pipeline — flipping
-        ``encoded`` must not change it."""
-        store_ds, _ = parity_pair
-        query = PARITY_QUERIES["join"]
-        on = QueryEngine(store_ds).explain(query).digest
-        off = QueryEngine(store_ds, encoded=False).explain(query).digest
-        assert on == off
-
     def test_profile_reports_operator(self, parity_pair):
         store_ds, _ = parity_pair
         profile = QueryEngine(store_ds).profile(PARITY_QUERIES["join"])
@@ -459,19 +489,13 @@ class TestProbeReduction:
         }
     """
 
-    def test_encoded_probes_fewer_than_decoded(self, big_pair):
+    def test_join_probe_count_is_bounded(self, big_pair):
+        """Segment probes are deterministic, so the batch operators' win
+        is pinned as a number: the per-binding pipeline spent 7,500
+        probes on this join, merge/bisect batches spend 2,057."""
         store_ds, store = big_pair
-        decoded_engine = QueryEngine(store_ds, encoded=False)
-        encoded_engine = QueryEngine(store_ds)
-
         before = store.runtime_counters()[0]
-        decoded_rows = _rows(decoded_engine, self.JOIN_QUERY)
-        decoded_probes = store.runtime_counters()[0] - before
-
-        before = store.runtime_counters()[0]
-        encoded_rows = _rows(encoded_engine, self.JOIN_QUERY)
-        encoded_probes = store.runtime_counters()[0] - before
-
-        assert encoded_rows == decoded_rows
-        assert len(encoded_rows) == 200
-        assert encoded_probes < decoded_probes
+        rows = _rows(QueryEngine(store_ds), self.JOIN_QUERY)
+        probes = store.runtime_counters()[0] - before
+        assert len(rows) == 200
+        assert probes <= 2057

@@ -68,15 +68,6 @@ class TestPlanStability:
         assert args["plan_digest"] == plan.digest
         assert args["plan_operators"] >= 5
 
-    def test_written_order_when_optimizer_off(self, sample_graph):
-        optimized = QueryEngine(sample_graph).explain(RUNS_QUERY)
-        literal = QueryEngine(sample_graph, optimize_joins=False).explain(RUNS_QUERY)
-        # same query, different planner → different plan facts, so the
-        # digest must not collide (reasons/estimates are digested too)
-        assert optimized.digest != literal.digest
-        scans = [n for n in literal.root.walk() if n.op == "scan"]
-        assert [s.detail["reason"] for s in scans] == ["written order"] * 3
-
 
 class TestExemplarQueryPlans:
     def test_q1_to_q6_digests_stable(self, corpus, corpus_dataset):

@@ -2,7 +2,8 @@
 
 Invariants:
 
-* optimized and naive join orders produce identical solution multisets;
+* every written order of a BGP's patterns produces the same solution
+  multiset (the planner's choice never shows in the answer);
 * DISTINCT never increases the row count and removes all duplicates;
 * LIMIT/OFFSET slice consistently with the unsliced result;
 * UNION row count is the sum of branch counts;
@@ -10,6 +11,7 @@ Invariants:
 * path closure `+` equals the fixpoint of repeated sequence expansion.
 """
 
+import itertools
 import string
 
 from hypothesis import given, settings, strategies as st
@@ -33,12 +35,18 @@ def _row_multiset(table):
 @settings(max_examples=40, deadline=None)
 @given(_graphs)
 def test_join_order_invariance(graph):
-    query = (
-        "SELECT ?a ?b ?c WHERE { ?a prov:used ?b . ?c prov:wasGeneratedBy ?a . }"
-    )
-    fast = QueryEngine(graph, optimize_joins=True).select(query)
-    slow = QueryEngine(graph, optimize_joins=False).select(query)
-    assert _row_multiset(fast) == _row_multiset(slow)
+    patterns = [
+        "?a prov:used ?b",
+        "?c prov:wasGeneratedBy ?a",
+        "?c <http://example.org/link> ?d",
+    ]
+    engine = QueryEngine(graph)
+    answers = [
+        _row_multiset(engine.select(
+            "SELECT ?a ?b ?c ?d WHERE { " + " . ".join(order) + " }"))
+        for order in itertools.permutations(patterns)
+    ]
+    assert all(answer == answers[0] for answer in answers)
 
 
 @settings(max_examples=40, deadline=None)

@@ -119,29 +119,58 @@ class TestProtocol:
             urllib.request.urlopen(request, timeout=5)
         assert err.value.code == 400
 
-    def test_post_content_length_mismatch_400(self, endpoint):
-        """A body shorter than its declared Content-Length is a client error."""
+    @staticmethod
+    def _raw_post_status(endpoint, content_length, body=b"", half_close=False):
+        """Status line of a hand-written POST /sparql.  Unless
+        *half_close*, the client keeps its side open, so a server that
+        waits on the socket for more body shows up as a recv timeout."""
         host, port = endpoint._server.server_address[:2]
-        body = b"query=ASK%20%7B%20%3Fx%20a%20prov%3AEntity%20%7D"
         request = (
             b"POST /sparql HTTP/1.1\r\n"
             b"Host: test\r\n"
             b"Content-Type: application/x-www-form-urlencoded\r\n"
-            + f"Content-Length: {len(body) + 50}\r\n".encode()
+            + f"Content-Length: {content_length}\r\n".encode()
             + b"Connection: close\r\n\r\n"
             + body
         )
         with socket.create_connection((host, port), timeout=5) as sock:
             sock.sendall(request)
-            sock.shutdown(socket.SHUT_WR)  # short body: server sees EOF early
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
             response = b""
             while True:
                 chunk = sock.recv(4096)
                 if not chunk:
                     break
                 response += chunk
-        status_line = response.split(b"\r\n", 1)[0]
+        return response.split(b"\r\n", 1)[0]
+
+    def test_post_content_length_mismatch_400(self, endpoint):
+        """A body shorter than its declared Content-Length is a client error."""
+        body = b"query=ASK%20%7B%20%3Fx%20a%20prov%3AEntity%20%7D"
+        status_line = self._raw_post_status(
+            endpoint, len(body) + 50, body,
+            half_close=True)  # short body: server sees EOF early
         assert b"400" in status_line, status_line
+
+    def test_post_negative_content_length_400(self, endpoint):
+        """`Content-Length: -1` must not reach rfile.read(-1), which
+        parks the handler thread until the client hangs up."""
+        body = b"query=ASK%20%7B%20%3Fx%20a%20prov%3AEntity%20%7D"
+        status_line = self._raw_post_status(endpoint, -1, body)
+        assert b"400" in status_line, status_line
+
+    def test_post_oversized_body_413(self, endpoint):
+        """A declared length over the cap is refused before any of the
+        body is read — none is sent here, so a server that tried to
+        read it would never answer."""
+        from repro.endpoint.server import MAX_BODY_BYTES
+
+        status_line = self._raw_post_status(endpoint, MAX_BODY_BYTES + 1)
+        assert b"413" in status_line, status_line
+        ok = self._raw_post_status(
+            endpoint, MAX_BODY_BYTES, b"query=ASK%20%7B%7D", half_close=True)
+        assert b"400" in ok, ok  # at the cap: read, found short, not refused
 
     def test_stats_route(self, endpoint, client):
         client.query("ASK { ?x a prov:Activity }")
