@@ -1,1 +1,2 @@
-"""Benchmark harness: one module per paper table/figure plus ablations."""
+"""Paper-artifact scripts (one per table/figure), two gate scripts, and the
+benchmark harness (``benchmarks/harness`` — the only program that reports a timing)."""

@@ -10,12 +10,8 @@ from repro.corpus import DOMAINS
 from .conftest import write_artifact
 
 
-def _histogram(corpus):
-    return corpus.domain_histogram()
-
-
-def test_figure1_shape(corpus, artifacts_dir, benchmark):
-    histogram = benchmark(_histogram, corpus)
+def test_figure1_shape(corpus, artifacts_dir):
+    histogram = corpus.domain_histogram()
 
     assert len(histogram) == 12
     assert sum(t for _, t, _ in histogram) == 70

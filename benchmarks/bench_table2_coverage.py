@@ -11,13 +11,11 @@ from repro.coverage import (
     coverage_report,
     format_table2,
 )
-from repro.prov.constants import STARTING_POINT_TERMS
-from repro.coverage import scan_term
 from .conftest import write_artifact
 
 
-def test_table2_cells_match_paper(taverna_graph, wings_graph, benchmark, artifacts_dir):
-    report = benchmark(coverage_report, taverna_graph, wings_graph)
+def test_table2_cells_match_paper(taverna_graph, wings_graph, artifacts_dir):
+    report = coverage_report(taverna_graph, wings_graph)
 
     for entry in report.starting_point:
         expected = PAPER_TABLE2[entry.term.name]
@@ -28,13 +26,3 @@ def test_table2_cells_match_paper(taverna_graph, wings_graph, benchmark, artifac
         assert measured == expected, entry.term.name
 
     write_artifact(artifacts_dir, "table2.txt", format_table2(report))
-
-
-def test_term_scan_speed(taverna_graph, benchmark):
-    """The raw scan primitive: all 12 starting-point terms over one system."""
-
-    def scan_all():
-        return [scan_term(taverna_graph, term) for term in STARTING_POINT_TERMS]
-
-    results = benchmark(scan_all)
-    assert len(results) == 12

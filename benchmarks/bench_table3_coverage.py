@@ -2,17 +2,16 @@
 
 The starred cells (prov:Plan and prov:wasInfluencedBy for Taverna) demand
 PROV inference: the term is absent from the raw traces but derivable.
-This bench measures the inference-backed coverage computation and checks
-all five cells — stars included — against the paper.
+This runs the inference-backed coverage computation and checks all five
+cells — stars included — against the paper.
 """
 
 from repro.coverage import PAPER_TABLE3, SUPPORT_INFERRED, coverage_report, format_table3
-from repro.prov.inference import inferred_graph
 from .conftest import write_artifact
 
 
-def test_table3_cells_match_paper(taverna_graph, wings_graph, benchmark, artifacts_dir):
-    report = benchmark(coverage_report, taverna_graph, wings_graph)
+def test_table3_cells_match_paper(taverna_graph, wings_graph, artifacts_dir):
+    report = coverage_report(taverna_graph, wings_graph)
 
     for entry in report.additional:
         assert (entry.taverna, entry.wings) == PAPER_TABLE3[entry.term.name], entry.term.name
@@ -22,9 +21,3 @@ def test_table3_cells_match_paper(taverna_graph, wings_graph, benchmark, artifac
     assert report.cell("prov:wasInfluencedBy").taverna == SUPPORT_INFERRED
 
     write_artifact(artifacts_dir, "table3.txt", format_table3(report))
-
-
-def test_inference_materialization(taverna_graph, benchmark):
-    """The inference pass that backs the starred cells, on Taverna traces."""
-    result = benchmark(inferred_graph, taverna_graph)
-    assert len(result) > len(taverna_graph)

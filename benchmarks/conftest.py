@@ -1,10 +1,10 @@
-"""Shared benchmark fixtures.
+"""Shared fixtures of the paper-artifact scripts.
 
-The corpus and its derived query surfaces are built once per benchmark
-session; individual benches measure the *reproduction computations*
-(table generation, query evaluation, coverage scans, applications) over
-that shared corpus, and write the regenerated tables/figures to
-``benchmarks/_artifacts/`` so EXPERIMENTS.md can cite them.
+The corpus is built once per session; each ``bench_*.py`` here
+regenerates one paper artifact (Tables 1–3, Figure 1, Section 2, the
+reproduction report) from it, checks it against the paper and writes it
+to ``benchmarks/_artifacts/`` so EXPERIMENTS.md can cite it.  Nothing
+here reports a timing — that is ``benchmarks/harness``.
 """
 
 from __future__ import annotations
@@ -21,11 +21,6 @@ ARTIFACTS = Path(__file__).parent / "_artifacts"
 @pytest.fixture(scope="session")
 def corpus():
     return CorpusBuilder(seed=2013).build()
-
-
-@pytest.fixture(scope="session")
-def corpus_dataset(corpus):
-    return corpus.dataset()
 
 
 @pytest.fixture(scope="session")

@@ -83,6 +83,11 @@ __all__ = ["SparqlEndpoint"]
 #: larger declared length is answered 413 before a byte of it is read.
 MAX_BODY_BYTES = 1 << 20
 
+#: Longest the endpoint waits on a client's socket, in seconds.  A client
+#: that connects and goes quiet, or sends less body than it declared,
+#: would otherwise hold its handler thread for as long as it likes.
+SOCKET_TIMEOUT_S = 30.0
+
 _KNOWN_ROUTES = ("/", "/sparql", "/stats", "/metrics", "/healthz", "/slowlog",
                  "/trace", "/debug/profile")
 
@@ -135,6 +140,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # keep test output clean
+
+    def setup(self):
+        # The stdlib applies ``timeout`` to the connection here; a quiet
+        # client then times out of the request-line/header read inside
+        # ``handle_one_request``, which closes the connection.
+        self.timeout = SOCKET_TIMEOUT_S
+        super().setup()
 
     # -- protocol ------------------------------------------------------------
 
@@ -202,7 +214,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error(
                 413, f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit")
             return
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            self._send_error(
+                408, f"body not received within {SOCKET_TIMEOUT_S:g} s")
+            return
         if len(raw) != length:
             # A short read means the client hung up or lied about the
             # length — a client error, not a server failure.
@@ -311,7 +328,14 @@ class _Handler(BaseHTTPRequestHandler):
         """Close the request's trace scope after the ``http.request``
         span has exited (so the root span is in the sink), admitting the
         span tree to the tail ring when :meth:`_finish_request` flagged
-        the request slow or errored."""
+        the request slow or errored.
+
+        Runs in the ``finally`` of every ``do_*``: a request an exception
+        ended before any response is recorded here as a 500, so whatever
+        begins is counted exactly once and the inflight gauge comes back
+        down."""
+        if self._status is None:
+            self._finish_request(500)
         ctx = getattr(self, "_trace_ctx", None)
         if ctx is None:
             return

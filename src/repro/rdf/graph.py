@@ -3,9 +3,9 @@
 The :class:`Graph` maintains three hash indexes (SPO, POS, OSP) so that any
 triple pattern with at least one bound position is answered without a full
 scan.  This is the storage engine under both the SPARQL evaluator and the
-PROV coverage scanner; the ablation bench
-``benchmarks/bench_ablation_indexes.py`` measures the effect of the indexes
-against the linear fallback (:meth:`Graph.triples_scan`).
+PROV coverage scanner; the linear fallback (:meth:`Graph.triples_scan`)
+is the reference the indexes are tested against
+(``tests/rdf/test_graph.py``, ``tests/rdf/test_properties.py``).
 
 :class:`Dataset` adds named graphs, which the corpus uses for Wings bundles
 (one ``prov:Bundle`` per workflow execution account) serialized as TriG.

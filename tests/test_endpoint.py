@@ -10,6 +10,8 @@ import urllib.request
 import pytest
 
 from repro.endpoint import SparqlClient, SparqlEndpoint
+from repro.endpoint import server as endpoint_server
+from repro.obs import metrics
 from repro.rdf import Dataset, Graph, Namespace, PROV, RDF
 
 EX = Namespace("http://example.org/")
@@ -171,6 +173,46 @@ class TestProtocol:
         ok = self._raw_post_status(
             endpoint, MAX_BODY_BYTES, b"query=ASK%20%7B%7D", half_close=True)
         assert b"400" in ok, ok  # at the cap: read, found short, not refused
+
+    @staticmethod
+    def _inflight():
+        return metrics.value("repro_endpoint_inflight_requests") or 0
+
+    @staticmethod
+    def _requests_total(route, status):
+        labels = {"route": route, "status": status}
+        return metrics.value("repro_http_requests_total", labels) or 0
+
+    def test_post_stalled_body_408(self, endpoint, monkeypatch):
+        """Three bytes of a declared ten, socket held open: the server
+        gives up after SOCKET_TIMEOUT_S, answers 408 and counts it."""
+        monkeypatch.setattr(endpoint_server, "SOCKET_TIMEOUT_S", 0.2)
+        before = self._requests_total("/sparql", "408")
+        status_line = self._raw_post_status(endpoint, 10, b"que")
+        assert b"408" in status_line, status_line
+        assert self._requests_total("/sparql", "408") == before + 1
+        assert self._inflight() == 0
+
+    def test_request_ended_by_exception_counted_once(self, endpoint, monkeypatch):
+        """A handler that raises before any response still records its
+        request (as a 500) and gives the inflight gauge back."""
+        def boom():
+            raise RuntimeError("stats exploded")
+
+        monkeypatch.setattr(endpoint, "stats", boom)
+        before = self._requests_total("/stats", "500")
+        with pytest.raises(OSError):  # connection dropped without a response
+            urllib.request.urlopen(endpoint.url + "/stats", timeout=5)
+        assert self._requests_total("/stats", "500") == before + 1
+        assert self._inflight() == 0
+
+    def test_idle_connection_closed(self, endpoint, monkeypatch):
+        """A client that connects and sends nothing is hung up on."""
+        monkeypatch.setattr(endpoint_server, "SOCKET_TIMEOUT_S", 0.2)
+        host, port = endpoint._server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as sock:
+            assert sock.recv(4096) == b""  # EOF, not a recv timeout
+        assert self._inflight() == 0
 
     def test_stats_route(self, endpoint, client):
         client.query("ASK { ?x a prov:Activity }")
