@@ -156,24 +156,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--slow-query-ms", type=float, default=None, metavar="MS",
-        help="record queries slower than MS in the /slowlog ring buffer "
-             "(0 records every query; default: disabled)",
-    )
-    p_serve.add_argument(
-        "--slowlog-capacity", type=int, default=128, metavar="N",
-        help="slow-query ring-buffer capacity (default: 128)",
+        help="retain requests slower than MS (or errored) for /slowlog and "
+             "/trace/<id>, with per-operator statistics (0 retains every "
+             "request; default: /slowlog off, retention at 100 ms)",
     )
     p_serve.add_argument(
         "--profile-hz", type=float, default=None, metavar="HZ",
         help="run the always-on statistical profiler at HZ samples/s; "
              "GET /debug/profile returns collapsed stacks over a window "
              "(default: profiler started per /debug/profile request only)",
-    )
-    p_serve.add_argument(
-        "--trace-slow-ms", type=float, default=None, metavar="MS",
-        help="retain full span trees (GET /trace/<id>) for requests "
-             "slower than MS or errored (default: --slow-query-ms, "
-             "else 100)",
     )
     _add_trace_flag(p_serve, "endpoint request/query spans, written on shutdown")
     _add_obs_dir_flag(p_serve)
@@ -212,10 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs_scrape.add_argument("url", help="endpoint base URL or .../metrics URL")
     obs_sub.add_parser("metrics", help="render this process's metrics registry")
     p_obs_slowlog = obs_sub.add_parser(
-        "slowlog", help="print a slow-query log (live endpoint URL or JSONL file)"
+        "slowlog", help="print retained query records (live endpoint URL, "
+                        "obs dir or events.jsonl)"
     )
     p_obs_slowlog.add_argument(
-        "source", help="endpoint base URL, .../slowlog URL, or slowlog JSONL file"
+        "source", help="endpoint base URL, .../slowlog URL, obs dir or events.jsonl"
     )
     p_obs_slowlog.add_argument("--json", action="store_true", help="print raw JSON")
     p_obs_profile = obs_sub.add_parser(
@@ -576,9 +568,9 @@ def _cmd_serve(args) -> int:
     tracer = _make_tracer(args)
     endpoint = SparqlEndpoint(
         source, host=args.host, port=args.port, cache_size=cache_size, tracer=tracer,
-        slow_query_ms=args.slow_query_ms, slowlog_capacity=args.slowlog_capacity,
+        slow_query_ms=args.slow_query_ms,
         obs_dir=str(args.obs_dir) if args.obs_dir is not None else None,
-        profile_hz=args.profile_hz, trace_slow_ms=args.trace_slow_ms,
+        profile_hz=args.profile_hz,
     )
     endpoint.start()
     backing = f"store {args.store}" if store is not None else f"corpus {args.directory}"
@@ -588,11 +580,9 @@ def _cmd_serve(args) -> int:
     if endpoint.obs_dir is not None:
         print(f"  obs dir: {endpoint.obs_dir} (aggregated /metrics; "
               f"`repro-corpus obs top {endpoint.obs_dir}` for a live view)")
-    if endpoint.slow_log is not None:
-        print(f"  slowlog: {endpoint.slowlog_url} "
-              f"(threshold {endpoint.slow_log.threshold_ms:g} ms)")
-    print(f"  tracing: {endpoint.trace_url}/<trace-id> "
-          f"(slow/error requests ≥ {endpoint.trace_slow_ms:g} ms retained)")
+    slowlog = f"{endpoint.slowlog_url}, " if endpoint.slow_query_ms is not None else ""
+    print(f"  retained: {slowlog}{endpoint.trace_url}/<trace-id> "
+          f"(requests ≥ {endpoint.requests.slow_ms:g} ms or errored)")
     if args.profile_hz:
         print(f"  profiler: {endpoint.profile_url} ({args.profile_hz:g} Hz)")
     try:
@@ -806,12 +796,14 @@ def _obs_slowlog(args) -> int:
             print("slow-query log disabled on this endpoint "
                   "(start serve with --slow-query-ms)", file=sys.stderr)
     else:
-        from .obs.slowlog import read_jsonl
+        from .obs.events import read_events
 
         if not Path(source).exists():
-            print(f"error: no slowlog file at {source}", file=sys.stderr)
+            print(f"error: no obs dir or event log at {source}", file=sys.stderr)
             return 1
-        entries = read_jsonl(source)
+        # retained requests that ran a query: the lines /slowlog would list
+        entries = [e for e in read_events(source, kind="endpoint.request")
+                   if "query" in e]
     if args.json:
         print(json.dumps(entries, indent=2, sort_keys=True))
         return 0
@@ -819,16 +811,15 @@ def _obs_slowlog(args) -> int:
         print("(no slow queries recorded)")
         return 0
     header = (f"{'duration_ms':>12} {'cache':<5} {'plan_digest':<17} "
-              f"{'span':>6}  query")
+              f"{'span':<16}  query")
     print(header)
     print("-" * len(header))
     for entry in entries:
         digest = entry.get("plan_digest") or "-"
-        span_id = entry.get("span_id")
+        span_id = entry.get("span_id") or "-"
         query = " ".join((entry.get("query") or "").split())
         print(f"{entry.get('duration_ms', 0):>12.3f} {entry.get('cache', '?'):<5} "
-              f"{digest:<17} {span_id if span_id is not None else '-':>6}  "
-              f"{query[:80]}")
+              f"{digest:<17} {span_id:<16}  {query[:80]}")
     return 0
 
 

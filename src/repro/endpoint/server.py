@@ -21,32 +21,33 @@ minimal SPARQL 1.1 Protocol surface on stdlib ``http.server``:
   orphan residual (see :mod:`repro.obs.shm`), and ``/stats`` reports
   per-process shard ages;
 * ``GET /healthz`` is the liveness probe: 200 plus the store generation;
-* ``GET /slowlog`` returns the structured slow-query ring buffer (enabled
+* ``GET /slowlog`` lists the retained requests that ran a query (enabled
   by constructing the endpoint with ``slow_query_ms``);
-* ``GET /trace/<trace_id>`` returns the tail-retained span tree of one
-  slow or errored request (see below);
+* ``GET /trace/<trace_id>`` returns one retained request with its span
+  tree (see below);
 * ``GET /debug/profile?seconds=N[&format=speedscope]`` samples the live
   process and returns collapsed stacks (or speedscope JSON).
 
 Every request participates in W3C trace context: an inbound
 ``traceparent`` header is parsed (malformed → fresh root trace, per
 spec) and the resulting :class:`~repro.obs.tracectx.TraceContext` is
-active for the whole request, so engine/evaluator/store spans,
-slow-query-log records, and ``endpoint.request`` events all stamp the
-same ``trace_id``.  The id is echoed on **every** response — success
-and error alike — as ``X-Trace-Id``, alongside ``X-Query-Duration-ms``.
-Span trees are buffered per request and *admitted* to the bounded
-:class:`~repro.obs.tracectx.TraceRing` only when the request was slow
-(``trace_slow_ms``) or errored (status ≥ 400) — tail-based retention:
-``GET /trace/<id>`` answers 404 once a trace is evicted or was never
-admitted.
+active for the whole request, carrying the request's one record (see
+:mod:`repro.obs.request`) that the handler, the engine and every span
+write onto.  The trace id is echoed on **every** response — success and
+error alike — as ``X-Trace-Id``, alongside ``X-Query-Duration-ms``;
+``/sparql`` answers add ``Server-Timing`` with the record's ``cache`` /
+``parse`` / ``exec`` / ``ser`` layer times.  Retention is tail-based:
+only a request that errored (status ≥ 400) or took at least
+``slow_query_ms`` (100 ms when unset) keeps its record, in one bounded
+ring — ``GET /trace/<id>`` answers 404 once a record is evicted or was
+never retained.
 
 The server is a ``ThreadingHTTPServer`` sharing one
 :class:`~repro.sparql.evaluator.QueryEngine` across worker threads — the
-engine's result/statistics caches are lock-protected, and the endpoint's
-own timing accumulators are guarded here.  Request timing is recorded at
-the response choke point (:meth:`_Handler._finish_request`), so 4xx/5xx
-responses count toward the ``/stats`` averages exactly like successes.
+engine's result/statistics caches are lock-protected.  Request latency
+has one account, the CKMS summaries observed at the response choke point
+(:meth:`_Handler._finish_request`), so 4xx/5xx responses count toward
+the ``/stats`` averages exactly like successes.
 
 The server runs on a background thread (:meth:`SparqlEndpoint.start`) so
 tests and examples can exercise it in-process.
@@ -67,9 +68,8 @@ from ..obs import profiler as _profiler
 from ..obs import shm as _shm
 from ..obs import tracectx as _tracectx
 from ..obs.quantiles import QuantileFamily
-from ..obs.slowlog import SlowQueryLog
+from ..obs.request import RequestRecord, RequestRing
 from ..obs.trace import span as _span
-from ..obs.tracectx import TraceRing
 from ..store import wal as _wal  # noqa: F401  (declares the WAL metric families)
 from ..rdf.graph import Dataset, Graph
 from ..rdf.turtle import serialize_turtle
@@ -93,10 +93,6 @@ _KNOWN_ROUTES = ("/", "/sparql", "/stats", "/metrics", "/healthz", "/slowlog",
 
 _HTTP_REQUESTS = _metrics.counter(
     "repro_http_requests_total", "HTTP requests served", labels=("route", "status")
-)
-_HTTP_SECONDS = _metrics.histogram(
-    "repro_http_request_seconds", "HTTP request wall time in seconds",
-    labels=("route",),
 )
 _HTTP_INFLIGHT = _metrics.gauge(
     "repro_endpoint_inflight_requests",
@@ -151,50 +147,82 @@ class _Handler(BaseHTTPRequestHandler):
     # -- protocol ------------------------------------------------------------
 
     def do_GET(self):
-        parsed = urllib.parse.urlparse(self.path)
-        self._begin_request("GET", parsed.path)
-        endpoint: "SparqlEndpoint" = self.server.endpoint  # type: ignore[attr-defined]
-        try:
-            with _span(endpoint.tracer, "http.request", cat="endpoint",
-                       method="GET", route=self._route) as request_span:
-                if parsed.path in ("", "/"):
-                    self._send_service_description()
-                elif parsed.path == "/stats":
-                    self._send_stats()
-                elif parsed.path == "/metrics":
-                    self._send_metrics()
-                elif parsed.path == "/healthz":
-                    self._send_healthz()
-                elif parsed.path == "/slowlog":
-                    self._send_slowlog()
-                elif parsed.path == "/trace" or parsed.path.startswith("/trace/"):
-                    self._send_trace(parsed.path)
-                elif parsed.path == "/debug/profile":
-                    self._send_profile(urllib.parse.parse_qs(parsed.query))
-                elif parsed.path != "/sparql":
-                    self._send_error(404, "not found: use /sparql")
-                else:
-                    params = urllib.parse.parse_qs(parsed.query)
-                    queries = params.get("query")
-                    if not queries:
-                        self._send_error(400, "missing 'query' parameter")
-                    else:
-                        self._run_query(queries[0])
-                request_span.set(status=self._status)
-        finally:
-            self._end_trace()
+        self._handle("GET", self._do_get)
 
     def do_POST(self):
+        self._handle("POST", self._do_post)
+
+    def _handle(self, method: str, respond) -> None:
+        """One request, one record: open it on a fresh trace context
+        (continuing an inbound ``traceparent``, malformed tolerated),
+        answer under the ``http.request`` span, finalise it.
+
+        Finalisation runs whatever happened — a request an exception
+        ended before any response counts as a 500, so whatever begins is
+        counted exactly once and the inflight gauge comes back down —
+        after the root span has closed and the response is written,
+        outside every engine lock: a retained record enters the ring and
+        is the event line, any other leaves its four endpoint fields."""
+        self._started = time.perf_counter()
         parsed = urllib.parse.urlparse(self.path)
-        self._begin_request("POST", parsed.path)
+        path = parsed.path
+        if path == "/trace" or path.startswith("/trace/"):
+            route = "/trace"
+        elif path in _KNOWN_ROUTES:
+            route = path
+        else:
+            route = "/" if path == "" else "other"
         endpoint: "SparqlEndpoint" = self.server.endpoint  # type: ignore[attr-defined]
+        ctx = _tracectx.start_trace(self.headers.get("traceparent"))
+        record = ctx.record = self._record = RequestRecord(
+            route, ctx.trace_id, profile=endpoint.slow_query_ms is not None)
+        token = _tracectx.activate(ctx)
+        # the profiler attributes this thread's stack samples to the request
+        _profiler.register_thread(route, ctx.trace_id)
+        _HTTP_INFLIGHT.inc()
         try:
             with _span(endpoint.tracer, "http.request", cat="endpoint",
-                       method="POST", route=self._route) as request_span:
-                self._do_post(parsed)
-                request_span.set(status=self._status)
+                       method=method, route=route) as request_span:
+                respond(parsed)
+                request_span.set(status=record.status)
         finally:
-            self._end_trace()
+            if record.status is None:
+                self._finish_request(500)
+            _profiler.unregister_thread()
+            _tracectx.deactivate(token)
+            if endpoint.requests.retains(record.status, record.duration_ms):
+                entry = record.to_dict()
+                _events.emit("endpoint.request", **entry)
+                endpoint.requests.admit(entry, record.spans)
+            else:
+                _events.emit("endpoint.request", trace_id=record.trace_id,
+                             route=route, status=record.status,
+                             duration_ms=round(record.duration_ms, 3))
+
+    def _do_get(self, parsed):
+        if parsed.path in ("", "/"):
+            self._send_service_description()
+        elif parsed.path == "/stats":
+            self._send_stats()
+        elif parsed.path == "/metrics":
+            self._send_metrics()
+        elif parsed.path == "/healthz":
+            self._send_healthz()
+        elif parsed.path == "/slowlog":
+            self._send_slowlog()
+        elif parsed.path == "/trace" or parsed.path.startswith("/trace/"):
+            self._send_trace(parsed.path)
+        elif parsed.path == "/debug/profile":
+            self._send_profile(urllib.parse.parse_qs(parsed.query))
+        elif parsed.path != "/sparql":
+            self._send_error(404, "not found: use /sparql")
+        else:
+            params = urllib.parse.parse_qs(parsed.query)
+            queries = params.get("query")
+            if not queries:
+                self._send_error(400, "missing 'query' parameter")
+            else:
+                self._run_query(queries[0])
 
     def _do_post(self, parsed):
         if parsed.path != "/sparql":
@@ -258,105 +286,29 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- internals ----------------------------------------------------------------
 
-    def _begin_request(self, method: str, path: str) -> None:
-        """Stamp per-request state consumed by :meth:`_finish_request`.
-
-        Also the trace-context ingress: the inbound ``traceparent``
-        header (if any, malformed tolerated) becomes the request's
-        active :class:`~repro.obs.tracectx.TraceContext` with a fresh
-        span sink, and the handler thread registers with the profiler
-        so its stack samples attribute to this route / trace id.
-        """
-        self._started = time.perf_counter()
-        if path == "/trace" or path.startswith("/trace/"):
-            route = "/trace"
-        elif path in _KNOWN_ROUTES:
-            route = path
-        else:
-            route = "/" if path == "" else "other"
-        self._route = route
-        self._status: Optional[int] = None
-        self._trace_headers: dict = {}
-        self._admit_trace = False
-        ctx = _tracectx.start_trace(self.headers.get("traceparent"), sink=[])
-        self._trace_ctx = ctx
-        self._ctx_token = _tracectx.activate(ctx)
-        _profiler.register_thread(route, ctx.trace_id)
-        _HTTP_INFLIGHT.inc()
-
     def _finish_request(self, status: int) -> None:
-        """Record the request exactly once, whatever status it ends with.
-
-        This is the fix for the old timing hole: error responses used to
-        bypass ``_record_request`` entirely, so ``/stats`` averages only
-        ever saw successful queries.  ``_send`` funnels every response —
-        success and error alike — through here.  The same choke point
-        stamps ``X-Trace-Id`` / ``X-Query-Duration-ms`` for every
-        response and decides tail-ring admission (slow or errored).
-        """
-        if getattr(self, "_status", None) is not None:
+        """Stamp the request's outcome exactly once, whatever status it
+        ends with: ``_send`` funnels every response through here before
+        the first byte is written.  The record gets its ``status`` and
+        ``duration_ms``; the counters and the two latency summaries are
+        fed from it."""
+        record = self._record
+        if record.status is not None:
             return
-        self._status = status
+        record.status = status
         _HTTP_INFLIGHT.dec()
-        route = getattr(self, "_route", "other")
-        started = getattr(self, "_started", None)
-        elapsed_s = (time.perf_counter() - started) if started is not None else 0.0
-        elapsed_ms = elapsed_s * 1000.0
-        _HTTP_REQUESTS.labels(route, status).inc()
-        _HTTP_SECONDS.labels(route).observe(elapsed_s)
+        elapsed_s = time.perf_counter() - self._started
+        record.duration_ms = elapsed_s * 1000.0
+        _HTTP_REQUESTS.labels(record.route, status).inc()
         endpoint: "SparqlEndpoint" = self.server.endpoint  # type: ignore[attr-defined]
-        endpoint.request_quantiles.observe(route, elapsed_s)
-        ctx = getattr(self, "_trace_ctx", None)
-        trace_id = ctx.trace_id if ctx is not None else None
-        if ctx is not None:
-            # Error responses (4xx/5xx) carry the same headers as
-            # successes: the choke point, not the happy path, stamps
-            # them.  _run_query overrides the duration with its tighter
-            # query-only measurement.
-            self._trace_headers = {
-                "X-Trace-Id": trace_id,
-                "X-Query-Duration-ms": f"{elapsed_ms:.3f}",
-            }
-            self._elapsed_ms = elapsed_ms
-            self._admit_trace = status >= 400 or elapsed_ms >= endpoint.trace_slow_ms
-        _events.emit("endpoint.request", route=route, status=status,
-                     duration_s=round(elapsed_s, 6), trace_id=trace_id)
-        if route == "/sparql":
-            endpoint._record_request(elapsed_s * 1000.0, error=status >= 400)
-
-    def _end_trace(self) -> None:
-        """Close the request's trace scope after the ``http.request``
-        span has exited (so the root span is in the sink), admitting the
-        span tree to the tail ring when :meth:`_finish_request` flagged
-        the request slow or errored.
-
-        Runs in the ``finally`` of every ``do_*``: a request an exception
-        ended before any response is recorded here as a 500, so whatever
-        begins is counted exactly once and the inflight gauge comes back
-        down."""
-        if self._status is None:
-            self._finish_request(500)
-        ctx = getattr(self, "_trace_ctx", None)
-        if ctx is None:
-            return
-        self._trace_ctx = None
-        _profiler.unregister_thread()
-        token = getattr(self, "_ctx_token", None)
-        if token is not None:
-            _tracectx.deactivate(token)
-            self._ctx_token = None
-        if getattr(self, "_admit_trace", False) and ctx.sink:
-            endpoint: "SparqlEndpoint" = self.server.endpoint  # type: ignore[attr-defined]
-            endpoint.trace_ring.admit(
-                ctx.trace_id,
-                ctx.sink,
-                route=getattr(self, "_route", "other"),
-                status=self._status,
-                duration_ms=round(getattr(self, "_elapsed_ms", 0.0), 3),
-            )
+        endpoint.request_quantiles.observe(record.route, elapsed_s)
+        if record.plan_digest is not None:
+            endpoint.plan_quantiles.observe(record.plan_digest,
+                                            record.query_ms / 1000.0)
 
     def _run_query(self, query: str):
         engine: QueryEngine = self.server.engine  # type: ignore[attr-defined]
+        record = self._record
         started = time.perf_counter()
         try:
             result = engine.query(query)
@@ -366,22 +318,28 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:  # noqa: BLE001 - protocol boundary
             self._send_error(500, f"query evaluation failed: {exc}")
             return
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        accept = self.headers.get("Accept", "")
-        extra = {"X-Query-Duration-ms": f"{elapsed_ms:.3f}"}
+        answered = time.perf_counter()
+        record.query_ms = (answered - started) * 1000.0
         if isinstance(result, bool):
+            content_type = "application/sparql-results+json"
             payload = json.dumps({"head": {}, "boolean": result})
-            self._send(200, "application/sparql-results+json", payload, extra)
         elif isinstance(result, ResultTable):
-            if "text/csv" in accept:
-                self._send(200, "text/csv", result.to_csv(), extra)
+            if "text/csv" in self.headers.get("Accept", ""):
+                content_type, payload = "text/csv", result.to_csv()
             else:
-                self._send(200, "application/sparql-results+json", result.to_json(), extra)
+                content_type = "application/sparql-results+json"
+                payload = result.to_json()
         elif isinstance(result, Graph):
             # CONSTRUCT / DESCRIBE results are graphs, served as Turtle.
-            self._send(200, "text/turtle", serialize_turtle(result), extra)
+            content_type, payload = "text/turtle", serialize_turtle(result)
         else:
             self._send_error(500, "unsupported result type")
+            return
+        record.serialize_ms = (time.perf_counter() - answered) * 1000.0
+        self._send(200, content_type, payload, {
+            "X-Query-Duration-ms": f"{record.query_ms:.3f}",
+            "Server-Timing": record.server_timing(),
+        })
 
     def _send_service_description(self):
         endpoint: "SparqlEndpoint" = self.server.endpoint  # type: ignore[attr-defined]
@@ -422,11 +380,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_slowlog(self):
         endpoint: "SparqlEndpoint" = self.server.endpoint  # type: ignore[attr-defined]
-        slow_log = endpoint.slow_log
-        if slow_log is None:
+        if endpoint.slow_query_ms is None:
             payload = {"enabled": False, "entries": []}
         else:
-            payload = {"enabled": True, **slow_log.info(), "entries": slow_log.entries()}
+            requests = endpoint.requests
+            payload = {"enabled": True, **requests.query_info(),
+                       "entries": requests.queries()}
         self._send(200, "application/json", json.dumps(payload, indent=2))
 
     def _send_healthz(self):
@@ -435,18 +394,18 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, "application/json", payload)
 
     def _send_trace(self, path: str):
-        """``GET /trace/<trace_id>``: one tail-retained span tree."""
-        endpoint: "SparqlEndpoint" = self.server.endpoint  # type: ignore[attr-defined]
+        """``GET /trace/<trace_id>``: one retained request and its span tree."""
+        requests = self.server.endpoint.requests  # type: ignore[attr-defined]
         trace_id = path[len("/trace/"):].strip("/") if path.startswith("/trace/") else ""
         if not trace_id:
             payload = {
-                "ring": endpoint.trace_ring.info(),
-                "slow_ms": endpoint.trace_slow_ms,
-                "trace_ids": endpoint.trace_ring.trace_ids(),
+                "ring": requests.info(),
+                "slow_ms": requests.slow_ms,
+                "trace_ids": requests.trace_ids(),
             }
             self._send(200, "application/json", json.dumps(payload, indent=2))
             return
-        record = endpoint.trace_ring.get(trace_id)
+        record = requests.get(trace_id)
         if record is None:
             self._send_error(404, f"unknown or evicted trace id: {trace_id}")
             return
@@ -484,18 +443,21 @@ class _Handler(BaseHTTPRequestHandler):
     def _send(self, status: int, content_type: str, body: str, extra_headers=None):
         self._finish_request(status)
         data = body.encode("utf-8")
+        started = time.perf_counter()
         self.send_response(status)
         self.send_header("Content-Type", f"{content_type}; charset=utf-8")
         self.send_header("Content-Length", str(len(data)))
-        # Trace headers stamped by _finish_request apply to every
-        # response; explicit extras (a tighter query-only duration, say)
-        # override them.
-        headers = dict(getattr(self, "_trace_headers", None) or {})
-        headers.update(extra_headers or {})
+        # Every response, 4xx/5xx included, carries the record's id and
+        # duration; a query answer's extras (engine-only time) override.
+        record = self._record
+        headers = {"X-Trace-Id": record.trace_id,
+                   "X-Query-Duration-ms": f"{record.duration_ms:.3f}",
+                   **(extra_headers or {})}
         for name, value in headers.items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
+        record.write_ms = (time.perf_counter() - started) * 1000.0
 
     def _send_error(self, status: int, message: str):
         self._send(status, "application/json", json.dumps({"error": message}))
@@ -518,24 +480,17 @@ class SparqlEndpoint:
         cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
         tracer=None,
         slow_query_ms: Optional[float] = None,
-        slowlog_capacity: int = 128,
         obs_dir: Optional[str] = None,
         profile_hz: Optional[float] = None,
-        trace_ring_capacity: int = 64,
-        trace_slow_ms: Optional[float] = None,
     ):
         self.source = source
         self.tracer = tracer
-        # Tail-based trace retention: only requests slower than
-        # trace_slow_ms (default: the slowlog threshold, else 100 ms) or
-        # ending in an error keep their span trees, in a bounded ring.
-        self.trace_ring = TraceRing(capacity=trace_ring_capacity)
-        if trace_slow_ms is not None:
-            self.trace_slow_ms = float(trace_slow_ms)
-        elif slow_query_ms is not None:
-            self.trace_slow_ms = float(slow_query_ms)
-        else:
-            self.trace_slow_ms = 100.0
+        # Tail-based retention: only requests at least slow_query_ms slow
+        # (100 ms when unset; 0 retains all) or ending in an error keep
+        # their record, in one bounded ring.  Setting slow_query_ms also
+        # turns /slowlog on and makes every miss collect operator rows.
+        self.slow_query_ms = slow_query_ms
+        self.requests = RequestRing(slow_query_ms)
         self.profile_hz = profile_hz
         self._profiler_started = False
         if profile_hz:
@@ -543,14 +498,15 @@ class SparqlEndpoint:
             self._profiler_started = True
         # Cross-process observability: with an obs_dir, /metrics folds
         # live worker shards (plus swept-orphan residuals) into the
-        # scrape, /stats reports per-process shard ages, and request
-        # events append to the shared JSONL log.
+        # scrape, /stats reports per-process shard ages, and every
+        # request appends one line to the shared JSONL log.
         self.obs_dir = obs_dir
         if obs_dir is not None:
             _shm.configure(obs_dir)
             _events.configure(obs_dir)
-        # True tail latencies (CKMS sketches, not bucket-quantized):
-        # per-route request seconds and per-plan-digest query seconds.
+        # The one latency account (CKMS sketches, true tails): per-route
+        # request seconds and per-plan-digest query seconds, observed by
+        # the handler from each request's record.
         self.request_quantiles = QuantileFamily(
             "repro_endpoint_request_seconds",
             "HTTP request wall time (CKMS targeted quantiles)",
@@ -561,26 +517,13 @@ class SparqlEndpoint:
             "Query wall time by plan digest (CKMS targeted quantiles)",
             label="plan_digest",
         )
-        # Slow-query log: opt-in via threshold; 0 records every query.
-        self.slow_log = (
-            SlowQueryLog(threshold_ms=slow_query_ms, capacity=slowlog_capacity)
-            if slow_query_ms is not None
-            else None
-        )
-        self.engine = QueryEngine(source, cache_size=cache_size, tracer=tracer,
-                                  slow_log=self.slow_log,
-                                  latency_sketch=self.plan_quantiles)
+        self.engine = QueryEngine(source, cache_size=cache_size, tracer=tracer)
         if isinstance(source, Dataset):
             self.triple_count = len(source)
             self.named_graph_count = len(source.graph_names())
         else:
             self.triple_count = len(source)
             self.named_graph_count = 0
-        self._timing_lock = threading.Lock()
-        self._request_count = 0
-        self._error_count = 0
-        self._total_ms = 0.0
-        self._max_ms = 0.0
         self._server = _EndpointServer((host, port), _Handler)
         self._server.engine = self.engine  # type: ignore[attr-defined]
         self._server.endpoint = self  # type: ignore[attr-defined]
@@ -612,33 +555,32 @@ class SparqlEndpoint:
 
         return collect
 
-    def _record_request(self, elapsed_ms: float, error: bool = False) -> None:
-        with self._timing_lock:
-            self._request_count += 1
-            if error:
-                self._error_count += 1
-            self._total_ms += elapsed_ms
-            if elapsed_ms > self._max_ms:
-                self._max_ms = elapsed_ms
-
     def stats(self) -> dict:
         """Cache + timing counters served at ``GET /stats``."""
-        with self._timing_lock:
-            count = self._request_count
-            errors = self._error_count
-            total_ms = self._total_ms
-            max_ms = self._max_ms
+        metrics = _metrics.snapshot()
+        request_quantiles = self.request_quantiles.snapshot()
+        # /sparql timing is read off the latency account, errors off the
+        # (process-wide) request counter: nothing is booked twice.
+        sparql = request_quantiles.get("/sparql", {"count": 0, "sum": 0.0, "max": 0.0})
+        count = sparql["count"]
+        total_ms = sparql["sum"] * 1000.0
+        errors = sum(
+            sample["value"]
+            for sample in metrics["repro_http_requests_total"]["samples"]
+            if sample["labels"]["route"] == "/sparql"
+            and int(sample["labels"]["status"]) >= 400
+        )
         payload = {
             "version": self.engine.source_version(),
             "result_cache": self.engine.cache_info(),
             "requests": {
                 "count": count,
-                "errors": errors,
+                "errors": int(errors),
                 "total_ms": round(total_ms, 3),
                 "avg_ms": round(total_ms / count, 3) if count else 0.0,
-                "max_ms": round(max_ms, 3),
+                "max_ms": round(sparql["max"] * 1000.0, 3),
             },
-            "metrics": _metrics.snapshot(),
+            "metrics": metrics,
         }
         if self.obs_dir is not None:
             _shm.flush()
@@ -648,14 +590,14 @@ class SparqlEndpoint:
             payload["metrics"] = aggregated["metrics"]
             payload["obs"] = {"dir": self.obs_dir, "shards": aggregated["shards"]}
         payload["latency_quantiles"] = {
-            "requests": self.request_quantiles.snapshot(),
+            "requests": request_quantiles,
             "plans": self.plan_quantiles.snapshot(),
         }
-        if self.slow_log is not None:
-            payload["slow_queries"] = self.slow_log.info()
+        if self.slow_query_ms is not None:
+            payload["slow_queries"] = self.requests.query_info()
         payload["tracing"] = {
-            "slow_ms": self.trace_slow_ms,
-            "ring": self.trace_ring.info(),
+            "slow_ms": self.requests.slow_ms,
+            "ring": self.requests.info(),
         }
         active_profiler = _profiler.get_profiler()
         payload["profiler"] = (

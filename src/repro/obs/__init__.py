@@ -1,11 +1,12 @@
-"""Dependency-free observability layer: metrics, spans, slow-query log.
+"""Dependency-free observability layer: metrics, spans, one record per request.
 
 ``repro.obs.metrics`` holds the process-wide metrics registry (counters,
 gauges, fixed-bucket histograms, Prometheus text exposition).
 ``repro.obs.trace`` holds the span tracer (Chrome ``trace_event``
 output, deterministic logical-clock mode for byte-stable test traces).
-``repro.obs.slowlog`` holds the structured slow-query ring buffer the
-query engine and endpoint feed (``GET /slowlog``, ``obs slowlog``).
+``repro.obs.request`` holds the per-request record the endpoint and
+query engine fill in and the one bounded ring of retained records that
+``GET /slowlog``, ``GET /trace/<id>`` and ``obs slowlog`` are views of.
 ``repro.obs.progress`` holds the TTY-gated one-line progress reporter
 long builds and ingests drive from the counters.
 ``repro.obs.shm`` holds the mmap-backed shared-memory metric shards
@@ -15,9 +16,9 @@ quantile sketches (true p50/p95/p99 per route and plan digest).
 ``repro.obs.events`` holds the schema-versioned, size-rotated JSONL
 event log that build/ingest/compaction/spill/endpoint paths append to.
 ``repro.obs.tracectx`` holds the W3C trace-context plumbing — the
-``traceparent`` parser, the contextvar every span stamps its
-``trace_id``/``parent_id`` from, and the tail-sampled
-``/trace/<id>`` ring.  ``repro.obs.profiler`` holds the always-on
+``traceparent`` parser and the contextvar every span stamps its
+``trace_id``/``parent_id`` from, which also carries the request
+record.  ``repro.obs.profiler`` holds the always-on
 statistical profiler (folded stacks + speedscope output, thread→
 request attribution, overhead accounting).
 """
@@ -27,9 +28,9 @@ from .events import EventLog, read_events
 from .profiler import StackProfiler
 from .progress import Progress
 from .quantiles import QuantileFamily, QuantileSketch
-from .slowlog import SlowQueryLog, read_jsonl
+from .request import RequestRecord, RequestRing
 from .trace import NULL_SPAN, Tracer, read_trace, span, summarize
-from .tracectx import TraceContext, TraceRing, parse_traceparent
+from .tracectx import TraceContext, parse_traceparent
 
 __all__ = [
     "events",
@@ -43,14 +44,13 @@ __all__ = [
     "Progress",
     "QuantileFamily",
     "QuantileSketch",
-    "SlowQueryLog",
+    "RequestRecord",
+    "RequestRing",
     "StackProfiler",
     "TraceContext",
-    "TraceRing",
     "Tracer",
     "parse_traceparent",
     "read_events",
-    "read_jsonl",
     "read_trace",
     "span",
     "summarize",

@@ -6,13 +6,14 @@ compaction folded how many segments, which request carried which query
 digest.  :class:`EventLog` appends one JSON object per line to
 ``events.jsonl`` inside the observability directory, so build, ingest,
 compaction, spill, and endpoint request paths leave a durable,
-greppable record that cross-references trace spans and slowlog entries
-by ``span_id`` and query digest.
+greppable record that cross-references trace spans by ``trace_id`` /
+``span_id`` and query digest.
 
 Record schema (version 1): every record carries ``v`` (schema
 version), ``ts`` (unix seconds, float), ``pid``, and ``kind``
 (dot-namespaced, e.g. ``ingest.file``, ``store.compaction``,
-``endpoint.request``); everything else is kind-specific and flat.
+``endpoint.request`` — one per request, see :mod:`repro.obs.request`);
+everything else is kind-specific.
 Writes are single ``os.write`` calls on an ``O_APPEND`` descriptor, so
 concurrent processes (pool workers, the endpoint) interleave whole
 lines, never torn ones — the same property the shard substrate in

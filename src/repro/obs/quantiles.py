@@ -164,6 +164,13 @@ class QuantileSketch:
     def sum(self) -> float:
         return self._sum
 
+    @property
+    def max(self) -> float:
+        """The largest value observed (exact: the tail sample is never
+        merged away); ``0.0`` on an empty sketch."""
+        self._flush()
+        return self._samples[-1][0] if self._samples else 0.0
+
     def __len__(self) -> int:
         return self.count
 
@@ -177,6 +184,7 @@ class QuantileSketch:
         return {
             "count": self.count,
             "sum": round(self._sum, 9),
+            "max": self.max,
             "samples": self.sample_count,
             "quantiles": {
                 _format_value(q): self.query(q) for q, _ in self.targets

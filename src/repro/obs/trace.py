@@ -33,16 +33,16 @@ Spans participate in request tracing (:mod:`repro.obs.tracectx`): when
 a W3C trace context is active on the current thread, every span stamps
 ``trace_id`` / ``span_id`` / ``parent_id`` into its args, pushes
 itself as the parent for nested spans, and — when the context carries
-a *sink* — appends its completed event to that per-request buffer even
-if no tracer is attached at all (how the endpoint collects span trees
-for ``GET /trace/<id>`` without ``--trace``).  With no active context
-nothing is stamped, so pre-existing byte-identical trace expectations
-hold unchanged.
+a request *record* — appends its completed event to ``record.spans``
+even if no tracer is attached at all (how the endpoint collects span
+trees for ``GET /trace/<id>`` without ``--trace``).  With no active
+context nothing is stamped, so pre-existing byte-identical trace
+expectations hold unchanged.
 
 ``span(tracer, ...)`` is the instrumentation-site helper: it returns a
-shared no-op span when ``tracer`` is ``None`` and no recording trace
-context is active, so hot paths pay one ``is None`` check plus one
-contextvar read when tracing is off.
+shared no-op span when ``tracer`` is ``None`` and no request record is
+active, so hot paths pay one ``is None`` check plus one contextvar read
+when tracing is off.
 """
 
 from __future__ import annotations
@@ -65,9 +65,7 @@ class _NullSpan:
 
     __slots__ = ()
 
-    @property
-    def id(self) -> None:
-        return None
+    span_id = None
 
     def set(self, **attrs: object) -> None:
         pass
@@ -85,50 +83,45 @@ NULL_SPAN = _NullSpan()
 def span(tracer: Optional["Tracer"], name: str, cat: str = "repro", **attrs: object):
     """Open a span on ``tracer``, or a shared no-op when tracing is off.
 
-    With no tracer but an active *recording* trace context (one with a
-    sink — an endpoint request), a real span is still opened against a
-    record-nowhere tracer: the completed event lands only in the
-    context's sink, feeding the tail-sampled ``/trace/<id>`` ring.
+    With no tracer but an active request record (an endpoint request),
+    a real span is still opened: the completed event lands only in
+    ``record.spans``, which ``/trace/<id>`` serves if the request is
+    retained.
     """
     if tracer is None:
         ctx = _tracectx.current()
-        if ctx is None or ctx.sink is None:
+        if ctx is None or ctx.record is None:
             return NULL_SPAN
-        return Span(_SINK_TRACER, name, cat, dict(attrs))
+        return Span(None, name, cat, attrs)
     return tracer.span(name, cat=cat, **attrs)
 
 
-class Span:
-    """A single timed region; records one complete event on exit."""
+def _real_now_us() -> int:
+    return int(time.perf_counter() * 1_000_000)
 
-    __slots__ = ("_tracer", "name", "cat", "args", "_ts", "_cpu_start", "_span_id",
+
+class Span:
+    """A single timed region; records one complete event on exit.
+
+    ``tracer`` may be ``None``: the span then runs on the real clock and
+    its event goes only to the active request record.  ``span_id`` is
+    the W3C id minted on entry under an active trace context (``None``
+    outside one).
+    """
+
+    __slots__ = ("_tracer", "name", "cat", "args", "_ts", "_cpu_start", "span_id",
                  "_ctx", "_ctx_token")
 
-    def __init__(self, tracer: "Tracer", name: str, cat: str, args: dict):
+    def __init__(self, tracer: Optional["Tracer"], name: str, cat: str, args: dict):
         self._tracer = tracer
         self.name = name
         self.cat = cat
         self.args = args
         self._ts = 0
         self._cpu_start = 0.0
-        self._span_id: object = None
+        self.span_id: Optional[str] = None
         self._ctx = None
         self._ctx_token = None
-
-    @property
-    def id(self) -> int:
-        """A tracer-unique id, allocated lazily on first access.
-
-        Allocation stamps ``span_id`` into the span's args, so any
-        record that stores this id (a slow-query-log entry, say) can be
-        cross-referenced against the trace JSONL.  Spans that never ask
-        for their id carry no ``span_id`` arg — existing byte-identical
-        trace expectations are unaffected.
-        """
-        if self._span_id is None:
-            self._span_id = self._tracer._allocate_span_id()
-            self.args["span_id"] = self._span_id
-        return self._span_id
 
     def set(self, **attrs: object) -> None:
         self.args.update(attrs)
@@ -139,23 +132,24 @@ class Span:
             # Stamp W3C coordinates and become the parent of any span
             # opened while this one is on the stack.
             span_id = ctx.child_id()
-            self._span_id = span_id
+            self.span_id = span_id
             self.args["trace_id"] = ctx.trace_id
             self.args["span_id"] = span_id
             self.args["parent_id"] = ctx.span_id
             self._ctx = ctx
             self._ctx_token = _tracectx.activate(ctx.child(span_id))
-        self._ts = self._tracer._now_us()
-        if not self._tracer.deterministic:
+        tracer = self._tracer
+        self._ts = tracer._now_us() if tracer is not None else _real_now_us()
+        if tracer is None or not tracer.deterministic:
             self._cpu_start = time.process_time()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         tracer = self._tracer
-        end = tracer._now_us()
+        end = tracer._now_us() if tracer is not None else _real_now_us()
         if exc_type is not None:
             self.args.setdefault("error", exc_type.__name__)
-        if tracer.deterministic:
+        if tracer is not None and tracer.deterministic:
             duration = end - self._ts
         else:
             duration = max(end - self._ts, 0)
@@ -164,20 +158,21 @@ class Span:
         if self._ctx_token is not None:
             _tracectx.deactivate(self._ctx_token)
             self._ctx_token = None
-        tracer._record(self, self._ts, duration)
+        if tracer is not None:
+            tracer._record(self, self._ts, duration)
         ctx = self._ctx
-        if ctx is not None and ctx.sink is not None:
+        if ctx is not None and ctx.record is not None:
             detail = {
                 key: value
                 for key, value in self.args.items()
                 if key not in ("trace_id", "span_id", "parent_id")
             }
-            ctx.sink.append(
+            ctx.record.spans.append(
                 {
                     "name": self.name,
                     "cat": self.cat,
                     "trace_id": ctx.trace_id,
-                    "span_id": self._span_id,
+                    "span_id": self.span_id,
                     "parent_id": ctx.span_id,
                     "ts_us": self._ts,
                     "dur_us": duration,
@@ -194,12 +189,6 @@ class Tracer:
         self._lock = threading.Lock()
         self._events: List[dict] = []
         self._logical = 0
-        self._next_span_id = 0
-
-    def _allocate_span_id(self) -> int:
-        with self._lock:
-            self._next_span_id += 1
-            return self._next_span_id
 
     # -- clock --------------------------------------------------------
     def _now_us(self) -> int:
@@ -208,7 +197,7 @@ class Tracer:
                 tick = self._logical
                 self._logical += 1
                 return tick
-        return int(time.perf_counter() * 1_000_000)
+        return _real_now_us()
 
     def reset_clock(self) -> None:
         """Rewind the logical clock (deterministic mode only).
@@ -300,19 +289,6 @@ class Tracer:
             lines.append(json.dumps(event, sort_keys=True, separators=(",", ":")) + ",")
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
         return len(events)
-
-
-class _SinkOnlyTracer(Tracer):
-    """A tracer whose events vanish: spans opened purely for a request
-    context's sink.  Shared process-wide — it holds no per-span state
-    (the Span itself does) and its event buffer is never appended to,
-    so it cannot grow with endpoint uptime."""
-
-    def _record(self, span_obj: Span, ts: int, duration: int) -> None:
-        pass
-
-
-_SINK_TRACER = _SinkOnlyTracer()
 
 
 def read_trace(path, warn: Optional[Callable[[str], None]] = None) -> List[dict]:

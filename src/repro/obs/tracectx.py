@@ -8,10 +8,11 @@ From there the id rides every layer without explicit plumbing:
 * :class:`~repro.obs.trace.Span` consults the contextvar on entry, so
   engine / evaluator / store spans all carry ``trace_id`` /
   ``span_id`` / ``parent_id`` args and nest into a proper tree;
-* slow-query-log records and ``endpoint.request`` /
-  ``endpoint.slow_request`` events stamp the same ``trace_id``, so a
-  Perfetto timeline, a ``/slowlog`` entry, the event log, and the
-  ``X-Trace-Id`` response header all cross-reference;
+* the request's :class:`~repro.obs.request.RequestRecord` rides the
+  context (``ctx.record``): the engine writes its facts there and every
+  span that closes appends itself to ``record.spans``, so a Perfetto
+  timeline, a ``/slowlog`` entry, an ``endpoint.request`` event and the
+  ``X-Trace-Id`` response header are one record under one id;
 * pool workers receive the context through the task envelope
   (:class:`repro.parallel.ObsConfig`) and re-derive a per-task child
   context from the *task key* (run id, trace file path), so a
@@ -25,12 +26,6 @@ Span-id allocation has two modes, mirroring the tracer's clocks:
   spans in the same order mint byte-identical ids regardless of
   process layout.  This is what keeps the ``--jobs 1/2``
   byte-identity contract intact once trace ids appear in span args.
-
-Tail-based retention lives in :class:`TraceRing`: the endpoint buffers
-every request's span tree in a per-request sink, but only *admits*
-trees for slow or errored requests into the bounded ring served at
-``GET /trace/<trace_id>`` — the interesting 1% is retrievable, the
-boring 99% costs one discarded list.
 """
 
 from __future__ import annotations
@@ -40,15 +35,12 @@ import hashlib
 import os
 import re
 import threading
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "TraceContext",
-    "TraceRing",
     "activate",
     "current",
-    "current_trace_id",
     "deactivate",
     "derive_span_id",
     "format_traceparent",
@@ -126,12 +118,12 @@ class TraceContext:
     context ordinal makes allocation a pure function of the span's
     position under its parent.
 
-    ``sink``, when set, is a plain list that completed spans append
-    their event dicts to — the endpoint's per-request span-tree buffer
-    feeding :class:`TraceRing`.
+    ``record``, when set, is the request's
+    :class:`~repro.obs.request.RequestRecord`: completed spans append
+    themselves to ``record.spans`` and the engine stamps its facts on it.
     """
 
-    __slots__ = ("trace_id", "span_id", "flags", "deterministic", "sink",
+    __slots__ = ("trace_id", "span_id", "flags", "deterministic", "record",
                  "_ordinal", "_lock")
 
     def __init__(
@@ -140,13 +132,13 @@ class TraceContext:
         span_id: str,
         flags: str = "01",
         deterministic: bool = False,
-        sink: Optional[list] = None,
+        record=None,
     ):
         self.trace_id = trace_id
         self.span_id = span_id
         self.flags = flags
         self.deterministic = deterministic
-        self.sink = sink
+        self.record = record
         self._ordinal = 0
         self._lock = threading.Lock()
 
@@ -163,7 +155,7 @@ class TraceContext:
         """A nested context whose children parent onto *span_id*."""
         return TraceContext(
             self.trace_id, span_id, flags=self.flags,
-            deterministic=self.deterministic, sink=self.sink,
+            deterministic=self.deterministic, record=self.record,
         )
 
     def derived(self, key: str) -> "TraceContext":
@@ -180,7 +172,6 @@ def start_trace(
     traceparent: Optional[str] = None,
     deterministic: bool = False,
     seed: str = "",
-    sink: Optional[list] = None,
 ) -> TraceContext:
     """Begin a trace: continue an inbound ``traceparent`` or mint a root.
 
@@ -191,26 +182,19 @@ def start_trace(
     parsed = parse_traceparent(traceparent)
     if parsed is not None:
         trace_id, parent_span, flags = parsed
-        ctx = TraceContext(trace_id, parent_span, flags=flags,
-                           deterministic=deterministic, sink=sink)
-        return ctx
+        return TraceContext(trace_id, parent_span, flags=flags,
+                            deterministic=deterministic)
     trace_id = new_trace_id(deterministic=deterministic, seed=seed)
     if deterministic:
         root_span = derive_span_id(trace_id, "", "root")
     else:
         root_span = new_span_id()
-    return TraceContext(trace_id, root_span, deterministic=deterministic,
-                        sink=sink)
+    return TraceContext(trace_id, root_span, deterministic=deterministic)
 
 
 def current() -> Optional[TraceContext]:
     """The trace context active on this thread/task, if any."""
     return _current.get()
-
-
-def current_trace_id() -> Optional[str]:
-    ctx = _current.get()
-    return ctx.trace_id if ctx is not None else None
 
 
 def activate(ctx: Optional[TraceContext]) -> "contextvars.Token":
@@ -254,61 +238,6 @@ class task_scope:
         if self._token is not None:
             _current.reset(self._token)
             self._token = None
-
-
-class TraceRing:
-    """Tail-sampled retention of request span trees, bounded by count.
-
-    ``admit`` stores the full span list for one trace id (newest wins
-    on the unlikely id collision), evicting the oldest admitted trace
-    past ``capacity``; ``get`` answers ``None`` for ids never admitted
-    *or already evicted* — the ``/trace/<id>`` 404.
-    """
-
-    def __init__(self, capacity: int = 64):
-        if capacity <= 0:
-            raise ValueError("trace ring capacity must be positive")
-        self.capacity = int(capacity)
-        self._lock = threading.Lock()
-        self._traces: "OrderedDict[str, dict]" = OrderedDict()
-        self._admitted = 0
-        self._evicted = 0
-
-    def admit(self, trace_id: str, spans: List[dict], **meta: object) -> None:
-        record = {"trace_id": trace_id, "spans": list(spans)}
-        for key, value in meta.items():
-            if value is not None:
-                record[key] = value
-        with self._lock:
-            if trace_id in self._traces:
-                del self._traces[trace_id]
-            self._traces[trace_id] = record
-            self._admitted += 1
-            while len(self._traces) > self.capacity:
-                self._traces.popitem(last=False)
-                self._evicted += 1
-
-    def get(self, trace_id: str) -> Optional[dict]:
-        with self._lock:
-            record = self._traces.get(trace_id)
-            return dict(record) if record is not None else None
-
-    def trace_ids(self) -> List[str]:
-        with self._lock:
-            return list(self._traces)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._traces)
-
-    def info(self) -> Dict:
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "current": len(self._traces),
-                "admitted": self._admitted,
-                "evicted": self._evicted,
-            }
 
 
 def span_tree(spans: List[dict]) -> List[dict]:

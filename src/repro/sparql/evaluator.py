@@ -21,7 +21,6 @@ one shared engine from many threads.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from collections import OrderedDict
@@ -80,7 +79,7 @@ Binding = Dict[str, Term]
 
 #: Default capacity of the per-engine LRU query-result cache.
 DEFAULT_RESULT_CACHE_SIZE = 128
-_DIGEST_CACHE_SIZE = 256  # (query text, version) → plan digest memo
+_PLAN_CACHE_SIZE = 256  # (query text, version) → plan memo entries
 
 _CACHE_EVENTS = _metrics.counter(
     "repro_query_cache_total", "Query result cache events", labels=("event",)
@@ -116,8 +115,6 @@ class QueryEngine:
         namespaces: Optional[NamespaceManager] = None,
         cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
         tracer=None,
-        slow_log=None,
-        latency_sketch=None,
     ):
         if isinstance(source, Dataset):
             self.dataset: Optional[Dataset] = source
@@ -131,20 +128,14 @@ class QueryEngine:
             raise TypeError("QueryEngine requires a Graph or Dataset")
         self.namespaces = namespaces if namespaces is not None else _corpus_namespaces(source)
         self.tracer = tracer
-        #: Optional :class:`repro.obs.slowlog.SlowQueryLog`; when set,
-        #: string queries are profiled (cheap batch-level collection) so
-        #: threshold-crossing queries log full operator statistics.
-        self.slow_log = slow_log
-        #: Optional :class:`repro.obs.quantiles.QuantileFamily` keyed by
-        #: plan digest; when set, every string query's wall time feeds
-        #: the per-plan-shape latency sketch (true p50/p95/p99, not
-        #: bucket-quantized).  Digests are memoized per (text, version)
-        #: so a cached-result hit never has to rebuild a plan.
-        self.latency_sketch = latency_sketch
-        self._digest_cache: "OrderedDict[tuple, str]" = OrderedDict()
+        # (query text, version) → (plan digest, parsed query, its plan),
+        # filled by the first miss that runs under a request record — the
+        # last two only for a profiling one: a result-cache hit reads its
+        # digest here, and no plan is built twice.
+        self._plan_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
         # Count of active per-thread profilers.  The evaluator's hot
         # paths gate on its truthiness — a single attribute check when
-        # no profile (and no slow log) is in play.
+        # no profile is in play.
         self._profiling = 0
         # Result cache: (query text, source version) → result.  The lock
         # also guards the lazy union-graph refresh; the endpoint shares
@@ -233,69 +224,94 @@ class QueryEngine:
                 self._refresh_default_locked()
             with _span(tracer, "sparql.execute", cat="query"):
                 return self._dispatch(query)
-        slow_log = self.slow_log
+        ctx = _tracectx.current()
+        record = ctx.record if ctx is not None else None
         started = time.perf_counter()
         with _span(tracer, "sparql.query", cat="query",
                    query=query[:120]) as query_span:
-            key = None
+            cached = _MISS
             with self._lock:
                 self._refresh_default_locked()
+                key = (query, self.source_version())
+                memo = self._plan_cache.get(key)
+                if memo is not None:
+                    self._plan_cache.move_to_end(key)
                 if self.cache_size:
-                    key = (query, self.source_version())
                     cached = self._result_cache.get(key, _MISS)
                     if cached is not _MISS:
                         self._result_cache.move_to_end(key)
                         self._cache_hits += 1
                         _CACHE_EVENTS.labels("hit").inc()
                         query_span.set(cache="hit")
-                        if slow_log is not None:
-                            elapsed_ms = (time.perf_counter() - started) * 1000.0
-                            if slow_log.should_record(elapsed_ms):
-                                slow_log.add(self._slow_record(
-                                    query, elapsed_ms, "hit", None, None, query_span))
-                        if self.latency_sketch is not None:
-                            self._observe_latency(
-                                query, None, time.perf_counter() - started)
-                        return cached
-                    self._cache_misses += 1
-                    _CACHE_EVENTS.labels("miss").inc()
-                    query_span.set(cache="miss")
-            phase_started = time.perf_counter()
+                    else:
+                        self._cache_misses += 1
+                        _CACHE_EVENTS.labels("miss").inc()
+                        query_span.set(cache="miss")
+            looked_up = time.perf_counter()
+            if cached is not _MISS:
+                if record is not None:
+                    record.cache_ms = (looked_up - started) * 1000.0
+                    self._fill_record(record, key, "hit", memo, None, query_span)
+                return cached
             with _span(tracer, "sparql.parse", cat="query"):
                 parsed = parse_query(query, namespaces=self.namespaces)
-            _QUERY_SECONDS.labels("parse").observe(time.perf_counter() - phase_started)
-            # With a slow log attached every miss runs under a profile
-            # collector: collection is batch-level (per operator call,
-            # not per row), so a threshold-crossing query can log full
-            # operator statistics without a costly re-execution.
-            collector = ProfileCollector() if slow_log is not None else None
-            phase_started = time.perf_counter()
+            parsed_at = time.perf_counter()
+            _QUERY_SECONDS.labels("parse").observe(parsed_at - looked_up)
+            if memo is not None and memo[1] is not None:
+                # The memoised plan keys its operators by id() of the
+                # query object it was built from, so a repeat miss runs
+                # that object.  (The parse above stays: skipping it would
+                # be a parse cache, which this memo is not.)
+                parsed = memo[1]
+            # A profiling request runs every miss under a collector:
+            # collection is batch-level (per operator call, not per row),
+            # so the record gets operator rows without a re-execution.
+            collector = (ProfileCollector()
+                         if record is not None and record.profile else None)
             with _span(tracer, "sparql.execute", cat="query"):
-                if collector is not None:
-                    self._install_profiler(collector)
-                    try:
-                        result = self._dispatch(parsed)
-                    finally:
-                        self._uninstall_profiler()
-                else:
-                    result = self._dispatch(parsed)
-            _QUERY_SECONDS.labels("execute").observe(time.perf_counter() - phase_started)
-            if key is not None:
+                result = self._dispatch(parsed, collector)
+            executed_at = time.perf_counter()
+            _QUERY_SECONDS.labels("execute").observe(executed_at - parsed_at)
+            if self.cache_size:
                 with self._lock:
                     self._result_cache[key] = result
                     while len(self._result_cache) > self.cache_size:
                         self._result_cache.popitem(last=False)
                         self._cache_evictions += 1
                         _CACHE_EVENTS.labels("eviction").inc()
-            if slow_log is not None:
-                elapsed_ms = (time.perf_counter() - started) * 1000.0
-                if slow_log.should_record(elapsed_ms):
-                    slow_log.add(self._slow_record(
-                        query, elapsed_ms, "miss", parsed, collector, query_span))
-            if self.latency_sketch is not None:
-                self._observe_latency(
-                    query, parsed, time.perf_counter() - started)
+            if record is not None:
+                stored_at = time.perf_counter()
+                record.cache_ms = ((looked_up - started)
+                                   + (stored_at - executed_at)) * 1000.0
+                record.parse_ms = (parsed_at - looked_up) * 1000.0
+                record.execute_ms = (executed_at - parsed_at) * 1000.0
+                if memo is None or (collector is not None and memo[2] is None):
+                    plan = build_plan(parsed, self._default, text=query)
+                    # only operator rows need more than the digest kept
+                    memo = ((plan.digest, parsed, plan) if collector is not None
+                            else (plan.digest, None, None))
+                    with self._lock:
+                        self._plan_cache[key] = memo
+                        while len(self._plan_cache) > _PLAN_CACHE_SIZE:
+                            self._plan_cache.popitem(last=False)
+                self._fill_record(record, key, "miss", memo, collector, query_span)
             return result
+
+    def _fill_record(self, record, key, cache: str, memo, collector,
+                     query_span) -> None:
+        """Write what the engine knows about this query onto the active
+        request record.  *memo* is the ``(digest, parsed, plan)`` entry
+        for *key*, or ``None`` on a hit whose miss predates the memo."""
+        record.query, record.generation = key  # (text, version)
+        record.cache = cache
+        # the span's W3C id: args.span_id of the same span in a --trace file
+        record.span_id = query_span.span_id
+        if memo is not None:
+            record.plan_digest = memo[0]
+            if collector is not None:
+                report = memo[2].profile_report(collector)
+                record.operators = report["operators"]
+                record.misestimates = report["misestimates"]
 
     # -- introspection -------------------------------------------------------
 
@@ -335,96 +351,22 @@ class QueryEngine:
             self._refresh_default_locked()
         plan = build_plan(parsed, self._default, text=text)
         collector = ProfileCollector()
-        self._install_profiler(collector)
         started = time.perf_counter()
-        try:
-            with _span(self.tracer, "sparql.execute", cat="query"):
-                result = self._dispatch(parsed)
-        finally:
-            self._uninstall_profiler()
+        with _span(self.tracer, "sparql.execute", cat="query"):
+            result = self._dispatch(parsed, collector)
         duration_ms = (time.perf_counter() - started) * 1000.0
         report = plan.profile_report(collector, duration_ms)
         return QueryProfile(result=result, plan=plan, report=report,
                             duration_ms=duration_ms)
 
-    def _plan_digest(self, text: str, parsed) -> Optional[str]:
-        """The plan digest for *text* at the current source version.
-
-        Memoized per (text, version) so the cached-result hit path gets
-        the digest without re-parsing or re-planning; with ``parsed``
-        ``None`` (hit path) an unmemoized digest simply stays unknown —
-        the miss that populated the result cache populated this cache
-        in the same call, so that only happens across an engine restart.
-        """
-        key = (text, self.source_version())
-        with self._lock:
-            digest = self._digest_cache.get(key)
-            if digest is not None:
-                self._digest_cache.move_to_end(key)
-                return digest
-        if parsed is None:
-            return None
-        plan = build_plan(parsed, self._default, text=text)
-        with self._lock:
-            self._digest_cache[key] = plan.digest
-            while len(self._digest_cache) > _DIGEST_CACHE_SIZE:
-                self._digest_cache.popitem(last=False)
-        return plan.digest
-
-    def _observe_latency(self, text: str, parsed, seconds: float) -> None:
-        digest = self._plan_digest(text, parsed)
-        if digest is not None:
-            self.latency_sketch.observe(digest, seconds)
-
-    def _slow_record(self, text: str, duration_ms: float, cache: str,
-                     parsed, collector, query_span) -> dict:
-        """Build one structured slow-query-log record (JSON-serializable)."""
-        record = {
-            "ts": round(time.time(), 3),
-            "query_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-            "query": text[:200],
-            "duration_ms": round(duration_ms, 3),
-            "cache": cache,
-            "plan_digest": None,
-            "generation": self.source_version(),
-            # W3C coordinates of the enclosing request, when one is
-            # active: the slow-log entry joins /trace/<id> and the
-            # X-Trace-Id header by this id.  (NULL_SPAN.id is None, so
-            # untraced engines record span_id: null as before.)
-            "trace_id": _tracectx.current_trace_id(),
-            "span_id": query_span.id,
-            "operators": [],
-        }
-        if parsed is not None:
-            plan = build_plan(parsed, self._default, text=text)
-            record["plan_digest"] = plan.digest
-            if collector is not None:
-                report = plan.profile_report(collector, duration_ms)
-                record["operators"] = report["operators"]
-                record["misestimates"] = report["misestimates"]
-        return record
-
-    # -- profiler plumbing ---------------------------------------------------
-
-    def _install_profiler(self, collector: ProfileCollector) -> None:
-        self._tlocal.profiler = collector
-        with self._lock:
-            self._profiling += 1
-
-    def _uninstall_profiler(self) -> None:
-        self._tlocal.profiler = None
-        with self._lock:
-            self._profiling -= 1
-
-    def _profiler(self):
-        """The profiler active on this thread, or ``None`` (hot path:
-        one attribute check when no profile is running anywhere)."""
-        if not self._profiling:
-            return None
-        return getattr(self._tlocal, "profiler", None)
-
-    def _dispatch(self, query):
+    def _dispatch(self, query, collector: Optional[ProfileCollector] = None):
+        """Evaluate a parsed query — under *collector*, installed as this
+        thread's profiler for the duration, when one is given."""
         self._tlocal.default = self._default  # pin the snapshot for this query
+        if collector is not None:
+            self._tlocal.profiler = collector
+            with self._lock:
+                self._profiling += 1
         try:
             if isinstance(query, SelectQuery):
                 return self._run_select(query)
@@ -437,6 +379,10 @@ class QueryEngine:
             raise TypeError(f"unsupported query type {type(query).__name__}")
         finally:
             self._tlocal.default = None
+            if collector is not None:
+                self._tlocal.profiler = None
+                with self._lock:
+                    self._profiling -= 1
 
     def construct(self, text: str) -> Graph:
         result = self.query(text)

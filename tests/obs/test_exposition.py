@@ -71,7 +71,7 @@ class TestMetricsRoute:
         assert_prometheus_valid(text)
         for family in (
             "repro_http_requests_total",
-            "repro_http_request_seconds",
+            "repro_endpoint_request_seconds",
             "repro_query_cache_total",
             "repro_query_seconds",
             "repro_store_wal_fsync_total",

@@ -85,6 +85,17 @@ class TestRankErrorBound:
         assert sketch.count == 3
         assert sketch.sum == pytest.approx(6.0)
 
+    def test_max_is_exact_however_compressed(self):
+        rng = random.Random(3)
+        sketch = QuantileSketch()
+        assert sketch.max == 0.0
+        data = [rng.random() for _ in range(20_000)]
+        for value in data:
+            sketch.observe(value)
+        assert sketch.sample_count < len(data)  # compressed ...
+        assert sketch.max == max(data)          # ... and the tail sample kept
+        assert sketch.snapshot()["max"] == max(data)
+
     def test_invalid_targets_rejected(self):
         with pytest.raises(ValueError):
             QuantileSketch(targets=[(1.5, 0.01)])

@@ -1,4 +1,4 @@
-"""W3C trace context: parsing, deterministic ids, the tail ring.
+"""W3C trace context: parsing, deterministic ids, the request ring.
 
 The traceparent edge cases follow the W3C trace-context spec: invalid
 inbound context (malformed, short, uppercase, version ff, all-zero ids)
@@ -12,7 +12,8 @@ import pytest
 
 from repro.obs import tracectx
 from repro.obs.trace import Tracer
-from repro.obs.tracectx import TraceContext, TraceRing
+from repro.obs.request import RequestRecord, RequestRing
+from repro.obs.tracectx import TraceContext
 
 
 VALID = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
@@ -89,7 +90,7 @@ class TestContextVar:
         token = tracectx.activate(ctx)
         try:
             assert tracectx.current() is ctx
-            assert tracectx.current_trace_id() == ctx.trace_id
+            assert tracectx.current().trace_id == ctx.trace_id
         finally:
             tracectx.deactivate(token)
         assert tracectx.current() is None
@@ -139,15 +140,15 @@ class TestSpanIntegration:
     def test_sink_collects_spans_even_without_tracer(self):
         from repro.obs.trace import span
 
-        sink = []
-        ctx = tracectx.start_trace(sink=sink)
+        ctx = tracectx.start_trace()
+        request = ctx.record = RequestRecord("/sparql")
         token = tracectx.activate(ctx)
         try:
             with span(None, "work", cat="test", detail=7):
                 pass
         finally:
             tracectx.deactivate(token)
-        (record,) = sink
+        (record,) = request.spans
         assert record["name"] == "work"
         assert record["trace_id"] == ctx.trace_id
         assert record["parent_id"] == ctx.span_id
@@ -162,35 +163,37 @@ class TestSpanIntegration:
 
 class TestTraceRing:
     def test_admit_and_get(self):
-        ring = TraceRing(capacity=4)
-        ring.admit("t1", [{"name": "a"}], route="/sparql", status=200)
+        ring = RequestRing(capacity=4)
+        ring.admit({"trace_id": "t1", "route": "/sparql", "status": 200},
+                   [{"name": "a"}])
         record = ring.get("t1")
         assert record["route"] == "/sparql"
         assert record["spans"] == [{"name": "a"}]
 
     def test_get_unknown_is_none(self):
-        assert TraceRing().get("missing") is None
+        assert RequestRing().get("missing") is None
 
     def test_eviction_drops_oldest(self):
-        ring = TraceRing(capacity=2)
+        ring = RequestRing(capacity=2)
         for i in range(3):
-            ring.admit(f"t{i}", [])
+            ring.admit({"trace_id": f"t{i}"}, [])
         assert ring.get("t0") is None  # evicted
         assert ring.get("t1") is not None
         assert ring.get("t2") is not None
         info = ring.info()
         assert info == {"capacity": 2, "current": 2, "admitted": 3, "evicted": 1}
 
-    def test_readmission_replaces(self):
-        ring = TraceRing(capacity=2)
-        ring.admit("t1", [{"name": "old"}])
-        ring.admit("t1", [{"name": "new"}])
+    def test_shared_trace_id_keeps_both_and_answers_newest(self):
+        ring = RequestRing(capacity=2)
+        ring.admit({"trace_id": "t1", "query": "q"}, [{"name": "old"}])
+        ring.admit({"trace_id": "t1", "query": "q"}, [{"name": "new"}])
         assert ring.get("t1")["spans"] == [{"name": "new"}]
-        assert len(ring) == 1
+        assert ring.trace_ids() == ["t1", "t1"]
+        assert len(ring.queries()) == ring.info()["current"] == 2
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            TraceRing(capacity=0)
+            RequestRing(capacity=0)
 
 
 class TestSpanTree:

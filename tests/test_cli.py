@@ -189,6 +189,27 @@ class TestObsCommands:
         assert main(["obs", "top", str(tmp_path / "nope")]) == 1
         assert "no observability directory" in capsys.readouterr().err
 
+    def test_obs_slowlog_reads_the_event_log(self, tmp_path, capsys):
+        """`obs slowlog <obs-dir>` lists what /slowlog listed: the
+        retained query records among the endpoint.request lines."""
+        from repro.obs.events import EventLog
+
+        with EventLog(str(tmp_path)) as log:
+            log.emit("endpoint.request", trace_id="a" * 32, route="/stats",
+                     status=200, duration_ms=0.2)
+            log.emit("endpoint.request", trace_id="b" * 32, route="/sparql",
+                     status=200, duration_ms=12.5, query="ASK { ?s ?p ?o }",
+                     cache="miss", plan_digest="0123456789abcdef",
+                     span_id="00f067aa0ba902b7")
+        assert main(["obs", "slowlog", str(tmp_path)]) == 0
+        header, rule, row = capsys.readouterr().out.splitlines()
+        assert len(rule) == len(header)
+        assert row.split() == ["12.500", "miss", "0123456789abcdef",
+                               "00f067aa0ba902b7", "ASK", "{", "?s", "?p", "?o", "}"]
+        # the 16-hex span id sits inside its column
+        assert row.index("ASK") == header.index("query")
+        assert main(["obs", "slowlog", str(tmp_path / "nope")]) == 1
+
     def test_obs_dir_flag_parses_on_build_and_serve(self):
         args = build_parser().parse_args(
             ["build", "/tmp/x", "--obs-dir", "/tmp/obs"])

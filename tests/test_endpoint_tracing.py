@@ -1,11 +1,12 @@
 """End-to-end request tracing and profiling on the SPARQL endpoint.
 
-One id resolves everywhere: the ``traceparent`` a client sends comes
-back as ``X-Trace-Id`` (on errors too), keys the slow-query-log record,
-and retrieves the span tree at ``GET /trace/<id>``.
+One record per request, one id: the ``traceparent`` a client sends
+comes back as ``X-Trace-Id`` (on errors too) and names the same retained
+record at ``/slowlog``, at ``GET /trace/<id>`` and in the event log.
 """
 
 import json
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -13,6 +14,7 @@ import urllib.request
 import pytest
 
 from repro.endpoint import SparqlEndpoint
+from repro.obs import RequestRing, read_events
 from repro.rdf import Graph, Namespace, PROV, RDF
 
 EX = Namespace("http://example.org/")
@@ -26,9 +28,9 @@ def endpoint():
     g = Graph()
     g.namespaces.bind("ex", EX)
     g.add((EX.r1, RDF.type, PROV.Activity))
-    # slow_query_ms=0 records every query; trace_slow_ms=0 admits every
-    # request's span tree, so tests can retrieve them deterministically.
-    server = SparqlEndpoint(g, slow_query_ms=0.0, trace_slow_ms=0.0).start()
+    # slow_query_ms=0 retains every request's record, so tests can
+    # retrieve them deterministically.
+    server = SparqlEndpoint(g, slow_query_ms=0.0).start()
     yield server
     server.stop()
 
@@ -39,13 +41,11 @@ def _get(url, headers=None):
 
 
 def _wait_admitted(server, trace_id, timeout=5.0):
-    """Tail admission happens just *after* the response is written, so a
-    client that immediately asks /trace can race it; wait it out."""
-    import time
-
+    """A record is finalised just *after* the response is written, so a
+    client that immediately asks for it can race that; wait it out."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if server.trace_ring.get(trace_id) is not None:
+        if server.requests.get(trace_id) is not None:
             return
         time.sleep(0.005)
     raise AssertionError(f"trace {trace_id} never admitted to the ring")
@@ -111,7 +111,7 @@ class TestTraceRing:
         assert excinfo.value.code == 404
 
     def test_evicted_trace_id_404(self, endpoint):
-        endpoint.trace_ring.capacity = 1
+        endpoint.requests = RequestRing(slow_ms=0.0, capacity=1)
         ids = []
         for _ in range(2):
             with _get(_query_url(endpoint)) as response:
@@ -134,7 +134,7 @@ class TestTraceRing:
     def test_fast_requests_not_admitted(self):
         g = Graph()
         g.add((EX.r1, RDF.type, PROV.Activity))
-        server = SparqlEndpoint(g, trace_slow_ms=60_000.0).start()
+        server = SparqlEndpoint(g, slow_query_ms=60_000.0).start()
         try:
             with _get(_query_url(server), {"traceparent": TRACEPARENT}):
                 pass
@@ -147,7 +147,7 @@ class TestTraceRing:
     def test_errors_admitted_even_when_fast(self):
         g = Graph()
         g.add((EX.r1, RDF.type, PROV.Activity))
-        server = SparqlEndpoint(g, trace_slow_ms=60_000.0).start()
+        server = SparqlEndpoint(g, slow_query_ms=60_000.0).start()
         try:
             with pytest.raises(urllib.error.HTTPError):
                 _get(server.query_url, {"traceparent": TRACEPARENT})  # 400
@@ -163,9 +163,101 @@ class TestSlowlogJoin:
     def test_slowlog_record_carries_trace_id(self, endpoint):
         with _get(_query_url(endpoint), {"traceparent": TRACEPARENT}):
             pass
+        _wait_admitted(endpoint, TRACE_ID)
         with _get(endpoint.url + "/slowlog") as response:
             payload = json.loads(response.read())
         assert any(e.get("trace_id") == TRACE_ID for e in payload["entries"])
+
+    def test_shared_traceparent_lists_both_requests(self, endpoint):
+        for limit in (1, 2):
+            with _get(_query_url(endpoint, f"SELECT ?x WHERE {{ ?x a prov:Activity }} LIMIT {limit}"),
+                      {"traceparent": TRACEPARENT}):
+                pass
+        deadline = time.monotonic() + 5.0
+        while endpoint.requests.info()["admitted"] < 2 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        with _get(endpoint.url + "/slowlog") as response:
+            entries = json.loads(response.read())["entries"]
+        shared = [e for e in entries if e["trace_id"] == TRACE_ID]
+        assert len(shared) == 2
+        # one ring: /trace lists both too, and /trace/<id> answers the newest
+        with _get(endpoint.url + "/trace") as response:
+            assert json.loads(response.read())["trace_ids"].count(TRACE_ID) == 2
+        with _get(endpoint.url + "/trace/" + TRACE_ID) as response:
+            assert json.loads(response.read())["query"] == shared[-1]["query"]
+
+
+class TestServerTiming:
+    @staticmethod
+    def _parts(header):
+        parts = {}
+        for part in header.split(","):
+            name, _, dur = part.strip().partition(";dur=")
+            assert len(dur.partition(".")[2]) == 3, part  # three decimals
+            parts[name] = float(dur)
+        return parts
+
+    def test_layer_timings_published_and_bounded(self, endpoint):
+        seen = []
+        for _ in range(2):  # a miss, then a hit on the same text
+            with _get(_query_url(endpoint)) as response:
+                response.read()
+                seen.append((response.headers["X-Trace-Id"],
+                             self._parts(response.headers["Server-Timing"]),
+                             float(response.headers["X-Query-Duration-ms"])))
+        for trace_id, parts, query_ms in seen:
+            assert set(parts) == {"cache", "parse", "exec", "ser"}
+            assert all(value >= 0.0 for value in parts.values())
+            assert parts["parse"] + parts["exec"] <= query_ms
+            _wait_admitted(endpoint, trace_id)
+            record = endpoint.requests.get(trace_id)
+            assert sum(parts.values()) <= record["duration_ms"] + 0.002  # 4 roundings
+            timings = record["timings_ms"]
+            assert {name: timings[name] for name in parts} == parts
+            assert timings["write"] >= 0.0
+            assert record["unattributed_ms"] == pytest.approx(
+                record["duration_ms"] - sum(parts.values()), abs=0.003)
+        (_, miss, _), (_, hit, _) = seen
+        assert miss["parse"] > 0.0 and miss["exec"] > 0.0
+        assert hit["parse"] == 0.0 and hit["exec"] == 0.0
+
+    def test_only_query_answers_carry_it(self, endpoint):
+        with _get(endpoint.url + "/healthz") as response:
+            assert "Server-Timing" not in response.headers
+
+
+class TestRequestEvents:
+    def test_one_line_per_request_carrying_the_trace_id(self, tmp_path):
+        g = Graph()
+        g.add((EX.r1, RDF.type, PROV.Activity))
+        # nothing here is slow: every request leaves its four-field line,
+        # the errored one its whole record
+        server = SparqlEndpoint(g, slow_query_ms=60_000.0, obs_dir=str(tmp_path)).start()
+        try:
+            sent = []
+            with _get(_query_url(server)) as response:
+                sent.append(("/sparql", 200, response.headers["X-Trace-Id"]))
+            with _get(server.url + "/healthz") as response:
+                sent.append(("/healthz", 200, response.headers["X-Trace-Id"]))
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _get(server.query_url)  # missing query parameter → 400
+            sent.append(("/sparql", 400, excinfo.value.headers["X-Trace-Id"]))
+            # lines are written as each handler finalises, after its
+            # response: wait for the last, in whatever order they land
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                lines = list(read_events(str(tmp_path)))
+                if len(lines) >= len(sent):
+                    break
+                time.sleep(0.005)
+        finally:
+            server.stop()
+        assert [line["kind"] for line in lines] == ["endpoint.request"] * len(sent)
+        by_id = {line["trace_id"]: line for line in lines}
+        assert sorted((l["route"], l["status"], l["trace_id"]) for l in lines) == sorted(sent)
+        assert set(by_id[sent[0][2]]) == {"v", "ts", "pid", "kind", "trace_id",
+                                          "route", "status", "duration_ms"}
+        assert "timings_ms" in by_id[sent[2][2]]  # retained: the whole record
 
 
 class TestProfileRoute:
