@@ -100,6 +100,7 @@ class CorpusTrace:
     document: ProvDocument
     text: str  # serialized RDF (Turtle for Taverna, TriG for Wings)
     rdf_format: str  # "turtle" | "trig"
+    triples: int  # size of the merged RDF graph (what ``len(graph())`` is)
     failed_step: Optional[str] = None
     failure_cause: Optional[str] = None
     result: Optional[RunResult] = None
@@ -241,7 +242,7 @@ class Corpus:
             "failure_causes": causes,
             "domains": len(DOMAINS),
             "size_bytes": self.total_size_bytes(),
-            "triples": sum(len(t.graph()) for t in self.traces),
+            "triples": sum(t.triples for t in self.traces),
         }
 
     def domain_histogram(self) -> List[Tuple[str, int, int]]:
@@ -391,17 +392,11 @@ class CorpusBuilder:
 
             yield from iter_traces_parallel(self, plan, by_id, effective, tracer=tracer)
 
-    def _build_serial(
-        self, plan: List[RunPlanEntry], by_id: Dict[str, WorkflowTemplate],
-        tracer=None,
-    ) -> List[CorpusTrace]:
-        """The sequential path: one clock threaded through all runs."""
-        return list(self._iter_serial(plan, by_id, tracer=tracer))
-
     def _iter_serial(
         self, plan: List[RunPlanEntry], by_id: Dict[str, WorkflowTemplate],
         tracer=None,
     ) -> Iterator[CorpusTrace]:
+        """The sequential path: one clock threaded through all runs."""
         clock = SimulatedClock(self.start)
         taverna, wings = self._make_engines(clock)
         for entry in plan:
@@ -466,14 +461,20 @@ class CorpusBuilder:
                     document = taverna_export(run)
                     export_template_description(template, document)
                 with _span(tracer, "serialize", cat="build", run=entry.run_id):
-                    text = serialize_turtle(to_graph(document))
+                    graph = to_graph(document)
+                    text = serialize_turtle(graph)
+                triples = len(graph)
                 rdf_format = "turtle"
             else:
                 with _span(tracer, "export", cat="build", run=entry.run_id):
                     document = wings_export(run)
                     export_template(template, document)
                 with _span(tracer, "serialize", cat="build", run=entry.run_id):
-                    text = serialize_trig(to_dataset(document))
+                    dataset = to_dataset(document)
+                    text = serialize_trig(dataset)
+                # The merged graph collapses bundles: count distinct triples.
+                graphs = (dataset.default, *dataset.named_graphs())
+                triples = len({triple for graph in graphs for triple in graph})
                 rdf_format = "trig"
             result = run.result
             run_span.set(status=result.status)
@@ -491,6 +492,7 @@ class CorpusBuilder:
             document=document,
             text=text,
             rdf_format=rdf_format,
+            triples=triples,
             failed_step=result.failed_step,
             failure_cause=result.failure_cause,
             result=result,

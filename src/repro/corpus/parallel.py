@@ -27,7 +27,7 @@ failing run and template named in the message.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..obs import shm
 from ..obs import tracectx as _tracectx
@@ -35,7 +35,7 @@ from ..parallel import ObsConfig, RemoteError, pool_context, resolve_jobs
 from ..workflow.dataflow import SimulatedClock
 from ..workflow.errors import WorkflowError
 
-__all__ = ["build_traces_parallel", "iter_traces_parallel"]
+__all__ = ["iter_traces_parallel"]
 
 # Per-worker state: (builder, template index, clock, taverna, wings,
 # tracer).  Built once per worker by _init_worker; tasks only carry
@@ -89,17 +89,6 @@ def _build_one(task) -> Tuple[str, object, Optional[list]]:
         return ("error", RemoteError.capture(exc, context), None)
 
 
-def build_traces_parallel(
-    builder,
-    plan,
-    by_id: Dict[str, object],
-    jobs: Optional[int],
-    tracer=None,
-) -> List[object]:
-    """Fan the run plan over a process pool; merge traces in plan order."""
-    return list(iter_traces_parallel(builder, plan, by_id, jobs, tracer=tracer))
-
-
 def iter_traces_parallel(
     builder,
     plan,
@@ -107,7 +96,7 @@ def iter_traces_parallel(
     jobs: Optional[int],
     tracer=None,
 ) -> Iterator[object]:
-    """Streaming face of :func:`build_traces_parallel`.
+    """Fan the run plan over a process pool; yield traces in plan order.
 
     ``imap`` yields results in submission (= plan) order while workers
     run ahead, so the consumer sees the exact serial trace sequence with

@@ -116,7 +116,7 @@ def _profile_trace(trace: CorpusTrace) -> TraceProfile:
         system=trace.system,
         domain=trace.domain,
         status=trace.status,
-        triples=len(trace.graph()),
+        triples=trace.triples,
         entities=stats["entities"],
         activities=stats["activities"],
         agents=stats["agents"],

@@ -108,7 +108,7 @@ class _TraceWriter:
             self._failed += 1
             self._causes[trace.failure_cause] = self._causes.get(trace.failure_cause, 0) + 1
         self._size_bytes += trace.size_bytes
-        self._triples += len(trace.graph())
+        self._triples += trace.triples
 
     @property
     def triples(self) -> int:

@@ -34,16 +34,15 @@ no per-process timestamps).
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import os
-import struct
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..prov.constants import DERIVATION_SUBPROPERTIES
 from ..rdf.namespace import OPMW, PROV, RDF, WFPROV
 from ..rdf.terms import IRI
+from ..store.segments import iter_records, merge_distinct, pack_records, write_records
 from .format import (
     FWD_FILE,
     INDEX_FORMAT_VERSION,
@@ -57,7 +56,6 @@ from .format import (
     REL_WAS_REVISION_OF,
     RELATION_NAMES,
     TRIE_FILE,
-    write_edges_stream,
     write_index_manifest,
 )
 from .trie import write_trie
@@ -92,17 +90,14 @@ def store_files_sha(store) -> str:
 
 def _union_pairs(store, predicate: IRI) -> Iterator[Tuple[int, int]]:
     """Distinct (s, o) id pairs of *predicate* over the union scope, in
-    the posg segment's (o, s) sort order.  A generator over the mmap'd
-    segment — never materializes the predicate's full extension."""
+    the (o, s) order a predicate-bound pattern is read in.  A generator
+    over the mmap'd segment — never materializes the predicate's full
+    extension."""
     pid = store.term_id(predicate)
     if pid is None:
         return
-    for _, o, s in store.segment("posg").scan_distinct_triples((pid,)):
+    for s, _, o in store.match_ids(None, pid, None):
         yield (s, o)
-
-
-_SPOOL_EDGE = struct.Struct("<3I")
-_SPOOL_READ_RECORDS = 65536
 
 
 class _EdgeSpool:
@@ -111,72 +106,44 @@ class _EdgeSpool:
     Edges collect in an in-memory set; when the set reaches *budget*, it
     spills as two sorted scratch runs — one in forward (rel, src, dst)
     order, one permuted to the inverse (rel, dst, src) order — so both
-    final files come out of a k-way ``heapq.merge`` over their runs plus
-    the residual set, with a one-record lookbehind collapsing cross-run
-    duplicates.  The merged streams are byte-identical to sorting the
-    whole edge set in memory, which is what keeps the index reproducible
-    regardless of budget.  Scratch runs are plain transient files (no
-    fsync/rename dance — a crashed build leaves no commit, and leftovers
-    are swept on the next build).
+    final files come out of a ``merge_distinct`` over their runs plus
+    the residual set.  The merged streams are byte-identical to sorting
+    the whole edge set in memory, which is what keeps the index
+    reproducible regardless of budget.  Scratch runs are plain transient
+    files (not ``atomic_write``: a crashed build leaves no commit, and
+    leftovers are swept on the next build).
     """
 
     def __init__(self, directory: Path, budget: Optional[int]):
         self._dir = Path(directory)
         self._budget = budget or 0
         self._edges: set = set()
-        self._spills = 0
         self.spill_runs = 0  # spilled run count (tests/diagnostics)
 
     def _run_path(self, batch: int, inverse: bool) -> Path:
         suffix = "inv" if inverse else "fwd"
         return self._dir / f"paths.spool-{batch:04d}.{suffix}"
 
+    def _sorted(self, inverse: bool) -> List[Tuple[int, int, int]]:
+        if inverse:
+            return sorted((r, d, s) for r, s, d in self._edges)
+        return sorted(self._edges)
+
     def add(self, rel: int, src: int, dst: int) -> None:
         self._edges.add((rel, src, dst))
         if self._budget and len(self._edges) >= self._budget:
-            self._spill()
-
-    def _spill(self) -> None:
-        batch = self._spills
-        for inverse in (False, True):
-            if inverse:
-                records = sorted((r, d, s) for r, s, d in self._edges)
-            else:
-                records = sorted(self._edges)
-            with open(self._run_path(batch, inverse), "wb") as handle:
-                buffer = bytearray()
-                for record in records:
-                    buffer += _SPOOL_EDGE.pack(*record)
-                    if len(buffer) >= (1 << 20):
-                        handle.write(buffer)
-                        del buffer[:]
-                if buffer:
-                    handle.write(buffer)
-        self._edges.clear()
-        self._spills += 1
-        self.spill_runs += 1
-
-    def _iter_run(self, batch: int, inverse: bool) -> Iterator[Tuple[int, int, int]]:
-        with open(self._run_path(batch, inverse), "rb") as handle:
-            while True:
-                chunk = handle.read(_SPOOL_READ_RECORDS * _SPOOL_EDGE.size)
-                if not chunk:
-                    return
-                yield from _SPOOL_EDGE.iter_unpack(chunk)
+            for inverse in (False, True):
+                with open(self._run_path(self.spill_runs, inverse), "wb") as handle:
+                    pack_records(handle, self._sorted(inverse), 3)
+            self._edges.clear()
+            self.spill_runs += 1
 
     def merged(self, inverse: bool = False) -> Iterator[Tuple[int, int, int]]:
         """Sorted, duplicate-free edge stream (leaves the spool reusable,
         so the forward and inverse merges run over the same state)."""
-        sources = [self._iter_run(batch, inverse) for batch in range(self._spills)]
-        if inverse:
-            sources.append(iter(sorted((r, d, s) for r, s, d in self._edges)))
-        else:
-            sources.append(iter(sorted(self._edges)))
-        last = None
-        for record in heapq.merge(*sources):
-            if record != last:
-                last = record
-                yield record
+        runs = [iter_records(self._run_path(batch, inverse), 3)
+                for batch in range(self.spill_runs)]
+        return merge_distinct(*runs, self._sorted(inverse))
 
     def cleanup(self) -> None:
         for name in os.listdir(self._dir):
@@ -184,18 +151,18 @@ class _EdgeSpool:
                 (self._dir / name).unlink()
 
 
-def _first_object(store, spog, subject_id: int, predicate_id: Optional[int]) -> Optional[int]:
+def _first_object(store, subject_id: int, predicate_id: Optional[int]) -> Optional[int]:
     if predicate_id is None:
         return None
-    for _, _, o in spog.scan_distinct_triples((subject_id, predicate_id)):
+    for _, _, o in store.match_ids(subject_id, predicate_id, None):
         return o
     return None
 
 
-def _has(spog, s: int, p: Optional[int], o: Optional[int]) -> bool:
+def _has(store, s: int, p: Optional[int], o: Optional[int]) -> bool:
     if p is None or o is None:
         return False
-    return spog.count_prefix((s, p, o)) > 0
+    return next(store.match_ids(s, p, o), None) is not None
 
 
 def run_sequences(store) -> Dict[int, List[int]]:
@@ -206,7 +173,6 @@ def run_sequences(store) -> Dict[int, List[int]]:
     the trie was built from.
     """
     tid = store.term_id
-    spog = store.segment("spog")
     type_id = tid(RDF.type)
 
     # (run id → [(sort key, label id)]) — labels are template-step ids.
@@ -219,7 +185,7 @@ def run_sequences(store) -> Dict[int, List[int]]:
     def add(run_id: int, proc_id: int, label_id: Optional[int], start_pid) -> None:
         label = label_id if label_id is not None else proc_id
         start = ""
-        started = _first_object(store, spog, proc_id, start_pid)
+        started = _first_object(store, proc_id, start_pid)
         if started is not None:
             start = getattr(store.term(started), "lexical", "")
         key = (start, decoded_value(label), proc_id)
@@ -230,9 +196,9 @@ def run_sequences(store) -> Dict[int, List[int]]:
     described_by = tid(WFPROV.describedByProcess)
     started_at = tid(PROV.startedAtTime)
     for proc, run in _union_pairs(store, WFPROV.wasPartOfWorkflowRun):
-        if not _has(spog, proc, type_id, process_run):
+        if not _has(store, proc, type_id, process_run):
             continue  # nested WorkflowRun activities are not steps
-        add(run, proc, _first_object(store, spog, proc, described_by), started_at)
+        add(run, proc, _first_object(store, proc, described_by), started_at)
 
     # Wings: WorkflowExecutionProcess --isStepOfTemplate--> account.
     exec_process = tid(OPMW.WorkflowExecutionProcess)
@@ -241,11 +207,11 @@ def run_sequences(store) -> Dict[int, List[int]]:
     for proc, account in _union_pairs(store, OPMW.isStepOfTemplate):
         # The same predicate also links template steps to templates;
         # keep only execution-process → execution-account edges.
-        if not _has(spog, proc, type_id, exec_process):
+        if not _has(store, proc, type_id, exec_process):
             continue
-        if not _has(spog, account, type_id, exec_account):
+        if not _has(store, account, type_id, exec_account):
             continue
-        add(account, proc, _first_object(store, spog, proc, corresponds), started_at)
+        add(account, proc, _first_object(store, proc, corresponds), started_at)
 
     return {
         run_id: [label for _, label in sorted(entries)]
@@ -264,7 +230,7 @@ def build_path_index(store, spill_edge_budget: Optional[int] = DEFAULT_EDGE_BUDG
     scans into an :class:`_EdgeSpool` that spills sorted runs to disk
     and k-way merges them into the final files, and the usage→generation
     composition resolves each generating activity's used entities with a
-    spog prefix bisect instead of a corpus-wide ``used_of`` map.  Only
+    (s, p) prefix bisect instead of a corpus-wide ``used_of`` map.  Only
     the trie's per-run sequences (O(runs), not O(quads)) stay resident.
     The output bytes do not depend on the budget.
     """
@@ -274,7 +240,6 @@ def build_path_index(store, spill_edge_budget: Optional[int] = DEFAULT_EDGE_BUDG
     spool = _EdgeSpool(store.path, spill_edge_budget)
     spool.cleanup()  # sweep scratch runs a crashed build left behind
     try:
-        spog = store.segment("spog")
         used_pid = store.term_id(PROV.used)
 
         for activity, entity in _union_pairs(store, PROV.used):
@@ -283,11 +248,11 @@ def build_path_index(store, spill_edge_budget: Optional[int] = DEFAULT_EDGE_BUDG
         for entity, activity in _union_pairs(store, PROV.wasGeneratedBy):
             spool.add(REL_GENERATED_BY, entity, activity)
             # Compose product --wasGeneratedBy--> activity --used--> source
-            # via a spog prefix scan per generating activity; duplicates
+            # via an (s, p) prefix scan per generating activity; duplicates
             # across activities fall out in the spool's merge.
             if used_pid is None:
                 continue
-            for _, _, source in spog.scan_distinct_triples((activity, used_pid)):
+            for _, _, source in store.match_ids(activity, used_pid, None):
                 if source != entity:
                     spool.add(REL_DERIVATION, entity, source)
 
@@ -298,8 +263,8 @@ def build_path_index(store, spill_edge_budget: Optional[int] = DEFAULT_EDGE_BUDG
                 if isinstance(store.term(obj), IRI):
                     spool.add(REL_DERIVATION, subject, obj)
 
-        edge_count = write_edges_stream(store.path / FWD_FILE, spool.merged(inverse=False))
-        write_edges_stream(store.path / INV_FILE, spool.merged(inverse=True))
+        edge_count = write_records(store.path / FWD_FILE, spool.merged(inverse=False), 3)
+        write_records(store.path / INV_FILE, spool.merged(inverse=True), 3)
     finally:
         spool.cleanup()
 

@@ -13,12 +13,12 @@ a JSON manifest, all derived purely from the current segment generation:
     paths.trie       generalized trie over per-run activity sequences
                      (see :mod:`repro.pathindex.trie`)
 
-Edge records are fixed-width 12-byte rows of three little-endian ``u32``
-values, sorted lexicographically — the same mmap + binary-search access
-discipline as the store's quad segments, so a ``(rel, node)`` prefix maps
-to one contiguous neighbor range.  All writes go through a tmp file +
-fsync + atomic rename; the manifest is written last and is the commit
-point, mirroring the store's own manifest protocol.
+Edge records are width-three record files of :mod:`repro.store.segments`
+— 12-byte rows of three little-endian ``u32`` values, sorted
+lexicographically, read by mmap + binary search — so a ``(rel, node)``
+prefix maps to one contiguous neighbor range.  Every file is committed
+through ``atomic_write``; the manifest is written last and is the commit
+point.
 
 Relations are small integer codes, fixed by the format:
 
@@ -45,11 +45,10 @@ code 6 is the pre-composed relation the applications traverse.
 from __future__ import annotations
 
 import json
-import mmap
-import os
-import struct
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
+
+from ..store.segments import RecordReader, atomic_write_json, record_struct
 
 __all__ = [
     "INDEX_FORMAT_VERSION",
@@ -66,8 +65,6 @@ __all__ = [
     "REL_DERIVATION",
     "RELATION_NAMES",
     "AdjacencyReader",
-    "write_edges",
-    "write_edges_stream",
     "write_index_manifest",
     "read_index_manifest",
 ]
@@ -98,95 +95,22 @@ RELATION_NAMES = {
     REL_DERIVATION: "derivation",
 }
 
-_EDGE = struct.Struct("<3I")
+_EDGE = record_struct(3)
 EDGE_SIZE = _EDGE.size
 
 
-def write_edges(path: Path, records: Sequence[Tuple[int, int, int]]) -> None:
-    """Write pre-sorted edge records via tmp file + fsync + atomic rename."""
-    write_edges_stream(path, iter(records))
-
-
-def write_edges_stream(
-    path: Path, records: "Iterator[Tuple[int, int, int]]",
-    buffer_bytes: int = 1 << 20,
-) -> int:
-    """Stream pre-sorted edge records to *path* (tmp + atomic rename).
-
-    The external-merge build path: *records* is typically a k-way merge
-    over sorted spool runs, so this never holds more than *buffer_bytes*
-    of output in memory.  Returns the record count.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    count = 0
-    buffer = bytearray()
-    with open(tmp, "wb") as handle:
-        for record in records:
-            buffer += _EDGE.pack(*record)
-            count += 1
-            if len(buffer) >= buffer_bytes:
-                handle.write(buffer)
-                del buffer[:]
-        if buffer:
-            handle.write(buffer)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return count
-
-
-class AdjacencyReader:
+class AdjacencyReader(RecordReader):
     """Binary-search access to one sorted edge file.
 
-    The record layout mirrors :class:`repro.store.segments.SegmentReader`
-    at width three: ``(rel, a, b)`` sorted lexicographically, so the
+    Records are ``(rel, a, b)`` sorted lexicographically, so the
     neighbors of ``a`` under ``rel`` are the contiguous ``(rel, a)``
     prefix range, already in ascending ``b`` order.
     """
 
-    def __init__(self, path: Path):
-        self.path = Path(path)
-        self._map: Optional[mmap.mmap] = None
-        self.record_count = 0
-        # Plain-int probe counter, same rationale as SegmentReader.probes:
-        # this sits in the BFS inner loop.
-        self.probes = 0
-        if self.path.exists() and self.path.stat().st_size:
-            with open(self.path, "rb") as handle:
-                self._map = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-            self.record_count = len(self._map) // EDGE_SIZE
-
-    def close(self) -> None:
-        if self._map is not None:
-            self._map.close()
-            self._map = None
+    _RECORD = _EDGE
 
     def record(self, index: int) -> Tuple[int, int, int]:
         return _EDGE.unpack_from(self._map, index * EDGE_SIZE)
-
-    def __len__(self) -> int:
-        return self.record_count
-
-    def _bisect_left(self, key: Tuple[int, ...]) -> int:
-        lo, hi = 0, self.record_count
-        width = len(key)
-        probes = 0
-        while lo < hi:
-            probes += 1
-            mid = (lo + hi) // 2
-            if self.record(mid)[:width] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.probes += probes
-        return lo
-
-    def range_for_prefix(self, prefix: Tuple[int, ...]) -> Tuple[int, int]:
-        if not prefix:
-            return (0, self.record_count)
-        lo = self._bisect_left(prefix)
-        hi = self._bisect_left(prefix[:-1] + (prefix[-1] + 1,))
-        return (lo, hi)
 
     def neighbors(self, rel: int, node: int) -> Iterator[int]:
         """Ascending third-field values of the ``(rel, node)`` range."""
@@ -198,33 +122,22 @@ class AdjacencyReader:
         """All ``(a, b)`` pairs of one relation, in (a, b) sort order."""
         lo, hi = self.range_for_prefix((rel,))
         for index in range(lo, hi):
-            record = self.record(index)
-            yield (record[1], record[2])
+            yield self.record(index)[1:]
 
     def has(self, rel: int, a: int, b: int) -> bool:
-        lo, hi = self.range_for_prefix((rel, a, b))
-        return hi > lo
+        return self.count_prefix((rel, a, b)) > 0
 
     def firsts(self, rel: int) -> Iterator[int]:
         """Distinct second-field values under *rel*, by bisect jumps."""
-        lo, hi = self.range_for_prefix((rel,))
-        while lo < hi:
-            value = self.record(lo)[1]
-            yield value
-            lo = self._bisect_left((rel, value + 1))
+        return self.distinct((rel,))
 
     def degree(self, rel: int, node: int) -> int:
-        lo, hi = self.range_for_prefix((rel, node))
-        return hi - lo
+        return self.count_prefix((rel, node))
 
 
 def write_index_manifest(directory: Path, manifest: dict) -> None:
     """Atomically commit the index manifest (the index's commit point)."""
-    tmp = directory / (MANIFEST_FILE + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    with open(tmp, "rb") as handle:
-        os.fsync(handle.fileno())
-    os.replace(tmp, directory / MANIFEST_FILE)
+    atomic_write_json(Path(directory) / MANIFEST_FILE, manifest)
 
 
 def read_index_manifest(directory: Path) -> Optional[dict]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..store.segments import StoreError
 from .format import (
     FWD_FILE,
     INV_FILE,
@@ -49,7 +50,11 @@ class PathIndex:
         self.manifest = manifest
         self._relations: Dict[str, int] = dict(manifest.get("relations", {}))
         self._fwd = AdjacencyReader(self.path / FWD_FILE)
-        self._inv = AdjacencyReader(self.path / INV_FILE)
+        try:
+            self._inv = AdjacencyReader(self.path / INV_FILE)
+        except StoreError:
+            self._fwd.close()
+            raise
         self._trie: Optional[TrieReader] = None
 
     # -- identity ------------------------------------------------------------
@@ -154,7 +159,8 @@ class PathIndex:
 
 def load_path_index(directory: Path) -> Optional[PathIndex]:
     """Open the committed index under *directory*, or None when no valid
-    index is present (missing/foreign manifest or missing edge files)."""
+    index is present (missing/foreign manifest, missing or torn edge
+    files)."""
     directory = Path(directory)
     manifest = read_index_manifest(directory)
     if manifest is None:
@@ -162,4 +168,7 @@ def load_path_index(directory: Path) -> Optional[PathIndex]:
     for name in (FWD_FILE, INV_FILE, TRIE_FILE):
         if not (directory / name).exists():
             return None
-    return PathIndex(directory, manifest)
+    try:
+        return PathIndex(directory, manifest)
+    except StoreError:
+        return None

@@ -34,10 +34,11 @@ byte-identical tries.
 from __future__ import annotations
 
 import mmap
-import os
 import struct
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+from ..store.segments import atomic_write
 
 __all__ = ["build_trie_bytes", "TrieReader", "TRIE_MAGIC"]
 
@@ -101,12 +102,8 @@ def build_trie_bytes(sequences: Dict[int, Sequence[int]]) -> bytes:
 def write_trie(path: Path, sequences: Dict[int, Sequence[int]]) -> bytes:
     """Build and atomically write the trie; returns the serialized bytes."""
     data = build_trie_bytes(sequences)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
+    with atomic_write(path) as handle:
         handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
     return data
 
 

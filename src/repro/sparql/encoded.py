@@ -14,10 +14,11 @@ This module keeps the whole BGP in u32 term ids instead:
 * ids are decoded back to terms only once, when the finished batch
   leaves the BGP.
 
-Patterns probe the same four sorted segment orderings ``triples()``
-uses (the ordering choice replicates ``StoreGraph._match_ids`` exactly,
-so row order does not depend on which pipeline ran), but batch
-execution unlocks two operators the per-binding path cannot express:
+Patterns are read through the access path the graph hands out
+(``graph.access_path``: ordering, sort prefix, and how a record range
+becomes (s, p, o) ids) — the one ``triples()`` itself reads through, so
+row order cannot depend on which pipeline ran — but batch execution
+unlocks two operators the per-binding path cannot express:
 
 * **bisect** — when no join-bound variable sits in the ordering's sort
   prefix, every solution in the group shares one probe key, so the
@@ -43,7 +44,7 @@ from ..obs import metrics as _metrics
 from ..rdf.terms import Term
 from .algebra import TriplePattern, Var
 from .paths import Path
-from .plan import PlanStep, SEGMENT_ORDERINGS, choose_access
+from .plan import PlanStep, choose_access
 
 __all__ = ["encoded_executor", "EncodedExecutor"]
 
@@ -136,8 +137,7 @@ class EncodedExecutor:
 
         # Group solutions by their *actual* bound signature — after
         # OPTIONAL/UNION the batch is heterogeneous and each group may
-        # need a different ordering (mirroring the decoded path, which
-        # re-chose per solution).
+        # need a different access path.
         groups: Dict[str, List[int]] = {}
         for index, (_, enc) in enumerate(batch):
             mask_chars = []
@@ -168,29 +168,23 @@ class EncodedExecutor:
 
     def _run_group(self, mask, indices, batch, names, const_ids, extensions):
         scope = self.scope
-        operator, ordering = choose_access(mask, scope)
-        perm = SEGMENT_ORDERINGS[ordering]
-        reader = self.graph.segment_reader(ordering)
-        graph_filter = scope if (scope is not None and ordering != "gspo") else None
-        deduplicate = scope is None  # union: same triple in several graphs
+        operator, path = choose_access(mask, self.graph)
+        reader = self.graph.segment_reader(path.ordering)
         free_positions = [p for p in (0, 1, 2) if mask[p] == "?"]
+        # The probe key, in the path's prefix order: constants (the
+        # scope's graph id included) are fixed for the group, join-bound
+        # positions come from each solution.
+        fixed = const_ids + [scope]
+        key_names = [
+            names[position] if (mask + "b")[position] == "j" else None
+            for position in path.prefix
+        ]
 
         def key_of(enc) -> Tuple[int, ...]:
-            key = []
-            for field in range(4):
-                position = perm[field]
-                if position == 3:
-                    if ordering == "gspo":
-                        key.append(scope)
-                        continue
-                    break  # union orderings never bind the graph field
-                state = mask[position]
-                if state == "?":
-                    break
-                key.append(
-                    const_ids[position] if state == "b" else enc[names[position]]
-                )
-            return tuple(key)
+            return tuple(
+                fixed[position] if name is None else enc[name]
+                for position, name in zip(path.prefix, key_names)
+            )
 
         solution_keys = [(index, key_of(batch[index][1])) for index in indices]
         unique_keys = {key for _, key in solution_keys}
@@ -211,9 +205,7 @@ class EncodedExecutor:
             for key in sorted(unique_keys):
                 lo = reader.gallop_left(key, cursor)
                 hi = reader.gallop_left(key[:-1] + (key[-1] + 1,), lo)
-                matches[key] = self._materialize(
-                    reader, lo, hi, perm, graph_filter, deduplicate
-                )
+                matches[key] = list(path.triples(reader, lo, hi, scope))
                 cursor = hi
         else:
             # Either no join-bound prefix position (every solution in
@@ -221,9 +213,7 @@ class EncodedExecutor:
             # merge demoted above: one bisect per distinct key.
             for key in unique_keys:
                 lo, hi = reader.range_for_prefix(key)
-                matches[key] = self._materialize(
-                    reader, lo, hi, perm, graph_filter, deduplicate
-                )
+                matches[key] = list(path.triples(reader, lo, hi, scope))
 
         for index, key in solution_keys:
             orig, enc = batch[index]
@@ -244,29 +234,3 @@ class EncodedExecutor:
                         break
                 if compatible:
                     slot.append((orig, new_enc))
-
-    @staticmethod
-    def _materialize(reader, lo, hi, perm, graph_filter, deduplicate):
-        """Record range → (s, p, o) id triples, permuted back, with the
-        graph id filtered (single-graph over a union ordering) or
-        adjacent duplicates collapsed (union scope: graph sorts last, so
-        the same triple from several graphs is adjacent)."""
-        triples: List[Tuple[int, int, int]] = []
-        record = reader.record
-        last = None
-        for index in range(lo, hi):
-            rec = record(index)
-            if graph_filter is not None and rec[3] != graph_filter:
-                continue
-            if deduplicate:
-                head = rec[:3]
-                if head == last:
-                    continue
-                last = head
-            ids = [0, 0, 0]
-            for field in range(4):
-                position = perm[field]
-                if position != 3:
-                    ids[position] = rec[field]
-            triples.append((ids[0], ids[1], ids[2]))
-        return triples

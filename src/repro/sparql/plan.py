@@ -87,7 +87,6 @@ __all__ = [
     "QueryPlan",
     "QueryProfile",
     "ProfileCollector",
-    "SEGMENT_ORDERINGS",
     "build_plan",
     "choose_access",
     "plan_bgp_steps",
@@ -195,53 +194,20 @@ class PlanStep:
     ordering: Optional[str] = None
 
 
-#: Mirrors :data:`repro.store.segments.ORDERINGS`.  The planner must
-#: stay store-agnostic (sparql does not import from repro.store), so the
-#: permutations are restated here; a test pins the two in lockstep.
-SEGMENT_ORDERINGS = {
-    "spog": (0, 1, 2, 3),
-    "posg": (1, 2, 0, 3),
-    "ospg": (2, 0, 1, 3),
-    "gspo": (3, 0, 1, 2),
-}
-
-#: Union-scope ordering preference: first ordering whose sort prefix
-#: covers the pattern's bound positions wins.  Mirrors the dispatch in
-#: ``StoreGraph._match_ids`` — every subset of {s, p, o} is a prefix of
-#: exactly one entry when probed in this order.
-_UNION_PREFERENCE = (
-    ("spog", (0, 1, 2)),
-    ("posg", (1, 2, 0)),
-    ("ospg", (2, 0, 1)),
-)
-
-
-def choose_access(mask: str, scope: Optional[int]) -> Tuple[str, str]:
-    """(operator, ordering) for one pattern under a graph scope.
+def choose_access(mask: str, graph):
+    """(operator, access path) for one pattern on a store-backed graph.
 
     *mask* is the s/p/o bound mask ('b' constant, 'j' join-bound, '?'
-    free); *scope* is ``None`` for the union of all graphs or a graph id
-    for a single-graph view.  The ordering is the one whose sort prefix
-    covers every bound position — single-graph scopes prefer ``gspo``
-    when the bound set is an (s, p, o) chain prefix (the graph id leads
-    the key), else fall back to a union ordering with the graph id
-    filtered per record.  The operator is "merge" when any prefix
-    position is join-bound: the executor sorts the batch's keys and
-    advances a monotone galloping cursor instead of bisecting from
-    scratch per binding.
+    free).  Which ordering and sort prefix answer it is the store's
+    decision (``graph.access_path``); the operator is the executor's:
+    "merge" when any position of that prefix is join-bound — the
+    executor sorts the batch's keys and advances a monotone galloping
+    cursor instead of bisecting from scratch per binding — else
+    "bisect".  (Prefix position 3 is the scope's graph id, a constant.)
     """
-    bound = [i for i, c in enumerate(mask) if c != "?"]
-    bound_set = set(bound)
-    if scope is not None and bound_set == set(range(len(bound))):
-        prefix_positions: Tuple[int, ...] = tuple(range(len(bound)))
-        ordering = "gspo"
-    else:
-        for ordering, prefix in _UNION_PREFERENCE:
-            if set(prefix[: len(bound)]) == bound_set:
-                prefix_positions = prefix[: len(bound)]
-                break
-    operator = "merge" if any(mask[i] == "j" for i in prefix_positions) else "bisect"
-    return operator, ordering
+    path = graph.access_path(*(state != "?" for state in mask))
+    joined = any((mask + "b")[position] == "j" for position in path.prefix)
+    return ("merge" if joined else "bisect"), path
 
 
 def _access_annotator(patterns: List[TriplePattern], graph):
@@ -265,7 +231,6 @@ def _access_annotator(patterns: List[TriplePattern], graph):
         index = probe() if callable(probe) else None
     if scope_of is None and index is None:
         return lambda mask, tp: (None, None)
-    scope = scope_of() if scope_of is not None else None
 
     def annotate(mask, tp):
         if isinstance(tp.predicate, Path):
@@ -275,7 +240,8 @@ def _access_annotator(patterns: List[TriplePattern], graph):
             return (None, None)
         if scope_of is None or has_path:
             return (None, None)
-        return choose_access(mask, scope)
+        operator, path = choose_access(mask, graph)
+        return operator, path.ordering
 
     return annotate
 

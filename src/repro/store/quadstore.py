@@ -46,13 +46,12 @@ Invariants the readers rely on:
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..obs import events as _events
 from ..obs import metrics as _metrics
@@ -60,11 +59,17 @@ from ..rdf.terms import Term
 from . import spill as _spill_io
 from .dictionary import DEFAULT_DECODE_CACHE_SIZE, TermDictionary, decode_term
 from .segments import (
+    ACCESS_PATHS,
     ORDERINGS,
+    AccessPath,
     SegmentReader,
+    StoreError,
+    atomic_write_json,
+    iter_records,
+    merge_distinct,
     permute,
     segment_filename,
-    write_segment_stream,
+    write_records,
 )
 from .wal import WriteAheadLog
 
@@ -95,10 +100,6 @@ _SPILL_QUADS = _metrics.counter(
 )
 
 Quad = Tuple[int, int, int, int]  # (s, p, o, g); g == 0 means default graph
-
-
-class StoreError(RuntimeError):
-    """Raised on store misuse or an unreadable/incompatible store."""
 
 
 def _empty_manifest() -> Dict:
@@ -141,8 +142,6 @@ class QuadStore:
                 )
         else:
             self.manifest = _empty_manifest()
-        self.dictionary = TermDictionary(self.path, decode_cache_size=decode_cache_size)
-        self.wal = WriteAheadLog(self.path)
         self._segments: Dict[str, SegmentReader] = {}
         # Cumulative bisect probes from readers retired by compaction;
         # keeps store_info() monotonic across segment rewrites.
@@ -153,7 +152,11 @@ class QuadStore:
         # old inode), so retiring instead of closing gives every scan a
         # consistent snapshot; close() releases them all.
         self._retired_readers: List[SegmentReader] = []
+        # Before the dictionary and WAL: a torn segment refuses the open
+        # with nothing else held.
         self._open_segments()
+        self.dictionary = TermDictionary(self.path, decode_cache_size=decode_cache_size)
+        self.wal = WriteAheadLog(self.path)
         # Pending (WAL-committed but uncompacted) state.  Files and
         # prefixes stay cumulative across spills (they are tiny); quads
         # are flushed to spill runs whenever they exceed the budget.
@@ -291,10 +294,6 @@ class QuadStore:
         # Runtime counters live apart from the structural sizes above:
         # "segments" must be reproducible across reopen, probe counts are
         # a property of the queries this process happened to run.
-        segment_probes = {
-            name: self._probe_totals[name] + self._segments[name].probes
-            for name in ORDERINGS
-        }
         return {
             "path": str(self.path),
             "generation": self.generation,
@@ -312,7 +311,7 @@ class QuadStore:
                 "quad_records": self._spill_state.get("quad_records", 0),
             },
             "segments": segment_sizes,
-            "segment_probes": segment_probes,
+            "segment_probes": self._segment_probes(),
             "path_index": index.info() if index is not None else None,
         }
 
@@ -325,10 +324,14 @@ class QuadStore:
         delta between two samples is the cost of the work in between.
         """
         with self._lock:
-            probes = 0
-            for name in ORDERINGS:
-                probes += self._probe_totals[name] + self._segments[name].probes
-            return probes, self.dictionary.cache_hits
+            return sum(self._segment_probes().values()), self.dictionary.cache_hits
+
+    def _segment_probes(self) -> Dict[str, int]:
+        """Per-ordering bisect probes: retired readers' plus the live one's."""
+        return {
+            name: self._probe_totals[name] + self._segments[name].probes
+            for name in ORDERINGS
+        }
 
     # -- ingest (single-writer) ---------------------------------------------
 
@@ -465,9 +468,15 @@ class QuadStore:
         and the runs from double-holding the same quads on disk.
         """
         batch_id = len(self._spill_state["batches"])
-        counts = _spill_io.write_spill_batch(
-            self.path, batch_id, self._pending_quads
-        )
+        # Runs deduplicate within the batch; cross-batch duplicates fall
+        # out in the compaction merge.
+        counts = {
+            name: write_records(
+                _spill_io.spill_run_path(self.path, batch_id, name),
+                self._pending_records(name), 4,
+            )
+            for name in ORDERINGS
+        }
         self.dictionary.fold_delta()
         state = {
             "format_version": _spill_io.SPILL_FORMAT_VERSION,
@@ -491,28 +500,19 @@ class QuadStore:
             quads=counts["spog"],
         )
 
+    def _pending_records(self, name: str) -> List[Tuple[int, int, int, int]]:
+        """The pending quads as sorted distinct records of ordering *name*."""
+        return sorted({permute(q, name) for q in self._pending_quads})
+
     def _merged_records(self, name: str) -> Iterator[Tuple[int, int, int, int]]:
         """All records for ordering *name*: current segment, every spill
-        run, and the residual pending set, k-way merged and deduplicated.
-
-        Every source is individually sorted and duplicate-free, so the
-        one-record lookbehind yields the exact sorted distinct union the
-        in-memory ``sorted(set(...))`` build produced — same bytes.
-        """
-        sources: List[Iterator[Tuple[int, int, int, int]]] = [
-            self._segments[name].scan()
-        ]
+        run, and the residual pending set, k-way merged and deduplicated."""
+        sources = [self._segments[name].scan()]
         for batch in self._spill_state["batches"]:
-            sources.append(_spill_io.iter_spill_run(self.path, batch["id"], name))
-        if self._pending_quads:
-            sources.append(
-                iter(sorted({permute(q, name) for q in self._pending_quads}))
-            )
-        last: Optional[Tuple[int, int, int, int]] = None
-        for record in heapq.merge(*sources):
-            if record != last:
-                last = record
-                yield record
+            run = _spill_io.spill_run_path(self.path, batch["id"], name)
+            sources.append(iter_records(run, 4))
+        sources.append(self._pending_records(name))
+        return merge_distinct(*sources)
 
     # -- compaction ---------------------------------------------------------
 
@@ -522,8 +522,7 @@ class QuadStore:
         with self._lock:
             if self._file_relpath is not None:
                 raise StoreError("compact() during an in-flight file ingest")
-            if not (self._pending_quads or self._pending_files
-                    or self._pending_prefixes or self._spill_state["batches"]):
+            if not self.has_pending():
                 return
             compact_started = time.perf_counter()
             # Each ordering streams through an external merge of the
@@ -532,18 +531,21 @@ class QuadStore:
             # readers stay open across the rewrite: the tmp file +
             # atomic rename leaves their mapped inode intact, and
             # _open_segments() retires them after the new generation is
-            # committed.  gspo's leading field is the graph id, so the
-            # distinct non-zero graphs fall out of its stream for free.
-            segment_counts: Dict[str, int] = {}
-            graphs: List[int] = []
-            for name in ORDERINGS:
-                records = self._merged_records(name)
-                if name == "gspo":
-                    records = self._tap_graphs(records, graphs)
-                segment_counts[name] = write_segment_stream(
-                    self.path / segment_filename(name), records
+            # committed.
+            segment_counts = {
+                name: write_records(
+                    self.path / segment_filename(name), self._merged_records(name), 4
                 )
+                for name in ORDERINGS
+            }
             quad_count = segment_counts["spog"]
+            # gspo's leading field is the graph id: the named graphs are
+            # its distinct non-zero values, a bisect jump apiece.
+            gspo = SegmentReader(self.path / segment_filename("gspo"))
+            try:
+                graphs = [g for g in gspo.distinct() if g != 0]
+            finally:
+                gspo.close()
             self.dictionary.compact()
             prefixes = dict(self.manifest["prefixes"])
             for prefix, base in self._pending_prefixes:
@@ -581,36 +583,8 @@ class QuadStore:
                 duration_s=round(compact_elapsed, 6),
             )
 
-    @staticmethod
-    def _tap_graphs(records: Iterator[Tuple[int, int, int, int]],
-                    graphs: List[int]) -> Iterator[Tuple[int, int, int, int]]:
-        """Collect distinct leading fields (sorted input) while passing
-        records through; zero (the default graph) is skipped."""
-        last = 0
-        for record in records:
-            g = record[0]
-            if g != last:
-                last = g
-                if g != 0:
-                    graphs.append(g)
-            yield record
-
-    def drop_files(self, relpaths: Iterable[str]) -> None:
-        """Forget manifest entries for vanished source files (their quads
-        are handled by the caller via :meth:`reset` + re-ingest)."""
-        with self._lock:
-            files = dict(self.manifest["files"])
-            for relpath in relpaths:
-                files.pop(relpath, None)
-            self.manifest["files"] = files
-            self._write_manifest()
-
     def _write_manifest(self) -> None:
-        tmp = self.path / (MANIFEST_FILE + ".tmp")
-        tmp.write_text(json.dumps(self.manifest, indent=2, sort_keys=True) + "\n")
-        with open(tmp, "rb") as handle:
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path / MANIFEST_FILE)
+        atomic_write_json(self.path / MANIFEST_FILE, self.manifest)
 
     # -- read path -----------------------------------------------------------
 
@@ -620,6 +594,28 @@ class QuadStore:
         its mmap valid) until :meth:`close`."""
         with self._lock:
             return self._segments[name]
+
+    def locate(
+        self, s: Optional[int], p: Optional[int], o: Optional[int],
+        graph_id: Optional[int] = None,
+    ) -> Tuple[AccessPath, SegmentReader, int, int]:
+        """The access path answering a pattern of bound ids (``None`` =
+        free) in a scope (``None`` = union of all graphs), the reader of
+        its ordering, and the record range ``[lo, hi)`` of its prefix."""
+        path = ACCESS_PATHS[(s is not None, p is not None, o is not None,
+                             graph_id is not None)]
+        reader = self.segment(path.ordering)
+        quad = (s, p, o, graph_id)
+        lo, hi = reader.range_for_prefix(tuple(quad[i] for i in path.prefix))
+        return path, reader, lo, hi
+
+    def match_ids(
+        self, s: Optional[int], p: Optional[int], o: Optional[int],
+        graph_id: Optional[int] = None,
+    ) -> Iterator[Tuple[int, int, int]]:
+        """Distinct (s, p, o) id triples matching the bound ids."""
+        path, reader, lo, hi = self.locate(s, p, o, graph_id)
+        return path.triples(reader, lo, hi, graph_id)
 
     def path_index(self):
         """The live :class:`~repro.pathindex.index.PathIndex` for the

@@ -1,19 +1,22 @@
-"""Bounded-memory spill runs for the external-merge segment build.
+"""Spill-run naming and the ``spill.json`` commit point.
 
 When an ingest accumulates more pending (WAL-committed, uncompacted)
 quads than the store's ``spill_quad_budget``, the pending set is flushed
 to *spill runs*: one sorted run file per segment ordering, holding the
-batch's quads already permuted into that ordering's sort order, in the
-segment record format (16-byte ``<4I``).  Compaction then k-way merges
-the current segment with every run (plus the residual pending set) into
-the new segment — the same sorted, duplicate-free record stream the
-in-memory sort produced, so segment bytes are identical either way.
+batch's quads already permuted into that ordering's sort order — plain
+width-four record files written and read back through
+:mod:`repro.store.segments`.  Compaction then k-way merges the current
+segment with every run (plus the residual pending set) into the new
+segment — the same sorted, duplicate-free record stream the in-memory
+sort produced, so segment bytes are identical either way.  This module
+owns what is particular to spilling: how runs are named, the state file
+that commits them, and the sweep of runs no state file lists.
 
 Durability
 ----------
 ``spill.json`` is the mini commit point of a spill:
 
-1. run files for the batch are written (tmp + fsync + atomic rename);
+1. run files for the batch are written (``atomic_write``);
 2. the dictionary delta is folded into the persisted dict files;
 3. ``spill.json`` is atomically replaced, now listing the batch along
    with the cumulative ingested-file digests and prefix bindings that
@@ -34,17 +37,14 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 from pathlib import Path
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict
 
-from .segments import ORDERINGS, permute
+from .segments import ORDERINGS, atomic_write_json
 
 __all__ = [
     "SPILL_STATE_FILE",
     "SPILL_FORMAT_VERSION",
-    "write_spill_batch",
-    "iter_spill_run",
     "spill_run_path",
     "read_spill_state",
     "write_spill_state",
@@ -55,55 +55,9 @@ __all__ = [
 SPILL_STATE_FILE = "spill.json"
 SPILL_FORMAT_VERSION = 1
 
-_RECORD = struct.Struct("<4I")
-_READ_RECORDS = 65536  # records per read() when streaming a run
-
 
 def spill_run_path(directory: Path, batch_id: int, ordering: str) -> Path:
     return Path(directory) / f"spill-{batch_id:06d}.{ordering}.run"
-
-
-def write_spill_batch(
-    directory: Path,
-    batch_id: int,
-    quads: Sequence[Tuple[int, int, int, int]],
-) -> Dict[str, int]:
-    """Write one batch of pending quads as four sorted run files.
-
-    Returns per-ordering record counts (all equal — runs deduplicate
-    within the batch; cross-batch duplicates fall out in the merge).
-    """
-    counts: Dict[str, int] = {}
-    for ordering in ORDERINGS:
-        records = sorted({permute(q, ordering) for q in quads})
-        path = spill_run_path(directory, batch_id, ordering)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as handle:
-            buffer = bytearray()
-            for record in records:
-                buffer += _RECORD.pack(*record)
-                if len(buffer) >= (1 << 20):
-                    handle.write(buffer)
-                    del buffer[:]
-            if buffer:
-                handle.write(buffer)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        counts[ordering] = len(records)
-    return counts
-
-
-def iter_spill_run(directory: Path, batch_id: int, ordering: str
-                   ) -> Iterator[Tuple[int, int, int, int]]:
-    """Stream one run file's records in order, in bounded chunks."""
-    path = spill_run_path(directory, batch_id, ordering)
-    with open(path, "rb") as handle:
-        while True:
-            chunk = handle.read(_READ_RECORDS * _RECORD.size)
-            if not chunk:
-                return
-            yield from _RECORD.iter_unpack(chunk)
 
 
 # -- spill state (the mini commit point) ------------------------------------
@@ -119,27 +73,14 @@ def read_spill_state(directory: Path) -> Dict:
 
 
 def write_spill_state(directory: Path, state: Dict) -> None:
-    path = Path(directory) / SPILL_STATE_FILE
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(state, indent=2, sort_keys=True) + "\n")
-    with open(tmp, "rb") as handle:
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    atomic_write_json(Path(directory) / SPILL_STATE_FILE, state)
 
 
 def remove_spill_files(directory: Path) -> None:
     """Delete every run file and the state file (post-compaction)."""
-    directory = Path(directory)
-    for name in os.listdir(directory):
-        if name.startswith("spill-") and (name.endswith(".run")
-                                          or name.endswith(".run.tmp")):
-            (directory / name).unlink()
-    state = directory / SPILL_STATE_FILE
-    if state.exists():
-        state.unlink()
-    tmp = directory / (SPILL_STATE_FILE + ".tmp")
-    if tmp.exists():
-        tmp.unlink()
+    remove_orphan_runs(directory, {})  # no state: every run is an orphan
+    for name in (SPILL_STATE_FILE, SPILL_STATE_FILE + ".tmp"):
+        (Path(directory) / name).unlink(missing_ok=True)
 
 
 def remove_orphan_runs(directory: Path, state: Dict) -> None:
@@ -147,7 +88,7 @@ def remove_orphan_runs(directory: Path, state: Dict) -> None:
     state write left them; their quads are still in the WAL)."""
     directory = Path(directory)
     committed = {
-        f"spill-{batch['id']:06d}.{ordering}.run"
+        spill_run_path(directory, batch["id"], ordering).name
         for batch in state.get("batches", ())
         for ordering in ORDERINGS
     }

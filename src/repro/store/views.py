@@ -29,6 +29,7 @@ from ..rdf.namespace import NamespaceManager
 from ..rdf.terms import BlankNode, IRI, Term
 from ..rdf.triple import Object, Predicate, Quad, Subject, Triple
 from .quadstore import QuadStore
+from .segments import ACCESS_PATHS
 
 __all__ = ["StoreGraph", "StoreDataset", "StoreWriteError"]
 
@@ -104,6 +105,11 @@ class StoreGraph(Graph):
         """
         return self._graph_id
 
+    def access_path(self, s_bound: bool, p_bound: bool, o_bound: bool):
+        """The store's :class:`~repro.store.segments.AccessPath` for a
+        pattern with these positions bound, in this graph's scope."""
+        return ACCESS_PATHS[(s_bound, p_bound, o_bound, self._graph_id is not _UNION)]
+
     def segment_reader(self, name: str):
         """The store's current :class:`SegmentReader` for *name*."""
         return self._store.segment(name)
@@ -165,59 +171,7 @@ class StoreGraph(Graph):
 
     def _match_ids(self, s, p, o) -> Iterator[Tuple[int, int, int]]:
         """Yield distinct (s, p, o) id triples matching the bound ids."""
-        store = self._store
-        gid = self._graph_id
-        if gid is _UNION:
-            # Orderings keep the graph id last, so duplicates across
-            # graphs are adjacent: scan_distinct_triples collapses them.
-            if s is not None:
-                if p is not None:
-                    prefix = (s, p, o) if o is not None else (s, p)
-                    yield from store.segment("spog").scan_distinct_triples(prefix)
-                elif o is not None:
-                    for o_, s_, p_ in store.segment("ospg").scan_distinct_triples((o, s)):
-                        yield (s_, p_, o_)
-                else:
-                    yield from store.segment("spog").scan_distinct_triples((s,))
-            elif p is not None:
-                prefix = (p, o) if o is not None else (p,)
-                for p_, o_, s_ in store.segment("posg").scan_distinct_triples(prefix):
-                    yield (s_, p_, o_)
-            elif o is not None:
-                for o_, s_, p_ in store.segment("ospg").scan_distinct_triples((o,)):
-                    yield (s_, p_, o_)
-            else:
-                yield from store.segment("spog").scan_distinct_triples(())
-            return
-        # Single-graph scope: gspo gives a contiguous range whenever the
-        # bound fields form a (g, s[, p[, o]]) prefix; otherwise the union
-        # orderings narrow the range and the graph id is filtered.
-        if s is not None:
-            if p is None and o is not None:
-                # (s, ?, o): gspo can't include o in the prefix, ospg can.
-                for o_, s_, p_, g_ in store.segment("ospg").scan((o, s)):
-                    if g_ == gid:
-                        yield (s_, p_, o_)
-                return
-            prefix = (gid, s)
-            if p is not None:
-                prefix += (p,)
-                if o is not None:
-                    prefix += (o,)
-            for _, s_, p_, o_ in store.segment("gspo").scan(prefix):
-                yield (s_, p_, o_)
-        elif p is not None:
-            prefix = (p, o) if o is not None else (p,)
-            for p_, o_, s_, g_ in store.segment("posg").scan(prefix):
-                if g_ == gid:
-                    yield (s_, p_, o_)
-        elif o is not None:
-            for o_, s_, p_, g_ in store.segment("ospg").scan((o,)):
-                if g_ == gid:
-                    yield (s_, p_, o_)
-        else:
-            for _, s_, p_, o_ in store.segment("gspo").scan((gid,)):
-                yield (s_, p_, o_)
+        return self._store.match_ids(s, p, o, self._graph_id)
 
     def triples(
         self,
@@ -240,45 +194,29 @@ class StoreGraph(Graph):
         encoded = self._encode_pattern(subject, predicate, obj)
         if encoded is None:
             return 0
-        s, p, o = encoded
-        store = self._store
         gid = self._graph_id
-        if gid is _UNION:
-            if s is None and p is None and o is None:
-                return len(self)
-            # Count distinct (s, p, o): O(range) lookbehind dedup, with a
-            # fast path when the pattern is fully bound.
-            if s is not None and p is not None and o is not None:
-                return 1 if store.segment("spog").count_prefix((s, p, o)) else 0
-            return sum(1 for _ in self._match_ids(s, p, o))
-        if s is not None and (p is not None or o is None):
-            prefix = (gid, s)
-            if p is not None:
-                prefix += (p,)
-                if o is not None:
-                    prefix += (o,)
-            return store.segment("gspo").count_prefix(prefix)
-        if s is None and p is None and o is None:
-            return store.segment("gspo").count_prefix((gid,))
-        return sum(1 for _ in self._match_ids(s, p, o))
+        if gid is _UNION and encoded == (None, None, None):
+            return len(self)
+        path, reader, lo, hi = self._store.locate(*encoded, gid)
+        if path.collapse or path.filter:
+            return sum(1 for _ in path.triples(reader, lo, hi, gid))
+        return hi - lo  # the range is the answer
 
     # -- container protocol --------------------------------------------------
 
     def __len__(self) -> int:
+        if self._graph_id is not _UNION:
+            return self.count()
         store = self._store
-        if self._graph_id is _UNION:
-            cached = self._union_size
-            if cached is not None and cached[0] == store.generation:
-                return cached[1]
-            size = store.segment("spog").count_distinct_triples(())
-            self._union_size = (store.generation, size)
-            return size
-        return store.segment("gspo").count_prefix((self._graph_id,))
+        cached = self._union_size
+        if cached is not None and cached[0] == store.generation:
+            return cached[1]
+        size = sum(1 for _ in self._match_ids(None, None, None))
+        self._union_size = (store.generation, size)
+        return size
 
     def __bool__(self) -> bool:
-        if self._graph_id is _UNION:
-            return len(self._store.segment("spog")) > 0
-        return bool(self._store.segment("gspo").count_prefix((self._graph_id,)))
+        return next(self._match_ids(None, None, None), None) is not None
 
     def __contains__(self, triple) -> bool:
         s, p, o = Graph._as_terms(triple)
@@ -299,22 +237,15 @@ class StoreGraph(Graph):
     # -- enumeration helpers -------------------------------------------------
 
     def predicates(self, subject: Optional[Subject] = None) -> Iterator[Predicate]:
-        if subject is not None:
-            encoded = self._encode_pattern(subject, None, None)
-            if encoded is None:
-                return
-            seen: Set[int] = set()
-            for _, p, _ in self._match_ids(encoded[0], None, None):
-                if p not in seen:
-                    seen.add(p)
-                    yield self._store.term(p)
-            return
-        if self._graph_id is _UNION:
+        if subject is None and self._graph_id is _UNION:
             for p in self._store.segment("posg").distinct(()):
                 yield self._store.term(p)
             return
-        seen = set()
-        for _, p, _ in self._match_ids(None, None, None):
+        encoded = self._encode_pattern(subject, None, None)
+        if encoded is None:
+            return
+        seen: Set[int] = set()
+        for _, p, _ in self._match_ids(*encoded):
             if p not in seen:
                 seen.add(p)
                 yield self._store.term(p)

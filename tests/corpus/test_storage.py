@@ -39,6 +39,42 @@ class TestWrite:
         assert {"run_id", "system", "domain", "status", "path", "format"} <= set(entry)
 
 
+class TestTripleCount:
+    def test_carried_count_is_the_merged_graph_size(self, corpus):
+        for trace in corpus.traces:
+            assert trace.triples == len(trace.graph()), trace.run_id
+
+    def test_build_and_write_exports_each_trace_once(self, tmp_path, monkeypatch):
+        """Writing a trace counts its triples from the graph the build
+        already serialised, not from a second PROV → RDF export."""
+        from repro.corpus import CorpusBuilder
+        from repro.corpus import builder as builder_module
+        from repro.corpus.storage import build_and_write
+
+        builder = CorpusBuilder(seed=2013)
+        by_id, plan = builder.plan()
+        taverna = [e for e in plan if by_id[e.template_id].system == "taverna"]
+        wings = [e for e in plan if by_id[e.template_id].system == "wings"]
+        short = taverna[:1] + wings[:2]
+        monkeypatch.setattr(builder, "plan", lambda: (by_id, short))
+        exports = []
+        for name in ("to_graph", "to_dataset"):
+            real = getattr(builder_module, name)
+
+            def counted(document, _real=real, _name=name):
+                exports.append(_name)
+                return _real(document)
+
+            monkeypatch.setattr(builder_module, name, counted)
+        manifest_path = build_and_write(builder, tmp_path / "corpus")
+        assert sorted(exports) == ["to_dataset", "to_dataset", "to_graph"]
+        stored = load_corpus(tmp_path / "corpus")
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["statistics"]["triples"] == sum(
+            len(trace.graph()) for trace in stored.traces
+        )
+
+
 class TestLoad:
     def test_roundtrip_counts(self, corpus_dir):
         stored = load_corpus(corpus_dir)

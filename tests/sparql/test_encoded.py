@@ -8,6 +8,8 @@ sets across the inputs.
 """
 
 import dataclasses
+import inspect
+import os
 
 import pytest
 
@@ -210,18 +212,68 @@ class TestPlannerSeeding:
         assert rows[2].get("end") is None
 
 
+def _scoped_graph(tmp_path, graph_id):
+    """A store-backed graph over an empty store: the access-path
+    capability reads no file, only the graph's scope."""
+    from repro.store import QuadStore, StoreGraph
+
+    return StoreGraph(QuadStore(tmp_path / "store"), graph_id=graph_id)
+
+
 class TestOrderingLockstep:
-    def test_plan_orderings_match_segment_orderings(self):
-        """plan.py restates the segment permutations so the sparql layer
-        never imports repro.store; this pins the two copies together."""
-        from repro.sparql.plan import SEGMENT_ORDERINGS
+    def test_plan_orderings_match_segment_orderings(self, tmp_path):
+        """Every ordering the planner can annotate (8 bound masks × 2
+        scopes) is one the store keeps, and the planner states no
+        permutation of its own — it asks the graph."""
+        import repro.sparql.plan as plan
         from repro.store.segments import ORDERINGS
 
-        assert SEGMENT_ORDERINGS == ORDERINGS
+        annotated = set()
+        for graph_id in (None, 7):
+            graph = _scoped_graph(tmp_path, graph_id)
+            for index in range(8):
+                mask = "".join("b" if index >> bit & 1 else "?" for bit in range(3))
+                annotated.add(plan.choose_access(mask, graph)[1].ordering)
+            graph._store.close()
+        assert annotated == set(ORDERINGS)
+        import repro.sparql.encoded as encoded
+
+        for module in (plan, encoded):
+            source = inspect.getsource(module)
+            for name in ORDERINGS:
+                assert f'"{name}"' not in source and f"'{name}'" not in source
+
+    def test_sparql_imports_neither_store_nor_pathindex(self):
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, repro.sparql\n"
+            "print([m for m in sys.modules"
+            " if m.startswith(('repro.store', 'repro.pathindex'))])"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            check=True, env={"PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.stdout.strip() == "[]"
 
 
 class TestChooseAccess:
-    """choose_access must replicate StoreGraph._match_ids dispatch."""
+    """The published contract of the access dispatch: the ordering comes
+    from the store's table (through ``graph.access_path``), the operator
+    from the planner's reading of that path's prefix."""
+
+    @staticmethod
+    def _chosen(tmp_path, mask, graph_id):
+        from repro.sparql.plan import choose_access
+
+        graph = _scoped_graph(tmp_path, graph_id)
+        try:
+            operator, path = choose_access(mask, graph)
+        finally:
+            graph._store.close()
+        return operator, path.ordering
 
     @pytest.mark.parametrize(
         "mask,expected",
@@ -241,10 +293,8 @@ class TestChooseAccess:
             ("bbj", ("merge", "spog")),
         ],
     )
-    def test_union_scope(self, mask, expected):
-        from repro.sparql.plan import choose_access
-
-        assert choose_access(mask, None) == expected
+    def test_union_scope(self, tmp_path, mask, expected):
+        assert self._chosen(tmp_path, mask, None) == expected
 
     @pytest.mark.parametrize(
         "mask,expected",
@@ -265,10 +315,8 @@ class TestChooseAccess:
             ("b?b", ("bisect", "ospg")),
         ],
     )
-    def test_single_graph_scope(self, mask, expected):
-        from repro.sparql.plan import choose_access
-
-        assert choose_access(mask, 7) == expected
+    def test_single_graph_scope(self, tmp_path, mask, expected):
+        assert self._chosen(tmp_path, mask, 7) == expected
 
 
 class TestQueryParity:
