@@ -42,6 +42,29 @@ only a request that errored (status ≥ 400) or took at least
 ring — ``GET /trace/<id>`` answers 404 once a record is evicted or was
 never retained.
 
+Connections are persistent (HTTP/1.1): one handler thread per connection
+answers request after request until the client sends ``Connection:
+close`` (or speaks HTTP/1.0), goes quiet for ``SOCKET_TIMEOUT_S`` — the
+idle connection is then closed without an answer and without being
+counted as a request — or the endpoint stops (:meth:`SparqlEndpoint.stop`
+shuts every live connection).  Every response carries ``Content-Length``
+and leaves in one socket write, head and body together, with
+``TCP_NODELAY`` set; two writes would stall each reused-connection answer
+on Nagle × delayed ACK.  A response written while declared request body
+is still unread — malformed, negative or oversized ``Content-Length``
+(400 / 413), a stalled or short body (408 / 400), a body on a route that
+takes none — says ``Connection: close`` and closes, so leftover body
+bytes are never parsed as the next request.
+``repro_http_connections_total`` beside ``repro_http_requests_total``
+gives connections per request.
+
+SELECT answers are serialised once: the encoded body is memoised per
+media type on the immutable :class:`~repro.sparql.results.ResultTable`
+(:meth:`~repro.sparql.results.ResultTable.encoded`), so a result-cache
+hit writes the bytes its miss produced (``Server-Timing: ser`` ≈ 0), the
+bytes are evicted with their cache entry, and ``cache_size=0`` serialises
+every answer afresh.
+
 The server is a ``ThreadingHTTPServer`` sharing one
 :class:`~repro.sparql.evaluator.QueryEngine` across worker threads — the
 engine's result/statistics caches are lock-protected.  Request latency
@@ -56,6 +79,8 @@ tests and examples can exercise it in-process.
 from __future__ import annotations
 
 import json
+import socket
+import sys
 import threading
 import time
 import urllib.parse
@@ -74,7 +99,7 @@ from ..store import wal as _wal  # noqa: F401  (declares the WAL metric families
 from ..rdf.graph import Dataset, Graph
 from ..rdf.turtle import serialize_turtle
 from ..sparql.evaluator import DEFAULT_RESULT_CACHE_SIZE, QueryEngine
-from ..sparql.results import ResultTable
+from ..sparql.results import CSV, SPARQL_JSON, ResultTable
 from ..sparql.tokenizer import SparqlSyntaxError
 
 __all__ = ["SparqlEndpoint"]
@@ -93,6 +118,9 @@ _KNOWN_ROUTES = ("/", "/sparql", "/stats", "/metrics", "/healthz", "/slowlog",
 
 _HTTP_REQUESTS = _metrics.counter(
     "repro_http_requests_total", "HTTP requests served", labels=("route", "status")
+)
+_HTTP_CONNECTIONS = _metrics.counter(
+    "repro_http_connections_total", "TCP connections accepted"
 )
 _HTTP_INFLIGHT = _metrics.gauge(
     "repro_endpoint_inflight_requests",
@@ -133,16 +161,27 @@ class _Handler(BaseHTTPRequestHandler):
     """Request handler bound to an engine via the server instance."""
 
     server_version = "ProvBenchSPARQL/1.1"
+    # Persistent connections: the stdlib keeps reading requests off the
+    # socket until ``close_connection`` is set — by the client's
+    # ``Connection: close`` or HTTP/1.0 request line, by ``_send`` for an
+    # answer that leaves request body unread, or by the idle timeout.
+    protocol_version = "HTTP/1.1"
+    # A response is one small-to-medium write with nothing behind it to
+    # coalesce with: Nagle could only ever delay it.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # keep test output clean
 
     def setup(self):
         # The stdlib applies ``timeout`` to the connection here; a quiet
-        # client then times out of the request-line/header read inside
-        # ``handle_one_request``, which closes the connection.
+        # client — before its first request or between two — then times
+        # out of the request-line/header read inside
+        # ``handle_one_request``, which closes the connection unanswered
+        # and uncounted.
         self.timeout = SOCKET_TIMEOUT_S
         super().setup()
+        _HTTP_CONNECTIONS.inc()
 
     # -- protocol ------------------------------------------------------------
 
@@ -164,6 +203,12 @@ class _Handler(BaseHTTPRequestHandler):
         outside every engine lock: a retained record enters the ring and
         is the event line, any other leaves its four endpoint fields."""
         self._started = time.perf_counter()
+        # A declared request body sits unread on the socket until
+        # ``_do_post`` has taken all of it.  An answer written before
+        # then (``_send``) closes the connection, so leftover body bytes
+        # are never parsed as the next request.
+        self._body_unread = ("Content-Length" in self.headers
+                             or "Transfer-Encoding" in self.headers)
         parsed = urllib.parse.urlparse(self.path)
         path = parsed.path
         if path == "/trace" or path.startswith("/trace/"):
@@ -256,6 +301,8 @@ class _Handler(BaseHTTPRequestHandler):
                 f"incomplete body: Content-Length {length}, received {len(raw)} bytes",
             )
             return
+        # all of the declared length is read; a chunked body never is
+        self._body_unread = "Transfer-Encoding" in self.headers
         content_type, type_params = self._parse_content_type()
         charset = type_params.get("charset", "utf-8")
         try:
@@ -321,14 +368,13 @@ class _Handler(BaseHTTPRequestHandler):
         answered = time.perf_counter()
         record.query_ms = (answered - started) * 1000.0
         if isinstance(result, bool):
-            content_type = "application/sparql-results+json"
+            content_type = SPARQL_JSON
             payload = json.dumps({"head": {}, "boolean": result})
         elif isinstance(result, ResultTable):
-            if "text/csv" in self.headers.get("Accept", ""):
-                content_type, payload = "text/csv", result.to_csv()
-            else:
-                content_type = "application/sparql-results+json"
-                payload = result.to_json()
+            # Serialised once per table and media type: a result-cache
+            # hit hands back the table of the miss, bytes included.
+            content_type = CSV if CSV in self.headers.get("Accept", "") else SPARQL_JSON
+            payload = result.encoded(content_type)
         elif isinstance(result, Graph):
             # CONSTRUCT / DESCRIBE results are graphs, served as Turtle.
             content_type, payload = "text/turtle", serialize_turtle(result)
@@ -440,23 +486,34 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send(200, "text/plain", _profiler.render_folded(counts), extra)
 
-    def _send(self, status: int, content_type: str, body: str, extra_headers=None):
+    def _send(self, status: int, content_type: str, body: Union[str, bytes],
+              extra_headers=None):
+        """Write one response: head and body in a single socket write.
+
+        On a reused connection the stdlib's two writes (``end_headers()``,
+        then the body) would leave the body waiting on the client's
+        delayed ACK of the head — ~40 ms per response under Nagle."""
         self._finish_request(status)
-        data = body.encode("utf-8")
+        data = body.encode("utf-8") if isinstance(body, str) else body
         started = time.perf_counter()
-        self.send_response(status)
-        self.send_header("Content-Type", f"{content_type}; charset=utf-8")
-        self.send_header("Content-Length", str(len(data)))
         # Every response, 4xx/5xx included, carries the record's id and
         # duration; a query answer's extras (engine-only time) override.
         record = self._record
-        headers = {"X-Trace-Id": record.trace_id,
+        headers = {"Server": self.version_string(),
+                   "Date": self.date_time_string(),
+                   "Content-Type": f"{content_type}; charset=utf-8",
+                   "Content-Length": str(len(data)),
+                   "X-Trace-Id": record.trace_id,
                    "X-Query-Duration-ms": f"{record.duration_ms:.3f}",
                    **(extra_headers or {})}
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+        if self._body_unread:
+            self.close_connection = True
+        if self.close_connection:
+            headers["Connection"] = "close"
+        head = [f"{self.protocol_version} {status} {self.responses[status][0]}"]
+        head += [f"{name}: {value}" for name, value in headers.items()]
+        head += ["", ""]
+        self.wfile.write("\r\n".join(head).encode("latin-1") + data)
         record.write_ms = (time.perf_counter() - started) * 1000.0
 
     def _send_error(self, status: int, message: str):
@@ -467,6 +524,44 @@ class _EndpointServer(ThreadingHTTPServer):
     # TCPServer's default backlog of 5 drops connections when many clients
     # connect at once; size it for the concurrent workloads we advertise.
     request_queue_size = 128
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Accepted sockets not yet shut down.  Their handler threads are
+        # daemons that may be parked on a kept-alive socket for
+        # SOCKET_TIMEOUT_S, so stopping the accept loop alone would leave
+        # them answering.
+        self._connections: set = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        # runs on the accept thread, so nothing is added once
+        # ``shutdown()`` has returned
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address):
+        # A connection its client reset, or ``close_connections`` shut
+        # under a handler, is no server fault: no traceback on stderr.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def close_connections(self) -> None:
+        """Shut every live connection down, both directions: a handler
+        parked on one reads EOF and ends, one mid-answer fails its write."""
+        with self._connections_lock:
+            live = list(self._connections)
+        for connection in live:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # its handler closed it first
 
 
 class SparqlEndpoint:
@@ -653,10 +748,13 @@ class SparqlEndpoint:
         return self
 
     def stop(self) -> None:
+        """Stop accepting, then shut every live connection: nothing is
+        answered once this returns, kept-alive sockets included."""
         if self._thread is not None:
             self._server.shutdown()
             self._thread.join(timeout=5)
             self._thread = None
+        self._server.close_connections()
         self._server.server_close()
         if self._profiler_started:
             _profiler.stop()

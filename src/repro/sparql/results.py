@@ -15,7 +15,11 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from ..rdf.terms import BlankNode, IRI, Literal
 
-__all__ = ["ResultRow", "ResultTable"]
+__all__ = ["ResultRow", "ResultTable", "SPARQL_JSON", "CSV"]
+
+#: The two media types a :class:`ResultTable` serialises to.
+SPARQL_JSON = "application/sparql-results+json"
+CSV = "text/csv"
 
 
 class ResultRow:
@@ -83,6 +87,7 @@ class ResultTable:
     def __init__(self, variables: List[str], rows: List[Dict[str, Any]]):
         self.variables = variables
         self._rows = [ResultRow(variables, row) for row in rows]
+        self._encoded: Dict[str, bytes] = {}
 
     def __iter__(self) -> Iterator[ResultRow]:
         return iter(self._rows)
@@ -140,6 +145,26 @@ class ResultTable:
             "results": {"bindings": bindings},
         }
         return json.dumps(document, indent=2, sort_keys=True)
+
+    def encoded(self, media_type: str) -> bytes:
+        """:meth:`to_json` (``SPARQL_JSON``) or :meth:`to_csv` (``CSV``) as
+        UTF-8 bytes, serialised on first use and kept on the table.
+
+        A table is never mutated once built, so the bytes stay right for
+        as long as the table lives: an engine result cache that holds the
+        table holds its bytes too, and evicts them with it.  Two threads
+        racing on the first use both compute the same bytes.
+        """
+        data = self._encoded.get(media_type)
+        if data is None:
+            if media_type == SPARQL_JSON:
+                text = self.to_json()
+            elif media_type == CSV:
+                text = self.to_csv()
+            else:
+                raise ValueError(f"no serialisation for media type {media_type!r}")
+            data = self._encoded[media_type] = text.encode("utf-8")
+        return data
 
     def pretty(self, max_width: int = 60) -> str:
         """Fixed-width text table for console output."""

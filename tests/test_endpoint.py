@@ -1,5 +1,6 @@
 """Tests for the SPARQL endpoint (server + client)."""
 
+import io
 import json
 import socket
 import threading
@@ -247,6 +248,254 @@ class TestProtocol:
                  and not l.startswith("repro_endpoint_inflight_requests{")]
         values = [float(l.split()[-1]) for l in lines if not l.startswith("#")]
         assert values == [0.0]
+
+
+def _get(path, *headers, version="HTTP/1.1"):
+    """Bytes of one hand-written GET (no ``Connection`` header unless given)."""
+    lines = [f"GET {path} {version}", "Host: test", *headers, "", ""]
+    return "\r\n".join(lines).encode("ascii")
+
+
+def _post(content_length, body=b""):
+    """Bytes of one hand-written ``POST /sparql`` declaring *content_length*."""
+    head = (
+        "POST /sparql HTTP/1.1\r\nHost: test\r\n"
+        "Content-Type: application/sparql-query\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    )
+    return head.encode("ascii") + body
+
+
+def _sparql_path(text):
+    return "/sparql?" + urllib.parse.urlencode({"query": text})
+
+
+def _read_response(sock):
+    """One response off *sock*: (status, lower-cased headers, body).
+    Reads exactly ``Content-Length`` body bytes and not one more, so the
+    socket is left at the start of whatever the server sends next."""
+    buffer = b""
+    while b"\r\n\r\n" not in buffer:
+        chunk = sock.recv(65536)
+        assert chunk, f"EOF inside the response head: {buffer!r}"
+        buffer += chunk
+    head, _, body = buffer.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("iso-8859-1").split("\r\n")
+    headers = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = int(headers["content-length"])
+    assert len(body) <= length, "bytes past the declared body"
+    while len(body) < length:
+        chunk = sock.recv(length - len(body))
+        assert chunk, "EOF inside the response body"
+        body += chunk
+    return int(status_line.split(" ")[1]), headers, body
+
+
+def _connect(endpoint):
+    return socket.create_connection(endpoint._server.server_address[:2], timeout=5)
+
+
+def _requests_by_status():
+    """``repro_http_requests_total`` summed over routes, by status."""
+    totals = {}
+    for sample in metrics.snapshot()["repro_http_requests_total"]["samples"]:
+        status = sample["labels"]["status"]
+        totals[status] = totals.get(status, 0) + sample["value"]
+    return totals
+
+
+def _connections_total():
+    return metrics.value("repro_http_connections_total") or 0
+
+
+class TestPersistentConnections:
+    """HTTP/1.1 keep-alive: many requests per connection, one write per
+    response, and no way for unread bytes to become a request."""
+
+    ACTIVITIES = "SELECT ?x WHERE { ?x a prov:Activity } ORDER BY ?x"
+
+    def test_sequential_requests_share_one_connection(self, endpoint):
+        connections, requests = _connections_total(), _requests_by_status()
+        with _connect(endpoint) as sock:
+            for _ in range(5):
+                sock.sendall(_get(_sparql_path(self.ACTIVITIES)))
+                status, headers, body = _read_response(sock)
+                assert status == 200 and "connection" not in headers
+                values = [b["x"]["value"] for b in json.loads(body)["results"]["bindings"]]
+                assert values == ["http://example.org/r1", "http://example.org/r2"]
+            sock.sendall(_get("/healthz"))
+            assert _read_response(sock)[0] == 200
+        assert _connections_total() == connections + 1
+        after = _requests_by_status()
+        assert after.pop("200") == requests.pop("200", 0) + 6
+        assert after == requests  # nothing else was counted
+        assert TestProtocol._inflight() == 0
+
+    def test_one_socket_write_per_response(self, endpoint, monkeypatch):
+        """Head and body leave in one send.  Two would put Nagle and the
+        client's delayed ACK (~40 ms) into every reused-connection answer;
+        TCP_NODELAY is set besides."""
+        sends, nodelay = [], []
+
+        class CountingWriter(io.BufferedIOBase):
+            """The handler's unbuffered ``wfile``, counting what it sends."""
+
+            def __init__(self, connection):
+                self._connection = connection
+
+            def writable(self):
+                return True
+
+            def write(self, data):
+                sends.append(len(data))
+                self._connection.sendall(data)
+                return len(data)
+
+        original_setup = endpoint_server._Handler.setup
+
+        def setup(handler):
+            original_setup(handler)
+            handler.wfile = CountingWriter(handler.connection)
+            nodelay.append(handler.connection.getsockopt(socket.IPPROTO_TCP,
+                                                         socket.TCP_NODELAY))
+
+        monkeypatch.setattr(endpoint_server._Handler, "setup", setup)
+        received = []
+        with _connect(endpoint) as sock:
+            for path in (_sparql_path(self.ACTIVITIES), "/stats", "/sparql", "/nowhere"):
+                sock.sendall(_get(path))
+                status, headers, body = _read_response(sock)
+                received.append(int(headers["content-length"]))
+            assert status == 404
+        assert len(sends) == 4, sends
+        # each send is a whole response: its body plus a head
+        assert all(sent > length for sent, length in zip(sends, received))
+        assert len(nodelay) == 1 and nodelay[0] != 0
+
+    def test_idle_kept_alive_connection_closed_uncounted(self, endpoint, monkeypatch):
+        """After an answer the client goes quiet: the server hangs up at
+        SOCKET_TIMEOUT_S without a 408, a 500 or any other request."""
+        monkeypatch.setattr(endpoint_server, "SOCKET_TIMEOUT_S", 0.2)
+        requests = _requests_by_status()
+        with _connect(endpoint) as sock:
+            sock.sendall(_get("/healthz"))
+            assert _read_response(sock)[0] == 200
+            assert sock.recv(4096) == b""  # EOF, not a response and not a recv timeout
+        after = _requests_by_status()
+        assert after.pop("200") == requests.pop("200", 0) + 1
+        assert after == requests
+        assert TestProtocol._inflight() == 0
+
+    @pytest.mark.parametrize("request_bytes", [
+        _get("/healthz", "Connection: close"),
+        _get("/healthz", version="HTTP/1.0"),
+    ], ids=["connection-close", "http-1.0"])
+    def test_one_answer_then_eof_when_the_client_asks(self, endpoint, request_bytes):
+        with _connect(endpoint) as sock:
+            sock.sendall(request_bytes)
+            status, headers, _ = _read_response(sock)
+            assert status == 200 and headers["connection"] == "close"
+            assert sock.recv(4096) == b""
+
+    def test_refused_body_cannot_become_the_next_request(self, endpoint):
+        """413 is sent with the body unread; a pipelined GET behind it
+        (or the body itself) must not be answered."""
+        from repro.endpoint.server import MAX_BODY_BYTES
+
+        with _connect(endpoint) as sock:
+            sock.sendall(_post(MAX_BODY_BYTES + 1) + _get("/healthz"))
+            status, headers, _ = _read_response(sock)
+            assert status == 413 and headers["connection"] == "close"
+            assert sock.recv(4096) == b""
+
+    @pytest.mark.parametrize("content_length", ["nonsense", "-1"])
+    def test_unreadable_length_closes(self, endpoint, content_length):
+        with _connect(endpoint) as sock:
+            sock.sendall(_post(content_length) + _get("/healthz"))
+            status, headers, _ = _read_response(sock)
+            assert status == 400 and headers["connection"] == "close"
+            assert sock.recv(4096) == b""
+
+    def test_post_body_fully_read_keeps_the_connection(self, endpoint):
+        body = b"ASK { ?x a prov:Entity }"
+        with _connect(endpoint) as sock:
+            for _ in range(2):
+                sock.sendall(_post(len(body), body))
+                status, headers, answer = _read_response(sock)
+                assert status == 200 and "connection" not in headers
+                assert json.loads(answer)["boolean"] is True
+
+    def test_stop_closes_kept_alive_connections(self):
+        g = Graph()
+        g.add((EX.r1, RDF.type, PROV.Activity))
+        server = SparqlEndpoint(g).start()
+        try:
+            with _connect(server) as sock:
+                sock.sendall(_get("/healthz"))
+                assert _read_response(sock)[0] == 200
+                server.stop()
+                try:
+                    sock.sendall(_get("/healthz"))
+                    answer = sock.recv(4096)
+                except ConnectionError:
+                    answer = b""
+                assert answer == b""  # EOF or reset, never a 200
+        finally:
+            server.stop()
+
+    def test_connections_counter_on_metrics_and_stats(self, endpoint, client):
+        with urllib.request.urlopen(endpoint.url + "/metrics", timeout=5) as response:
+            exposition = response.read().decode()
+        assert "# TYPE repro_http_connections_total counter" in exposition
+        counted = client.stats()["metrics"]["repro_http_connections_total"]
+        assert counted["samples"][0]["value"] >= 2  # at least these two requests'
+
+
+class TestSerialiseOnce:
+    """A cached table is encoded once per media type and served as bytes."""
+
+    TEXT = "SELECT ?run ?start WHERE { ?run a wfprov:WorkflowRun ; prov:startedAtTime ?start } ORDER BY ?start"
+
+    @staticmethod
+    def _fetch(sock, text, accept):
+        sock.sendall(_get(_sparql_path(text), f"Accept: {accept}"))
+        status, headers, body = _read_response(sock)
+        assert status == 200
+        return headers["content-type"], body
+
+    def test_negotiated_bodies_identical_across_hits_and_fresh_after_a_write(self):
+        from repro.sparql import QueryEngine
+
+        ds = _run_dataset(3)
+        uncached = QueryEngine(ds, cache_size=0)
+        with SparqlEndpoint(ds) as server, _connect(server) as sock:
+            as_json = uncached.query(self.TEXT).to_json().encode("utf-8")
+            as_csv = uncached.query(self.TEXT).to_csv().encode("utf-8")
+            for media_type, expected in [
+                ("application/sparql-results+json", as_json), ("text/csv", as_csv),
+                ("application/sparql-results+json", as_json), ("text/csv", as_csv),
+            ]:
+                content_type, body = self._fetch(sock, self.TEXT, media_type)
+                assert content_type == f"{media_type}; charset=utf-8"
+                assert body == expected
+            assert server.engine.cache_info()["hits"] == 3
+            # the hit hands out the stored bytes themselves
+            table = server.engine.query(self.TEXT)
+            assert table.encoded("text/csv") is table.encoded("text/csv")
+
+            _add_run(ds, 3)  # generation bump: the old table, and its bytes, are unreachable
+            _, body = self._fetch(sock, self.TEXT, "application/sparql-results+json")
+            assert body == uncached.query(self.TEXT).to_json().encode("utf-8")
+            assert len(json.loads(body)["results"]["bindings"]) == 4
+
+    def test_unknown_media_type_refused(self):
+        from repro.sparql import ResultTable
+
+        with pytest.raises(ValueError):
+            ResultTable(["x"], []).encoded("text/html")
 
 
 class TestCorpusEndpoint:
