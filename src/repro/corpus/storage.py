@@ -83,10 +83,12 @@ class _TraceWriter:
         template_dir.mkdir(parents=True, exist_ok=True)
         if trace.system == "taverna" and trace.template_id not in self._written_templates:
             template = self.templates[trace.template_id]
-            (template_dir / "workflow.t2flow").write_text(to_t2flow(template))
+            (template_dir / "workflow.t2flow").write_text(
+                to_t2flow(template), encoding="utf-8", newline="\n"
+            )
             self._written_templates.add(trace.template_id)
         filename = trace.run_id + _EXTENSION[trace.rdf_format]
-        (template_dir / filename).write_text(trace.text)
+        (template_dir / filename).write_text(trace.text, encoding="utf-8", newline="\n")
         self.manifest_traces.append({
             "run_id": trace.run_id,
             "system": trace.system,
@@ -143,7 +145,9 @@ class _TraceWriter:
             "traces": self.manifest_traces,
         }
         manifest_path = self.root / "manifest.json"
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        manifest_path.write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
+        )
         return manifest_path
 
 
@@ -327,7 +331,7 @@ def load_corpus(root: Path, store: Optional[Path] = None) -> StoredCorpus:
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json under {root}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     stored = StoredCorpus(root=root, manifest=manifest)
     for entry in manifest["traces"]:
         path = root / entry["path"]
@@ -341,7 +345,7 @@ def load_corpus(root: Path, store: Optional[Path] = None) -> StoredCorpus:
                 failure_cause=entry.get("failure_cause"),
                 rdf_format=entry["format"],
                 path=path,
-                text=path.read_text(),
+                text=path.read_text(encoding="utf-8"),
                 relpath=entry["path"],
             )
         )

@@ -12,6 +12,7 @@ vocabularies.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Iterator, Optional, Tuple
 
 from .terms import IRI
@@ -52,7 +53,12 @@ class Namespace:
     def __getattr__(self, name: str) -> IRI:
         if name.startswith("_"):
             raise AttributeError(name)
-        return self.term(name)
+        # Attribute names are vocabulary terms spelled out in source code
+        # (a bounded set), so the IRI is kept as an instance attribute and
+        # later accesses never reach __getattr__.  term() / [...] mint IRIs
+        # from data and stay uncached.
+        iri = self.__dict__[name] = self.term(name)
+        return iri
 
     def __getitem__(self, name: str) -> IRI:
         return self.term(name)
@@ -116,6 +122,9 @@ class NamespaceManager:
     def __init__(self, bind_core: bool = True):
         self._prefix_to_ns: Dict[str, str] = {}
         self._ns_to_prefix: Dict[str, str] = {}
+        # IRI string -> compact() answer under the current bindings; a
+        # document names each IRI many times.  Any bind() empties it.
+        self._compacted: Dict[str, Optional[str]] = {}
         if bind_core:
             for prefix, base in CORE_PREFIXES.items():
                 self.bind(prefix, base)
@@ -131,6 +140,7 @@ class NamespaceManager:
             self._ns_to_prefix.pop(old, None)
         self._prefix_to_ns[prefix] = base
         self._ns_to_prefix[base] = prefix
+        self._compacted.clear()
 
     def expand(self, curie: str) -> IRI:
         """Expand ``prefix:local`` into an IRI."""
@@ -150,17 +160,22 @@ class NamespaceManager:
         the remaining local part is not a valid CURIE local name.
         """
         value = iri.value if isinstance(iri, IRI) else str(iri)
+        try:
+            return self._compacted[value]
+        except KeyError:
+            pass
         best: Optional[Tuple[str, str]] = None
         for base, prefix in self._ns_to_prefix.items():
             if value.startswith(base) and (best is None or len(base) > len(best[0])):
                 best = (base, prefix)
-        if best is None:
-            return None
-        base, prefix = best
-        local = value[len(base):]
-        if not _is_valid_local(local):
-            return None
-        return f"{prefix}:{local}"
+        curie = None
+        if best is not None:
+            base, prefix = best
+            local = value[len(base):]
+            if _is_valid_local(local):
+                curie = f"{prefix}:{local}"
+        self._compacted[value] = curie
+        return curie
 
     def namespaces(self) -> Iterator[Tuple[str, str]]:
         """Iterate ``(prefix, base)`` pairs sorted by prefix."""
@@ -179,10 +194,14 @@ class NamespaceManager:
         return clone
 
 
+# ``\w`` on str is "alphanumeric (str.isalnum) or underscore".
+_LOCAL_CHARS = re.compile(r"[\w.-]+")
+
+
 def _is_valid_local(local: str) -> bool:
     """Conservative PN_LOCAL check: serialize unusual locals as full IRIs."""
     if local == "":
         return False
     if local[0] == "-" or local[-1] == ".":
         return False
-    return all(ch.isalnum() or ch in "_-." for ch in local)
+    return _LOCAL_CHARS.fullmatch(local) is not None

@@ -8,12 +8,12 @@ parser delegate to the Turtle machinery.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from .graph import Dataset
 from .namespace import NamespaceManager
-from .terms import XSD, IRI, Literal
-from .turtle import TurtleParser, serialize_graph_body
+from .terms import IRI
+from .turtle import TurtleParser, serialize_graph_body, serialize_prefixes
 
 __all__ = ["serialize_trig", "parse_trig"]
 
@@ -21,13 +21,7 @@ __all__ = ["serialize_trig", "parse_trig"]
 def serialize_trig(dataset: Dataset, namespaces: Optional[NamespaceManager] = None) -> str:
     """Serialize *dataset* as TriG: default graph first, then named graphs."""
     nsm = namespaces if namespaces is not None else dataset.namespaces
-    out: List[str] = []
-    used = _used_prefixes(dataset, nsm)
-    for prefix, base in nsm.namespaces():
-        if prefix in used:
-            out.append(f"@prefix {prefix}: <{base}> .\n")
-    if out:
-        out.append("\n")
+    out = serialize_prefixes([dataset.default, *dataset.named_graphs()], nsm)
     out.extend(serialize_graph_body(dataset.default, nsm))
     for name in dataset.graph_names():
         graph = dataset.graph(name)
@@ -37,26 +31,6 @@ def serialize_trig(dataset: Dataset, namespaces: Optional[NamespaceManager] = No
         out.extend(serialize_graph_body(graph, nsm, indent="    "))
         out.append("}\n")
     return "".join(out)
-
-
-def _used_prefixes(dataset: Dataset, nsm: NamespaceManager) -> set:
-    used = set()
-    graphs = [dataset.default] + list(dataset.named_graphs())
-    terms = []
-    for g in graphs:
-        if g.identifier is not None and isinstance(g.identifier, IRI):
-            terms.append(g.identifier)
-        for t in g:
-            terms.extend(t)
-    for term in terms:
-        candidates = [term] if isinstance(term, IRI) else []
-        if isinstance(term, Literal) and term.datatype.value != XSD.STRING:
-            candidates.append(term.datatype)
-        for iri in candidates:
-            curie = nsm.compact(iri)
-            if curie is not None:
-                used.add(curie.split(":", 1)[0])
-    return used
 
 
 def parse_trig(

@@ -15,7 +15,7 @@ adds named-graph blocks on top.
 from __future__ import annotations
 
 import re
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .graph import Dataset, Graph
 from .namespace import NamespaceManager, RDF
@@ -68,21 +68,26 @@ class TurtleError(ValueError):
 # Serializer
 # ---------------------------------------------------------------------------
 
+_RDF_TYPE = RDF.type
+_INTEGER_RE = re.compile(r"[+-]?\d+")
+_DECIMAL_RE = re.compile(r"[+-]?\d*\.\d+")
+
+
 def _term_text(term, nsm: NamespaceManager) -> str:
     """Render a term, preferring CURIEs and literal shorthand."""
     if isinstance(term, IRI):
-        if term == RDF.type:
+        if term == _RDF_TYPE:
             return "a"
         curie = nsm.compact(term)
         return curie if curie is not None else term.n3()
     if isinstance(term, Literal):
         dt = term.datatype.value
         if term.language is None:
-            if dt == XSD.INTEGER and re.fullmatch(r"[+-]?\d+", term.lexical):
+            if dt == XSD.INTEGER and _INTEGER_RE.fullmatch(term.lexical):
                 return term.lexical
             if dt == XSD.BOOLEAN and term.lexical in ("true", "false"):
                 return term.lexical
-            if dt == XSD.DECIMAL and re.fullmatch(r"[+-]?\d*\.\d+", term.lexical):
+            if dt == XSD.DECIMAL and _DECIMAL_RE.fullmatch(term.lexical):
                 return term.lexical
             if dt == XSD.STRING:
                 return f'"{escape_string(term.lexical)}"'
@@ -95,54 +100,71 @@ def _term_text(term, nsm: NamespaceManager) -> str:
 
 def serialize_graph_body(graph: Graph, nsm: NamespaceManager, indent: str = "") -> Iterator[str]:
     """Yield the subject-grouped statement lines of a graph (no prefixes)."""
+    texts = {}  # term -> rendered text: each distinct term is rendered once per call
+
+    def text_of(term) -> str:
+        text = texts.get(term)
+        if text is None:
+            text = texts[term] = _term_text(term, nsm)
+        return text
+
     by_subject = {}
     for t in graph:
-        by_subject.setdefault(t.subject, []).append(t)
+        by_subject.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t.object)
     for subject in sorted(by_subject, key=lambda s: s.sort_key()):
-        triples = by_subject[subject]
-        by_pred = {}
-        for t in triples:
-            by_pred.setdefault(t.predicate, []).append(t.object)
+        by_pred = by_subject[subject]
         # rdf:type first — conventional Turtle style for readability.
-        preds = sorted(by_pred, key=lambda p: (p != RDF.type, p.sort_key()))
+        preds = sorted(by_pred, key=lambda p: (p != _RDF_TYPE, p.sort_key()))
         lines: List[str] = []
-        subject_text = _term_text(subject, nsm)
-        for i, pred in enumerate(preds):
-            objs = sorted(by_pred[pred], key=lambda o: o.sort_key())
-            obj_text = ", ".join(_term_text(o, nsm) for o in objs)
-            pred_text = _term_text(pred, nsm)
-            if i == 0:
-                lines.append(f"{indent}{subject_text} {pred_text} {obj_text}")
-            else:
-                lines.append(f"{indent}    {pred_text} {obj_text}")
+        lead = f"{indent}{text_of(subject)} "
+        for pred in preds:
+            objs = by_pred[pred]
+            if len(objs) > 1:
+                objs.sort(key=lambda o: o.sort_key())
+            lines.append(f"{lead}{text_of(pred)} {', '.join(map(text_of, objs))}")
+            lead = f"{indent}    "
         yield " ;\n".join(lines) + " .\n"
+
+
+def serialize_prefixes(graphs: Iterable[Graph], nsm: NamespaceManager) -> List[str]:
+    """The ``@prefix`` lines (and the blank line after them) *graphs* need."""
+    used = _used_prefixes(graphs, nsm)
+    out = [f"@prefix {prefix}: <{base}> .\n" for prefix, base in nsm.namespaces() if prefix in used]
+    if out:
+        out.append("\n")
+    return out
 
 
 def serialize_turtle(graph: Graph, namespaces: Optional[NamespaceManager] = None) -> str:
     """Serialize *graph* as Turtle with a prefix header."""
     nsm = namespaces if namespaces is not None else graph.namespaces
-    out: List[str] = []
-    used = _used_prefixes(graph, nsm)
-    for prefix, base in nsm.namespaces():
-        if prefix in used:
-            out.append(f"@prefix {prefix}: <{base}> .\n")
-    if out:
-        out.append("\n")
+    out = serialize_prefixes([graph], nsm)
     out.extend(serialize_graph_body(graph, nsm))
     return "".join(out)
 
 
-def _used_prefixes(graph: Graph, nsm: NamespaceManager) -> set:
+def _used_prefixes(graphs: Iterable[Graph], nsm: NamespaceManager) -> set:
+    """Prefixes of the CURIEs that the IRIs of *graphs* compact to.
+
+    Counted are IRI terms, the datatypes of non-string literals (shorthand
+    or not) and IRI graph names — gathered as distinct strings first, so
+    each is compacted once however often the graphs mention it.
+    """
+    values = set()
+    for graph in graphs:
+        if isinstance(graph.identifier, IRI):
+            values.add(graph.identifier.value)
+        for t in graph:
+            for term in (t.subject, t.predicate, t.object):
+                if isinstance(term, IRI):
+                    values.add(term.value)
+                elif isinstance(term, Literal) and term.datatype.value != XSD.STRING:
+                    values.add(term.datatype.value)
     used = set()
-    for t in graph:
-        for term in t:
-            candidates = [term] if isinstance(term, IRI) else []
-            if isinstance(term, Literal) and term.datatype.value != XSD.STRING:
-                candidates.append(term.datatype)
-            for iri in candidates:
-                curie = nsm.compact(iri)
-                if curie is not None:
-                    used.add(curie.split(":", 1)[0])
+    for value in values:
+        curie = nsm.compact(value)
+        if curie is not None:
+            used.add(curie.split(":", 1)[0])
     return used
 
 
@@ -168,7 +190,7 @@ _TOKEN_RE = re.compile(
     | (?P<integer>[+-]?\d+)
     | (?P<boolean>\b(?:true|false)\b)
     | (?P<a>\ba\b)
-    | (?P<pname>[A-Za-z_][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?
+    | (?P<pname>(?:[A-Za-z_][A-Za-z0-9_\-]*)?:(?:[\w\-.]*[\w\-])?)
     | (?P<dtmark>\^\^)
     | (?P<punct>[;,.\[\](){}])
     """,
@@ -176,75 +198,52 @@ _TOKEN_RE = re.compile(
 )
 
 
-class Token:
-    __slots__ = ("kind", "text", "lineno", "column")
-
-    def __init__(self, kind: str, text: str, lineno: int, column: int = 0):
-        self.kind = kind
-        self.text = text
-        self.lineno = lineno
-        self.column = column
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.text!r}, line {self.lineno})"
+def _line_column(text: str, start: int, end: int) -> Tuple[int, int]:
+    """Line of offset *end* and column of offset *start*, both 1-based."""
+    return text.count("\n", 0, end) + 1, start - text.rfind("\n", 0, start)
 
 
 class Tokenizer:
-    """Regex tokenizer for Turtle/TriG with one-token lookahead."""
+    """Regex tokenizer for Turtle/TriG.
+
+    One ``finditer`` pass fills three parallel lists — token kinds, texts
+    and start offsets — closed by an ``eof`` sentinel (empty text, offset
+    of end of input), so looking ahead needs no bounds check.  Lines and
+    columns are derived from the offsets only when an error wants them.
+    """
 
     def __init__(self, text: str):
-        self._tokens = list(self._scan(text))
-        self._pos = 0
-
-    @staticmethod
-    def _scan(text: str) -> Iterator[Token]:
-        lineno = 1
-        line_start = 0  # offset of the current line's first character
+        self.text = text
+        self.kinds: List[str] = []
+        self.texts: List[str] = []
+        self.starts: List[int] = []
+        add_kind, add_text, add_start = self.kinds.append, self.texts.append, self.starts.append
         pos = 0
-        length = len(text)
-        while pos < length:
-            match = _TOKEN_RE.match(text, pos)
-            if match is None or match.end() == pos:
-                raise TurtleError(
-                    f"unexpected character {text[pos]!r}", lineno, pos - line_start + 1
-                )
-            column = pos - line_start + 1
-            newlines = text.count("\n", pos, match.end())
-            if newlines:
-                lineno += newlines
-                line_start = text.rindex("\n", pos, match.end()) + 1
-            kind = match.lastgroup
-            token_text = match.group()
+        for match in _TOKEN_RE.finditer(text):
+            start = match.start()
+            if start != pos:
+                break  # finditer searched past a character no token starts with
             pos = match.end()
-            if kind in ("ws", "comment"):
+            kind = match.lastgroup
+            if kind == "ws" or kind == "comment":
                 continue
-            if kind is None:
-                # pname group may match with lastgroup None when prefix part absent
-                kind = "pname"
-            yield Token(kind, token_text, lineno, column)
+            add_kind(kind)
+            add_text(match.group())
+            add_start(start)
+        if pos != len(text):
+            raise TurtleError(f"unexpected character {text[pos]!r}", *_line_column(text, pos, pos))
+        add_kind("eof")
+        add_text("")
+        add_start(pos)
 
-    def peek(self) -> Optional[Token]:
-        return self._tokens[self._pos] if self._pos < len(self._tokens) else None
+    def location(self, index: int) -> Tuple[int, int]:
+        """``(lineno, column)`` of token *index*.
 
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            last_line = self._tokens[-1].lineno if self._tokens else 1
-            raise TurtleError("unexpected end of input", last_line)
-        self._pos += 1
-        return tok
-
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.next()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise TurtleError(
-                f"expected {want!r}, got {tok.text!r}", tok.lineno, tok.column
-            )
-        return tok
-
-    def at_end(self) -> bool:
-        return self._pos >= len(self._tokens)
+        The column is where the token starts, the line where it ends (a
+        long string may span several).
+        """
+        start = self.starts[index]
+        return _line_column(self.text, start, start + len(self.texts[index]))
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +255,10 @@ class TurtleParser:
 
     The same class parses TriG when *allow_graphs* is set: named-graph
     blocks route triples into ``dataset.graph(name)``.
+
+    Punctuation is recognised by token text alone: no other token kind can
+    spell ``.``, ``;``, ``[`` ... (strings keep their quotes, pnames their
+    colon), and the ``eof`` sentinel's text is empty.
     """
 
     def __init__(
@@ -271,6 +274,9 @@ class TurtleParser:
             self.tokens = Tokenizer(text)
         except TurtleError as exc:
             raise self._attribute(exc) from None
+        self._kinds = self.tokens.kinds
+        self._texts = self.tokens.texts
+        self._pos = 0
         self.dataset = dataset
         self.allow_graphs = allow_graphs
         if allow_graphs:
@@ -283,6 +289,9 @@ class TurtleParser:
             self.nsm = self.graph.namespaces
             self.sink = self.graph
         self.base = ""
+        # pname / IRIREF token text -> the IRI it denotes under the current
+        # directives; a document spells each of its IRIs many times.
+        self._iris: Dict[str, IRI] = {}
         self._anon_count = 0
 
     def _attribute(self, exc: TurtleError) -> TurtleError:
@@ -291,13 +300,27 @@ class TurtleParser:
             return exc.with_source(self.source)
         return exc
 
-    def _last_location(self) -> Tuple[int, Optional[int]]:
-        """Position of the most recently consumed token (best effort)."""
-        idx = min(self.tokens._pos, len(self.tokens._tokens)) - 1
-        if idx >= 0:
-            tok = self.tokens._tokens[idx]
-            return tok.lineno, tok.column
-        return 1, None
+    def _error(self, message: str, index: int) -> TurtleError:
+        """A :class:`TurtleError` located at token *index*."""
+        return TurtleError(message, *self.tokens.location(index))
+
+    # -- token access ---------------------------------------------------------
+
+    def _take(self) -> int:
+        """Consume one token and return its index."""
+        pos = self._pos
+        if self._kinds[pos] == "eof":
+            last_line = self.tokens.location(pos - 1)[0] if pos else 1
+            raise TurtleError("unexpected end of input", last_line)
+        self._pos = pos + 1
+        return pos
+
+    def _expect(self, kind: str, text: Optional[str] = None) -> int:
+        pos = self._take()
+        if self._kinds[pos] != kind or (text is not None and self._texts[pos] != text):
+            want = text if text is not None else kind
+            raise self._error(f"expected {want!r}, got {self._texts[pos]!r}", pos)
+        return pos
 
     # -- entry point --------------------------------------------------------
 
@@ -308,188 +331,166 @@ class TurtleParser:
             raise self._attribute(exc) from None
         except ValueError as exc:
             # Term constructors (Literal, unescape_string, ...) raise bare
-            # ValueError; normalize so callers see one typed parse error.
-            lineno, column = self._last_location()
-            raise self._attribute(TurtleError(str(exc), lineno, column)) from None
+            # ValueError; normalize so callers see one typed parse error,
+            # located at the most recently consumed token.
+            location = self.tokens.location(self._pos - 1) if self._pos else (1, None)
+            raise self._attribute(TurtleError(str(exc), *location)) from None
         return self.dataset if self.allow_graphs else self.graph
 
     def _parse_document(self):
-        while not self.tokens.at_end():
-            tok = self.tokens.peek()
-            if tok.kind == "prefix_decl":
-                self._parse_at_directive()
-            elif tok.kind == "sparql_prefix":
-                self.tokens.next()
+        kinds = self._kinds
+        while True:
+            kind = kinds[self._pos]
+            if kind == "eof":
+                break
+            if kind == "prefix_decl":
+                if self._texts[self._take()] == "@prefix":
+                    self._parse_prefix_binding(require_dot=True)
+                else:
+                    self._parse_base()
+                    self._expect("punct", ".")
+            elif kind == "sparql_prefix":
+                self._pos += 1
                 self._parse_prefix_binding(require_dot=False)
-            elif tok.kind == "sparql_base":
-                self.tokens.next()
-                iri_tok = self.tokens.expect("iriref")
-                self.base = iri_tok.text[1:-1]
+            elif kind == "sparql_base":
+                self._pos += 1
+                self._parse_base()
             elif self.allow_graphs and self._looks_like_graph_block():
                 self._parse_graph_block()
             else:
                 self._parse_statement(self.sink)
 
-    def _parse_at_directive(self):
-        tok = self.tokens.next()
-        if tok.text == "@prefix":
-            self._parse_prefix_binding(require_dot=True)
-        else:  # @base
-            iri_tok = self.tokens.expect("iriref")
-            self.base = iri_tok.text[1:-1]
-            self.tokens.expect("punct", ".")
+    # Both directives change what a pname or relative IRIREF denotes from
+    # here on, so both forget every resolution made so far.
+
+    def _parse_base(self):
+        self.base = self._texts[self._expect("iriref")][1:-1]
+        self._iris.clear()
 
     def _parse_prefix_binding(self, require_dot: bool):
-        pname = self.tokens.next()
-        if pname.kind != "pname" or not pname.text.endswith(":"):
-            raise TurtleError(
-                f"expected prefix name, got {pname.text!r}", pname.lineno, pname.column
-            )
-        prefix = pname.text[:-1]
-        iri_tok = self.tokens.expect("iriref")
-        self.nsm.bind(prefix, iri_tok.text[1:-1])
+        pname = self._take()
+        text = self._texts[pname]
+        if self._kinds[pname] != "pname" or not text.endswith(":"):
+            raise self._error(f"expected prefix name, got {text!r}", pname)
+        self.nsm.bind(text[:-1], self._texts[self._expect("iriref")][1:-1])
+        self._iris.clear()
         if require_dot:
-            self.tokens.expect("punct", ".")
-        else:
-            nxt = self.tokens.peek()
-            if nxt is not None and nxt.kind == "punct" and nxt.text == ".":
-                self.tokens.next()
+            self._expect("punct", ".")
+        elif self._texts[self._pos] == ".":
+            self._pos += 1
 
     # -- TriG graph blocks ----------------------------------------------------
 
     def _looks_like_graph_block(self) -> bool:
-        tok = self.tokens.peek()
-        if tok is None:
-            return False
-        if tok.kind == "graph_kw":
+        pos = self._pos
+        kind = self._kinds[pos]
+        if kind == "graph_kw" or self._texts[pos] == "{":
             return True
-        if tok.kind == "punct" and tok.text == "{":
-            return True
-        if tok.kind in ("iriref", "pname", "bnode"):
-            nxt = self.tokens._tokens[self.tokens._pos + 1] if self.tokens._pos + 1 < len(self.tokens._tokens) else None
-            return nxt is not None and nxt.kind == "punct" and nxt.text == "{"
-        return False
+        return kind in ("iriref", "pname", "bnode") and self._texts[pos + 1] == "{"
 
     def _parse_graph_block(self):
-        tok = self.tokens.peek()
         name = None
-        if tok.kind == "graph_kw":
-            self.tokens.next()
+        if self._kinds[self._pos] == "graph_kw":
+            self._pos += 1
             name = self._parse_graph_name()
-        elif tok.kind != "punct":
+        elif self._kinds[self._pos] != "punct":
             name = self._parse_graph_name()
-        self.tokens.expect("punct", "{")
+        opened = self._expect("punct", "{")
         target = self.dataset.graph(name)
-        while True:
-            tok = self.tokens.peek()
-            if tok is None:
-                raise TurtleError("unterminated graph block", 0)
-            if tok.kind == "punct" and tok.text == "}":
-                self.tokens.next()
-                break
+        while self._texts[self._pos] != "}":
+            if self._kinds[self._pos] == "eof":
+                raise self._error("unterminated graph block", opened)
             self._parse_statement(target, in_graph=True)
+        self._pos += 1
 
     def _parse_graph_name(self) -> Union[IRI, BlankNode]:
-        tok = self.tokens.next()
-        if tok.kind == "iriref":
-            return self._resolve_iri(tok.text[1:-1], tok.lineno)
-        if tok.kind == "pname":
-            return self._expand_pname(tok)
-        if tok.kind == "bnode":
-            return BlankNode(tok.text[2:])
-        raise TurtleError(f"invalid graph name {tok.text!r}", tok.lineno, tok.column)
+        pos = self._take()
+        kind = self._kinds[pos]
+        if kind == "iriref" or kind == "pname":
+            return self._iri_at(pos)
+        if kind == "bnode":
+            return BlankNode(self._texts[pos][2:])
+        raise self._error(f"invalid graph name {self._texts[pos]!r}", pos)
 
     # -- statements ------------------------------------------------------------
 
     def _parse_statement(self, sink: Graph, in_graph: bool = False):
         subject = self._parse_subject(sink)
         self._parse_predicate_object_list(subject, sink)
-        tok = self.tokens.peek()
-        if tok is not None and tok.kind == "punct" and tok.text == ".":
-            self.tokens.next()
-        elif in_graph and tok is not None and tok.kind == "punct" and tok.text == "}":
+        pos = self._pos
+        text = self._texts[pos]
+        if text == ".":
+            self._pos = pos + 1
+        elif in_graph and text == "}":
             pass  # final statement of a graph block may omit '.'
-        elif tok is None and not in_graph:
-            raise TurtleError("missing '.' at end of statement", 0)
+        elif self._kinds[pos] == "eof" and not in_graph:
+            raise self._error("missing '.' at end of statement", pos)
         else:
-            lineno = tok.lineno if tok is not None else 0
-            column = tok.column if tok is not None else None
-            text = tok.text if tok is not None else "<eof>"
-            raise TurtleError(f"expected '.', got {text!r}", lineno, column)
+            raise self._error(f"expected '.', got {text or '<eof>'!r}", pos)
 
     def _parse_subject(self, sink: Graph) -> Subject:
-        tok = self.tokens.peek()
-        if tok.kind == "punct" and tok.text == "[":
-            return self._parse_bnode_property_list(sink)
-        if tok.kind == "punct" and tok.text == "(":
-            return self._parse_collection(sink)
-        term = self._parse_term(sink)
-        if not isinstance(term, (IRI, BlankNode)):
-            raise TurtleError("literal cannot be a subject", tok.lineno, tok.column)
+        pos = self._pos
+        term = self._parse_object(sink)
+        if isinstance(term, Literal):
+            raise self._error("literal cannot be a subject", pos)
         return term
 
     def _parse_predicate_object_list(self, subject: Subject, sink: Graph):
+        texts = self._texts
+        add = sink.add
         while True:
             predicate = self._parse_predicate()
             while True:
-                obj = self._parse_object(sink)
-                sink.add(Triple(subject, predicate, obj))
-                tok = self.tokens.peek()
-                if tok is not None and tok.kind == "punct" and tok.text == ",":
-                    self.tokens.next()
-                    continue
-                break
-            tok = self.tokens.peek()
-            if tok is not None and tok.kind == "punct" and tok.text == ";":
-                self.tokens.next()
-                nxt = self.tokens.peek()
-                # allow trailing ';' before '.', ']' or '}'
-                if nxt is not None and nxt.kind == "punct" and nxt.text in (".", "]", "}"):
+                # a plain tuple: Triple would re-check term kinds the parser
+                # has just established
+                add((subject, predicate, self._parse_object(sink)))
+                pos = self._pos
+                if texts[pos] != ",":
                     break
-                continue
-            break
+                self._pos = pos + 1
+            if texts[pos] != ";":
+                break
+            self._pos = pos = pos + 1
+            # allow trailing ';' before '.', ']' or '}'
+            if texts[pos] in (".", "]", "}"):
+                break
 
     def _parse_predicate(self) -> IRI:
-        tok = self.tokens.next()
-        if tok.kind == "a":
-            return RDF.type
-        if tok.kind == "iriref":
-            return self._resolve_iri(tok.text[1:-1], tok.lineno, tok.column)
-        if tok.kind == "pname":
-            return self._expand_pname(tok)
-        raise TurtleError(f"invalid predicate {tok.text!r}", tok.lineno, tok.column)
+        pos = self._take()
+        kind = self._kinds[pos]
+        if kind == "pname" or kind == "iriref":
+            return self._iri_at(pos)
+        if kind == "a":
+            return _RDF_TYPE
+        raise self._error(f"invalid predicate {self._texts[pos]!r}", pos)
 
     def _parse_object(self, sink: Graph) -> Object:
-        tok = self.tokens.peek()
-        if tok.kind == "punct" and tok.text == "[":
+        text = self._texts[self._pos]
+        if text == "[":
             return self._parse_bnode_property_list(sink)
-        if tok.kind == "punct" and tok.text == "(":
+        if text == "(":
             return self._parse_collection(sink)
-        return self._parse_term(sink)
+        return self._parse_term()
 
     def _parse_bnode_property_list(self, sink: Graph) -> BlankNode:
-        open_tok = self.tokens.expect("punct", "[")
+        self._expect("punct", "[")
         self._anon_count += 1
         node = BlankNode(f"anon{self._anon_count}")
-        tok = self.tokens.peek()
-        if tok is not None and tok.kind == "punct" and tok.text == "]":
-            self.tokens.next()
+        if self._texts[self._pos] == "]":
+            self._pos += 1
             return node
         self._parse_predicate_object_list(node, sink)
-        self.tokens.expect("punct", "]")
+        self._expect("punct", "]")
         return node
 
     def _parse_collection(self, sink: Graph) -> Union[IRI, BlankNode]:
-        self.tokens.expect("punct", "(")
+        opened = self._expect("punct", "(")
         items: List[Object] = []
-        while True:
-            tok = self.tokens.peek()
-            if tok is None:
-                raise TurtleError("unterminated collection", 0)
-            if tok.kind == "punct" and tok.text == ")":
-                self.tokens.next()
-                break
+        while self._texts[self._pos] != ")":
+            if self._kinds[self._pos] == "eof":
+                raise self._error("unterminated collection", opened)
             items.append(self._parse_object(sink))
+        self._pos += 1
         if not items:
             return RDF.nil
         head = None
@@ -508,74 +509,77 @@ class TurtleParser:
 
     # -- terms -------------------------------------------------------------------
 
-    def _parse_term(self, sink: Graph):
-        tok = self.tokens.next()
-        if tok.kind == "iriref":
-            return self._resolve_iri(tok.text[1:-1], tok.lineno, tok.column)
-        if tok.kind == "pname":
-            return self._expand_pname(tok)
-        if tok.kind == "bnode":
-            return BlankNode(tok.text[2:])
-        if tok.kind in ("string", "string_long"):
-            return self._finish_literal(tok)
-        if tok.kind == "integer":
-            return Literal(tok.text, datatype=XSD.INTEGER)
-        if tok.kind == "decimal":
-            return Literal(tok.text, datatype=XSD.DECIMAL)
-        if tok.kind == "double":
-            return Literal(tok.text, datatype=XSD.DOUBLE)
-        if tok.kind == "boolean":
-            return Literal(tok.text, datatype=XSD.BOOLEAN)
-        if tok.kind == "a":
-            return RDF.type
-        raise TurtleError(f"unexpected token {tok.text!r}", tok.lineno, tok.column)
+    def _parse_term(self):
+        pos = self._take()
+        kind = self._kinds[pos]
+        if kind == "pname" or kind == "iriref":
+            return self._iri_at(pos)
+        text = self._texts[pos]
+        if kind == "bnode":
+            return BlankNode(text[2:])
+        if kind == "string" or kind == "string_long":
+            return self._finish_literal(pos)
+        if kind == "integer":
+            return Literal(text, datatype=XSD.INTEGER)
+        if kind == "decimal":
+            return Literal(text, datatype=XSD.DECIMAL)
+        if kind == "double":
+            return Literal(text, datatype=XSD.DOUBLE)
+        if kind == "boolean":
+            return Literal(text, datatype=XSD.BOOLEAN)
+        if kind == "a":
+            return _RDF_TYPE
+        raise self._error(f"unexpected token {text!r}", pos)
 
-    def _finish_literal(self, tok: Token) -> Literal:
-        if tok.kind == "string_long":
-            raw = tok.text[3:-3]
-        else:
-            raw = tok.text[1:-1]
+    def _finish_literal(self, pos: int) -> Literal:
+        """The literal whose (already consumed) string token is at *pos*."""
+        text = self._texts[pos]
+        raw = text[3:-3] if self._kinds[pos] == "string_long" else text[1:-1]
         try:
-            lexical = unescape_string(raw)
+            lexical = unescape_string(raw) if "\\" in raw else raw
         except ValueError as exc:
-            raise TurtleError(str(exc), tok.lineno, tok.column) from None
-        nxt = self.tokens.peek()
-        if nxt is not None and nxt.kind == "dtmark":
-            self.tokens.next()
-            dt_tok = self.tokens.next()
-            if dt_tok.kind == "iriref":
-                datatype = self._resolve_iri(dt_tok.text[1:-1], dt_tok.lineno, dt_tok.column)
-            elif dt_tok.kind == "pname":
-                datatype = self._expand_pname(dt_tok)
-            else:
-                raise TurtleError(
-                    "expected datatype IRI after ^^", dt_tok.lineno, dt_tok.column
-                )
-            return Literal(lexical, datatype=datatype)
-        if nxt is not None and nxt.kind == "langtag":
-            self.tokens.next()
+            raise self._error(str(exc), pos) from None
+        nxt = self._pos
+        kind = self._kinds[nxt]
+        if kind == "dtmark":
+            self._pos = nxt + 1
+            dt = self._take()
+            if self._kinds[dt] not in ("iriref", "pname"):
+                raise self._error("expected datatype IRI after ^^", dt)
+            return Literal(lexical, datatype=self._iri_at(dt))
+        if kind == "langtag":
+            self._pos = nxt + 1
             try:
-                return Literal(lexical, language=nxt.text[1:])
+                return Literal(lexical, language=self._texts[nxt][1:])
             except ValueError as exc:
-                raise TurtleError(str(exc), nxt.lineno, nxt.column) from None
+                raise self._error(str(exc), nxt) from None
         return Literal(lexical)
 
-    def _resolve_iri(self, value: str, lineno: int, column: Optional[int] = None) -> IRI:
-        if self.base and "://" not in value and not value.startswith("urn:"):
-            value = self.base + value
-        try:
-            return IRI(value)
-        except ValueError as exc:
-            raise TurtleError(str(exc), lineno, column) from None
+    def _iri_at(self, pos: int) -> IRI:
+        """The IRI that the pname or IRIREF token at *pos* denotes.
 
-    def _expand_pname(self, tok: Token) -> IRI:
-        prefix, _, local = tok.text.partition(":")
-        try:
-            return self.nsm.expand(f"{prefix}:{local}")
-        except KeyError:
-            raise TurtleError(
-                f"unknown prefix {prefix!r}", tok.lineno, tok.column
-            ) from None
+        Prefix expansion, base resolution and IRI validation run on the
+        first sight of each distinct token text; a text that fails them is
+        never remembered, so it fails the same way wherever it recurs.
+        """
+        text = self._texts[pos]
+        iri = self._iris.get(text)
+        if iri is None:
+            try:
+                if text[0] == "<":
+                    value = text[1:-1]
+                    if self.base and "://" not in value and not value.startswith("urn:"):
+                        value = self.base + value
+                    iri = IRI(value)
+                else:
+                    iri = self.nsm.expand(text)
+            except KeyError:
+                prefix = text.partition(":")[0]
+                raise self._error(f"unknown prefix {prefix!r}", pos) from None
+            except ValueError as exc:
+                raise self._error(str(exc), pos) from None
+            self._iris[text] = iri
+        return iri
 
 
 def parse_turtle(

@@ -24,6 +24,7 @@ manifest.
 from __future__ import annotations
 
 import hashlib
+import io
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -162,9 +163,7 @@ def _init_ingest_worker(root: str, obs: ObsConfig = ObsConfig()) -> None:
     obs.attach_worker()
 
 
-def _parse_batch(
-    root: Path, relpath: str, rdf_format: str, digest: str, tracer=None
-) -> _ParsedBatch:
+def _parse_batch(root: Path, relpath: str, rdf_format: str, tracer=None) -> _ParsedBatch:
     """Tokenize + parse one trace into encoded terms and local-id quads.
 
     Uses the same traversal and term encounter order as the writer-side
@@ -173,26 +172,32 @@ def _parse_batch(
     path calls it in-process, the parallel path in pool workers.
     """
     with span(tracer, "parse", cat="ingest", file=relpath) as parse_span:
-        batch = _parse_batch_inner(root, relpath, rdf_format, digest)
+        batch = _parse_batch_inner(root, relpath, rdf_format)
         parse_span.set(terms=len(batch.terms), quads=len(batch.quads))
     return batch
 
 
-def _parse_batch_inner(root: Path, relpath: str, rdf_format: str, digest: str) -> _ParsedBatch:
-    text = (root / relpath).read_text()
+def _parse_batch_inner(root: Path, relpath: str, rdf_format: str) -> _ParsedBatch:
+    # One read: the digest committed with the batch is that of the very
+    # bytes parsed, whatever happened to the file since discovery.
+    data = (root / relpath).read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    # decoded as read_text(encoding="utf-8") would: universal newlines
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     terms: List[bytes] = []
-    index: Dict[bytes, int] = {}
+    index: Dict[object, int] = {}  # term -> position in ``terms``
     lookups = 0
 
     def intern(term) -> int:
         nonlocal lookups
         lookups += 1
-        data = encode_term(term)
-        local = index.get(data)
+        local = index.get(term)
         if local is None:
-            local = len(terms)
-            index[data] = local
-            terms.append(data)
+            # equal terms encode to equal bytes and unequal terms to
+            # unequal bytes, so keying on the term numbers them as keying
+            # on the bytes would
+            local = index[term] = len(terms)
+            terms.append(encode_term(term))
         return local
 
     if rdf_format == "turtle":
@@ -223,7 +228,7 @@ def _parse_batch_task(task) -> Tuple[str, object, Optional[list]]:
     in plan (file) order, so the merged trace is ordered like a serial
     run no matter which worker parsed what.
     """
-    relpath, rdf_format, digest = task
+    relpath, rdf_format = task
     tracer = _INGEST_TRACER
     if tracer is not None:
         tracer.reset_clock()
@@ -232,7 +237,7 @@ def _parse_batch_task(task) -> Tuple[str, object, Optional[list]]:
         # applies the batch under its own "apply:<file>" scope, so both
         # phases mint the same span ids at any worker count.
         with _tracectx.task_scope(f"parse:{relpath}"):
-            batch = _parse_batch(_INGEST_ROOT, relpath, rdf_format, digest, tracer=tracer)
+            batch = _parse_batch(_INGEST_ROOT, relpath, rdf_format, tracer=tracer)
         # Per-task publication: the pool is terminated (not joined) on
         # exit, so this is the last guaranteed flush before the parent's
         # orphan sweep folds this worker's shard.
@@ -331,8 +336,7 @@ def ingest_corpus(
             if tracer is not None:
                 tracer.reset_clock()
             with _tracectx.task_scope(f"parse:{relpath}"):
-                batch = _parse_batch(root, relpath, rdf_format, digests[relpath],
-                                     tracer=tracer)
+                batch = _parse_batch(root, relpath, rdf_format, tracer=tracer)
             with _tracectx.task_scope(f"apply:{relpath}"):
                 added = _apply_batch(store, batch, tracer=tracer)
             report.quads_added += added
@@ -342,8 +346,7 @@ def ingest_corpus(
                 on_file(len(report.parsed), len(pending), report.quads_added)
     else:
         ctx = pool_context()
-        tasks = [(relpath, fmt, digests[relpath]) for relpath, fmt in pending]
-        chunksize = max(1, len(tasks) // (effective * 4))
+        chunksize = max(1, len(pending) // (effective * 4))
         with ctx.Pool(
             processes=effective,
             initializer=_init_ingest_worker,
@@ -352,7 +355,7 @@ def ingest_corpus(
             # imap preserves task order: batches commit in the same
             # deterministic file order a serial ingest uses.
             for status, payload, events in pool.imap(
-                _parse_batch_task, tasks, chunksize=chunksize
+                _parse_batch_task, pending, chunksize=chunksize
             ):
                 if status == "error":
                     payload.reraise(fallback=TurtleError)

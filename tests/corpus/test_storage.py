@@ -75,6 +75,65 @@ class TestTripleCount:
         )
 
 
+def _write_labelled_trace(root):
+    """One real trace plus a non-ASCII label: written, loaded and ingested."""
+    import dataclasses
+    from pathlib import Path
+
+    from repro.corpus import CorpusBuilder, load_corpus
+    from repro.corpus.storage import _TraceWriter
+    from repro.rdf import IRI, RDFS, Literal
+    from repro.store import QuadStore, StoreDataset, ingest_corpus
+
+    labelled = (IRI("http://example.org/x"), RDFS.label, Literal("Gr\u00f6\u00dfe \u2615"))
+    builder = CorpusBuilder(seed=2013)
+    by_id, plan = builder.plan()
+    writer = _TraceWriter(Path(root), by_id)
+    for trace in builder.iter_traces(jobs=1, plan=plan[:1], by_id=by_id):
+        statement = " ".join(term.n3() for term in labelled) + " .\n"
+        writer.add(dataclasses.replace(trace, text=trace.text + statement))
+    writer.finish(builder.seed)
+    assert labelled in load_corpus(root).traces[0].graph()
+    with QuadStore(Path(root) / ".store") as store:
+        ingest_corpus(store, Path(root))
+        assert labelled in StoreDataset(store).union_graph()
+
+
+class TestLocaleIndependence:
+    def test_tree_bytes_do_not_depend_on_the_locale(self, tmp_path):
+        """Text files are UTF-8 with ``\\n`` newlines whatever the locale
+        says: a build under ``LC_ALL=C`` equals the in-process build."""
+        import inspect
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        _write_labelled_trace(tmp_path / "here")
+        script = (
+            inspect.getsource(_write_labelled_trace)
+            + f"\n_write_labelled_trace({str(tmp_path / 'there')!r})\n"
+        )
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        env.pop("LANG", None)
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+
+        def tree(root):
+            return {
+                path.relative_to(root).as_posix(): path.read_bytes()
+                for path in sorted(root.rglob("*"))
+                if path.is_file() and ".store" not in path.parts
+            }
+
+        here, there = tree(tmp_path / "here"), tree(tmp_path / "there")
+        assert here.keys() == there.keys() and len(here) == 3  # trace, t2flow, manifest
+        assert here == there
+        assert any("Gr\u00f6\u00dfe \u2615".encode("utf-8") in data for data in here.values())
+
+
 class TestLoad:
     def test_roundtrip_counts(self, corpus_dir):
         stored = load_corpus(corpus_dir)

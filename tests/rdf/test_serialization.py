@@ -264,6 +264,35 @@ class TestParseErrorContext:
             parse_turtle(text)
         assert exc.value.lineno == 2
 
+    @pytest.mark.parametrize(
+        "body, message, location",
+        [
+            # end of input: just past the last character ...
+            ("ex:a ex:b ex:c", "missing '.' at end of statement", (2, 15)),
+            # ... which is the start of line 3 once a newline ends line 2
+            ("ex:a ex:b ex:c\n", "missing '.' at end of statement", (3, 1)),
+            # an unclosed bracket is reported where it was opened
+            ("ex:a ex:b ( ex:c\n  ex:d", "unterminated collection", (2, 11)),
+            ("GRAPH ex:g {\n ex:a ex:b ex:c .\n", "unterminated graph block", (2, 12)),
+            ("GRAPH ex:g {\n ex:a ex:b ex:c", "expected '.', got '<eof>'", (3, 16)),
+        ],
+    )
+    def test_end_of_input_errors_are_located(self, body, message, location):
+        from repro.rdf.trig import parse_trig
+
+        with pytest.raises(TurtleError) as exc:
+            parse_trig("@prefix ex: <http://e/> .\n" + body, source="Wings/run.prov.trig")
+        assert exc.value.raw_message == message
+        assert (exc.value.lineno, exc.value.column) == location
+        assert exc.value.source == "Wings/run.prov.trig"
+        assert str(exc.value).startswith("Wings/run.prov.trig: line %d, column %d" % location)
+
+    def test_statement_cut_off_before_its_object_is_a_typed_error(self):
+        with pytest.raises(TurtleError) as exc:
+            parse_turtle("@prefix ex: <http://e/> .\nex:a ex:b")
+        assert exc.value.raw_message == "unexpected end of input"
+        assert exc.value.lineno == 2
+
     def test_trig_without_dataset_is_typed_error(self):
         from repro.rdf.turtle import TurtleParser
 

@@ -1,5 +1,7 @@
 """Tests for incremental corpus ingest: hashing, no-ops, rebuilds."""
 
+import hashlib
+
 import pytest
 
 from repro.rdf import Namespace
@@ -87,6 +89,23 @@ class TestIncrementalIngest:
         bad.write_text(NEW_TRACE)
         report = ingest_corpus(store, tiny_corpus_dir)
         assert report.parsed == ["Taverna/dom/t-1/bad.prov.ttl"]
+
+    def test_committed_digest_is_of_the_bytes_parsed(self, store, tiny_corpus_dir):
+        # the second trace is rewritten after discovery hashed it but
+        # before it is parsed: what is recorded must describe what was read
+        second = tiny_corpus_dir / "Wings" / "dom" / "w-1" / "run2.prov.trig"
+
+        def rewrite_second(done, total, quads):
+            if done == 1:
+                second.write_text(NEW_TRACE, encoding="utf-8")
+
+        report = ingest_corpus(store, tiny_corpus_dir, on_file=rewrite_second)
+        assert report.parsed[1] == "Wings/dom/w-1/run2.prov.trig"
+        assert store.files[report.parsed[1]] == hashlib.sha256(NEW_TRACE.encode()).hexdigest()
+        union = StoreDataset(store).union_graph()
+        assert len(list(union.triples(EX.run3, None, None))) == 2
+        # ... so the store is in step with the directory, not one rebuild behind
+        assert ingest_corpus(store, tiny_corpus_dir).no_op
 
     def test_missing_corpus_dir_rejected(self, store, tmp_path):
         with pytest.raises(FileNotFoundError):
