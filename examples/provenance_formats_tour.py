@@ -2,15 +2,17 @@
 """One trace, every serialization — plus a path-based lineage query.
 
 Takes a single run's provenance from the corpus and shows it in all the
-formats the library speaks: Turtle (the corpus's primary format), PROV-N
-(the human-readable notation), PROV-XML, the JSON profile, Graphviz DOT —
-and then asks a transitive lineage question with a SPARQL property path.
+formats the library speaks: Turtle (the corpus's primary format),
+N-Triples and TriG, the JSON profile and PROV-N (the human-readable
+notation) — and then asks a transitive lineage question with a SPARQL
+property path.
 
 Run:  python examples/provenance_formats_tour.py
 """
 
 from repro import CorpusBuilder
-from repro.prov import serialize_provn, serialize_provxml, to_dot
+from repro.prov import serialize_provn
+from repro.rdf import serialize_ntriples
 from repro.rdf.jsonld import dumps as jsonld_dumps
 from repro.sparql import QueryEngine
 
@@ -30,29 +32,27 @@ def main() -> None:
     print("\n".join(trace.text.splitlines()[:16]))
     print("  ...")
 
-    document = trace.document
-
-    banner("2. PROV-N")
-    provn = serialize_provn(document)
-    print("\n".join(provn.splitlines()[:20]))
+    banner("2. N-Triples (the same graph, one triple per line)")
+    print("\n".join(serialize_ntriples(trace.graph()).splitlines()[:4]))
+    print("  ...")
+    wings = next(t for t in corpus.by_system("wings") if not t.failed)
+    print(f"\nTriG — Wings traces ship as named graphs ({wings.run_id}):")
+    trig = wings.text.splitlines()
+    first_graph = next(i for i, line in enumerate(trig) if line.endswith("{"))
+    print("\n".join(trig[first_graph:first_graph + 5]))
     print("  ...")
 
-    banner("3. PROV-XML")
-    xml = serialize_provxml(document)
-    print("\n".join(xml.splitlines()[:14]))
-    print("  ...")
-
-    banner("4. JSON profile")
+    banner("3. JSON profile")
     json_text = jsonld_dumps(trace.graph())
     print("\n".join(json_text.splitlines()[:14]))
     print("  ...")
 
-    banner("5. Graphviz DOT (render with `dot -Tpng`)")
-    dot = to_dot(document, name=trace.run_id)
-    print("\n".join(dot.splitlines()[:12]))
+    banner("4. PROV-N")
+    provn = serialize_provn(trace.document)
+    print("\n".join(provn.splitlines()[:20]))
     print("  ...")
 
-    banner("6. Transitive lineage via a SPARQL property path")
+    banner("5. Transitive lineage via a SPARQL property path")
     engine = QueryEngine(trace.graph())
     rows = engine.select("""
         SELECT DISTINCT ?product ?source WHERE {

@@ -10,21 +10,22 @@ applies equally to Taverna and Wings traces (both assert ``prov:used`` and
 through the shared activity, plus any explicitly asserted derivation
 subproperties such as the Wings ``prov:hadPrimarySource``).
 
-Over a store-backed union graph the analyzer detects the persisted path
-index (the duck-typed ``path_index()`` capability) and answers the
-transitive questions — dependencies, dependents, lineage paths — by BFS
-over the pre-composed derivation DAG in u32 id space, skipping both the
-per-trace adjacency scan and per-step ``prov:used`` lookups.  The
-derivation relation in the index is built by the same composition rule
-as :meth:`DependencyAnalyzer.direct_dependencies`, so both routes agree.
+The transitive questions — dependencies, dependents, lineage paths — are
+one reachability BFS and one shortest-chain BFS over an edge source.
+Over a store-backed union graph that source is the persisted path index
+(the duck-typed ``path_index()`` capability): the pre-composed derivation
+DAG in u32 id space, no adjacency scan and no per-step ``prov:used``
+lookups.  Over any other graph it is :class:`_TermEdges`, the same read
+surface over :meth:`DependencyAnalyzer.all_dependency_pairs` with terms
+standing in for ids.  The derivation relation in the index is built by
+the same composition rule as
+:meth:`DependencyAnalyzer.direct_dependencies`, so both sources agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..prov.constants import DERIVATION_SUBPROPERTIES
 from ..rdf.graph import Graph
@@ -43,6 +44,36 @@ class Derivation:
     activity: Optional[IRI]  # None when asserted directly (hadPrimarySource, ...)
 
 
+class _TermEdges:
+    """The path index's read surface over a list of (product, source)
+    pairs: terms stand in for node ids and there is one relation, so the
+    *rel* argument is ignored."""
+
+    __slots__ = ("_fwd", "_inv")
+
+    DERIVATION = None
+
+    def __init__(self, pairs: Iterable[Tuple[IRI, IRI]]):
+        self._fwd: Dict[IRI, List[IRI]] = {}
+        self._inv: Dict[IRI, List[IRI]] = {}
+        for product, source in pairs:
+            self._fwd.setdefault(product, []).append(source)
+            self._inv.setdefault(source, []).append(product)
+
+    def neighbors(self, rel, node):
+        return self._fwd.get(node, ())
+
+    def neighbors_inv(self, rel, node):
+        return self._inv.get(node, ())
+
+    def in_dag(self, rel, node) -> bool:
+        return node in self._fwd or node in self._inv
+
+
+def _same(node):
+    return node
+
+
 class DependencyAnalyzer:
     """Entity/process dependency analysis over one trace graph."""
 
@@ -57,6 +88,7 @@ class DependencyAnalyzer:
         # over a store skips the two full predicate scans entirely.
         self._generated_by: Optional[Dict[IRI, List[IRI]]] = None
         self._used_by: Optional[Dict[IRI, List[IRI]]] = None
+        self._term_edges: Optional[_TermEdges] = None
 
     @property
     def uses_index(self) -> bool:
@@ -74,6 +106,16 @@ class DependencyAnalyzer:
             used_by.setdefault(t.subject, []).append(t.object)
         self._generated_by = generated_by
         self._used_by = used_by
+
+    def _edge_source(self):
+        """``(edges, encode, decode)``: the persisted index with the
+        graph's term ↔ id maps, or the term adjacency — built on first
+        use, once per analyzer — with terms as their own ids."""
+        if self._index is not None:
+            return self._index, self.graph.term_to_id, self.graph.id_to_term
+        if self._term_edges is None:
+            self._term_edges = _TermEdges(self.all_dependency_pairs())
+        return self._term_edges, _same, _same
 
     # -- the paper's core question -------------------------------------------
 
@@ -109,47 +151,33 @@ class DependencyAnalyzer:
 
     def transitive_dependencies(self, entity: IRI) -> Set[IRI]:
         """Every data product *entity* transitively depends on."""
-        if self._index is not None:
-            return self._transitive_ids(entity, inverse=False)
-        seen: Set[IRI] = set()
-        frontier = [entity]
-        while frontier:
-            current = frontier.pop()
-            for dep in self.direct_dependencies(current):
-                if dep.source not in seen:
-                    seen.add(dep.source)
-                    frontier.append(dep.source)
-        return seen
+        return self._transitive_ids(entity, inverse=False)
 
     def dependents_of(self, entity: IRI) -> Set[IRI]:
         """Every data product that transitively depends on *entity*."""
-        if self._index is not None:
-            return self._transitive_ids(entity, inverse=True)
-        graph = self.dependency_graph()
-        if entity.value not in graph:
-            return set()
-        return {IRI(n) for n in nx.ancestors(graph, entity.value)}
+        return self._transitive_ids(entity, inverse=True)
 
     def _transitive_ids(self, entity: IRI, inverse: bool) -> Set[IRI]:
-        """Reachable set over the index's derivation DAG (forward =
-        sources the entity depends on, inverse = dependent products)."""
-        index = self._index
-        entity_id = self.graph.term_to_id(entity)
+        """Reachable set over the derivation DAG (forward = sources the
+        entity depends on, inverse = dependent products).  *entity*
+        itself is in the answer only when an asserted-derivation cycle
+        leads back to it."""
+        edges, encode, decode = self._edge_source()
+        entity_id = encode(entity)
         if entity_id is None:
             return set()
-        step = index.neighbors_inv if inverse else index.neighbors
-        seen: Set[int] = set()
+        step = edges.neighbors_inv if inverse else edges.neighbors
+        seen: Set = set()
         frontier = [entity_id]
         while frontier:
             current = frontier.pop()
-            for neighbor in step(index.DERIVATION, current):
+            for neighbor in step(edges.DERIVATION, current):
                 if neighbor not in seen:
                     seen.add(neighbor)
                     frontier.append(neighbor)
-        decode = self.graph.id_to_term
         return {decode(node) for node in seen}
 
-    # -- graph views -------------------------------------------------------------
+    # -- every edge at once ------------------------------------------------------
 
     def _products(self) -> List[IRI]:
         """Entities with at least one outgoing derivation: generated
@@ -163,18 +191,6 @@ class DependencyAnalyzer:
                     products.setdefault(t.subject, None)
         return list(products)
 
-    def dependency_graph(self) -> "nx.DiGraph":
-        """Entity DAG: edge product → source, annotated with the activity."""
-        graph = nx.DiGraph()
-        for entity in self._products():
-            for dep in self.direct_dependencies(entity):
-                graph.add_edge(
-                    dep.product.value,
-                    dep.source.value,
-                    via=dep.activity.value if dep.activity is not None else None,
-                )
-        return graph
-
     def all_dependency_pairs(self) -> List[Tuple[IRI, IRI]]:
         """Every (product, source) pair in the trace, sorted."""
         pairs = set()
@@ -184,43 +200,29 @@ class DependencyAnalyzer:
         return sorted(pairs, key=lambda p: (p[0].value, p[1].value))
 
     def derivation_path(self, product: IRI, source: IRI) -> Optional[List[IRI]]:
-        """A derivation chain product → ... → source, or None."""
-        if self._index is not None:
-            return self._derivation_path_ids(product, source)
-        graph = self.dependency_graph()
-        if product.value not in graph or source.value not in graph:
-            return None
-        try:
-            path = nx.shortest_path(graph, product.value, source.value)
-        except nx.NetworkXNoPath:
-            return None
-        return [IRI(node) for node in path]
+        """A shortest derivation chain product → ... → source, or None.
 
-    def _derivation_path_ids(self, product: IRI, source: IRI) -> Optional[List[IRI]]:
-        """Shortest chain over the index DAG, BFS with parent pointers.
-
-        Mirrors the decoded route's membership contract: both endpoints
-        must participate in the derivation DAG at all (as product *or*
-        source of some edge), even for the trivial product == source
-        chain.
+        BFS with parent pointers.  Both endpoints must participate in
+        the derivation DAG at all (as product *or* source of some edge),
+        even for the trivial product == source chain.
         """
-        index = self._index
-        product_id = self.graph.term_to_id(product)
-        source_id = self.graph.term_to_id(source)
+        edges, encode, decode = self._edge_source()
+        product_id = encode(product)
+        source_id = encode(source)
         if product_id is None or source_id is None:
             return None
-        rel = index.DERIVATION
-        if not index.in_dag(rel, product_id) or not index.in_dag(rel, source_id):
+        rel = edges.DERIVATION
+        if not edges.in_dag(rel, product_id) or not edges.in_dag(rel, source_id):
             return None
         if product_id == source_id:
             return [product]
-        parents: Dict[int, int] = {}
+        parents: Dict = {}
         frontier = [product_id]
         found = False
         while frontier and not found:
-            next_frontier: List[int] = []
+            next_frontier: List = []
             for node in frontier:
-                for neighbor in index.neighbors(rel, node):
+                for neighbor in edges.neighbors(rel, node):
                     if neighbor in parents or neighbor == product_id:
                         continue
                     parents[neighbor] = node
@@ -236,5 +238,4 @@ class DependencyAnalyzer:
         chain = [source_id]
         while chain[-1] != product_id:
             chain.append(parents[chain[-1]])
-        decode = self.graph.id_to_term
         return [decode(node) for node in reversed(chain)]

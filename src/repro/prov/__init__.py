@@ -3,8 +3,7 @@
 A self-contained implementation of the W3C PROV family sized for the
 corpus: PROV-DM documents (:mod:`.model`), PROV-N output (:mod:`.provn`),
 the PROV-O RDF mapping (:mod:`.rdf_io`), forward-chaining inference
-(:mod:`.inference`), PROV-CONSTRAINTS validation (:mod:`.constraints`),
-and networkx projections for analysis (:mod:`.graph_api`).
+(:mod:`.inference`) and PROV-CONSTRAINTS validation (:mod:`.constraints`).
 """
 
 from .constants import (
@@ -15,7 +14,6 @@ from .constants import (
     ProvTerm,
 )
 from .constraints import Violation, is_valid, validate_document
-from .graph_api import activity_graph, dependency_graph, to_networkx
 from .inference import ProvInferencer, infer, inferred_graph
 from .model import (
     Association,
@@ -34,12 +32,9 @@ from .model import (
     ProvModelError,
     Usage,
 )
-from .dot import to_dot
-from .json_io import parse_provjson, serialize_provjson
 from .provn import serialize_provn
 from .provn_parser import ProvNSyntaxError, parse_provn
 from .rdf_io import from_dataset, from_graph, to_dataset, to_graph
-from .xml_io import parse_provxml, serialize_provxml
 
 __all__ = [
     "ProvDocument",
@@ -64,20 +59,12 @@ __all__ = [
     "serialize_provn",
     "parse_provn",
     "ProvNSyntaxError",
-    "serialize_provxml",
-    "parse_provxml",
-    "serialize_provjson",
-    "parse_provjson",
-    "to_dot",
     "infer",
     "inferred_graph",
     "ProvInferencer",
     "validate_document",
     "is_valid",
     "Violation",
-    "to_networkx",
-    "dependency_graph",
-    "activity_graph",
     "PROV",
     "ProvTerm",
     "STARTING_POINT_TERMS",

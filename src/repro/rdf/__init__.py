@@ -24,7 +24,6 @@ from .namespace import (
     Namespace,
     NamespaceManager,
 )
-from .isomorphism import canonical_hash, isomorphic
 from .ntriples import parse_nquads, parse_ntriples, serialize_nquads, serialize_ntriples
 from .terms import XSD, BlankNode, IRI, Literal, from_python
 from .trig import parse_trig, serialize_trig
@@ -67,6 +66,4 @@ __all__ = [
     "parse_nquads",
     "to_jsonld",
     "from_jsonld",
-    "isomorphic",
-    "canonical_hash",
 ]

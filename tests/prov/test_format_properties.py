@@ -1,9 +1,9 @@
 """Property-based tests: random PROV documents round-trip every format.
 
-One generator of random (but valid) PROV documents drives four
-serializations — PROV-N, PROV-XML, PROV-JSON, and the PROV-O RDF mapping
-— asserting that each reconstructs an equivalent document, and that the
-RDF mapping is isomorphic across independent serializations.
+One generator of random (but valid) PROV documents drives both
+serializations — PROV-N and the PROV-O RDF mapping — asserting that each
+reconstructs an equivalent document, and that the RDF mapping is
+isomorphic across independent serializations.
 """
 
 import datetime as dt
@@ -11,13 +11,11 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from repro.prov.json_io import parse_provjson, serialize_provjson
 from repro.prov.model import ProvDocument
 from repro.prov.provn import serialize_provn
 from repro.prov.provn_parser import parse_provn
 from repro.prov.rdf_io import from_graph, to_graph
-from repro.prov.xml_io import parse_provxml, serialize_provxml
-from repro.rdf.isomorphism import isomorphic
+from tests.rdf.isomorphism import isomorphic
 
 _names = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)
 _times = st.datetimes(min_value=dt.datetime(2012, 1, 1), max_value=dt.datetime(2013, 12, 31))
@@ -99,18 +97,6 @@ def test_provn_roundtrip(doc):
 
 @settings(max_examples=25, deadline=None)
 @given(documents())
-def test_provxml_roundtrip(doc):
-    assert parse_provxml(serialize_provxml(doc)).statistics() == doc.statistics()
-
-
-@settings(max_examples=25, deadline=None)
-@given(documents())
-def test_provjson_roundtrip(doc):
-    assert parse_provjson(serialize_provjson(doc)).statistics() == doc.statistics()
-
-
-@settings(max_examples=25, deadline=None)
-@given(documents())
 def test_rdf_mapping_roundtrip(doc):
     assert from_graph(to_graph(doc)).statistics() == doc.statistics()
 
@@ -125,8 +111,7 @@ def test_rdf_serializations_isomorphic(doc):
 @settings(max_examples=20, deadline=None)
 @given(documents())
 def test_cross_format_chain(doc):
-    """N → XML → JSON → N preserves the document statistics."""
+    """N → RDF → N preserves the document statistics."""
     via_n = parse_provn(serialize_provn(doc))
-    via_xml = parse_provxml(serialize_provxml(via_n))
-    via_json = parse_provjson(serialize_provjson(via_xml))
-    assert via_json.statistics() == doc.statistics()
+    via_rdf = from_graph(to_graph(via_n))
+    assert parse_provn(serialize_provn(via_rdf)).statistics() == doc.statistics()

@@ -1,11 +1,9 @@
-"""Unit tests for PROV-N serialization and the networkx graph views."""
+"""Unit tests for PROV-N serialization."""
 
 import datetime as dt
 
-import networkx as nx
 import pytest
 
-from repro.prov.graph_api import activity_graph, dependency_graph, to_networkx
 from repro.prov.model import ProvDocument
 from repro.prov.provn import serialize_provn
 
@@ -62,50 +60,3 @@ class TestProvN:
     def test_deterministic(self, doc):
         assert serialize_provn(doc) == serialize_provn(doc)
 
-
-class TestNetworkxViews:
-    def test_full_multigraph(self, doc):
-        g = to_networkx(doc)
-        assert g.nodes["http://example.org/run"]["kind"] == "activity"
-        assert g.nodes["http://example.org/in"]["kind"] == "entity"
-        relations = {d["relation"] for _, _, d in g.edges(data=True)}
-        assert {"used", "wasGeneratedBy", "wasAssociatedWith", "hadPlan",
-                "wasAttributedTo"} <= relations
-
-    def test_dependency_graph_edges(self, doc):
-        g = dependency_graph(doc)
-        assert g.has_edge("http://example.org/out", "http://example.org/in")
-        assert g["http://example.org/out"]["http://example.org/in"]["via"] == (
-            "http://example.org/run"
-        )
-
-    def test_dependency_graph_includes_asserted_derivations(self, doc):
-        doc.had_primary_source("ex:out", "ex:extra")
-        g = dependency_graph(doc)
-        assert g.has_edge("http://example.org/out", "http://example.org/extra")
-
-    def test_activity_graph_dataflow_communication(self):
-        doc = ProvDocument()
-        doc.namespaces.bind("ex", "http://example.org/")
-        doc.activity("ex:a1")
-        doc.activity("ex:a2")
-        doc.entity("ex:e")
-        doc.was_generated_by("ex:e", "ex:a1")
-        doc.used("ex:a2", "ex:e")
-        g = activity_graph(doc)
-        assert g.has_edge("http://example.org/a2", "http://example.org/a1")
-
-    def test_activity_graph_explicit_communication(self):
-        doc = ProvDocument()
-        doc.namespaces.bind("ex", "http://example.org/")
-        doc.was_informed_by("ex:a2", "ex:a1")
-        g = activity_graph(doc)
-        assert g.has_edge("http://example.org/a2", "http://example.org/a1")
-
-    def test_dependency_graph_is_dag_on_corpus_trace(self, corpus):
-        trace = next(t for t in corpus.traces if not t.failed)
-        from repro.prov.rdf_io import from_graph
-
-        doc = from_graph(trace.graph())
-        g = dependency_graph(doc)
-        assert nx.is_directed_acyclic_graph(g)

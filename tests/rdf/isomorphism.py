@@ -1,4 +1,7 @@
-"""RDF graph isomorphism (blank-node aware equality).
+"""Test helper: RDF graph isomorphism (blank-node aware equality).
+
+The round-trip *checker* of the serialization tests; nothing in the
+package needs it, so it lives beside the tests that do.
 
 Plain ``Graph.__eq__`` compares triples literally, so two graphs that
 differ only in blank-node labels — e.g. the qualified-pattern nodes that
@@ -20,8 +23,8 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Optional, Tuple
 
-from .graph import Graph
-from .terms import BlankNode, Term
+from repro.rdf.graph import Graph
+from repro.rdf.terms import BlankNode, Term
 
 __all__ = ["isomorphic", "canonical_hash"]
 

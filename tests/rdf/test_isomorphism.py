@@ -3,7 +3,7 @@
 import pytest
 
 from repro.rdf import Graph, Namespace, PROV, RDF
-from repro.rdf.isomorphism import canonical_hash, isomorphic
+from tests.rdf.isomorphism import canonical_hash, isomorphic
 from repro.rdf.terms import BlankNode, Literal
 
 EX = Namespace("http://example.org/")
