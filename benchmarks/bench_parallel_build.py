@@ -2,9 +2,9 @@
 
 The one check on the build path that no tier-1 test and no harness
 metric holds yet: a full 198-run serial build with the metrics registry
-enabled, a span tracer active and a shared-memory shard attached — and,
-separately, under the always-on profiler — may cost at most 1.05× the
-bare build, best-of-3 against best-of-3.  (That ``--jobs N`` output is
+enabled, a span tracer active and one ``/metrics`` render per round —
+and, separately, under the always-on profiler — may cost at most 1.05×
+the bare build, best-of-3 against best-of-3.  (That ``--jobs N`` output is
 byte-identical to serial is asserted by ``tests/corpus/test_parallel_build.py``,
 ``tests/store/test_parallel_ingest.py`` and the CI ``diff -r``.)
 
@@ -32,44 +32,42 @@ def measure_instrumentation_overhead() -> dict:
     loops count into plain ints that collectors mirror later.  This
     measures that promise on the heaviest instrumented path — the full
     198-run build — with the registry disabled versus enabled *plus* an
-    active span tracer *plus* an attached shared-memory metric shard
-    (flushed and scraped through the k-way aggregator each round, the way
-    an ``--obs-dir`` run would be), and reports the wall-clock ratio.
+    active span tracer *plus* one Prometheus render of the registry per
+    round (a scrape), and reports the wall-clock ratio.
     """
-    import tempfile
-
     from repro.corpus import CorpusBuilder
-    from repro.obs import metrics, shm
+    from repro.obs import metrics
     from repro.obs.trace import Tracer
 
     registry = metrics.get_registry()
     was_enabled = registry.enabled
+    disabled_s = None
+    instrumented_s = None
     span_events = 0
-    scrape_series = 0
     try:
-        registry.set_enabled(False)
-        disabled_s = min(
-            _timed(lambda: CorpusBuilder(seed=2013).build()) for _ in range(ROUNDS)
+        # One warmup build, then alternate the two sides, as the profiler
+        # leg does: a fresh process's first build is its fastest, and heap
+        # growth and machine-load drift then hit both sides equally.
+        CorpusBuilder(seed=2013).build()
+        for _ in range(ROUNDS):
+            registry.set_enabled(False)
+            elapsed = _timed(lambda: CorpusBuilder(seed=2013).build())
+            if disabled_s is None or elapsed < disabled_s:
+                disabled_s = elapsed
+            registry.set_enabled(True)
+            tracer = Tracer()
+
+            def observed_build():
+                CorpusBuilder(seed=2013).build(tracer=tracer)
+                registry.render_prometheus()
+
+            elapsed = _timed(observed_build)
+            span_events = len(tracer.events())
+            if instrumented_s is None or elapsed < instrumented_s:
+                instrumented_s = elapsed
+        scrape_series = sum(
+            len(family["samples"]) for family in registry.snapshot().values()
         )
-        registry.set_enabled(True)
-        instrumented_s = None
-        with tempfile.TemporaryDirectory(prefix="obs-bench-") as obs_dir:
-            shm.configure(obs_dir)
-            for _ in range(ROUNDS):
-                tracer = Tracer()
-
-                def observed_build():
-                    CorpusBuilder(seed=2013).build(tracer=tracer)
-                    shm.flush()
-                    shm.render_aggregated(obs_dir, registry=registry)
-
-                elapsed = _timed(observed_build)
-                span_events = len(tracer.events())
-                if instrumented_s is None or elapsed < instrumented_s:
-                    instrumented_s = elapsed
-            series, _ = shm.aggregate(obs_dir, sweep=False)
-            scrape_series = len(series)
-            shm.unconfigure()
     finally:
         registry.set_enabled(was_enabled)
     return {

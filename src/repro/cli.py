@@ -24,20 +24,18 @@ Sub-commands:
 * ``obs summary <trace>`` — aggregate a span trace file per phase;
 * ``obs scrape <url>`` — fetch and print ``/metrics`` from a running
   endpoint;
-* ``obs metrics`` — render this process's metrics registry;
-* ``obs top <dir>`` — aggregated cross-process view of an ``--obs-dir``
-  directory (per-process shard ages plus the folded series).
+* ``obs slowlog <url|dir>`` — print retained query records;
+* ``obs profile <url|file>`` — sample a live endpoint's profiler.
 
 ``query`` and ``serve`` accept ``--store PATH`` to answer from the
-persistent store (mmap'd dictionary-encoded segments) instead of
+persistent store (memory-mapped dictionary-encoded segments) instead of
 re-parsing every trace file on startup.
 
 ``build``, ``store ingest``, and ``serve`` accept ``--obs-dir DIR``:
-every process involved (the parent and all ``--jobs N`` pool workers)
-publishes its counters to an mmap'd metric shard under DIR and appends
-structured events to DIR's JSONL event log, so worker-side counters
-survive the pool boundary into ``/metrics``, ``/stats``, and
-``obs top``.
+the command appends structured events to ``DIR/events.jsonl`` — one
+``build.done`` / ``ingest.done`` line per run with the counters that
+moved (``--jobs N`` pool workers included), one ``endpoint.request``
+line per request.
 
 ``build``, ``store ingest``, ``query``, and ``serve`` accept
 ``--trace FILE`` to write a Chrome ``trace_event`` file (open it in
@@ -201,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         "scrape", help="fetch and print /metrics from a running endpoint"
     )
     p_obs_scrape.add_argument("url", help="endpoint base URL or .../metrics URL")
-    obs_sub.add_parser("metrics", help="render this process's metrics registry")
     p_obs_slowlog = obs_sub.add_parser(
         "slowlog", help="print retained query records (live endpoint URL, "
                         "obs dir or events.jsonl)"
@@ -231,21 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", type=Path, default=None, metavar="FILE",
         help="write output to FILE instead of stdout",
     )
-    p_obs_top = obs_sub.add_parser(
-        "top", help="render the aggregated cross-process metrics of an "
-                    "observability directory (shards + top series)"
-    )
-    p_obs_top.add_argument("obs_dir", type=Path, help="directory given to --obs-dir")
-    p_obs_top.add_argument(
-        "--limit", type=int, default=20, metavar="N",
-        help="series rows to show (default: 20; 0 = all)",
-    )
-    p_obs_top.add_argument(
-        "--watch", type=float, default=None, metavar="SECONDS",
-        help="refresh every SECONDS until interrupted (default: one shot)",
-    )
-    p_obs_top.add_argument("--json", action="store_true",
-                           help="print the aggregated snapshot as JSON")
 
     sub.add_parser("maintenance", help="run the vocabulary-alignment maintenance pass")
     sub.add_parser("profile", help="print the structural profile of the corpus")
@@ -267,32 +249,20 @@ def _add_trace_flag(parser, what: str = "phase spans for this command") -> None:
 def _add_obs_dir_flag(parser) -> None:
     parser.add_argument(
         "--obs-dir", type=Path, default=None, metavar="DIR",
-        help="shared observability directory: pool workers publish their "
-             "counters as mmap'd metric shards there (aggregated by "
-             "/metrics, /stats, and `obs top`) and all phases append to "
-             "its structured event log",
+        help="observability directory: the command appends structured "
+             "events (build.done / ingest.done with the run's counters, "
+             "one endpoint.request per request) to DIR/events.jsonl",
     )
 
 
 def _apply_obs_dir(args):
-    """Configure the process-wide shard + event log for ``--obs-dir``."""
+    """Open the process-wide event log for ``--obs-dir``."""
     obs_dir = getattr(args, "obs_dir", None)
-    if obs_dir is None:
-        return None
-    from .obs import events, shm
+    if obs_dir is not None:
+        from .obs import events
 
-    shm.configure(str(obs_dir))
-    events.configure(str(obs_dir))
+        events.configure(str(obs_dir))
     return obs_dir
-
-
-def _flush_obs(obs_dir) -> None:
-    """Publish this process's final counter values to its shard."""
-    if obs_dir is None:
-        return
-    from .obs import shm
-
-    shm.flush()
 
 
 def _add_spill_budget_flag(parser) -> None:
@@ -407,7 +377,6 @@ def _cmd_build(args) -> int:
     if obs_dir is not None:
         print(f"  obs dir: {obs_dir}")
     _write_trace(tracer, args)
-    _flush_obs(obs_dir)
     return 0
 
 
@@ -578,8 +547,8 @@ def _cmd_serve(args) -> int:
     print(f"  cache: {cache_size} entries  stats: {endpoint.stats_url}")
     print(f"  metrics: {endpoint.metrics_url}  healthz: {endpoint.healthz_url}")
     if endpoint.obs_dir is not None:
-        print(f"  obs dir: {endpoint.obs_dir} (aggregated /metrics; "
-              f"`repro-corpus obs top {endpoint.obs_dir}` for a live view)")
+        print(f"  obs dir: {endpoint.obs_dir} (one endpoint.request line per "
+              f"request in events.jsonl)")
     slowlog = f"{endpoint.slowlog_url}, " if endpoint.slow_query_ms is not None else ""
     print(f"  retained: {slowlog}{endpoint.trace_url}/<trace-id> "
           f"(requests ≥ {endpoint.requests.slow_ms:g} ms or errored)")
@@ -625,7 +594,6 @@ def _cmd_store(args) -> int:
         if obs_dir is not None:
             print(f"obs dir: {obs_dir}")
         _write_trace(tracer, args)
-        _flush_obs(obs_dir)
         return 0
     # info — refuse to silently create a store at a mistyped path
     if not (args.store_dir / "store.json").exists():
@@ -668,17 +636,7 @@ def _cmd_obs(args) -> int:
         return 0
     if args.obs_command == "slowlog":
         return _obs_slowlog(args)
-    if args.obs_command == "profile":
-        return _obs_profile(args)
-    if args.obs_command == "top":
-        return _obs_top(args)
-    # metrics — render this process's registry (mostly zeros unless the
-    # command that populated it ran in-process; useful to eyeball the
-    # exposition format and the declared metric families)
-    from .obs import metrics
-
-    sys.stdout.write(metrics.render())
-    return 0
+    return _obs_profile(args)
 
 
 def _obs_profile(args) -> int:
@@ -715,70 +673,6 @@ def _obs_profile(args) -> int:
     else:
         sys.stdout.write(output)
     return 0
-
-
-def _obs_top(args) -> int:
-    """Aggregated cross-process view of an ``--obs-dir`` directory."""
-    import time as _time
-
-    from .obs import shm
-
-    if not (args.obs_dir / shm.MANIFEST_FILE).exists():
-        print(f"error: no observability directory at {args.obs_dir}", file=sys.stderr)
-        return 1
-
-    def once() -> None:
-        snapshot = shm.snapshot_aggregated(str(args.obs_dir))
-        if args.json:
-            print(json.dumps(snapshot, indent=2, sort_keys=True))
-            return
-        shards = snapshot["shards"]
-        print(f"obs dir: {args.obs_dir}  live shards: {len(shards)}")
-        if shards:
-            print(f"  {'pid':>8} {'alive':<5} {'age_s':>9} {'stale_s':>9} "
-                  f"{'slots':>6}  file")
-            for shard in shards:
-                print(f"  {shard['pid']:>8} {str(shard['alive']).lower():<5} "
-                      f"{shard['age_s']:>9.1f} {shard['updated_age_s']:>9.1f} "
-                      f"{shard['slots']:>6}  {shard['file']}")
-        rows = []
-        for name, family in snapshot["metrics"].items():
-            for sample in family["samples"]:
-                labels = "".join(
-                    f",{k}={v}" for k, v in sorted(sample["labels"].items())
-                )
-                value = sample["value"]
-                if isinstance(value, dict):
-                    rows.append((value["count"],
-                                 f"{name}{{{labels[1:]}}}" if labels else name,
-                                 f"count={value['count']:g} sum={value['sum']:g}"))
-                else:
-                    rows.append((value,
-                                 f"{name}{{{labels[1:]}}}" if labels else name,
-                                 f"{value:g}"))
-        rows.sort(key=lambda row: (-abs(row[0]), row[1]))
-        shown = rows if args.limit <= 0 else rows[: args.limit]
-        if shown:
-            width = max(len(row[1]) for row in shown)
-            print(f"  {'series'.ljust(width)}  value")
-            for _, series, rendered in shown:
-                print(f"  {series.ljust(width)}  {rendered}")
-            if len(shown) < len(rows):
-                print(f"  ... {len(rows) - len(shown)} more series "
-                      f"(--limit 0 for all)")
-        else:
-            print("  (no series published yet)")
-
-    if args.watch is None:
-        once()
-        return 0
-    try:
-        while True:
-            once()
-            print()
-            _time.sleep(max(0.1, args.watch))
-    except KeyboardInterrupt:
-        return 0
 
 
 def _obs_slowlog(args) -> int:

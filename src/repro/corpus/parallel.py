@@ -13,7 +13,7 @@ function of the run itself — so the build parallelizes in two phases:
 2. **Produce** (workers): each worker owns a private engine set seeded
    identically to the parent's, seats its clock at the run's exact start
    time, re-executes the run, exports PROV, and serializes Turtle/TriG.
-   Results stream back via ``imap`` in plan order.
+   Results stream back in plan order (:func:`repro.parallel.map_tasks`).
 
 Because a run's outcome depends only on (template, inputs, run id,
 fault plan, user, clock start), every worker reproduces byte-for-byte
@@ -27,66 +27,34 @@ failing run and template named in the message.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
-from ..obs import shm
-from ..obs import tracectx as _tracectx
-from ..parallel import ObsConfig, RemoteError, pool_context, resolve_jobs
+from ..parallel import Task, map_tasks, resolve_jobs
 from ..workflow.dataflow import SimulatedClock
 from ..workflow.errors import WorkflowError
 
 __all__ = ["iter_traces_parallel"]
 
-# Per-worker state: (builder, template index, clock, taverna, wings,
-# tracer).  Built once per worker by _init_worker; tasks only carry
-# (entry, start).
-_WORKER_STATE = None
 
-
-def _init_worker(seed, start, obs: ObsConfig = ObsConfig(), scale: int = 1) -> None:
-    global _WORKER_STATE
+def _setup_worker(seed, start, scale):
+    """Per-worker state, built once: a private builder and engine set
+    seeded identically to the parent's.  Tasks only carry (entry, start)."""
     from .builder import CorpusBuilder
 
-    obs.attach_worker()
     builder = CorpusBuilder(seed=seed, start=start, scale=scale)
-    templates = builder.generator.all_templates()
-    by_id = {t.template_id: t for t in templates}
+    by_id = {t.template_id: t for t in builder.generator.all_templates()}
     clock = SimulatedClock(start)
     taverna, wings = builder._make_engines(clock)
-    _WORKER_STATE = (builder, by_id, clock, taverna, wings, obs.make_tracer())
+    return builder, by_id, clock, taverna, wings
 
 
-def _build_one(task) -> Tuple[str, object, Optional[list]]:
-    """Pool task: build one run; ship the trace plus any span events.
-
-    The worker drains its tracer per task, so each result carries
-    exactly that run's spans; the parent absorbs them in plan order,
-    which makes the merged trace ordering independent of which worker
-    built which run.
-    """
-    entry, started = task
-    builder, by_id, clock, taverna, wings, tracer = _WORKER_STATE
-    try:
-        clock.reset(started)
-        if tracer is not None:
-            tracer.reset_clock()
-        # Same derived trace context a serial build enters for this run
-        # id — worker spans stamp identical trace/span/parent ids.
-        with _tracectx.task_scope(entry.run_id):
-            trace = builder._trace_for(
-                entry, by_id[entry.template_id], taverna, wings, tracer=tracer
-            )
-        # Publish this worker's counters after every task: the pool is
-        # terminated (not joined) on exit, so per-task flushes are the
-        # only guaranteed publication point before the orphan sweep.
-        shm.flush()
-        return ("ok", trace, tracer.drain() if tracer is not None else None)
-    except Exception as exc:
-        if tracer is not None:
-            tracer.drain()
-        shm.flush()
-        context = f"run {entry.run_id} (template {entry.template_id}) failed in worker"
-        return ("error", RemoteError.capture(exc, context), None)
+def _build_one(state, args, tracer):
+    """Pool task: build one run at its exact start instant."""
+    builder, by_id, clock, taverna, wings = state
+    entry, started = args
+    clock.reset(started)
+    return builder._trace_for(entry, by_id[entry.template_id], taverna, wings,
+                              tracer=tracer)
 
 
 def iter_traces_parallel(
@@ -98,27 +66,22 @@ def iter_traces_parallel(
 ) -> Iterator[object]:
     """Fan the run plan over a process pool; yield traces in plan order.
 
-    ``imap`` yields results in submission (= plan) order while workers
-    run ahead, so the consumer sees the exact serial trace sequence with
-    only the pool's in-flight chunk buffered — memory stays flat in the
-    corpus size.
+    Results arrive in submission (= plan) order while workers run ahead,
+    so the consumer sees the exact serial trace sequence without the
+    corpus ever being held whole.
     """
     jobs = min(resolve_jobs(jobs), len(plan))
     starts = builder.plan_start_times(plan, by_id)
-    ctx = pool_context()
-    chunksize = max(1, len(plan) // (jobs * 4))
-    with ctx.Pool(
-        processes=jobs,
-        initializer=_init_worker,
-        initargs=(builder.seed, builder.start, ObsConfig.from_tracer(tracer),
-                  builder.scale),
-    ) as pool:
-        for status, payload, events in pool.imap(
-            _build_one, list(zip(plan, starts)), chunksize=chunksize
-        ):
-            if status == "error":
-                payload.reraise(fallback=WorkflowError)
-            if tracer is not None:
-                tracer.reset_clock()
-                tracer.add_events(events or ())
-            yield payload
+    tasks = [
+        Task(
+            entry.run_id,
+            f"run {entry.run_id} (template {entry.template_id}) failed in worker",
+            (entry, started),
+        )
+        for entry, started in zip(plan, starts)
+    ]
+    return map_tasks(
+        "build", tasks, jobs,
+        _setup_worker, (builder.seed, builder.start, builder.scale), _build_one,
+        tracer=tracer, fallback=WorkflowError,
+    )

@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..obs import events as _events
+from ..obs import metrics as _metrics
 from ..rdf.graph import Dataset, Graph
 from ..rdf.trig import parse_trig
 from ..rdf.turtle import parse_turtle
@@ -195,6 +196,8 @@ def build_and_write(
     ``spill_quad_budget``); *on_ingest_file* is forwarded to
     :func:`repro.store.ingest_corpus` as its per-file progress hook.
     """
+    registry = _metrics.get_registry()
+    counters_base = registry.additive()
     by_id, plan = builder.plan()
     writer = _TraceWriter(Path(root), by_id)
     total = len(plan)
@@ -213,6 +216,7 @@ def build_and_write(
         runs=total,
         triples=writer.triples,
         jobs=jobs,
+        counters=registry.counters_since(counters_base),
     )
     if store is not None:
         _open_store(store, writer.root, jobs=jobs, tracer=tracer,

@@ -16,10 +16,7 @@ minimal SPARQL 1.1 Protocol surface on stdlib ``http.server``:
 * ``GET /metrics`` serves the process metrics registry in Prometheus
   text exposition format (query cache, WAL fsyncs, store cache mirrors,
   per-route/status request counters) plus CKMS quantile summaries
-  (per-route request seconds, per-plan-digest query seconds); with an
-  ``obs_dir`` the scrape folds in every live worker shard and swept
-  orphan residual (see :mod:`repro.obs.shm`), and ``/stats`` reports
-  per-process shard ages;
+  (per-route request seconds, per-plan-digest query seconds);
 * ``GET /healthz`` is the liveness probe: 200 plus the store generation;
 * ``GET /slowlog`` lists the retained requests that ran a query (enabled
   by constructing the endpoint with ``slow_query_ms``);
@@ -90,7 +87,6 @@ from typing import Optional, Union
 from ..obs import events as _events
 from ..obs import metrics as _metrics
 from ..obs import profiler as _profiler
-from ..obs import shm as _shm
 from ..obs import tracectx as _tracectx
 from ..obs.quantiles import QuantileFamily
 from ..obs.request import RequestRecord, RequestRing
@@ -410,18 +406,9 @@ class _Handler(BaseHTTPRequestHandler):
         # for the counters is itself included in them.
         self._finish_request(200)
         endpoint: "SparqlEndpoint" = self.server.endpoint  # type: ignore[attr-defined]
-        extra = endpoint.request_quantiles.render() + endpoint.plan_quantiles.render()
-        if endpoint.obs_dir is not None:
-            # Publish our own shard too, so a concurrent `obs top` (a
-            # foreign reader that cannot see this registry) stays fresh.
-            _shm.flush()
-            # Cross-process scrape: this process's registry (full values)
-            # folded with every worker shard and swept-orphan residual.
-            body = _shm.render_aggregated(
-                endpoint.obs_dir, registry=_metrics.get_registry(), extra=extra
-            )
-        else:
-            body = _metrics.get_registry().render_prometheus() + extra
+        body = (_metrics.get_registry().render_prometheus()
+                + endpoint.request_quantiles.render()
+                + endpoint.plan_quantiles.render())
         self._send(200, "text/plain; version=0.0.4", body)
 
     def _send_slowlog(self):
@@ -591,13 +578,10 @@ class SparqlEndpoint:
         if profile_hz:
             _profiler.start(hz=profile_hz)
             self._profiler_started = True
-        # Cross-process observability: with an obs_dir, /metrics folds
-        # live worker shards (plus swept-orphan residuals) into the
-        # scrape, /stats reports per-process shard ages, and every
-        # request appends one line to the shared JSONL log.
+        # With an obs_dir, every request appends one line to the JSONL
+        # event log there.
         self.obs_dir = obs_dir
         if obs_dir is not None:
-            _shm.configure(obs_dir)
             _events.configure(obs_dir)
         # The one latency account (CKMS sketches, true tails): per-route
         # request seconds and per-plan-digest query seconds, observed by
@@ -677,13 +661,6 @@ class SparqlEndpoint:
             },
             "metrics": metrics,
         }
-        if self.obs_dir is not None:
-            _shm.flush()
-            aggregated = _shm.snapshot_aggregated(
-                self.obs_dir, registry=_metrics.get_registry()
-            )
-            payload["metrics"] = aggregated["metrics"]
-            payload["obs"] = {"dir": self.obs_dir, "shards": aggregated["shards"]}
         payload["latency_quantiles"] = {
             "requests": request_quantiles,
             "plans": self.plan_quantiles.snapshot(),

@@ -9,10 +9,8 @@ query engine fill in and the one bounded ring of retained records that
 ``GET /slowlog``, ``GET /trace/<id>`` and ``obs slowlog`` are views of.
 ``repro.obs.progress`` holds the TTY-gated one-line progress reporter
 long builds and ingests drive from the counters.
-``repro.obs.shm`` holds the mmap-backed shared-memory metric shards
-that carry pool-worker counters across the process boundary into one
-aggregated scrape.  ``repro.obs.quantiles`` holds the CKMS targeted
-quantile sketches (true p50/p95/p99 per route and plan digest).
+``repro.obs.quantiles`` holds the CKMS targeted quantile sketches (true
+p50/p95/p99 per route and plan digest).
 ``repro.obs.events`` holds the schema-versioned, size-rotated JSONL
 event log that build/ingest/compaction/spill/endpoint paths append to.
 ``repro.obs.tracectx`` holds the W3C trace-context plumbing — the
@@ -23,7 +21,7 @@ statistical profiler (folded stacks + speedscope output, thread→
 request attribution, overhead accounting).
 """
 
-from . import events, metrics, profiler, quantiles, shm, tracectx
+from . import events, metrics, profiler, quantiles, tracectx
 from .events import EventLog, read_events
 from .profiler import StackProfiler
 from .progress import Progress
@@ -37,7 +35,6 @@ __all__ = [
     "metrics",
     "profiler",
     "quantiles",
-    "shm",
     "tracectx",
     "EventLog",
     "NULL_SPAN",

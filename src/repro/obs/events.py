@@ -15,9 +15,8 @@ version), ``ts`` (unix seconds, float), ``pid``, and ``kind``
 ``endpoint.request`` — one per request, see :mod:`repro.obs.request`);
 everything else is kind-specific.
 Writes are single ``os.write`` calls on an ``O_APPEND`` descriptor, so
-concurrent processes (pool workers, the endpoint) interleave whole
-lines, never torn ones — the same property the shard substrate in
-:mod:`repro.obs.shm` relies on for its directory files.
+concurrent processes (a build and the endpoint sharing one directory)
+interleave whole lines, never torn ones.
 
 Rotation is size-bounded: when ``events.jsonl`` would exceed
 ``max_bytes`` the log renames it to ``events.jsonl.1`` (shifting older

@@ -114,6 +114,13 @@ class CounterChild(_Child):
         with self._metric._lock:
             return self._value
 
+    def _vector(self) -> Tuple[float, ...]:
+        return (self.value,)
+
+    def _absorb(self, vector: Sequence[float]) -> None:
+        with self._metric._lock:
+            self._value += vector[0]
+
 
 class GaugeChild(_Child):
     __slots__ = ("_value",)
@@ -175,6 +182,21 @@ class HistogramChild(_Child):
                 cumulative += count
                 buckets[_format_value(edge)] = cumulative
             return {"sum": self._sum, "count": self._count, "buckets": buckets}
+
+    def _vector(self) -> Tuple[float, ...]:
+        with self._metric._lock:
+            return (*self._bucket_counts, self._sum, self._count)
+
+    def _absorb(self, vector: Sequence[float]) -> None:
+        *buckets, value_sum, count = vector
+        if len(buckets) != len(self._bucket_counts):
+            raise MetricsError(f"{self._metric.name}: absorbed histogram's "
+                               "bucket edges differ from this registry's")
+        with self._metric._lock:
+            for i, n in enumerate(buckets):
+                self._bucket_counts[i] += n
+            self._sum += value_sum
+            self._count += count
 
 
 _KIND_CHILD = {
@@ -329,6 +351,10 @@ class MetricsRegistry:
         with self._lock:
             return self._metrics.get(name)
 
+    def _families(self) -> List[Metric]:
+        with self._lock:
+            return [self._metrics[name] for name in sorted(self._metrics)]
+
     # -- collectors ---------------------------------------------------
     def register_collector(self, fn: Callable[["MetricsRegistry"], None]) -> Callable:
         """Register ``fn`` to run before each render/snapshot; used to
@@ -349,14 +375,77 @@ class MetricsRegistry:
         for fn in collectors:
             fn(self)
 
+    # -- cross-process fold -------------------------------------------
+    def additive(self) -> Dict[str, tuple]:
+        """Every series whose values add up across processes, as one
+        self-describing map ``{name: (kind, help, label names, bucket
+        edges, {label values: vector})}`` where a counter's vector is
+        ``(value,)`` and a histogram's ``(*bucket counts, sum, count)``.
+
+        Gauges are levels, not sums, and stay process-local.  No
+        collector pass: collectors mirror some other component's ints,
+        which are not this process's increments.
+        """
+        return {
+            metric.name: (
+                metric.kind, metric.help, metric.label_names, metric._buckets,
+                {c.label_values: c._vector() for c in metric._sorted_children()},
+            )
+            for metric in self._families()
+            if metric.kind != "gauge"
+        }
+
+    def delta(self, base: Dict[str, tuple]) -> Dict[str, tuple]:
+        """The series that moved since *base* (an earlier
+        :meth:`additive`), in the same shape, each with its whole vector
+        — a touched histogram keeps every bucket.  *base* is advanced to
+        now, so consecutive calls partition the increments."""
+        now = self.additive()
+        moved: Dict[str, tuple] = {}
+        for name, (*described, series) in now.items():
+            before = base[name][-1] if name in base else {}
+            changed = {}
+            for label_values, vector in series.items():
+                old = before.get(label_values)
+                if old is not None:
+                    vector = tuple(a - b for a, b in zip(vector, old))
+                if any(vector):
+                    changed[label_values] = vector
+            if changed:
+                moved[name] = (*described, changed)
+        base.clear()
+        base.update(now)
+        return moved
+
+    def absorb(self, deltas: Dict[str, tuple]) -> None:
+        """Add another process's :meth:`delta` into this registry,
+        declaring any family only that process had imported."""
+        if not self._enabled:
+            return
+        for name, (kind, help_text, label_names, edges, series) in deltas.items():
+            metric = self._get_or_create(name, help_text, kind, label_names, edges or None)
+            for label_values, vector in series.items():
+                metric.labels(*label_values)._absorb(vector)
+
+    def counters_since(self, base: Dict[str, tuple]) -> Dict[str, float]:
+        """The counters that moved since *base*, flat and JSON-ready —
+        ``{'name{label="value"}': increment}`` — as the ``build.done`` /
+        ``ingest.done`` event lines carry them."""
+        out: Dict[str, float] = {}
+        for name, (kind, _, label_names, _, series) in self.delta(base).items():
+            if kind != "counter":
+                continue
+            for label_values, (value,) in series.items():
+                key = name + self._label_str(label_names, label_values)
+                out[key] = int(value) if float(value).is_integer() else value
+        return out
+
     # -- exposition ---------------------------------------------------
     def render_prometheus(self) -> str:
         """Prometheus text exposition format 0.0.4."""
         self.collect()
-        with self._lock:
-            metrics = [self._metrics[name] for name in sorted(self._metrics)]
         lines: List[str] = []
-        for metric in metrics:
+        for metric in self._families():
             if metric.help:
                 lines.append(f"# HELP {metric.name} {metric.help}")
             lines.append(f"# TYPE {metric.name} {metric.kind}")
@@ -392,10 +481,8 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """JSON-friendly dump of every series; runs collectors first."""
         self.collect()
-        with self._lock:
-            metrics = [self._metrics[name] for name in sorted(self._metrics)]
         out: dict = {}
-        for metric in metrics:
+        for metric in self._families():
             samples = []
             for child in metric._sorted_children():
                 labels = dict(zip(metric.label_names, child.label_values))

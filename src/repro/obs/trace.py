@@ -1,11 +1,10 @@
 """Span tracing with Chrome ``trace_event`` output.
 
-Spans are context managers (or decorators via :meth:`Tracer.wrap`)
-recording wall time, CPU time, and free-form attributes.  A tracer
-accumulates complete events (``"ph": "X"``) which :meth:`Tracer.write`
-emits in the Chrome JSON Array Format, one event per line, so the file
-is both line-parseable and opens directly in ``chrome://tracing`` or
-Perfetto::
+Spans are context managers recording wall time, CPU time, and
+free-form attributes.  A tracer accumulates complete events
+(``"ph": "X"``) which :meth:`Tracer.write` emits in the Chrome JSON
+Array Format, one event per line, so the file is both line-parseable
+and opens directly in ``chrome://tracing`` or Perfetto::
 
     [
     {"args":{},"cat":"build","dur":12,"name":"execute",...},
@@ -213,20 +212,6 @@ class Tracer:
     # -- recording ----------------------------------------------------
     def span(self, name: str, cat: str = "repro", **attrs: object) -> Span:
         return Span(self, name, cat, dict(attrs))
-
-    def wrap(self, name: str, cat: str = "repro") -> Callable:
-        """Decorator form: trace every call of the wrapped function."""
-
-        def decorator(fn: Callable) -> Callable:
-            def wrapper(*args: object, **kwargs: object):
-                with self.span(name, cat=cat):
-                    return fn(*args, **kwargs)
-
-            wrapper.__name__ = getattr(fn, "__name__", name)
-            wrapper.__doc__ = fn.__doc__
-            return wrapper
-
-        return decorator
 
     def _record(self, span_obj: Span, ts: int, duration: int) -> None:
         if self.deterministic:

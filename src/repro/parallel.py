@@ -2,10 +2,20 @@
 
 Both process-parallel hot paths — the corpus build
 (:mod:`repro.corpus.parallel`) and store ingest
-(:mod:`repro.store.ingest`) — fan pure-CPU work out over a
-``multiprocessing`` pool and merge results back in a deterministic
-order.  This module owns the pieces they share:
+(:mod:`repro.store.ingest`) — fan pure-CPU work out over a process pool
+and merge results back in a deterministic order.  This module owns
+everything they share:
 
+* :func:`map_tasks` — the one pool driver.  Each :class:`Task` runs in a
+  worker under the wrapper :func:`_run_task` and comes back as one
+  :class:`TaskRecord`: its payload (or a :class:`RemoteError`), the
+  spans it recorded, and the additive metric series that moved in that
+  worker since its previous record.  The parent folds records in task
+  order — deltas into its own registry, spans into its tracer — so a
+  ``--jobs N`` run leaves the same counters and the same trace bytes as
+  the serial one.  A worker that dies without returning (SIGKILL, OOM)
+  raises :class:`~concurrent.futures.process.BrokenProcessPool` in the
+  parent, naming the pipeline and the first unfinished task;
 * :func:`pool_context` — the start-method policy (``fork`` where the
   platform offers it: workers inherit imported modules, which keeps
   per-worker startup cheap and lets tests monkeypatch engine behavior
@@ -13,16 +23,15 @@ order.  This module owns the pieces they share:
 * :func:`resolve_jobs` — ``jobs`` argument normalization (``None``/``0``
   → one worker per CPU);
 * :class:`RemoteError` — a picklable record of an exception raised in a
-  worker.  Pool workers catch their own failures and return one of
-  these instead of letting ``multiprocessing`` pickle the live
-  exception, so the parent can re-raise the *original* exception class
-  with task context (which run, which file) prepended to the message
-  rather than surfacing a bare pool traceback;
-* :class:`ObsConfig` — the observability settings a parent passes to
-  pool initializers so each worker can build its own
+  worker.  Workers catch their own failures and return one of these
+  instead of letting ``multiprocessing`` pickle the live exception, so
+  the parent can re-raise the *original* exception class with task
+  context (which run, which file) prepended to the message rather than
+  surfacing a bare pool traceback;
+* :class:`ObsConfig` — the tracing settings a parent passes to the pool
+  initializer so each worker can build its own
   :class:`~repro.obs.trace.Tracer` (tracers hold locks and event
-  buffers, so they never cross the process boundary themselves —
-  workers drain their events back with each result instead).
+  buffers, so they never cross the process boundary themselves).
 """
 
 from __future__ import annotations
@@ -33,25 +42,30 @@ import os
 import pickle
 import traceback
 from dataclasses import dataclass
-from typing import Optional, Type
+from typing import Callable, Iterator, List, NamedTuple, Optional, Type
 
-__all__ = ["pool_context", "resolve_jobs", "ObsConfig", "RemoteError"]
+from .obs import metrics as _metrics
+from .obs import tracectx as _tracectx
+from .obs.trace import Tracer
+
+__all__ = [
+    "map_tasks", "pool_context", "resolve_jobs",
+    "ObsConfig", "RemoteError", "Task", "TaskRecord",
+]
 
 
 @dataclass(frozen=True)
 class ObsConfig:
-    """Picklable observability settings for pool workers.
+    """Picklable tracing settings for pool workers.
 
-    ``from_tracer`` snapshots the parent's tracer (or ``None``) and the
-    process-wide observability directory at pool spawn time;
-    ``make_tracer`` rebuilds an equivalent worker-side tracer inside
-    the pool initializer and ``attach_worker`` plugs the worker into
-    the shared metric-shard directory and event log.
+    ``from_tracer`` snapshots the parent's tracer (or ``None``) and
+    ambient trace context at pool spawn time; ``make_tracer`` rebuilds
+    an equivalent worker-side tracer inside the pool initializer and
+    ``attach_worker`` re-activates the trace context there.
     """
 
     trace: bool = False
     deterministic: bool = False
-    obs_dir: Optional[str] = None
     # Ambient W3C trace coordinates at pool-spawn time:
     # (trace_id, span_id, flags, deterministic ids).  Workers re-activate
     # them so a per-task ``task_scope(key)`` derives exactly the child
@@ -60,13 +74,10 @@ class ObsConfig:
 
     @classmethod
     def from_tracer(cls, tracer) -> "ObsConfig":
-        from .obs import shm, tracectx
-
-        ctx = tracectx.current()
+        ctx = _tracectx.current()
         return cls(
             trace=tracer is not None,
             deterministic=bool(getattr(tracer, "deterministic", False)),
-            obs_dir=shm.configured_dir(),
             trace_ctx=(
                 (ctx.trace_id, ctx.span_id, ctx.flags, ctx.deterministic)
                 if ctx is not None
@@ -75,28 +86,15 @@ class ObsConfig:
         )
 
     def make_tracer(self):
-        if not self.trace:
-            return None
-        from .obs.trace import Tracer
-
-        return Tracer(deterministic=self.deterministic)
+        return Tracer(deterministic=self.deterministic) if self.trace else None
 
     def attach_worker(self) -> None:
-        """Attach this worker process to the shared observability state:
-        the metric shard + event log directory (when ``--obs-dir`` was
-        configured) and the parent's ambient trace context (when one was
-        active at pool spawn).  Called from pool initializers."""
-        if self.obs_dir:
-            from .obs import events, shm
-
-            shm.configure(self.obs_dir)
-            events.configure(self.obs_dir)
+        """Re-activate the parent's ambient trace context (when one was
+        active at pool spawn) in this worker process."""
         if self.trace_ctx is not None:
-            from .obs import tracectx
-
             trace_id, span_id, flags, deterministic = self.trace_ctx
-            tracectx.activate(
-                tracectx.TraceContext(
+            _tracectx.activate(
+                _tracectx.TraceContext(
                     trace_id, span_id, flags=flags, deterministic=deterministic
                 )
             )
@@ -193,3 +191,117 @@ class RemoteError:
             exc = fallback(message)
         exc.remote_traceback = self.traceback_text
         raise exc from None
+
+
+class Task(NamedTuple):
+    """One unit of pool work."""
+
+    key: str  # trace-scope key; names the task if its worker dies
+    context: str  # RemoteError prefix if the task raises
+    args: tuple  # handed to the pipeline's run function
+
+
+class TaskRecord(NamedTuple):
+    """Everything one task sends back: the single carrier across the
+    process boundary."""
+
+    key: str
+    payload: object  # the run function's result, or a RemoteError
+    spans: Optional[List[dict]]  # the worker tracer's events for this task
+    deltas: dict  # MetricsRegistry.delta() since this worker's previous record
+
+
+# Per-worker state, set once by _init_worker: (run function, pipeline
+# state, tracer, registry baseline).
+_WORKER = None
+
+
+def _init_worker(obs: ObsConfig, setup: Callable, setup_args: tuple, run: Callable) -> None:
+    global _WORKER
+    obs.attach_worker()
+    state = setup(*setup_args)
+    # The baseline is this worker's registry as forked (plus whatever
+    # setup moved): values inherited from the parent are never shipped.
+    _WORKER = (run, state, obs.make_tracer(), _metrics.get_registry().additive())
+
+
+def _run_task(task: Task) -> TaskRecord:
+    """The worker-side wrapper: run one task under the trace scope the
+    serial loop enters for the same key, and report through the result.
+
+    The tracer is drained and the registry delta taken per task, so a
+    record carries exactly that task's spans and increments no matter
+    which worker ran what before it — a failing task's included.
+    """
+    run, state, tracer, baseline = _WORKER
+    if tracer is not None:
+        tracer.reset_clock()
+    try:
+        with _tracectx.task_scope(task.key):
+            payload = run(state, task.args, tracer)
+    except Exception as exc:
+        payload = RemoteError.capture(exc, task.context)
+    return TaskRecord(
+        task.key, payload,
+        tracer.drain() if tracer is not None else None,
+        _metrics.get_registry().delta(baseline),
+    )
+
+
+def map_tasks(
+    pipeline: str,
+    tasks: List[Task],
+    jobs: int,
+    setup: Callable,
+    setup_args: tuple,
+    run: Callable,
+    tracer=None,
+    fallback: Type[BaseException] = RuntimeError,
+) -> Iterator[object]:
+    """Fan *tasks* over *jobs* worker processes; yield payloads in task
+    order — the parent-side fold.
+
+    Each worker calls ``setup(*setup_args)`` once and then
+    ``run(state, task.args, tracer)`` per task.  Results stream back in
+    submission order while workers run ahead, and every record is folded
+    before its payload is yielded: metric deltas into this process's
+    registry, spans into *tracer* — which makes counters and the merged
+    trace independent of which worker ran which task.  A task that
+    raised re-raises here as its original class (*fallback* when that
+    cannot be rebuilt); a worker that died raises ``BrokenProcessPool``.
+    """
+    # Imported here: the serving path loads this module but never runs a
+    # pool, and the executor drags in ~1 MB of multiprocessing plumbing.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    registry = _metrics.get_registry()
+    executor = ProcessPoolExecutor(
+        max_workers=jobs,
+        mp_context=pool_context(),
+        initializer=_init_worker,
+        initargs=(ObsConfig.from_tracer(tracer), setup, setup_args, run),
+    )
+    done = 0
+    finished = False
+    try:
+        chunksize = max(1, len(tasks) // (jobs * 4))
+        for record in executor.map(_run_task, tasks, chunksize=chunksize):
+            registry.absorb(record.deltas)
+            if isinstance(record.payload, RemoteError):
+                record.payload.reraise(fallback=fallback)
+            if tracer is not None:
+                tracer.reset_clock()
+                tracer.add_events(record.spans)
+            done += 1
+            yield record.payload
+        finished = True
+    except BrokenProcessPool as exc:
+        raise BrokenProcessPool(
+            f"{pipeline}: a pool worker died without returning its result; "
+            f"first unfinished task: {tasks[done].key}"
+        ) from exc
+    finally:
+        # On any error (or an abandoned iteration) pending tasks are
+        # cancelled and nothing is waited for, so it surfaces at once.
+        executor.shutdown(wait=finished, cancel_futures=True)

@@ -26,16 +26,16 @@ from __future__ import annotations
 import hashlib
 import io
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from ..obs import events as _events
 from ..obs import metrics as _metrics
-from ..obs import shm as _shm
 from ..obs import tracectx as _tracectx
 from ..obs.trace import span
-from ..parallel import ObsConfig, RemoteError, pool_context, resolve_jobs
+from ..parallel import Task, map_tasks, resolve_jobs
 from ..rdf.graph import Dataset
 from ..rdf.trig import parse_trig
 from ..rdf.turtle import TurtleError, parse_turtle
@@ -55,8 +55,8 @@ _INGEST_QUADS = _metrics.counter(
 )
 # Parse-path counters tick inside _parse_batch_inner, which is the
 # *same code* whether it runs in-process (serial) or in a pool worker
-# (--jobs N) — so a parallel ingest's aggregated totals sum exactly to
-# the serial run's values once worker shards fold into the scrape.
+# (--jobs N) — so once each task record's deltas are absorbed, a
+# parallel ingest leaves exactly the serial run's totals.
 _PARSE_QUADS = _metrics.counter(
     "repro_ingest_parse_quads_total",
     "Quads produced by the trace parser (pre-dedup, any process)",
@@ -151,18 +151,6 @@ class _ParsedBatch:
     prefixes: List[Tuple[str, str]]
 
 
-# Worker state: the corpus root and tracer, set once per pool worker.
-_INGEST_ROOT: Optional[Path] = None
-_INGEST_TRACER = None
-
-
-def _init_ingest_worker(root: str, obs: ObsConfig = ObsConfig()) -> None:
-    global _INGEST_ROOT, _INGEST_TRACER
-    _INGEST_ROOT = Path(root)
-    _INGEST_TRACER = obs.make_tracer()
-    obs.attach_worker()
-
-
 def _parse_batch(root: Path, relpath: str, rdf_format: str, tracer=None) -> _ParsedBatch:
     """Tokenize + parse one trace into encoded terms and local-id quads.
 
@@ -221,33 +209,22 @@ def _parse_batch_inner(root: Path, relpath: str, rdf_format: str) -> _ParsedBatc
     return _ParsedBatch(relpath, digest, terms, quads, prefixes)
 
 
-def _parse_batch_task(task) -> Tuple[str, object, Optional[list]]:
-    """Pool task: parse one file, ship the batch plus any trace events.
+def _parse_task(root: Path, args, tracer) -> _ParsedBatch:
+    """Pool task: parse one file (the worker's state is the corpus root)."""
+    return _parse_batch(root, *args, tracer=tracer)
 
-    Workers drain their tracer per task; the parent absorbs the events
-    in plan (file) order, so the merged trace is ordered like a serial
-    run no matter which worker parsed what.
-    """
-    relpath, rdf_format = task
-    tracer = _INGEST_TRACER
-    if tracer is not None:
-        tracer.reset_clock()
-    try:
-        # Phase-scoped trace derivation ("parse:<file>"): the parent
-        # applies the batch under its own "apply:<file>" scope, so both
-        # phases mint the same span ids at any worker count.
-        with _tracectx.task_scope(f"parse:{relpath}"):
-            batch = _parse_batch(_INGEST_ROOT, relpath, rdf_format, tracer=tracer)
-        # Per-task publication: the pool is terminated (not joined) on
-        # exit, so this is the last guaranteed flush before the parent's
-        # orphan sweep folds this worker's shard.
-        _shm.flush()
-        return ("ok", batch, tracer.drain() if tracer is not None else None)
-    except Exception as exc:
+
+def _parse_serially(root: Path, pending, tracer) -> Iterator[_ParsedBatch]:
+    for relpath, rdf_format in pending:
         if tracer is not None:
-            tracer.drain()
-        _shm.flush()
-        return ("error", RemoteError.capture(exc, f"while ingesting {relpath}"), None)
+            tracer.reset_clock()
+        # Phase-scoped trace derivation ("parse:<file>", then
+        # "apply:<file>" around the commit), entered exactly as a pool
+        # worker enters it, so both phases mint the same span ids at any
+        # worker count.
+        with _tracectx.task_scope(f"parse:{relpath}"):
+            batch = _parse_batch(root, relpath, rdf_format, tracer=tracer)
+        yield batch
 
 
 def _apply_batch(store: QuadStore, batch: _ParsedBatch, tracer=None) -> int:
@@ -310,6 +287,8 @@ def ingest_corpus(
     root = Path(corpus_root)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
+    registry = _metrics.get_registry()
+    counters_base = registry.additive()
     report = IngestReport(corpus_root=str(root), store_path=str(store.path))
     traces = _discover_traces(root)
     known = store.files
@@ -332,43 +311,26 @@ def ingest_corpus(
     report.skipped = [rp for rp, _ in traces if known.get(rp) == digests[rp]]
     effective = jobs if jobs == 1 else min(resolve_jobs(jobs), max(1, len(pending)))
     if effective <= 1 or len(pending) < 2:
-        for relpath, rdf_format in pending:
-            if tracer is not None:
-                tracer.reset_clock()
-            with _tracectx.task_scope(f"parse:{relpath}"):
-                batch = _parse_batch(root, relpath, rdf_format, tracer=tracer)
-            with _tracectx.task_scope(f"apply:{relpath}"):
+        batches = _parse_serially(root, pending, tracer)
+    else:
+        # Batches come back in task order, so they commit in the same
+        # deterministic file order a serial ingest uses.
+        batches = map_tasks(
+            "ingest",
+            [Task(f"parse:{relpath}", f"while ingesting {relpath}", (relpath, rdf_format))
+             for relpath, rdf_format in pending],
+            effective, Path, (str(root),), _parse_task,  # worker state: the root
+            tracer=tracer, fallback=TurtleError,
+        )
+    with closing(batches):
+        for batch in batches:
+            with _tracectx.task_scope(f"apply:{batch.relpath}"):
                 added = _apply_batch(store, batch, tracer=tracer)
             report.quads_added += added
-            report.parsed.append(relpath)
+            report.parsed.append(batch.relpath)
             _INGEST_QUADS.inc(added)
             if on_file is not None:
                 on_file(len(report.parsed), len(pending), report.quads_added)
-    else:
-        ctx = pool_context()
-        chunksize = max(1, len(pending) // (effective * 4))
-        with ctx.Pool(
-            processes=effective,
-            initializer=_init_ingest_worker,
-            initargs=(str(root), ObsConfig.from_tracer(tracer)),
-        ) as pool:
-            # imap preserves task order: batches commit in the same
-            # deterministic file order a serial ingest uses.
-            for status, payload, events in pool.imap(
-                _parse_batch_task, pending, chunksize=chunksize
-            ):
-                if status == "error":
-                    payload.reraise(fallback=TurtleError)
-                if tracer is not None:
-                    tracer.reset_clock()
-                    tracer.add_events(events or ())
-                with _tracectx.task_scope(f"apply:{payload.relpath}"):
-                    added = _apply_batch(store, payload, tracer=tracer)
-                report.quads_added += added
-                report.parsed.append(payload.relpath)
-                _INGEST_QUADS.inc(added)
-                if on_file is not None:
-                    on_file(len(report.parsed), len(pending), report.quads_added)
     if compact and store.has_pending():
         with span(tracer, "compact", cat="ingest", files=len(report.parsed)):
             store.compact()
@@ -401,6 +363,6 @@ def ingest_corpus(
         rebuilt=report.rebuilt,
         jobs=effective,
         duration_s=round(report.duration_s, 6),
+        counters=registry.counters_since(counters_base),
     )
-    _shm.flush()
     return report

@@ -9,6 +9,7 @@ Tests that mutate corpus structures must build their own (see
 from __future__ import annotations
 
 import datetime as dt
+import signal
 
 import pytest
 
@@ -50,6 +51,21 @@ def wings_graph(corpus):
 @pytest.fixture
 def ex():
     return EX
+
+
+@pytest.fixture
+def hang_guard():
+    """Fail the test after 60 s instead of letting it hang tier-1 (for
+    tests whose regression mode is a parent blocked on a dead worker)."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("test body still blocked after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

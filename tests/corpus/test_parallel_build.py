@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -77,6 +81,27 @@ def test_worker_failure_carries_run_context(monkeypatch):
     assert "synthetic export failure" in message
     assert "run t-" in message and "template t-" in message
     assert "Traceback" in getattr(excinfo.value, "remote_traceback", "")
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the kill is patched into workers through fork inheritance",
+)
+def test_killed_worker_raises_instead_of_hanging(monkeypatch, hang_guard):
+    """A worker that dies without returning (SIGKILL, OOM) fails the build
+    in seconds, naming the pipeline and the first unfinished run."""
+
+    def die(*args, **kwargs):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    # Export runs in workers only (see above), so the parent survives.
+    monkeypatch.setattr("repro.corpus.builder.taverna_export", die)
+    builder = CorpusBuilder(seed=2013)
+    first = builder.plan()[1][0].run_id
+    started = time.monotonic()
+    with pytest.raises(BrokenProcessPool, match=f"build: .*unfinished task: {first}"):
+        builder.build(jobs=2)
+    assert time.monotonic() - started < 30
 
 
 def test_schedule_pass_failure_carries_run_context(monkeypatch):

@@ -43,16 +43,6 @@ class TestSpans:
             sp.set(more=1)
         assert sp is NULL_SPAN
 
-    def test_wrap_decorator(self):
-        tracer = Tracer()
-
-        @tracer.wrap("fn", cat="test")
-        def fn(x):
-            return x + 1
-
-        assert fn(1) == 2
-        assert tracer.events()[0]["name"] == "fn"
-
 
 class TestDeterministicClock:
     def test_two_identical_runs_write_identical_bytes(self, tmp_path):

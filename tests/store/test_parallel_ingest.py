@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -73,3 +77,24 @@ def test_parse_failure_in_worker_names_the_file(tiny_corpus_dir, tmp_path):
     assert excinfo.value.lineno == 2
     assert getattr(excinfo.value, "remote_context", "").startswith("while ingesting")
     assert "Traceback" in getattr(excinfo.value, "remote_traceback", "")
+
+
+def test_killed_worker_raises_instead_of_hanging(tiny_corpus_dir, tmp_path, monkeypatch,
+                                                 hang_guard):
+    """A parse worker that dies without returning (SIGKILL, OOM) fails the
+    ingest in seconds, naming the pipeline and the first unfinished file."""
+    from repro.store import ingest
+
+    real = ingest._parse_batch_inner
+
+    def die_on_run2(root, relpath, rdf_format):
+        if relpath.endswith("run2.prov.trig"):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(root, relpath, rdf_format)
+
+    monkeypatch.setattr(ingest, "_parse_batch_inner", die_on_run2)  # inherited via fork
+    started = time.monotonic()
+    with QuadStore(tmp_path / "store") as store:
+        with pytest.raises(BrokenProcessPool, match="ingest: .*unfinished task: parse:Wings/dom/w-1/run2"):
+            ingest_corpus(store, tiny_corpus_dir, jobs=2)
+    assert time.monotonic() - started < 30

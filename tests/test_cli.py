@@ -138,7 +138,7 @@ class TestObsCommands:
 
     @pytest.fixture()
     def observed_store(self, tmp_path, capsys):
-        from repro.obs import events, shm
+        from repro.obs import events
 
         corpus = tmp_path / "corpus"
         (corpus / "Taverna" / "dom" / "t-1").mkdir(parents=True)
@@ -148,11 +148,8 @@ class TestObsCommands:
                      "--store", str(tmp_path / "store"),
                      "--obs-dir", str(obs_dir)])
         out = capsys.readouterr().out
-        # Detach keeps the shard file on disk (as a finished CLI process
-        # would); unconfigure then only forgets the module-global state so
-        # the rest of the suite keeps its unobserved baseline.
-        shm.detach()
-        shm.unconfigure()
+        # Forget the module-global log so the rest of the suite keeps its
+        # unobserved baseline.
         events.unconfigure()
         assert code == 0
         return obs_dir, out
@@ -160,7 +157,6 @@ class TestObsCommands:
     def test_ingest_obs_dir_announced_and_populated(self, observed_store):
         obs_dir, out = observed_store
         assert f"obs dir: {obs_dir}" in out
-        assert (obs_dir / "obs.json").exists()
         assert (obs_dir / "events.jsonl").exists()
 
     def test_ingest_emits_done_event(self, observed_store):
@@ -170,24 +166,9 @@ class TestObsCommands:
                    if r["kind"] == "ingest.done"]
         assert done["parsed"] == 1
         assert done["quads"] > 0
-
-    def test_obs_top_text(self, observed_store, capsys):
-        obs_dir, _ = observed_store
-        assert main(["obs", "top", str(obs_dir)]) == 0
-        out = capsys.readouterr().out
-        assert f"obs dir: {obs_dir}" in out
-        assert "repro_ingest_parse_quads_total" in out
-
-    def test_obs_top_json(self, observed_store, capsys):
-        assert main(["obs", "top", str(observed_store[0]), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "shards" in payload
-        quads = payload["metrics"]["repro_ingest_parse_quads_total"]
-        assert quads["samples"][0]["value"] > 0
-
-    def test_obs_top_missing_dir_errors(self, tmp_path, capsys):
-        assert main(["obs", "top", str(tmp_path / "nope")]) == 1
-        assert "no observability directory" in capsys.readouterr().err
+        # a finished run's totals are readable off the line itself
+        assert done["counters"]["repro_ingest_quads_total"] == done["quads"]
+        assert done["counters"]["repro_ingest_parse_quads_total"] > 0
 
     def test_obs_slowlog_reads_the_event_log(self, tmp_path, capsys):
         """`obs slowlog <obs-dir>` lists what /slowlog listed: the

@@ -659,38 +659,35 @@ class TestStoreBackedEndpoint:
 
 
 class TestObservedEndpoint:
-    """The endpoint with an obs dir: folded scrapes and CKMS quantiles."""
+    """The endpoint with an obs dir: same scrape, plus the event log."""
 
     @pytest.fixture()
     def obs_endpoint(self, tmp_path):
-        from repro.obs import shm
+        from repro.obs import events
 
         g = Graph()
         g.namespaces.bind("ex", EX)
         g.add((EX.r1, RDF.type, PROV.Activity))
         with SparqlEndpoint(g, obs_dir=str(tmp_path / "obs")) as server:
             yield server, tmp_path / "obs"
-        shm.unconfigure()
+        events.unconfigure()
 
     def _scrape(self, server):
         with urllib.request.urlopen(server.url + "/metrics", timeout=5) as response:
             return response.read().decode()
 
-    def test_metrics_folds_foreign_shards(self, obs_endpoint):
-        from repro.obs import shm
+    def test_metrics_families_same_with_and_without_obs_dir(self, obs_endpoint, endpoint):
+        """/metrics has one code path: an obs dir adds the event log,
+        never a different exposition."""
 
-        server, obs_dir = obs_endpoint
-        # Plant a shard as if a pool worker (different pid) left it behind.
-        writer = shm.ShardWriter(obs_dir)
-        writer.set("repro_worker_planted_total", (), "", shm.KIND_COUNTER, 11.0)
-        writer.close()
-        data = bytearray(writer.path.read_bytes())
-        import struct
+        def families(server):
+            SparqlClient(server.query_url).query("ASK { ?x a prov:Activity }")
+            return [line for line in self._scrape(server).splitlines()
+                    if line.startswith("# TYPE ")]
 
-        struct.pack_into("<I", data, 8, 2 ** 22 + 3)
-        writer.path.write_bytes(bytes(data))
-        body = self._scrape(server)
-        assert "repro_worker_planted_total 11" in body
+        observed, _ = obs_endpoint
+        assert families(observed) == families(endpoint)
+        assert any("repro_endpoint_request_seconds summary" in f for f in families(endpoint))
 
     def test_request_quantiles_exposed_after_traffic(self, obs_endpoint):
         server, _ = obs_endpoint
@@ -704,17 +701,9 @@ class TestObservedEndpoint:
         # Query latency by plan digest rides the same exposition.
         assert "# TYPE repro_query_plan_seconds summary" in body
         assert 'quantile="0.99"' in body
-
-    def test_stats_reports_shards_and_quantiles(self, obs_endpoint):
-        server, obs_dir = obs_endpoint
-        client = SparqlClient(server.query_url)
-        client.query("ASK { ?x a prov:Activity }")
-        stats = client.stats()
-        assert stats["obs"]["dir"] == str(obs_dir)
-        own = [s for s in stats["obs"]["shards"] if s["alive"]]
-        assert own and all(s["age_s"] >= 0 for s in own)
-        quantiles = stats["latency_quantiles"]
-        assert quantiles["requests"]["/sparql"]["count"] >= 1
+        # /stats reads the same sketches.
+        quantiles = client.stats()["latency_quantiles"]
+        assert quantiles["requests"]["/sparql"]["count"] >= 5
         assert "0.99" in quantiles["requests"]["/sparql"]["quantiles"]
         assert quantiles["plans"], "plan-digest sketch must capture the query"
 
