@@ -8,7 +8,8 @@ minimal SPARQL 1.1 Protocol surface on stdlib ``http.server``:
 * ``GET /sparql?query=...`` and ``POST /sparql`` (form-encoded or
   ``application/sparql-query``, any declared charset) evaluate a query;
 * SELECT results return the SPARQL JSON results format
-  (``application/sparql-results+json``), or CSV with ``Accept: text/csv``;
+  (``application/sparql-results+json``), or CSV when ``Accept`` gives
+  ``text/csv`` the higher q-value (a tie goes to JSON);
 * ASK results return the JSON boolean form;
 * ``GET /`` returns a small service description with corpus statistics;
 * ``GET /stats`` exposes the query-result cache counters, the source's
@@ -151,6 +152,39 @@ _STORE_TERMS = _metrics.gauge("repro_store_terms", "Terms in the attached store 
 _STORE_GENERATION = _metrics.gauge(
     "repro_store_generation", "Compaction generation of the attached store"
 )
+
+
+def _prefers_csv(accept: str) -> bool:
+    """Does the ``Accept`` header *accept* rank CSV strictly above SPARQL
+    JSON?  Each type takes the q-value (default 1) of its most specific
+    matching range — exact, then ``type/*``, then ``*/*`` — and 0 when no
+    range matches; q=0, or a malformed q, means not acceptable.  A tie
+    goes to JSON."""
+    ranges = []
+    for media_range in accept.split(","):
+        media_type, *params = media_range.split(";")
+        q = 1.0
+        for param in params:
+            name, _, value = param.partition("=")
+            if name.strip().lower() == "q":
+                try:
+                    q = float(value)
+                except ValueError:
+                    q = 0.0
+                if not 0.0 <= q <= 1.0:
+                    q = 0.0
+        ranges.append((media_type.strip().lower(), q))
+    return _quality(ranges, CSV) > _quality(ranges, SPARQL_JSON)
+
+
+def _quality(ranges, media_type: str) -> float:
+    ranks = {media_type: 2, media_type.split("/")[0] + "/*": 1, "*/*": 0}
+    best_rank, best_q = -1, 0.0
+    for media_range, q in ranges:
+        rank = ranks.get(media_range, -1)
+        if rank > best_rank:
+            best_rank, best_q = rank, q
+    return best_q
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -369,7 +403,9 @@ class _Handler(BaseHTTPRequestHandler):
         elif isinstance(result, ResultTable):
             # Serialised once per table and media type: a result-cache
             # hit hands back the table of the miss, bytes included.
-            content_type = CSV if CSV in self.headers.get("Accept", "") else SPARQL_JSON
+            accept = self.headers.get("Accept", "")
+            # Only a header that names CSV at all is worth parsing.
+            content_type = CSV if CSV in accept and _prefers_csv(accept) else SPARQL_JSON
             payload = result.encoded(content_type)
         elif isinstance(result, Graph):
             # CONSTRUCT / DESCRIBE results are graphs, served as Turtle.

@@ -15,10 +15,11 @@ engine supports the core path operators in the predicate position:
 Paths are evaluated by :func:`eval_path`, which yields ``(subject,
 object)`` pairs given optionally-bound endpoints; closures are computed
 with BFS, seeded from whichever endpoint is bound.  With both endpoints
-unbound, BFS is seeded from the nodes that can actually begin the path
-(the subjects/objects of its predicates) — zero-length ``*`` pairs
-still cover every node, as the spec requires, but no BFS runs from
-nodes with no outgoing step.
+unbound, one enumeration of the path's step pairs is kept as adjacency:
+BFS is seeded from the nodes that can actually begin the path and walks
+that adjacency, so no node's steps are looked up twice — zero-length
+``*`` pairs still cover every node, as the spec requires, but no BFS
+runs from nodes with no outgoing step.
 
 There is one evaluator (:func:`_eval`); what varies is the *edge
 source* it walks.  Store-backed graphs can advertise a persisted
@@ -38,7 +39,7 @@ tallies the dispatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..obs import metrics as _metrics
 from ..rdf.graph import Graph
@@ -314,28 +315,17 @@ def _eval_seq(edges, ops: List, s, o) -> Iterator[Tuple[object, object]]:
                 yield (s1, o1)
 
 
-def _step_forward(edges, op, node) -> Iterator[object]:
-    for _, neighbor in _eval(edges, op, node, None):
-        yield neighbor
-
-
-def _step_backward(edges, op, node) -> Iterator[object]:
-    for neighbor, _ in _eval(edges, op, None, node):
-        yield neighbor
-
-
-def _closure_from(edges, op, start, include_zero: bool,
-                  backward: bool = False) -> Iterator[object]:
-    """BFS over *op* steps from *start*; yields reachable nodes."""
+def _closure_from(step, start, include_zero: bool) -> Iterator[object]:
+    """BFS from *start*, where ``step(node)`` lists a node's one-step
+    targets; yields reachable nodes."""
     if include_zero:
         yield start
-    step = _step_backward if backward else _step_forward
     visited: Set[object] = {start} if include_zero else set()
     frontier = [start]
     while frontier:
         next_frontier = []
         for node in frontier:
-            for neighbor in step(edges, op, node):
+            for neighbor in step(node):
                 if neighbor not in visited:
                     visited.add(neighbor)
                     next_frontier.append(neighbor)
@@ -346,12 +336,16 @@ def _closure_from(edges, op, start, include_zero: bool,
 def _eval_closure(edges, op, s, o) -> Iterator[Tuple[object, object]]:
     sub, include_zero = op[1], op[2]
     if s is not None:
-        for node in _closure_from(edges, sub, s, include_zero):
+        forward = _closure_from(
+            lambda node: (n for _, n in _eval(edges, sub, node, None)), s, include_zero)
+        for node in forward:
             if o is None or node == o:
                 yield (s, node)
         return
     if o is not None:
-        for node in _closure_from(edges, sub, o, include_zero, backward=True):
+        backward = _closure_from(
+            lambda node: (n for n, _ in _eval(edges, sub, None, node)), o, include_zero)
+        for node in backward:
             yield (node, o)
         return
     # Both unbound: BFS only from nodes that can begin the path, in their
@@ -361,7 +355,23 @@ def _eval_closure(edges, op, s, o) -> Iterator[Tuple[object, object]]:
         # keeps the edge index, which cannot enumerate them, out of here.
         for node in edges.all_nodes():
             yield (node, node)
-    starts = dict.fromkeys(s1 for s1, _ in _eval(edges, sub, None, None))
-    for node in starts:
-        for reached in _closure_from(edges, sub, node, False):
-            yield (node, reached)
+    # One enumeration of the step pairs is the whole step relation: keep
+    # it as adjacency and walk that, rather than re-deriving a node's
+    # steps on every visit.  The index and a store graph list one
+    # source's targets in the order a bound step would (ascending id per
+    # relation, alternatives in option order), so discovery order is
+    # unchanged; an in-memory Graph lists them in its POS-index order.
+    steps: Dict[object, List[object]] = {}
+    for s1, o1 in _eval(edges, sub, None, None):
+        targets = steps.get(s1)
+        if targets is None:
+            steps[s1] = [o1]
+        else:
+            targets.append(o1)
+
+    def adjacent(node):
+        return steps.get(node, ())
+
+    for start in steps:
+        for reached in _closure_from(adjacent, start, False):
+            yield (start, reached)

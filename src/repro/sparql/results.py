@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from typing import Any, Dict, Iterator, List, Optional
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Dict, Iterator, List
 
 from ..rdf.terms import BlankNode, IRI, Literal
 
@@ -130,21 +130,42 @@ class ResultTable:
         return buffer.getvalue()
 
     def to_json(self) -> str:
-        """SPARQL 1.1 Query Results JSON format."""
-        bindings = []
+        """SPARQL 1.1 Query Results JSON format.
+
+        The text is ``json.dumps(document, indent=2, sort_keys=True)``,
+        written directly: with an indent that call runs the pure-Python
+        encoder, which escapes and lays out every cell anew.  Here each
+        distinct term is rendered once per table and its fragment reused,
+        and each row lists its bound variables in sorted order.
+        """
+        if self.variables:
+            head = "[\n" + ",\n".join(
+                "      " + _quote(name) for name in self.variables) + "\n    ]"
+        else:
+            head = "[]"
+        keys = [(name, "\n        " + _quote(name) + ": ")
+                for name in sorted(set(self.variables))]
+        fragments: Dict[Any, str] = {}
+        entries = []
         for row in self._rows:
-            entry: Dict[str, Any] = {}
-            for name in self.variables:
-                term = row.get(name)
+            binding = row._binding
+            cells = []
+            for name, key in keys:
+                term = binding.get(name)
                 if term is None:
                     continue
-                entry[name] = _json_term(term)
-            bindings.append(entry)
-        document = {
-            "head": {"vars": self.variables},
-            "results": {"bindings": bindings},
-        }
-        return json.dumps(document, indent=2, sort_keys=True)
+                fragment = fragments.get(term)
+                if fragment is None:
+                    fragment = fragments[term] = _term_fragment(term)
+                cells.append(key + fragment)
+            entries.append("{" + ",".join(cells) + "\n      }" if cells else "{}")
+        if entries:
+            bindings = "[\n      " + ",\n      ".join(entries) + "\n    ]"
+        else:
+            bindings = "[]"
+        return ('{\n  "head": {\n    "vars": ' + head
+                + '\n  },\n  "results": {\n    "bindings": ' + bindings
+                + "\n  }\n}")
 
     def encoded(self, media_type: str) -> bytes:
         """:meth:`to_json` (``SPARQL_JSON``) or :meth:`to_csv` (``CSV``) as
@@ -193,14 +214,17 @@ def _plain(term) -> str:
     return str(term)
 
 
-def _json_term(term) -> Dict[str, str]:
+def _term_fragment(term) -> str:
+    """One term's JSON object as :meth:`ResultTable.to_json` nests it
+    (keys sorted, fields at the cell's indent)."""
     if isinstance(term, IRI):
-        return {"type": "uri", "value": term.value}
-    if isinstance(term, BlankNode):
-        return {"type": "bnode", "value": term.id}
-    entry = {"type": "literal", "value": term.lexical}
-    if term.language:
-        entry["xml:lang"] = term.language
-    elif term.datatype.value != "http://www.w3.org/2001/XMLSchema#string":
-        entry["datatype"] = term.datatype.value
-    return entry
+        fields = ['"type": "uri"', '"value": ' + _quote(term.value)]
+    elif isinstance(term, BlankNode):
+        fields = ['"type": "bnode"', '"value": ' + _quote(term.id)]
+    else:
+        fields = ['"type": "literal"', '"value": ' + _quote(term.lexical)]
+        if term.language:
+            fields.append('"xml:lang": ' + _quote(term.language))
+        elif term.datatype.value != "http://www.w3.org/2001/XMLSchema#string":
+            fields.insert(0, '"datatype": ' + _quote(term.datatype.value))
+    return "{\n          " + ",\n          ".join(fields) + "\n        }"

@@ -141,6 +141,138 @@ class TestEvaluation:
         assert pairs.count((EX.a1, EX.d1)) == 1
 
 
+USED, GENERATED_BY = PROV.used, PROV.wasGeneratedBy
+LINEAGE = PathAlternative((USED, PathInverse(GENERATED_BY)))
+
+#: name → (edges, the path whose `+` closure runs with both ends unbound).
+#: Edges are added to the in-memory graph in an order for which its SPO
+#: and POS indexes list each source's targets alike, as the store's
+#: id-ordered segments and path index always do.
+SHAPES = {
+    "cycle": ([("c1", USED, "c2"), ("c2", USED, "c3"), ("c3", USED, "c1")], USED),
+    "self-loop": ([("s1", USED, "s1"), ("s1", USED, "s2"), ("s2", USED, "s3")], USED),
+    # d0 reaches d3 along two branches; d3's descendants are shared.
+    "diamond": ([("d0", USED, "d1"), ("d2", GENERATED_BY, "d0"), ("d1", USED, "d3"),
+                 ("d2", USED, "d3"), ("d5", GENERATED_BY, "d3"), ("d3", USED, "d4")],
+                LINEAGE),
+    # (a/b)+ with a cycle back to the first activity and a shortcut.
+    "sequence": ([("q1", USED, "e1"), ("q1", USED, "e4"), ("q2", USED, "e2"),
+                  ("q3", USED, "e3"), ("e1", GENERATED_BY, "q2"),
+                  ("e2", GENERATED_BY, "q3"), ("e4", GENERATED_BY, "q3"),
+                  ("e3", GENERATED_BY, "q1")],
+                 PathSequence((USED, GENERATED_BY))),
+}
+
+
+def _shape_graph(name):
+    graph = Graph()
+    graph.namespaces.bind("ex", EX)
+    for s, p, o in SHAPES[name][0]:
+        graph.add((EX[s], p, EX[o]))
+    return graph
+
+
+def _ref_step(graph, path, node):
+    """One *path* step from *node*, in the order the graph lists it."""
+    if isinstance(path, PathInverse):
+        return [t.subject for t in graph.triples(None, path.inner, node)]
+    if isinstance(path, PathAlternative):
+        return [n for option in path.options for n in _ref_step(graph, option, node)]
+    if isinstance(path, PathSequence):
+        frontier = [node]
+        for step in path.steps:
+            frontier = [n for mid in frontier for n in _ref_step(graph, step, mid)]
+        return frontier
+    return [t.object for t in graph.triples(node, path, None)]
+
+
+def _ref_pairs(graph, path):
+    """Every one-step pair of *path*, in full-enumeration order."""
+    if isinstance(path, PathInverse):
+        return [(t.object, t.subject) for t in graph.triples(None, path.inner, None)]
+    if isinstance(path, PathAlternative):
+        return [pair for option in path.options for pair in _ref_pairs(graph, option)]
+    if isinstance(path, PathSequence):
+        rest = PathSequence(path.steps[1:]) if len(path.steps) > 2 else path.steps[1]
+        return [(s, o) for s, mid in _ref_pairs(graph, path.steps[0])
+                for o in _ref_step(graph, rest, mid)]
+    return [(t.subject, t.object) for t in graph.triples(None, path, None)]
+
+
+def _ref_plus(graph, path):
+    """``path+`` with both ends unbound, by definition: a BFS from each
+    node that begins a step, in the order the steps list them."""
+    rows = []
+    for start in dict.fromkeys(s for s, _ in _ref_pairs(graph, path)):
+        visited, frontier = set(), [start]
+        while frontier:
+            next_frontier = []
+            for node in frontier:
+                for neighbor in _ref_step(graph, path, node):
+                    if neighbor not in visited:
+                        visited.add(neighbor)
+                        next_frontier.append(neighbor)
+                        rows.append((start, neighbor))
+            frontier = next_frontier
+    return rows
+
+
+@pytest.fixture(scope="module")
+def shape_stores(tmp_path_factory):
+    """shape name → {"indexed": union graph, "graph-walk": union graph}
+    over stores ingested with and without the path index."""
+    from repro.rdf.turtle import serialize_turtle
+    from repro.store import QuadStore, StoreDataset, ingest_corpus
+
+    root = tmp_path_factory.mktemp("closure-shapes")
+    stores, unions = [], {}
+    for name in SHAPES:
+        corpus = root / name / "corpus"
+        corpus.mkdir(parents=True)
+        (corpus / "shape.prov.ttl").write_text(serialize_turtle(_shape_graph(name)))
+        unions[name] = {}
+        for source, path_index in (("indexed", True), ("graph-walk", False)):
+            store = QuadStore(root / name / source)
+            ingest_corpus(store, corpus, path_index=path_index)
+            assert (store.path_index() is not None) == path_index
+            stores.append(store)
+            unions[name][source] = StoreDataset(store).union_graph()
+    yield unions
+    for store in stores:
+        store.close()
+
+
+class TestUnboundClosureOrder:
+    """``?x path+ ?y`` walks one enumeration of the step pairs; the rows,
+    and their order, are those of a fresh BFS from every start."""
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_memory_matches_reference(self, shape):
+        graph = _shape_graph(shape)
+        path = SHAPES[shape][1]
+        rows = list(eval_path(graph, PathClosure(path, False)))
+        assert rows == _ref_plus(graph, path)
+
+    @pytest.mark.parametrize("source", ["indexed", "graph-walk"])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_store_matches_reference(self, shape_stores, shape, source):
+        union = shape_stores[shape][source]
+        path = SHAPES[shape][1]
+        rows = list(eval_path(union, PathClosure(path, False)))
+        assert rows == _ref_plus(union, path)
+        memory = _shape_graph(shape)
+        assert set(rows) == set(eval_path(memory, PathClosure(path, False)))
+
+    def test_shapes_reach_what_they_should(self):
+        plus = {name: set(eval_path(_shape_graph(name), PathClosure(path, False)))
+                for name, (_, path) in SHAPES.items()}
+        assert (EX.c1, EX.c1) in plus["cycle"] and len(plus["cycle"]) == 9
+        assert (EX.s1, EX.s1) in plus["self-loop"] and (EX.s2, EX.s2) not in plus["self-loop"]
+        assert {o for s, o in plus["diamond"] if s == EX.d0} == {
+            EX.d1, EX.d2, EX.d3, EX.d4, EX.d5}
+        assert {o for s, o in plus["sequence"] if s == EX.q1} == {EX.q2, EX.q3, EX.q1}
+
+
 class TestOnCorpus:
     def test_lineage_query_on_trace(self, corpus):
         trace = next(t for t in corpus.by_system("taverna") if not t.failed)

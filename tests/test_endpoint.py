@@ -71,6 +71,39 @@ class TestProtocol:
             text = response.read().decode()
         assert text.splitlines()[0] == "x"
 
+    @pytest.mark.parametrize("accept,served", [
+        ("text/csv", "text/csv"),
+        ("text/csv;charset=utf-8", "text/csv"),
+        ("application/sparql-results+json, text/csv;q=0.1",
+         "application/sparql-results+json"),
+        ("text/csv;q=0", "application/sparql-results+json"),
+        ("text/csv;q=0.5, application/sparql-results+json;q=0.4", "text/csv"),
+        ("text/csv; q=1.0 , application/sparql-results+json;q=0.9", "text/csv"),
+        # a tie goes to JSON
+        ("application/sparql-results+json;q=0.5, text/csv;q=0.5",
+         "application/sparql-results+json"),
+        # the most specific range decides a type's q
+        ("*/*;q=0.1, text/csv", "text/csv"),
+        ("text/*;q=0.9, text/csv;q=0.2, application/*;q=0.5",
+         "application/sparql-results+json"),
+        # a malformed or out-of-range q is not acceptable
+        ("text/csv;q=abc", "application/sparql-results+json"),
+        ("text/csv;q=2", "application/sparql-results+json"),
+    ])
+    def test_accept_q_values(self, endpoint, accept, served):
+        url = endpoint.query_url + "?" + urllib.parse.urlencode(
+            {"query": "SELECT ?x WHERE { ?x a prov:Entity }"}
+        )
+        request = urllib.request.Request(url, headers={"Accept": accept})
+        with urllib.request.urlopen(request, timeout=5) as response:
+            content_type = response.headers["Content-Type"]
+            body = response.read().decode()
+        assert content_type.split(";")[0] == served
+        if served == "text/csv":
+            assert body.splitlines() == ["x", "http://example.org/e1"]
+        else:
+            assert json.loads(body)["head"]["vars"] == ["x"]
+
     def test_service_description(self, endpoint):
         with urllib.request.urlopen(endpoint.url + "/", timeout=5) as response:
             payload = json.loads(response.read())
