@@ -25,7 +25,8 @@ Sub-commands:
 * ``obs scrape <url>`` — fetch and print ``/metrics`` from a running
   endpoint;
 * ``obs slowlog <url|dir>`` — print retained query records;
-* ``obs profile <url|file>`` — sample a live endpoint's profiler.
+* ``obs profile <url>`` — sample a live endpoint's profiler (folded
+  stacks on stdout).
 
 ``query`` and ``serve`` accept ``--store PATH`` to answer from the
 persistent store (memory-mapped dictionary-encoded segments) instead of
@@ -208,25 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_obs_slowlog.add_argument("--json", action="store_true", help="print raw JSON")
     p_obs_profile = obs_sub.add_parser(
-        "profile", help="sample a live endpoint's /debug/profile, or "
-                        "re-render a saved folded-stacks file"
+        "profile", help="print a live endpoint's /debug/profile folded stacks"
     )
     p_obs_profile.add_argument(
-        "source", help="endpoint base URL, .../debug/profile URL, or a "
-                       "collapsed-stacks (folded) file",
+        "source", help="endpoint base URL or .../debug/profile URL",
     )
     p_obs_profile.add_argument(
         "--seconds", type=float, default=2.0, metavar="N",
-        help="sampling window when the source is a URL (default: 2)",
-    )
-    p_obs_profile.add_argument(
-        "--speedscope", action="store_true",
-        help="emit speedscope JSON (https://speedscope.app) instead of "
-             "folded stacks",
-    )
-    p_obs_profile.add_argument(
-        "--out", type=Path, default=None, metavar="FILE",
-        help="write output to FILE instead of stdout",
+        help="sampling window (default: 2)",
     )
 
     sub.add_parser("maintenance", help="run the vocabulary-alignment maintenance pass")
@@ -640,38 +630,15 @@ def _cmd_obs(args) -> int:
 
 
 def _obs_profile(args) -> int:
-    """Collapsed stacks from a live endpoint or a saved folded file."""
-    from .obs import profiler as _profiler
+    """Folded stacks from a live endpoint's sampling window."""
+    import urllib.request
 
-    source = args.source
-    if source.startswith(("http://", "https://")):
-        import urllib.request
-
-        url = source.rstrip("/")
-        if not url.endswith("/debug/profile"):
-            url += "/debug/profile"
-        url += f"?seconds={args.seconds:g}"
-        with urllib.request.urlopen(url, timeout=args.seconds + 30) as response:
-            folded = response.read().decode("utf-8")
-    else:
-        path = Path(source)
-        if not path.exists():
-            print(f"error: no folded-stacks file at {path}", file=sys.stderr)
-            return 1
-        folded = path.read_text(encoding="utf-8")
-    counts = _profiler.parse_folded(folded)
-    if args.speedscope:
-        output = json.dumps(
-            _profiler.render_speedscope(counts, name=source), indent=2
-        ) + "\n"
-    else:
-        output = _profiler.render_folded(counts)
-    if args.out is not None:
-        args.out.write_text(output, encoding="utf-8")
-        print(f"wrote {args.out} ({sum(counts.values())} samples, "
-              f"{len(counts)} distinct stacks)")
-    else:
-        sys.stdout.write(output)
+    url = args.source.rstrip("/")
+    if not url.endswith("/debug/profile"):
+        url += "/debug/profile"
+    url += f"?seconds={args.seconds:g}"
+    with urllib.request.urlopen(url, timeout=args.seconds + 30) as response:
+        sys.stdout.write(response.read().decode("utf-8"))
     return 0
 
 

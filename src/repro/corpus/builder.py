@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..obs import metrics as _metrics
-from ..obs import tracectx as _tracectx
 from ..obs.trace import span as _span
 from ..parallel import resolve_jobs as _resolve_jobs
+from ..parallel import task_scope as _task_scope
 from ..prov.model import ProvDocument
 from ..prov.rdf_io import to_dataset, to_graph
 from ..rdf.graph import Dataset, Graph
@@ -401,12 +401,10 @@ class CorpusBuilder:
         taverna, wings = self._make_engines(clock)
         for entry in plan:
             clock.advance(self._gap_seconds(entry))
-            if tracer is not None:
-                tracer.reset_clock()
             # The per-run trace scope is entered (and exited) around the
             # build itself, not the yield, so generator suspension never
             # leaks a derived context into the consumer.
-            with _tracectx.task_scope(entry.run_id):
+            with _task_scope(tracer, entry.run_id):
                 trace = self._trace_for(entry, by_id[entry.template_id],
                                         taverna, wings, tracer=tracer)
             yield trace

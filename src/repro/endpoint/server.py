@@ -16,15 +16,14 @@ minimal SPARQL 1.1 Protocol surface on stdlib ``http.server``:
   version, per-request timing, and a snapshot of the metrics registry;
 * ``GET /metrics`` serves the process metrics registry in Prometheus
   text exposition format (query cache, WAL fsyncs, store cache mirrors,
-  per-route/status request counters) plus CKMS quantile summaries
-  (per-route request seconds, per-plan-digest query seconds);
+  per-route/status request counters, per-route request seconds);
 * ``GET /healthz`` is the liveness probe: 200 plus the store generation;
 * ``GET /slowlog`` lists the retained requests that ran a query (enabled
   by constructing the endpoint with ``slow_query_ms``);
 * ``GET /trace/<trace_id>`` returns one retained request with its span
   tree (see below);
-* ``GET /debug/profile?seconds=N[&format=speedscope]`` samples the live
-  process and returns collapsed stacks (or speedscope JSON).
+* ``GET /debug/profile?seconds=N`` samples the live process and returns
+  collapsed (folded) stacks.
 
 Every request participates in W3C trace context: an inbound
 ``traceparent`` header is parsed (malformed → fresh root trace, per
@@ -66,9 +65,10 @@ every answer afresh.
 The server is a ``ThreadingHTTPServer`` sharing one
 :class:`~repro.sparql.evaluator.QueryEngine` across worker threads — the
 engine's result/statistics caches are lock-protected.  Request latency
-has one account, the CKMS summaries observed at the response choke point
-(:meth:`_Handler._finish_request`), so 4xx/5xx responses count toward
-the ``/stats`` averages exactly like successes.
+has one account, the ``repro_endpoint_request_seconds{route}`` histogram
+observed at the response choke point (:meth:`_Handler._finish_request`),
+so 4xx/5xx responses count toward the ``/stats`` averages exactly like
+successes.
 
 The server runs on a background thread (:meth:`SparqlEndpoint.start`) so
 tests and examples can exercise it in-process.
@@ -77,6 +77,7 @@ tests and examples can exercise it in-process.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import sys
 import threading
@@ -89,7 +90,6 @@ from ..obs import events as _events
 from ..obs import metrics as _metrics
 from ..obs import profiler as _profiler
 from ..obs import tracectx as _tracectx
-from ..obs.quantiles import QuantileFamily
 from ..obs.request import RequestRecord, RequestRing
 from ..obs.trace import span as _span
 from ..store import wal as _wal  # noqa: F401  (declares the WAL metric families)
@@ -122,6 +122,10 @@ _HTTP_CONNECTIONS = _metrics.counter(
 _HTTP_INFLIGHT = _metrics.gauge(
     "repro_endpoint_inflight_requests",
     "HTTP requests currently being handled",
+)
+# The route label is bounded: _KNOWN_ROUTES plus "other".
+_REQUEST_SECONDS = _metrics.histogram(
+    "repro_endpoint_request_seconds", "HTTP request wall time", labels=("route",)
 )
 
 # Mirrors of the store's plain-int counters (decode LRU, dictionary
@@ -252,8 +256,8 @@ class _Handler(BaseHTTPRequestHandler):
         record = ctx.record = self._record = RequestRecord(
             route, ctx.trace_id, profile=endpoint.slow_query_ms is not None)
         token = _tracectx.activate(ctx)
-        # the profiler attributes this thread's stack samples to the request
-        _profiler.register_thread(route, ctx.trace_id)
+        # the profiler attributes this thread's stack samples to the route
+        _profiler.register_thread(route)
         _HTTP_INFLIGHT.inc()
         try:
             with _span(endpoint.tracer, "http.request", cat="endpoint",
@@ -367,7 +371,7 @@ class _Handler(BaseHTTPRequestHandler):
         """Stamp the request's outcome exactly once, whatever status it
         ends with: ``_send`` funnels every response through here before
         the first byte is written.  The record gets its ``status`` and
-        ``duration_ms``; the counters and the two latency summaries are
+        ``duration_ms``; the request counter and latency histogram are
         fed from it."""
         record = self._record
         if record.status is not None:
@@ -377,11 +381,7 @@ class _Handler(BaseHTTPRequestHandler):
         elapsed_s = time.perf_counter() - self._started
         record.duration_ms = elapsed_s * 1000.0
         _HTTP_REQUESTS.labels(record.route, status).inc()
-        endpoint: "SparqlEndpoint" = self.server.endpoint  # type: ignore[attr-defined]
-        endpoint.request_quantiles.observe(record.route, elapsed_s)
-        if record.plan_digest is not None:
-            endpoint.plan_quantiles.observe(record.plan_digest,
-                                            record.query_ms / 1000.0)
+        _REQUEST_SECONDS.labels(record.route).observe(elapsed_s)
 
     def _run_query(self, query: str):
         engine: QueryEngine = self.server.engine  # type: ignore[attr-defined]
@@ -441,11 +441,8 @@ class _Handler(BaseHTTPRequestHandler):
         # Record this request *before* rendering so the scrape that asks
         # for the counters is itself included in them.
         self._finish_request(200)
-        endpoint: "SparqlEndpoint" = self.server.endpoint  # type: ignore[attr-defined]
-        body = (_metrics.get_registry().render_prometheus()
-                + endpoint.request_quantiles.render()
-                + endpoint.plan_quantiles.render())
-        self._send(200, "text/plain; version=0.0.4", body)
+        self._send(200, "text/plain; version=0.0.4",
+                   _metrics.get_registry().render_prometheus())
 
     def _send_slowlog(self):
         endpoint: "SparqlEndpoint" = self.server.endpoint  # type: ignore[attr-defined]
@@ -482,18 +479,16 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, "application/json", json.dumps(record, indent=2))
 
     def _send_profile(self, params):
-        """``GET /debug/profile?seconds=N[&format=speedscope]``."""
+        """``GET /debug/profile?seconds=N``: folded stacks over the window."""
         endpoint: "SparqlEndpoint" = self.server.endpoint  # type: ignore[attr-defined]
         try:
             seconds = float(params.get("seconds", ["2"])[0])
+            if not math.isfinite(seconds):
+                raise ValueError(seconds)
         except ValueError:
             self._send_error(400, "malformed 'seconds' parameter")
             return
         seconds = min(max(seconds, 0.05), 60.0)
-        fmt = params.get("format", ["folded"])[0]
-        if fmt not in ("folded", "speedscope"):
-            self._send_error(400, "unknown format: use folded or speedscope")
-            return
         hz = endpoint.profile_hz or _profiler.DEFAULT_HZ
         counts, snap = _profiler.profile_window(seconds, hz=hz)
         extra = {
@@ -501,13 +496,7 @@ class _Handler(BaseHTTPRequestHandler):
             "X-Profile-Dropped": str(snap.get("samples_dropped", 0)),
             "X-Profile-Hz": f"{snap.get('hz', hz):g}",
         }
-        if fmt == "speedscope":
-            payload = _profiler.render_speedscope(
-                counts, name=f"repro-endpoint-{seconds:g}s"
-            )
-            self._send(200, "application/json", json.dumps(payload), extra)
-        else:
-            self._send(200, "text/plain", _profiler.render_folded(counts), extra)
+        self._send(200, "text/plain", _profiler.render_folded(counts), extra)
 
     def _send(self, status: int, content_type: str, body: Union[str, bytes],
               extra_headers=None):
@@ -619,19 +608,6 @@ class SparqlEndpoint:
         self.obs_dir = obs_dir
         if obs_dir is not None:
             _events.configure(obs_dir)
-        # The one latency account (CKMS sketches, true tails): per-route
-        # request seconds and per-plan-digest query seconds, observed by
-        # the handler from each request's record.
-        self.request_quantiles = QuantileFamily(
-            "repro_endpoint_request_seconds",
-            "HTTP request wall time (CKMS targeted quantiles)",
-            label="route",
-        )
-        self.plan_quantiles = QuantileFamily(
-            "repro_query_plan_seconds",
-            "Query wall time by plan digest (CKMS targeted quantiles)",
-            label="plan_digest",
-        )
         self.engine = QueryEngine(source, cache_size=cache_size, tracer=tracer)
         if isinstance(source, Dataset):
             self.triple_count = len(source)
@@ -673,10 +649,9 @@ class SparqlEndpoint:
     def stats(self) -> dict:
         """Cache + timing counters served at ``GET /stats``."""
         metrics = _metrics.snapshot()
-        request_quantiles = self.request_quantiles.snapshot()
-        # /sparql timing is read off the latency account, errors off the
-        # (process-wide) request counter: nothing is booked twice.
-        sparql = request_quantiles.get("/sparql", {"count": 0, "sum": 0.0, "max": 0.0})
+        # /sparql timing is read off the latency histogram, errors off the
+        # request counter (both process-wide): nothing is booked twice.
+        sparql = _REQUEST_SECONDS.labels("/sparql").snapshot()
         count = sparql["count"]
         total_ms = sparql["sum"] * 1000.0
         errors = sum(
@@ -693,13 +668,8 @@ class SparqlEndpoint:
                 "errors": int(errors),
                 "total_ms": round(total_ms, 3),
                 "avg_ms": round(total_ms / count, 3) if count else 0.0,
-                "max_ms": round(sparql["max"] * 1000.0, 3),
             },
             "metrics": metrics,
-        }
-        payload["latency_quantiles"] = {
-            "requests": request_quantiles,
-            "plans": self.plan_quantiles.snapshot(),
         }
         if self.slow_query_ms is not None:
             payload["slow_queries"] = self.requests.query_info()

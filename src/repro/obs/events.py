@@ -21,9 +21,10 @@ interleave whole lines, never torn ones.
 Rotation is size-bounded: when ``events.jsonl`` would exceed
 ``max_bytes`` the log renames it to ``events.jsonl.1`` (shifting older
 generations up, keeping ``keep`` of them) and starts fresh — a long
-endpoint run cannot fill the disk.  :func:`read_events` is tolerant by
-construction: a crashed writer's truncated trailing line is skipped
-with a warning, not an exception, mirroring ``read_trace``.
+endpoint run cannot fill the disk.  :func:`read_events` reads each
+generation with ``read_trace``'s tolerant line reader: a crashed
+writer's truncated trailing line is skipped with a warning, not an
+exception.
 
 Module-level :func:`configure` / :func:`emit` give call sites a
 zero-argument fast path: ``emit()`` is a no-op unless an observability
@@ -35,10 +36,11 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import threading
 import time
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, Optional
+
+from .trace import read_trace
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -46,7 +48,6 @@ __all__ = [
     "EventLog",
     "configure",
     "emit",
-    "get_event_log",
     "read_events",
     "unconfigure",
 ]
@@ -162,42 +163,16 @@ def read_events(
     stream stays chronological).  Malformed or truncated lines — the
     signature a crashed writer leaves — are skipped with a warning.
     """
-    if warn is None:
-        warn = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
-    if os.path.isdir(path):
-        base = os.path.join(path, EVENTS_FILE)
-    else:
-        base = path
-    files: List[str] = []
-    n = 1
-    while os.path.exists(f"{base}.{n}"):
-        files.append(f"{base}.{n}")
-        n += 1
-    files.reverse()  # oldest rotated generation first
+    base = os.path.join(path, EVENTS_FILE) if os.path.isdir(path) else path
+    generations = 0
+    while os.path.exists(f"{base}.{generations + 1}"):
+        generations += 1
+    files = [f"{base}.{n}" for n in range(generations, 0, -1)]
     if os.path.exists(base):
         files.append(base)
     for file_path in files:
-        with open(file_path, "r", encoding="utf-8", errors="replace") as handle:
-            for lineno, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    warn(
-                        f"warning: skipping malformed event at "
-                        f"{file_path}:{lineno}"
-                    )
-                    continue
-                if not isinstance(record, dict):
-                    warn(
-                        f"warning: skipping non-object event at "
-                        f"{file_path}:{lineno}"
-                    )
-                    continue
-                if kind is not None and record.get("kind") != kind:
-                    continue
+        for record in read_trace(file_path, warn=warn):
+            if kind is None or record.get("kind") == kind:
                 yield record
 
 
@@ -215,10 +190,6 @@ def configure(obs_dir: str, max_bytes: int = DEFAULT_MAX_BYTES,
         _log.close()
     _log = EventLog(obs_dir, max_bytes=max_bytes, keep=keep)
     _log_pid = os.getpid()
-    return _log
-
-
-def get_event_log() -> Optional[EventLog]:
     return _log
 
 

@@ -10,21 +10,14 @@ thread's own work, which the profiler *accounts for* (cumulative
 heaviest instrumented path.
 
 Attribution: request-serving threads register themselves in a
-thread→request registry (:func:`register_thread`) carrying their route
-and trace id; samples landing on a registered thread are folded under
-that route, everything else under ``"-"``.  One profile therefore
-answers both "where does wall-clock go overall" and "where does
-``/sparql`` time go", and a slow trace id can be checked against the
-per-trace sample counts.
+thread→route registry (:func:`register_thread`); samples landing on a
+registered thread are folded under that route, everything else under
+``"-"``.  One profile therefore answers both "where does wall-clock go
+overall" and "where does ``/sparql`` time go".
 
-Output formats:
-
-* **folded** (:meth:`StackProfiler.folded`): Brendan Gregg's collapsed
-  format — ``root;caller;leaf 42`` one stack per line — piped straight
-  into ``flamegraph.pl`` or any folded-stack viewer;
-* **speedscope** (:meth:`StackProfiler.speedscope`): the speedscope
-  JSON file format (one sampled profile per attribution key), opened
-  at https://www.speedscope.app/ with no server round-trip.
+Output is one format, folded stacks (:func:`render_folded`): Brendan
+Gregg's collapsed format — ``route;root;caller;leaf 42``, one stack per
+line — which ``flamegraph.pl`` and speedscope both import as is.
 
 Sampling fidelity is bookkept, not assumed: when one sampling pass
 overruns the tick interval the missed ticks count as *dropped*
@@ -36,11 +29,9 @@ collector.
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
 import time
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from . import metrics as _metrics
@@ -49,11 +40,9 @@ __all__ = [
     "DEFAULT_HZ",
     "StackProfiler",
     "get_profiler",
-    "parse_folded",
     "profile_window",
     "register_thread",
     "render_folded",
-    "render_speedscope",
     "start",
     "stop",
     "unregister_thread",
@@ -61,7 +50,6 @@ __all__ = [
 
 DEFAULT_HZ = 67.0
 _UNATTRIBUTED = "-"
-_MAX_TRACE_KEYS = 256  # bounded per-trace sample attribution
 
 _SAMPLES = _metrics.counter(
     "repro_profiler_samples_total",
@@ -80,16 +68,16 @@ _INTERVAL = _metrics.gauge(
     "Configured sampling interval of the running profiler (0 = stopped)",
 )
 
-# -- thread → request registry ----------------------------------------
+# -- thread → route registry ------------------------------------------
 
 _registry_lock = threading.Lock()
-_thread_requests: Dict[int, Tuple[str, Optional[str]]] = {}
+_thread_requests: Dict[int, str] = {}
 
 
-def register_thread(route: str, trace_id: Optional[str] = None) -> None:
-    """Attribute the calling thread's samples to *route* (and *trace_id*)."""
+def register_thread(route: str) -> None:
+    """Attribute the calling thread's samples to *route*."""
     with _registry_lock:
-        _thread_requests[threading.get_ident()] = (route, trace_id)
+        _thread_requests[threading.get_ident()] = route
 
 
 def unregister_thread() -> None:
@@ -121,7 +109,6 @@ class StackProfiler:
         self.max_depth = int(max_depth)
         self._lock = threading.Lock()
         self._counts: Dict[Tuple[str, Tuple[str, ...]], int] = {}
-        self._trace_samples: "OrderedDict[str, int]" = OrderedDict()
         self._kept = 0
         self._dropped = 0
         self._overhead_s = 0.0
@@ -220,7 +207,7 @@ class StackProfiler:
         frames = sys._current_frames()
         with _registry_lock:
             attribution = dict(_thread_requests)
-        stacks: List[Tuple[str, Optional[str], Tuple[str, ...]]] = []
+        stacks: List[Tuple[str, Tuple[str, ...]]] = []
         for tid, frame in frames.items():
             if tid == skip_thread:
                 continue
@@ -238,21 +225,11 @@ class StackProfiler:
             if not labels:
                 continue
             labels.reverse()  # root → leaf, the folded-stack order
-            route, trace_id = attribution.get(tid, (_UNATTRIBUTED, None))
-            stacks.append((route, trace_id, tuple(labels)))
+            stacks.append((attribution.get(tid, _UNATTRIBUTED), tuple(labels)))
         cost = time.monotonic() - started
         with self._lock:
-            for route, trace_id, stack in stacks:
-                key = (route, stack)
+            for key in stacks:
                 self._counts[key] = self._counts.get(key, 0) + 1
-                if trace_id is not None:
-                    if trace_id in self._trace_samples:
-                        self._trace_samples[trace_id] += 1
-                        self._trace_samples.move_to_end(trace_id)
-                    else:
-                        self._trace_samples[trace_id] = 1
-                        while len(self._trace_samples) > _MAX_TRACE_KEYS:
-                            self._trace_samples.popitem(last=False)
             self._kept += 1
             self._overhead_s += cost
         return len(stacks)
@@ -262,11 +239,6 @@ class StackProfiler:
     def counts(self) -> Dict[Tuple[str, Tuple[str, ...]], int]:
         with self._lock:
             return dict(self._counts)
-
-    def trace_samples(self, trace_id: str) -> int:
-        """Samples attributed to one trace id (0 if never seen/aged out)."""
-        with self._lock:
-            return self._trace_samples.get(trace_id, 0)
 
     def snapshot(self) -> Dict:
         with self._lock:
@@ -288,22 +260,6 @@ class StackProfiler:
                 "distinct_stacks": len(self._counts),
                 "elapsed_s": round(elapsed, 3),
             }
-
-    def folded(
-        self, counts: Optional[Dict[Tuple[str, Tuple[str, ...]], int]] = None
-    ) -> str:
-        """Brendan Gregg collapsed-stack text: ``attr;root;leaf N`` lines."""
-        return render_folded(self.counts() if counts is None else counts)
-
-    def speedscope(
-        self,
-        counts: Optional[Dict[Tuple[str, Tuple[str, ...]], int]] = None,
-        name: str = "repro-profile",
-    ) -> Dict:
-        """The speedscope JSON file format (one profile per attribution)."""
-        return render_speedscope(
-            self.counts() if counts is None else counts, name=name
-        )
 
     def window(self, seconds: float) -> Dict[Tuple[str, Tuple[str, ...]], int]:
         """Stack counts accumulated over the next *seconds* only.
@@ -331,75 +287,6 @@ def render_folded(counts: Dict[Tuple[str, Tuple[str, ...]], int]) -> str:
     return "\n".join(
         ";".join((route,) + stack) + f" {count}" for route, stack, count in lines
     ) + ("\n" if lines else "")
-
-
-def render_speedscope(
-    counts: Dict[Tuple[str, Tuple[str, ...]], int], name: str = "repro-profile"
-) -> Dict:
-    """Speedscope JSON for the same aggregates: one sampled profile per
-    attribution key, all sharing one frame table."""
-    frame_index: Dict[str, int] = {}
-    frames: List[Dict] = []
-
-    def index_of(label: str) -> int:
-        idx = frame_index.get(label)
-        if idx is None:
-            idx = len(frames)
-            frame_index[label] = idx
-            frames.append({"name": label})
-        return idx
-
-    by_route: Dict[str, List[Tuple[Tuple[str, ...], int]]] = {}
-    for (route, stack), count in sorted(counts.items()):
-        by_route.setdefault(route, []).append((stack, count))
-    profiles = []
-    for route in sorted(by_route):
-        samples = []
-        weights = []
-        total = 0
-        for stack, count in by_route[route]:
-            samples.append([index_of(label) for label in stack])
-            weights.append(count)
-            total += count
-        profiles.append(
-            {
-                "type": "sampled",
-                "name": route,
-                "unit": "none",
-                "startValue": 0,
-                "endValue": total,
-                "samples": samples,
-                "weights": weights,
-            }
-        )
-    return {
-        "$schema": "https://www.speedscope.app/file-format-schema.json",
-        "name": name,
-        "exporter": "repro-corpus",
-        "shared": {"frames": frames},
-        "profiles": profiles,
-    }
-
-
-def parse_folded(text: str) -> Dict[Tuple[str, Tuple[str, ...]], int]:
-    """Parse collapsed-stack text back into ``{(attr, frames): count}``.
-
-    The exact inverse of :meth:`StackProfiler.folded` — the round-trip
-    is pinned by tests, so folded files survive tooling hops.
-    """
-    counts: Dict[Tuple[str, Tuple[str, ...]], int] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        stack_text, _, count_text = line.rpartition(" ")
-        if not stack_text or not count_text.isdigit():
-            continue
-        parts = stack_text.split(";")
-        counts[(parts[0], tuple(parts[1:]))] = (
-            counts.get((parts[0], tuple(parts[1:])), 0) + int(count_text)
-        )
-    return counts
 
 
 # -- module-level singleton -------------------------------------------

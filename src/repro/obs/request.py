@@ -4,7 +4,8 @@ The endpoint opens a :class:`RequestRecord` when a request begins and
 hangs it on the request's :class:`~repro.obs.tracectx.TraceContext`
 (``ctx.record``).  Whichever layer knows a fact writes it there — the
 endpoint its outcome, the query engine the query's, and every
-:class:`~repro.obs.trace.Span` that closes appends itself to ``spans``.
+:class:`~repro.obs.trace.Span` that closes appends its Chrome trace
+event to ``spans`` — the same dict a ``--trace`` tracer keeps.
 The endpoint finalises the record once, after the response is written
 and outside every engine lock.  A record is *retained* when the request
 errored (status ≥ 400) or took at least ``slow_ms``; retained records
@@ -23,7 +24,7 @@ present only on records whose query the engine answered):
 ``route``           normalised route (``/sparql``, ``/stats``, ...)
 ``status``          HTTP status
 ``duration_ms``     request wall time up to the response headers (what
-                    the latency summaries observe)
+                    ``repro_endpoint_request_seconds`` observes)
 ``timings_ms``      ``cache``, ``parse``, ``exec``, ``ser`` (the
                     ``Server-Timing`` parts) and ``write``
 ``unattributed_ms`` ``duration_ms`` minus the four ``Server-Timing``

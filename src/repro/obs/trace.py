@@ -34,9 +34,10 @@ a W3C trace context is active on the current thread, every span stamps
 itself as the parent for nested spans, and — when the context carries
 a request *record* — appends its completed event to ``record.spans``
 even if no tracer is attached at all (how the endpoint collects span
-trees for ``GET /trace/<id>`` without ``--trace``).  With no active
-context nothing is stamped, so pre-existing byte-identical trace
-expectations hold unchanged.
+trees for ``GET /trace/<id>`` without ``--trace``).  A closed span
+builds its event once: the tracer and the record hold the same dict.
+With no active context nothing is stamped, so pre-existing
+byte-identical trace expectations hold unchanged.
 
 ``span(tracer, ...)`` is the instrumentation-site helper: it returns a
 shared no-op span when ``tracer`` is ``None`` and no request record is
@@ -148,7 +149,8 @@ class Span:
         end = tracer._now_us() if tracer is not None else _real_now_us()
         if exc_type is not None:
             self.args.setdefault("error", exc_type.__name__)
-        if tracer is not None and tracer.deterministic:
+        deterministic = tracer is not None and tracer.deterministic
+        if deterministic:
             duration = end - self._ts
         else:
             duration = max(end - self._ts, 0)
@@ -157,27 +159,22 @@ class Span:
         if self._ctx_token is not None:
             _tracectx.deactivate(self._ctx_token)
             self._ctx_token = None
+        event = {
+            "name": self.name,
+            "cat": self.cat,
+            "ph": "X",
+            "ts": self._ts,
+            "dur": duration,
+            "pid": 0 if deterministic else os.getpid(),
+            "tid": 0 if deterministic else threading.get_ident() & 0xFFFFFFFF,
+            "args": self.args,
+        }
         if tracer is not None:
-            tracer._record(self, self._ts, duration)
+            with tracer._lock:
+                tracer._events.append(event)
         ctx = self._ctx
         if ctx is not None and ctx.record is not None:
-            detail = {
-                key: value
-                for key, value in self.args.items()
-                if key not in ("trace_id", "span_id", "parent_id")
-            }
-            ctx.record.spans.append(
-                {
-                    "name": self.name,
-                    "cat": self.cat,
-                    "trace_id": ctx.trace_id,
-                    "span_id": self.span_id,
-                    "parent_id": ctx.span_id,
-                    "ts_us": self._ts,
-                    "dur_us": duration,
-                    "args": detail,
-                }
-            )
+            ctx.record.spans.append(event)
 
 
 class Tracer:
@@ -212,26 +209,6 @@ class Tracer:
     # -- recording ----------------------------------------------------
     def span(self, name: str, cat: str = "repro", **attrs: object) -> Span:
         return Span(self, name, cat, dict(attrs))
-
-    def _record(self, span_obj: Span, ts: int, duration: int) -> None:
-        if self.deterministic:
-            pid = 0
-            tid = 0
-        else:
-            pid = os.getpid()
-            tid = threading.get_ident() & 0xFFFFFFFF
-        event = {
-            "name": span_obj.name,
-            "cat": span_obj.cat,
-            "ph": "X",
-            "ts": ts,
-            "dur": duration,
-            "pid": pid,
-            "tid": tid,
-            "args": span_obj.args,
-        }
-        with self._lock:
-            self._events.append(event)
 
     # -- merge / export -----------------------------------------------
     def events(self) -> List[dict]:
@@ -285,7 +262,7 @@ def read_trace(path, warn: Optional[Callable[[str], None]] = None) -> List[dict]
     of raising, so a dead run's trace is still summarizable."""
     if warn is None:
         warn = lambda msg: print(msg, file=sys.stderr)  # noqa: E731
-    text = Path(path).read_text(encoding="utf-8").strip()
+    text = Path(path).read_text(encoding="utf-8", errors="replace").strip()
     if not text:
         return []
     if text.startswith("["):
@@ -304,7 +281,7 @@ def read_trace(path, warn: Optional[Callable[[str], None]] = None) -> List[dict]
         try:
             record = json.loads(line)
         except ValueError:
-            warn(f"warning: skipping malformed trace line at {path}:{lineno}")
+            warn(f"warning: skipping malformed line at {path}:{lineno}")
             continue
         if isinstance(record, dict):
             events.append(record)

@@ -10,9 +10,10 @@ From there the id rides every layer without explicit plumbing:
   ``span_id`` / ``parent_id`` args and nest into a proper tree;
 * the request's :class:`~repro.obs.request.RequestRecord` rides the
   context (``ctx.record``): the engine writes its facts there and every
-  span that closes appends itself to ``record.spans``, so a Perfetto
-  timeline, a ``/slowlog`` entry, an ``endpoint.request`` event and the
-  ``X-Trace-Id`` response header are one record under one id;
+  span that closes appends its Chrome trace event to ``record.spans``,
+  so a Perfetto timeline, a ``/slowlog`` entry, an ``endpoint.request``
+  event and the ``X-Trace-Id`` response header are one record under one
+  id;
 * pool workers receive the context through the task envelope
   (:class:`repro.parallel.ObsConfig`) and re-derive a per-task child
   context from the *task key* (run id, trace file path), so a
@@ -241,24 +242,24 @@ class task_scope:
 
 
 def span_tree(spans: List[dict]) -> List[dict]:
-    """Nest a flat span list into parent→children trees.
+    """Nest a flat list of span events into parent→children trees, by
+    their ``args.span_id`` / ``args.parent_id``.
 
-    Spans whose ``parent_id`` is absent from the list (the request
-    root, or an orphan after partial capture) become roots.  Children
-    keep their recorded order.
+    Spans whose parent is absent from the list (the request root, or an
+    orphan after partial capture) become roots.  Children keep their
+    recorded order.
     """
     by_id: Dict[str, dict] = {}
     nodes: List[dict] = []
     for span in spans:
-        node = dict(span)
-        node["children"] = []
+        node = dict(span, children=[])
         nodes.append(node)
-        span_id = node.get("span_id")
+        span_id = node["args"].get("span_id")
         if span_id:
             by_id[span_id] = node
     roots: List[dict] = []
     for node in nodes:
-        parent = by_id.get(node.get("parent_id") or "")
+        parent = by_id.get(node["args"].get("parent_id") or "")
         if parent is not None and parent is not node:
             parent["children"].append(node)
         else:

@@ -22,6 +22,8 @@ everything they share:
   into children; elsewhere the platform default);
 * :func:`resolve_jobs` — ``jobs`` argument normalization (``None``/``0``
   → one worker per CPU);
+* :func:`task_scope` — the per-task trace scope the serial loops and
+  the worker wrapper all enter, so both mint the same spans;
 * :class:`RemoteError` — a picklable record of an exception raised in a
   worker.  Workers catch their own failures and return one of these
   instead of letting ``multiprocessing`` pickle the live exception, so
@@ -41,6 +43,7 @@ import multiprocessing
 import os
 import pickle
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, NamedTuple, Optional, Type
 
@@ -49,7 +52,7 @@ from .obs import tracectx as _tracectx
 from .obs.trace import Tracer
 
 __all__ = [
-    "map_tasks", "pool_context", "resolve_jobs",
+    "map_tasks", "pool_context", "resolve_jobs", "task_scope",
     "ObsConfig", "RemoteError", "Task", "TaskRecord",
 ]
 
@@ -113,6 +116,18 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs is None or jobs <= 0:
         return max(1, os.cpu_count() or 1)
     return jobs
+
+
+@contextmanager
+def task_scope(tracer, key: str):
+    """Run one unit of work (one corpus run, one ingest file) in its own
+    trace scope: rewind *tracer*'s logical clock, then enter the trace
+    context derived from *key*.  A serial loop and a pool worker entering
+    it for the same key stamp the same ticks and span ids."""
+    if tracer is not None:
+        tracer.reset_clock()
+    with _tracectx.task_scope(key):
+        yield
 
 
 @dataclass
@@ -234,10 +249,8 @@ def _run_task(task: Task) -> TaskRecord:
     which worker ran what before it — a failing task's included.
     """
     run, state, tracer, baseline = _WORKER
-    if tracer is not None:
-        tracer.reset_clock()
     try:
-        with _tracectx.task_scope(task.key):
+        with task_scope(tracer, task.key):
             payload = run(state, task.args, tracer)
     except Exception as exc:
         payload = RemoteError.capture(exc, task.context)

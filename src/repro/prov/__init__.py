@@ -33,7 +33,6 @@ from .model import (
     Usage,
 )
 from .provn import serialize_provn
-from .provn_parser import ProvNSyntaxError, parse_provn
 from .rdf_io import from_dataset, from_graph, to_dataset, to_graph
 
 __all__ = [
@@ -57,8 +56,6 @@ __all__ = [
     "from_graph",
     "from_dataset",
     "serialize_provn",
-    "parse_provn",
-    "ProvNSyntaxError",
     "infer",
     "inferred_graph",
     "ProvInferencer",

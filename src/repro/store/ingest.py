@@ -35,7 +35,7 @@ from ..obs import events as _events
 from ..obs import metrics as _metrics
 from ..obs import tracectx as _tracectx
 from ..obs.trace import span
-from ..parallel import Task, map_tasks, resolve_jobs
+from ..parallel import Task, map_tasks, resolve_jobs, task_scope
 from ..rdf.graph import Dataset
 from ..rdf.trig import parse_trig
 from ..rdf.turtle import TurtleError, parse_turtle
@@ -216,13 +216,11 @@ def _parse_task(root: Path, args, tracer) -> _ParsedBatch:
 
 def _parse_serially(root: Path, pending, tracer) -> Iterator[_ParsedBatch]:
     for relpath, rdf_format in pending:
-        if tracer is not None:
-            tracer.reset_clock()
         # Phase-scoped trace derivation ("parse:<file>", then
         # "apply:<file>" around the commit), entered exactly as a pool
         # worker enters it, so both phases mint the same span ids at any
         # worker count.
-        with _tracectx.task_scope(f"parse:{relpath}"):
+        with task_scope(tracer, f"parse:{relpath}"):
             batch = _parse_batch(root, relpath, rdf_format, tracer=tracer)
         yield batch
 

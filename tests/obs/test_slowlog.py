@@ -194,7 +194,7 @@ class TestEngineIntegration:
         finally:
             tracectx.deactivate(token)
         (query_span,) = [s for s in record.spans if s["name"] == "sparql.query"]
-        assert record.span_id == query_span["span_id"]
+        assert record.span_id == query_span["args"]["span_id"]
 
     def test_plan_built_at_most_once_per_text_and_version(self, monkeypatch):
         """A miss builds its plan once (digest and operator rows share

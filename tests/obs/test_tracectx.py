@@ -148,12 +148,24 @@ class TestSpanIntegration:
                 pass
         finally:
             tracectx.deactivate(token)
-        (record,) = request.spans
-        assert record["name"] == "work"
-        assert record["trace_id"] == ctx.trace_id
-        assert record["parent_id"] == ctx.span_id
-        assert record["args"]["detail"] == 7
-        assert "trace_id" not in record["args"]  # ids live top-level only
+        (event,) = request.spans
+        assert event["name"] == "work" and event["ph"] == "X"
+        assert event["args"]["trace_id"] == ctx.trace_id
+        assert event["args"]["parent_id"] == ctx.span_id
+        assert event["args"]["detail"] == 7
+
+    def test_tracer_and_record_hold_the_same_event(self):
+        tracer = Tracer(deterministic=True)
+        ctx = tracectx.start_trace(deterministic=True, seed="t")
+        request = ctx.record = RequestRecord("/sparql")
+        token = tracectx.activate(ctx)
+        try:
+            with tracer.span("work"):
+                pass
+        finally:
+            tracectx.deactivate(token)
+        (event,) = tracer.events()
+        assert request.spans == [event] and request.spans[0] is event
 
     def test_span_helper_still_noop_without_any_context(self):
         from repro.obs.trace import NULL_SPAN, span
@@ -196,13 +208,19 @@ class TestTraceRing:
             RequestRing(capacity=0)
 
 
+def _event(name, span_id, parent_id):
+    return {"name": name, "cat": "test", "ph": "X", "ts": 0, "dur": 1,
+            "pid": 0, "tid": 0,
+            "args": {"trace_id": "t", "span_id": span_id, "parent_id": parent_id}}
+
+
 class TestSpanTree:
     def test_nests_children_under_parents(self):
         spans = [
-            {"name": "root", "span_id": "a", "parent_id": "external"},
-            {"name": "child", "span_id": "b", "parent_id": "a"},
-            {"name": "grandchild", "span_id": "c", "parent_id": "b"},
-            {"name": "sibling", "span_id": "d", "parent_id": "a"},
+            _event("root", "a", "external"),
+            _event("child", "b", "a"),
+            _event("grandchild", "c", "b"),
+            _event("sibling", "d", "a"),
         ]
         (root,) = tracectx.span_tree(spans)
         assert root["name"] == "root"
@@ -210,6 +228,5 @@ class TestSpanTree:
         assert root["children"][0]["children"][0]["name"] == "grandchild"
 
     def test_orphans_become_roots(self):
-        roots = tracectx.span_tree([{"name": "lost", "span_id": "x",
-                                     "parent_id": "gone"}])
+        roots = tracectx.span_tree([_event("lost", "x", "gone")])
         assert [r["name"] for r in roots] == ["lost"]

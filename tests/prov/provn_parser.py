@@ -1,4 +1,4 @@
-"""PROV-N parsing: the inverse of :mod:`repro.prov.provn`.
+"""Test helper: PROV-N parsing, the inverse of :mod:`repro.prov.provn`.
 
 Parses the PROV-N subset our serializer emits — which covers all of
 PROV-DM as used by the corpus: ``document``/``endDocument``, ``prefix``
@@ -16,9 +16,9 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-from ..rdf.namespace import PROV
-from ..rdf.terms import IRI, Literal, XSD, parse_datetime, unescape_string
-from .model import ProvBundle, ProvDocument
+from repro.prov.model import ProvBundle, ProvDocument
+from repro.rdf.namespace import PROV
+from repro.rdf.terms import IRI, Literal, XSD, parse_datetime, unescape_string
 
 __all__ = ["parse_provn", "ProvNSyntaxError"]
 

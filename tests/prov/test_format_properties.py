@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.prov.model import ProvDocument
 from repro.prov.provn import serialize_provn
-from repro.prov.provn_parser import parse_provn
 from repro.prov.rdf_io import from_graph, to_graph
+from tests.prov.provn_parser import parse_provn
 from tests.rdf.isomorphism import isomorphic
 
 _names = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)

@@ -6,8 +6,8 @@ import pytest
 
 from repro.prov.model import Association, Derivation, ProvDocument, Usage
 from repro.prov.provn import serialize_provn
-from repro.prov.provn_parser import ProvNSyntaxError, parse_provn
 from repro.rdf.terms import IRI
+from tests.prov.provn_parser import ProvNSyntaxError, parse_provn
 
 
 def full_document():

@@ -720,27 +720,23 @@ class TestObservedEndpoint:
 
         observed, _ = obs_endpoint
         assert families(observed) == families(endpoint)
-        assert any("repro_endpoint_request_seconds summary" in f for f in families(endpoint))
+        assert any("repro_endpoint_request_seconds histogram" in f for f in families(endpoint))
 
-    def test_request_quantiles_exposed_after_traffic(self, obs_endpoint):
+    def test_stats_request_count_is_the_histogram_count(self, obs_endpoint):
         server, _ = obs_endpoint
         client = SparqlClient(server.query_url)
         for _ in range(5):
             client.query("ASK { ?x a prov:Activity }")
+        requests = client.stats()["requests"]
         body = self._scrape(server)
-        assert "# TYPE repro_endpoint_request_seconds summary" in body
-        assert 'repro_endpoint_request_seconds{route="/sparql",quantile="0.99"}' in body
-        assert 'repro_endpoint_request_seconds_count{route="/sparql"} 5' in body
-        # Query latency by plan digest rides the same exposition.
-        assert "# TYPE repro_query_plan_seconds summary" in body
-        assert 'quantile="0.99"' in body
-        # /stats reads the same sketches.
-        quantiles = client.stats()["latency_quantiles"]
-        assert quantiles["requests"]["/sparql"]["count"] >= 5
-        assert "0.99" in quantiles["requests"]["/sparql"]["quantiles"]
-        assert quantiles["plans"], "plan-digest sketch must capture the query"
+        assert "# TYPE repro_endpoint_request_seconds histogram" in body
+        # One source: /stats reads the histogram /metrics renders.
+        prefix = 'repro_endpoint_request_seconds_count{route="/sparql"} '
+        (line,) = [l for l in body.splitlines() if l.startswith(prefix)]
+        assert requests["count"] == int(line[len(prefix):]) >= 5
+        assert set(requests) == {"count", "errors", "total_ms", "avg_ms"}
 
     def test_unobserved_endpoint_has_no_obs_section(self, endpoint, client):
         stats = client.stats()
         assert "obs" not in stats
-        assert "latency_quantiles" in stats  # quantiles are always on
+        assert "latency_quantiles" not in stats

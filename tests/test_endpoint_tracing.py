@@ -14,7 +14,7 @@ import urllib.request
 import pytest
 
 from repro.endpoint import SparqlEndpoint
-from repro.obs import RequestRing, read_events
+from repro.obs import RequestRing, Tracer, read_events
 from repro.rdf import Graph, Namespace, PROV, RDF
 
 EX = Namespace("http://example.org/")
@@ -104,6 +104,28 @@ class TestTraceRing:
         (root,) = record["tree"]
         assert root["name"] == "http.request"
         assert root["children"], "query spans must nest under the request"
+
+    def test_trace_spans_are_the_tracer_events(self):
+        """One span shape: the ring's span list is the tracer's events."""
+        g = Graph()
+        g.add((EX.r1, RDF.type, PROV.Activity))
+        tracer = Tracer()
+        server = SparqlEndpoint(g, tracer=tracer, slow_query_ms=0.0).start()
+        try:
+            with _get(_query_url(server), {"traceparent": TRACEPARENT}):
+                pass
+            _wait_admitted(server, TRACE_ID)
+            with _get(server.url + "/trace/" + TRACE_ID) as response:
+                spans = json.loads(response.read())["spans"]
+        finally:
+            server.stop()
+        traced = [e for e in tracer.events() if e["args"].get("trace_id") == TRACE_ID]
+        assert spans == traced
+        assert {span["name"] for span in spans} >= {"http.request", "sparql.query"}
+        for span in spans:
+            assert span["ph"] == "X"
+            assert isinstance(span["ts"], int) and isinstance(span["dur"], int)
+            assert span["args"]["span_id"]
 
     def test_unknown_trace_id_404(self, endpoint):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -270,15 +292,8 @@ class TestProfileRoute:
             stack, _, count = line.rpartition(" ")
             assert stack and count.isdigit()
 
-    def test_speedscope_output(self, endpoint):
-        url = endpoint.url + "/debug/profile?seconds=0.2&format=speedscope"
-        with _get(url) as response:
-            doc = json.loads(response.read())
-        assert doc["profiles"]
-        assert doc["shared"]["frames"]
-
     def test_bad_params_400(self, endpoint):
-        for query in ("seconds=nope", "format=flamegraph"):
+        for query in ("seconds=nope", "seconds=inf", "seconds=nan"):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(endpoint.url + "/debug/profile?" + query)
             assert excinfo.value.code == 400
