@@ -1,7 +1,7 @@
-"""Query-parity gate: every source must agree on Q1–Q6 and P1–P4.
+"""Query-parity gate: every source must agree on Q1–Q6 and P1–P5.
 
 Builds the deterministic corpus, ingests it into three stores, then
-evaluates the six exemplar queries and four property-path queries over
+evaluates the six exemplar queries and five property-path queries over
 the four sources the engine can be handed:
 
     memory     the in-memory dataset (per-binding BGPs, graph-walk BFS)
@@ -36,6 +36,7 @@ from repro.corpus import CorpusBuilder, write_corpus
 from repro.queries import OPMW_EXPORT_NS, exemplar_queries
 from repro.sparql import QueryEngine
 from repro.store import QuadStore, StoreDataset, ingest_corpus
+from repro.taverna import TAVERNA_RUN_NS
 
 SEED = 2013
 
@@ -59,6 +60,20 @@ PATH_QUERIES = {
         SELECT ?e ?act WHERE { ?act ^prov:wasGeneratedBy ?e }
     """,
 }
+
+
+def run_lineage_query(corpus) -> str:
+    """P5: the lineage of every output of the corpus's first successful
+    Taverna run (the run ``exemplar_queries`` picks) — a BGP whose plain
+    steps feed a bound closure its whole ``?out`` column."""
+    trace = next(t for t in corpus.by_system("taverna") if not t.failed)
+    run = TAVERNA_RUN_NS.term(f"{trace.run_id}/")
+    return (
+        "SELECT ?out ?src WHERE { "
+        f"?p wfprov:wasPartOfWorkflowRun {run.n3()} . "
+        "?out prov:wasGeneratedBy ?p . "
+        "?out (prov:wasGeneratedBy/prov:used)+ ?src }"
+    )
 
 
 def _engine(source) -> QueryEngine:
@@ -86,7 +101,8 @@ def run_parity(workdir: Path) -> int:
     corpus = CorpusBuilder(seed=SEED).build()
     corpus_dir = workdir / "corpus"
     write_corpus(corpus, corpus_dir)
-    queries = {**exemplar_queries(corpus), **PATH_QUERIES}
+    path_queries = {**PATH_QUERIES, "P5-run-lineage": run_lineage_query(corpus)}
+    queries = {**exemplar_queries(corpus), **path_queries}
 
     stores = {}
     for name, options in (
@@ -123,7 +139,7 @@ def run_parity(workdir: Path) -> int:
                       f"across {len(results)} sources")
             summary[name] = {"rows": len(baseline)}
 
-            if name in PATH_QUERIES:
+            if name in path_queries:
                 # The index must replay BFS discovery order, not just
                 # reach the same pairs.
                 indexed = [row.asdict() for row in tables["store-j1"]]

@@ -1,18 +1,19 @@
 """Encoded-ID BGP execution over store-backed graphs.
 
-The per-binding pipeline (``QueryEngine._extend_with_pattern``, what
-in-memory graphs and path-bearing BGPs run) resolves every pattern
-against a solution's *terms*; over a store that means re-encoding them
-per binding inside ``StoreGraph.triples()`` — a dictionary lookup, a
-fresh binary search, and a per-record decode for every partial solution.
-This module keeps the whole BGP in u32 term ids instead:
+The per-binding pipeline (``QueryEngine._extend_step``, what in-memory
+graphs and property-path steps run) resolves every pattern against a
+solution's *terms*; over a store that means re-encoding them per binding
+inside ``StoreGraph.triples()`` — a dictionary lookup, a fresh binary
+search, and a per-record decode for every partial solution.  This module
+keeps a BGP's plain steps in u32 term ids instead — all of them, or in a
+BGP with property paths those planned before the first path step:
 
 * constants are resolved to ids once per pattern (an unknown constant
   empties the batch immediately);
 * each input solution carries a parallel ``{var: id}`` dict, extended
   batch-at-a-time as patterns execute;
-* ids are decoded back to terms only once, when the finished batch
-  leaves the BGP.
+* ids are decoded back to terms only once, when the batch leaves id
+  space: at the end of the BGP, or before its first path step.
 
 Patterns are read through the access path the graph hands out
 (``graph.access_path``: ordering, sort prefix, and how a record range
@@ -30,10 +31,11 @@ unlocks two operators the per-binding path cannot express:
 
 The executor is created per BGP via :func:`encoded_executor`, which
 duck-types on ``graph.encoded_scope()`` — in-memory graphs (no encoded
-surface) and BGPs containing property paths take the per-binding
-pipeline.  Paths must: a zero-length closure (``p*``) yields ``(t, t)``
-even for a term the dictionary has never seen, which id space cannot
-represent.
+surface) take the per-binding pipeline.  The path step itself, and every
+step after it, run on decoded terms: a zero-length closure (``p*``)
+yields ``(t, t)`` even for a term the dictionary has never seen, which
+id space cannot represent.  (The path step still batches: its whole
+endpoint column goes to ``paths.eval_path_batch`` in one call.)
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from typing import Dict, List, Optional, Tuple
 from ..obs import metrics as _metrics
 from ..rdf.terms import Term
 from .algebra import TriplePattern, Var
-from .paths import Path
 from .plan import PlanStep, choose_access
 
 __all__ = ["encoded_executor", "EncodedExecutor"]
@@ -66,12 +67,11 @@ _ABSENT = object()
 
 
 def encoded_executor(graph, patterns: List[TriplePattern]):
-    """An :class:`EncodedExecutor` for *graph*, or ``None`` when the
-    graph has no encoded surface or the BGP contains a property path."""
+    """An :class:`EncodedExecutor` for *graph* over *patterns* — plain
+    patterns only, a BGP's steps before its first property path — or
+    ``None`` when the graph has no encoded surface."""
     scope_of = getattr(graph, "encoded_scope", None)
     if scope_of is None:
-        return None
-    if any(isinstance(tp.predicate, Path) for tp in patterns):
         return None
     return EncodedExecutor(graph, scope_of(), patterns)
 
@@ -116,6 +116,12 @@ class EncodedExecutor:
         return out
 
     # -- one pattern step ----------------------------------------------------
+
+    def extend_and_decode(self, step: PlanStep, batch: List[EncodedSolution],
+                          graph=None) -> List[Dict[str, Term]]:
+        """:meth:`extend` through the last id-space step, then
+        :meth:`decode` at its egress."""
+        return self.decode(self.extend(step, batch, graph))
 
     def extend(self, step: PlanStep, batch: List[EncodedSolution], graph=None):
         """Extend every solution in *batch* through *step*'s pattern.

@@ -63,7 +63,7 @@ from ..obs import tracectx as _tracectx
 from ..obs.trace import span as _span
 from .encoded import encoded_executor
 from .parser import parse_query
-from .paths import Path, eval_path
+from .paths import Path, eval_path_batch
 from .plan import (
     ProfileCollector,
     QueryPlan,
@@ -750,62 +750,84 @@ class QueryEngine:
             steps = plan_bgp_steps(bgp.triples, bound, graph)
         profiler = (getattr(self._tlocal, "profiler", None)
                     if self._profiling else None)
-        # The encoded pipeline pays off when a step can see more than
-        # one binding — a multi-pattern BGP (the batch grows step to
-        # step) or a multi-solution input.  A single-pattern BGP over a
-        # single solution (EXISTS checks, OPTIONAL right sides seeded
-        # one binding at a time) has exactly one scan range either way,
-        # so the leaner per-binding path wins.
-        batchable = len(bgp.triples) > 1 or len(inputs) > 1
-        executor = encoded_executor(graph, bgp.triples) if batchable else None
+        # The plain steps before the first property path run in id space
+        # (encode once, merge/bisect scans over batches of encoded
+        # bindings, decode once at that prefix's egress) when a step can
+        # see more than one binding — a multi-pattern prefix (the batch
+        # grows step to step) or a multi-solution input.  A single
+        # pattern over a single solution (EXISTS checks, OPTIONAL right
+        # sides seeded one binding at a time) has exactly one scan range
+        # either way, so the leaner per-binding path wins.  The path step
+        # and every step after it extend decoded solutions.
+        split = len(steps)
+        for position, step in enumerate(steps):
+            if isinstance(step.pattern.predicate, Path):
+                split = position
+                break
+        executor = None
+        if split > 1 or (split and len(inputs) > 1):
+            executor = encoded_executor(graph, [step.pattern for step in steps[:split]])
         if executor is not None:
-            # Id-space pipeline: encode once, extend batches of encoded
-            # bindings (merge/bisect scans), decode once at egress.
             batch = executor.encode_inputs(inputs)
-            for step in steps:
+            for position in range(split):
+                # PROFILE bills the one decode to the step whose egress
+                # it is, so the step after the switch counts only itself.
+                extend = (executor.extend if position < split - 1
+                          else executor.extend_and_decode)
                 if profiler is not None:
-                    batch = profiler.run_pattern(step, batch, graph, executor.extend)
+                    batch = profiler.run_pattern(steps[position], batch, graph, extend)
                 else:
-                    batch = executor.extend(step, batch, graph)
+                    batch = extend(steps[position], batch, graph)
                 if not batch:
                     return []
-            return executor.decode(batch)
-        solutions = [dict(sol) for sol in inputs]
+            solutions = batch
+            steps = steps[split:]
+        else:
+            solutions = [dict(sol) for sol in inputs]
         for step in steps:
             if profiler is not None:
                 solutions = profiler.run_pattern(
                     step, solutions, graph, self._extend_step)
             else:
-                solutions = self._extend_with_pattern(step.pattern, solutions, graph)
+                solutions = self._extend_step(step, solutions, graph)
             if not solutions:
                 return []
         return solutions
 
     def _extend_step(self, step, solutions: List[Binding], graph: Graph) -> List[Binding]:
-        """Profiler callback for the per-binding pipeline (the profiler hands
-        the full :class:`PlanStep` so encoded execution can reuse its
-        annotations; here only the pattern matters)."""
+        """One step of the per-binding pipeline (it takes the full
+        :class:`PlanStep`, as the profiler hands it so encoded execution
+        can reuse its annotations; here only the pattern matters)."""
+        if isinstance(step.pattern.predicate, Path):
+            return self._extend_with_path(step.pattern, solutions, graph)
         return self._extend_with_pattern(step.pattern, solutions, graph)
+
+    def _extend_with_path(
+        self, tp: TriplePattern, solutions: List[Binding], graph: Graph
+    ) -> List[Binding]:
+        """Extend every solution through a property path: the step's
+        whole endpoint column goes to :func:`eval_path_batch` in one
+        call, so solutions that reach shared ancestors share their
+        lookups."""
+        ends = [(_resolve(tp.subject, sol), _resolve(tp.object, sol)) for sol in solutions]
+        answers = eval_path_batch(graph, tp.predicate, [
+            (None if isinstance(s, Var) else s, None if isinstance(o, Var) else o)
+            for s, o in ends])
+        out: List[Binding] = []
+        for sol, (s, o), pairs in zip(solutions, ends, answers):
+            for s_val, o_val in pairs:
+                extended = dict(sol)
+                if _bind(extended, s, s_val) and _bind(extended, o, o_val):
+                    out.append(extended)
+        return out
 
     def _extend_with_pattern(
         self, tp: TriplePattern, solutions: List[Binding], graph: Graph
     ) -> List[Binding]:
         out: List[Binding] = []
-        is_path = isinstance(tp.predicate, Path)
         for sol in solutions:
             s = _resolve(tp.subject, sol)
             o = _resolve(tp.object, sol)
-            if is_path:
-                for s_val, o_val in eval_path(
-                    graph,
-                    tp.predicate,
-                    s if not isinstance(s, Var) else None,
-                    o if not isinstance(o, Var) else None,
-                ):
-                    extended = dict(sol)
-                    if _bind(extended, s, s_val) and _bind(extended, o, o_val):
-                        out.append(extended)
-                continue
             p = _resolve(tp.predicate, sol)
             # A variable repeated inside the pattern must match consistently.
             for triple in graph.triples(

@@ -12,14 +12,22 @@ engine supports the core path operators in the predicate position:
 * ``path+`` — one or more (transitive closure)
 * ``( path )`` — grouping
 
-Paths are evaluated by :func:`eval_path`, which yields ``(subject,
-object)`` pairs given optionally-bound endpoints; closures are computed
-with BFS, seeded from whichever endpoint is bound.  With both endpoints
-unbound, one enumeration of the path's step pairs is kept as adjacency:
-BFS is seeded from the nodes that can actually begin the path and walks
-that adjacency, so no node's steps are looked up twice — zero-length
-``*`` pairs still cover every node, as the spec requires, but no BFS
-runs from nodes with no outgoing step.
+Paths are evaluated a query step at a time: :func:`eval_path_batch`
+takes the step's whole column of optionally-bound ``(subject, object)``
+endpoints and returns each one's pairs (:func:`eval_path` is its
+one-pair form).  The path is compiled and its edge source picked once
+per column.  Closures are computed with BFS, seeded from whichever
+endpoint is bound; the column's bound-endpoint closures share one
+``node → [step targets]`` memo per direction, so the outputs of one run,
+whose ancestors mostly coincide, look each shared ancestor's steps up
+once — every endpoint still gets its own BFS, in the order a walk of its
+own would find its pairs, and a closure with both ends bound stops at
+its target.  With both endpoints unbound, one enumeration of the path's
+step pairs is kept as adjacency: BFS is seeded from the nodes that can
+actually begin the path and walks that adjacency, so no node's steps
+are looked up twice — zero-length ``*`` pairs still cover every node, as
+the spec requires, but no BFS runs from nodes with no outgoing step.
+The memos live as long as one call.
 
 There is one evaluator (:func:`_eval`); what varies is the *edge
 source* it walks.  Store-backed graphs can advertise a persisted
@@ -28,18 +36,20 @@ same pattern as ``encoded_scope()`` — this module never imports
 ``repro.store`` or ``repro.pathindex``).  When the path's predicates
 all map to indexed relations, the evaluator runs in u32 id space over
 mmap'd sorted adjacency — no per-step term decode — and pairs are
-decoded only at egress.  Anything the index cannot serve (no index,
-unknown predicates, ``GRAPH``-scoped views, ``p*`` with both endpoints
-unbound) runs the same evaluator over :class:`_GraphEdges`, which
+decoded only at egress, each id once per column.  Anything the index
+cannot serve (no index, unknown predicates, ``GRAPH``-scoped views,
+``p*`` with both endpoints unbound, a bound endpoint the dictionary has
+never seen) runs the same evaluator over :class:`_GraphEdges`, which
 exposes the index's surface on top of ``graph.triples()`` with terms
-standing in for ids.  The ``repro_pathindex_total{outcome}`` counter
-tallies the dispatch.
+standing in for ids; one column may use both.  The
+``repro_pathindex_total{outcome}`` counter tallies the dispatch, once
+per distinct endpoint pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..obs import metrics as _metrics
 from ..rdf.graph import Graph
@@ -52,6 +62,7 @@ __all__ = [
     "PathInverse",
     "PathClosure",
     "eval_path",
+    "eval_path_batch",
     "index_supported",
 ]
 
@@ -103,13 +114,80 @@ def eval_path(
     """Yield (subject, object) pairs connected by *path*.
 
     Either endpoint may be bound (a concrete term) or None.  Duplicate
-    pairs are suppressed.
+    pairs are suppressed.  The one-pair form of :func:`eval_path_batch`.
     """
-    seen: Set[Tuple[Term, Term]] = set()
-    for pair in _dispatch(graph, path, subject, obj):
-        if pair not in seen:
-            seen.add(pair)
-            yield pair
+    return iter(eval_path_batch(graph, path, [(subject, obj)])[0])
+
+
+def eval_path_batch(
+    graph: Graph,
+    path,
+    endpoints: Sequence[Tuple[Optional[Term], Optional[Term]]],
+) -> List[List[Tuple[Term, Term]]]:
+    """For each ``(subject, object)`` pair of *endpoints* (either may be
+    None), the duplicate-free (subject, object) pairs *path* connects.
+
+    One path step of a query hands its whole endpoint column here: the
+    path is compiled, its edge source picked and every closure's step
+    lookups memoised once for the column, so the starts of one run's
+    outputs share the lookups of the ancestors they share.  Each answer
+    is the one its endpoints would get alone, in the same order; a
+    repeated pair is answered from its first walk.
+    """
+    index = _live_index(graph)
+    ops = _index_ops(index, path) if index is not None else None
+    id_walk = term_walk = None  # made on first use, shared by the column
+    terms: Dict[int, Term] = {}  # id → term, decoded once per column
+    safe: Dict[Tuple[bool, bool], bool] = {}
+    outcomes = {"hit": 0, "fallback": 0, "no-index": 0}
+    answers: Dict[Tuple[Optional[Term], Optional[Term]], List[Tuple[Term, Term]]] = {}
+    for key in endpoints:
+        if key in answers:
+            continue
+        subject, obj = key
+        outcome = "no-index"
+        if index is not None:
+            outcome = "fallback"
+            shape = (subject is not None, obj is not None)
+            servable = safe.get(shape)
+            if servable is None:
+                servable = safe[shape] = ops is not None and _safe(ops, *shape)
+            sid = oid = None
+            # A bound endpoint the dictionary has never seen matches
+            # nothing (or only a zero-length pair) — the graph walk
+            # already handles that cheaply.
+            if servable and subject is not None:
+                sid = graph.term_to_id(subject)
+                servable = sid is not None
+            if servable and obj is not None:
+                oid = graph.term_to_id(obj)
+                servable = oid is not None
+            if servable:
+                outcome = "hit"
+                if id_walk is None:
+                    id_walk = _Walk(index, ops)
+                pairs = []
+                for s_id, o_id in dict.fromkeys(id_walk.run(sid, oid)):
+                    s_term = terms.get(s_id)
+                    if s_term is None:
+                        s_term = terms[s_id] = graph.id_to_term(s_id)
+                    o_term = terms.get(o_id)
+                    if o_term is None:
+                        o_term = terms[o_id] = graph.id_to_term(o_id)
+                    pairs.append((s_term, o_term))
+        if outcome != "hit":
+            if term_walk is None:
+                term_ops = _compile(path, lambda predicate: predicate)
+                if term_ops is None:
+                    raise TypeError(f"not a path expression: {path!r}")
+                term_walk = _Walk(_GraphEdges(graph), term_ops)
+            pairs = list(dict.fromkeys(term_walk.run(subject, obj)))
+        outcomes[outcome] += 1
+        answers[key] = pairs
+    for outcome, count in outcomes.items():
+        if count:
+            _PATHINDEX_TOTAL.labels(outcome).inc(count)
+    return [answers[key] for key in endpoints]
 
 
 # ---------------------------------------------------------------------------
@@ -196,36 +274,6 @@ def index_supported(path, index) -> bool:
     return index is not None and _index_ops(index, path) is not None
 
 
-def _dispatch(graph, path, subject, obj):
-    index = _live_index(graph)
-    if index is None:
-        _PATHINDEX_TOTAL.labels("no-index").inc()
-    else:
-        ops = _index_ops(index, path)
-        sid = graph.term_to_id(subject) if subject is not None else None
-        oid = graph.term_to_id(obj) if obj is not None else None
-        servable = (
-            ops is not None
-            and _safe(ops, subject is not None, obj is not None)
-            # A bound endpoint the dictionary has never seen matches
-            # nothing (or only a zero-length pair) — the graph walk
-            # already handles that cheaply.
-            and not (subject is not None and sid is None)
-            and not (obj is not None and oid is None)
-        )
-        if servable:
-            _PATHINDEX_TOTAL.labels("hit").inc()
-            decode = graph.id_to_term
-            for s_id, o_id in _eval(index, ops, sid, oid):
-                yield (decode(s_id), decode(o_id))
-            return
-        _PATHINDEX_TOTAL.labels("fallback").inc()
-    ops = _compile(path, lambda predicate: predicate)
-    if ops is None:
-        raise TypeError(f"not a path expression: {path!r}")
-    yield from _eval(_GraphEdges(graph), ops, subject, obj)
-
-
 class _GraphEdges:
     """The path index's read surface over ``graph.triples()``.
 
@@ -266,10 +314,46 @@ class _GraphEdges:
 # ---------------------------------------------------------------------------
 
 
-def _eval(edges, op, s, o) -> Iterator[Tuple[object, object]]:
+class _Walk:
+    """One path step over one edge source: the compiled ops, plus the
+    closure step memos that every endpoint of the step's column shares."""
+
+    __slots__ = ("edges", "ops", "memos")
+
+    def __init__(self, edges, ops):
+        self.edges = edges
+        self.ops = ops
+        #: (id of a closure op, forward?) → {node: [one-step targets]}
+        self.memos: Dict[Tuple[int, bool], Dict[object, List[object]]] = {}
+
+    def run(self, s, o) -> Iterator[Tuple[object, object]]:
+        return _eval(self, self.ops, s, o)
+
+    def step(self, op, forward: bool):
+        """``node → [targets]`` of closure *op*'s inner path, walked away
+        from a bound subject (*forward*) or towards a bound object; each
+        node's targets are looked up once per walk, in the order a fresh
+        lookup lists them."""
+        memo = self.memos.setdefault((id(op), forward), {})
+        sub = op[1]
+
+        def step(node):
+            targets = memo.get(node)
+            if targets is None:
+                if forward:
+                    targets = [n for _, n in _eval(self, sub, node, None)]
+                else:
+                    targets = [n for n, _ in _eval(self, sub, None, node)]
+                memo[node] = targets
+            return targets
+
+        return step
+
+
+def _eval(walk: _Walk, op, s, o) -> Iterator[Tuple[object, object]]:
     kind = op[0]
     if kind == "rel":
-        rel = op[1]
+        edges, rel = walk.edges, op[1]
         if s is not None:
             if o is not None:
                 if edges.has_edge(rel, s, o):
@@ -286,32 +370,32 @@ def _eval(edges, op, s, o) -> Iterator[Tuple[object, object]]:
             yield from edges.pairs(rel)
         return
     if kind == "inv":
-        for s2, o2 in _eval(edges, op[1], o, s):
+        for s2, o2 in _eval(walk, op[1], o, s):
             yield (o2, s2)
         return
     if kind == "alt":
         for sub in op[1]:
-            yield from _eval(edges, sub, s, o)
+            yield from _eval(walk, sub, s, o)
         return
     if kind == "seq":
-        yield from _eval_seq(edges, list(op[1]), s, o)
+        yield from _eval_seq(walk, list(op[1]), s, o)
         return
-    yield from _eval_closure(edges, op, s, o)
+    yield from _eval_closure(walk, op, s, o)
 
 
-def _eval_seq(edges, ops: List, s, o) -> Iterator[Tuple[object, object]]:
+def _eval_seq(walk: _Walk, ops: List, s, o) -> Iterator[Tuple[object, object]]:
     if len(ops) == 1:
-        yield from _eval(edges, ops[0], s, o)
+        yield from _eval(walk, ops[0], s, o)
         return
     if s is not None or o is None:
         head, rest = ops[0], ops[1:]
-        for s1, mid in _eval(edges, head, s, None):
-            for _, o1 in _eval_seq(edges, rest, mid, o):
+        for s1, mid in _eval(walk, head, s, None):
+            for _, o1 in _eval_seq(walk, rest, mid, o):
                 yield (s1, o1)
     else:
         rest, last = ops[:-1], ops[-1]
-        for mid, o1 in _eval(edges, last, None, o):
-            for s1, _ in _eval_seq(edges, rest, None, mid):
+        for mid, o1 in _eval(walk, last, None, o):
+            for s1, _ in _eval_seq(walk, rest, None, mid):
                 yield (s1, o1)
 
 
@@ -333,19 +417,21 @@ def _closure_from(step, start, include_zero: bool) -> Iterator[object]:
         frontier = next_frontier
 
 
-def _eval_closure(edges, op, s, o) -> Iterator[Tuple[object, object]]:
+def _eval_closure(walk: _Walk, op, s, o) -> Iterator[Tuple[object, object]]:
     sub, include_zero = op[1], op[2]
+    # A bound endpoint gets its own BFS, over step lookups the whole
+    # column shares: its pairs come out in the order a walk of its own
+    # would find them, but no node's steps are looked up twice.
     if s is not None:
-        forward = _closure_from(
-            lambda node: (n for _, n in _eval(edges, sub, node, None)), s, include_zero)
-        for node in forward:
-            if o is None or node == o:
+        forward = _closure_from(walk.step(op, True), s, include_zero)
+        if o is None:
+            for node in forward:
                 yield (s, node)
+        elif o in forward:  # stops walking at the first match
+            yield (s, o)
         return
     if o is not None:
-        backward = _closure_from(
-            lambda node: (n for n, _ in _eval(edges, sub, None, node)), o, include_zero)
-        for node in backward:
+        for node in _closure_from(walk.step(op, False), o, include_zero):
             yield (node, o)
         return
     # Both unbound: BFS only from nodes that can begin the path, in their
@@ -353,7 +439,7 @@ def _eval_closure(edges, op, s, o) -> Iterator[Tuple[object, object]]:
     if include_zero:
         # Zero-length: the spec pairs every node with itself.  _safe
         # keeps the edge index, which cannot enumerate them, out of here.
-        for node in edges.all_nodes():
+        for node in walk.edges.all_nodes():
             yield (node, node)
     # One enumeration of the step pairs is the whole step relation: keep
     # it as adjacency and walk that, rather than re-deriving a node's
@@ -362,7 +448,7 @@ def _eval_closure(edges, op, s, o) -> Iterator[Tuple[object, object]]:
     # relation, alternatives in option order), so discovery order is
     # unchanged; an in-memory Graph lists them in its POS-index order.
     steps: Dict[object, List[object]] = {}
-    for s1, o1 in _eval(edges, sub, None, None):
+    for s1, o1 in _eval(walk, sub, None, None):
         targets = steps.get(s1)
         if targets is None:
             steps[s1] = [o1]

@@ -25,12 +25,15 @@ and per-pattern extension).  When no profile is active the evaluator
 pays a single attribute check — the same contract as the
 :class:`~repro.obs.metrics.MetricsRegistry`.  Collected per operator:
 rows in/out, wall and CPU time, call count; per scan additionally
-segment bisect probes and decode-LRU hits (attributed by reading the
-store's plain-int counters before/after each pattern batch) and the
-estimate-vs-actual cardinality error.  A pattern whose actual output
-exceeds its estimate by more than 10x bumps
-``repro_planner_misestimate_total`` so bench trajectories catch
-statistics staleness.
+bisect probes (segments, plus the path index's adjacency for a path
+step it serves) and decode-LRU hits (attributed by reading the store's
+plain-int counters before/after each pattern batch) and the
+estimate-vs-actual cardinality error.  A BGP that leaves id space
+before a path step bills the one decode to the last id-space step, so
+each scan's row counts and probes are its own on either side of the
+switch.  A pattern whose actual output exceeds its estimate by more
+than 10x bumps ``repro_planner_misestimate_total`` so bench
+trajectories catch statistics staleness.
 """
 
 from __future__ import annotations
@@ -187,8 +190,9 @@ class PlanStep:
     #: Scan operator for encoded (store-backed) execution: "merge" when
     #: a join-bound variable sits in the chosen ordering's sort prefix
     #: (batch sorted, monotone galloping cursor), "bisect" otherwise.
-    #: ``None`` on graphs without an encoded surface, and for BGPs
-    #: containing property paths (those run on the per-binding pipeline).
+    #: ``None`` on graphs without an encoded surface, and for plain steps
+    #: planned after a property path (those run on the per-binding
+    #: pipeline).
     access: Optional[str] = None
     #: Segment ordering the scan ranges over (spog/posg/ospg/gspo).
     ordering: Optional[str] = None
@@ -213,32 +217,35 @@ def choose_access(mask: str, graph):
 def _access_annotator(patterns: List[TriplePattern], graph):
     """(mask, tp) → (access, ordering) annotation for one plan step.
 
-    Plain patterns annotate via :func:`choose_access` when *graph*
-    supports encoded execution and the BGP is path-free (a path in the
-    BGP disables the encoded executor, so advertising merge/bisect there
-    would describe a pipeline that never runs).  Property-path steps
-    annotate ``("pathindex", "fwd"|"inv")`` when the graph's persisted
-    path index can serve the path — the direction the closure BFS walks
-    given the mask's bound endpoint.  Annotating only capability-bearing
-    graphs keeps in-memory plan digests byte-identical to earlier
-    releases.
+    Called once per step in plan order.  Plain patterns annotate via
+    :func:`choose_access` when *graph* supports encoded execution and
+    no property path has been planned before them: the executor runs a
+    BGP in id space up to its first path step and per binding after it,
+    so advertising merge/bisect past that step would describe a pipeline
+    that never runs.  Property-path steps annotate ``("pathindex",
+    "fwd"|"inv")`` when the graph's persisted path index can serve the
+    path — the direction the closure BFS walks given the mask's bound
+    endpoint.  Annotating only capability-bearing graphs keeps in-memory
+    plan digests byte-identical to earlier releases.
     """
     scope_of = getattr(graph, "encoded_scope", None)
-    has_path = any(isinstance(tp.predicate, Path) for tp in patterns)
     index = None
-    if has_path:
+    if any(isinstance(tp.predicate, Path) for tp in patterns):
         probe = getattr(graph, "path_index", None)
         index = probe() if callable(probe) else None
     if scope_of is None and index is None:
         return lambda mask, tp: (None, None)
+    after_path = False
 
     def annotate(mask, tp):
+        nonlocal after_path
         if isinstance(tp.predicate, Path):
+            after_path = True
             if index is not None and index_supported(tp.predicate, index):
                 direction = "fwd" if mask[0] != "?" or mask[2] == "?" else "inv"
                 return ("pathindex", direction)
             return (None, None)
-        if scope_of is None or has_path:
+        if scope_of is None or after_path:
             return (None, None)
         operator, path = choose_access(mask, graph)
         return operator, path.ordering
@@ -630,13 +637,17 @@ def _pattern_node(pattern: Pattern, bound: set, graph) -> Tuple[PlanNode, set]:
 # ---------------------------------------------------------------------------
 
 
-def _runtime_counters(graph) -> Tuple[int, int]:
-    """(segment bisect probes, decode-LRU hits) — plain ints, store-backed
-    graphs only; in-memory graphs report zeros."""
+def _runtime_counters(graph, index=None) -> Tuple[int, int]:
+    """(bisect probes, decode-LRU hits) — plain ints, store-backed graphs
+    only; in-memory graphs report zeros.  Probes are the segments', plus
+    the adjacency probes of *index* when a path step is served by it."""
     counters = getattr(graph, "runtime_counters", None)
     if counters is None:
         return (0, 0)
-    return counters()
+    probes, decode_hits = counters()
+    if index is not None:
+        probes += index.probes()
+    return probes, decode_hits
 
 
 class ProfileCollector:
@@ -681,11 +692,12 @@ class ProfileCollector:
         *extend* takes ``(step, solutions, graph)`` — the full step, so
         the encoded executor can reuse the planned mask annotations.
         """
-        probes_before, decode_before = _runtime_counters(graph)
+        index = graph.path_index() if step.access == "pathindex" else None
+        probes_before, decode_before = _runtime_counters(graph, index)
         started = time.perf_counter()
         out = extend(step, solutions, graph)
         wall_s = time.perf_counter() - started
-        probes_after, decode_after = _runtime_counters(graph)
+        probes_after, decode_after = _runtime_counters(graph, index)
         key = id(step.pattern)
         stats = self.patterns.get(key)
         if stats is None:

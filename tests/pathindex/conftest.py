@@ -79,3 +79,20 @@ def bfs_union(bfs_store):
 @pytest.fixture(scope="session")
 def memory_union(corpus_dataset):
     return corpus_dataset.union_graph()
+
+
+@pytest.fixture(scope="session")
+def lineage_run(corpus):
+    """The run IRI of the corpus's first successful Taverna trace."""
+    from repro.taverna.engine import TAVERNA_RUN_NS
+
+    trace = next(t for t in corpus.by_system("taverna") if not t.failed)
+    return TAVERNA_RUN_NS.term(f"{trace.run_id}/")
+
+
+@pytest.fixture(scope="session")
+def lineage_query(lineage_run):
+    """The lineage of every output of that run: two plain steps feeding a
+    bound closure its ``?out`` column."""
+    return (f"SELECT ?out ?src WHERE {{ ?p wfprov:wasPartOfWorkflowRun {lineage_run.n3()} . "
+            "?out prov:wasGeneratedBy ?p . ?out (prov:wasGeneratedBy/prov:used)+ ?src }")

@@ -75,6 +75,26 @@ def test_profile_annotates_index_step(store_dataset):
     assert "pathindex" in profile.to_text()
 
 
+def test_explain_profile_describe_the_switch_to_per_binding(store_dataset, lineage_query):
+    """A run's lineage query runs its two plain steps in id space and its
+    path step per binding: EXPLAIN says so step by step, and PROFILE
+    carries the rows across the switch."""
+    engine = QueryEngine(store_dataset, cache_size=0)
+    scans = [node.detail for node in engine.explain(lineage_query).root.walk()
+             if node.op == "scan"]
+    assert [detail["join"] for detail in scans[:2]] == ["bisect", "merge"]
+    assert all(detail["ordering"] in ("spog", "posg", "ospg", "gspo")
+               for detail in scans[:2])
+    assert scans[2]["join"] == "pathindex" and scans[2]["ordering"] == "fwd"
+
+    profile = engine.profile(lineage_query)
+    rows = [op for op in profile.report["operators"] if op["op"] == "scan"]
+    assert len(profile.result) > 0 and rows[-1]["rows_out"] == len(profile.result)
+    assert rows[1]["rows_out"] == rows[2]["rows_in"]  # the decoded ?out column
+    # segment probes for the plain steps, adjacency probes for the path
+    assert all(op["probes"] > 0 and op["calls"] == 1 for op in rows)
+
+
 def test_metrics_counter_counts_dispatch(store_dataset, corpus_dataset):
     from repro.obs import metrics
 

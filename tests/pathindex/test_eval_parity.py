@@ -78,6 +78,23 @@ def test_bound_pair_endpoint(store_union, bfs_union):
         assert both == [(entity, target)]
 
 
+def test_bound_pair_stops_at_its_target(store_union):
+    """With both ends bound the walk ends at the first match: reaching
+    the first node the subject-only walk finds costs fewer probes than
+    that walk over every ancestor (it used to cost the same)."""
+    path = PathClosure(PathAlternative((GENERATED_BY, USED)), False)
+    index = store_union.path_index()
+    entity = _some_entity(store_union)
+    before = index.probes()
+    reached = [o for _, o in eval_path(store_union, path, entity, None)]
+    walk_all = index.probes() - before
+    assert len(reached) > 1
+    before = index.probes()
+    both = list(eval_path(store_union, path, entity, reached[0]))
+    assert index.probes() - before < walk_all
+    assert both == [(entity, reached[0])]
+
+
 def test_memory_graph_has_no_index(memory_union, bfs_union):
     assert getattr(memory_union, "path_index", None) is None
     assert bfs_union.path_index() is None
@@ -122,3 +139,35 @@ def test_unbound_closure_probes_per_relation(store_union):
     relations = 2  # prov:used, prov:wasGeneratedBy
     assert 0 < probes <= relations * 2 * index.edge_count.bit_length()
     assert len(rows) > 20 * probes
+
+
+def test_run_lineage_probes_per_distinct_node(store_union, lineage_run, lineage_query):
+    """A run's lineage query hands the closure its whole ``?out`` column,
+    and the outputs share one step lookup per node: probes grow with the
+    distinct ancestors, not with outputs × ancestors."""
+    from repro.sparql import QueryEngine
+
+    path = PathClosure(PathSequence((GENERATED_BY, USED)), False)
+    engine = QueryEngine(store_union, cache_size=0)
+    outs = [row.out for row in engine.query(
+        f"SELECT ?out WHERE {{ ?p wfprov:wasPartOfWorkflowRun {lineage_run.n3()} . "
+        "?out prov:wasGeneratedBy ?p }")]
+    assert len(outs) > 1
+
+    index = store_union.path_index()
+    per_out_probes, expected, looked_up = 0, [], set()
+    for out in outs:
+        before = index.probes()
+        pairs = list(eval_path(store_union, path, out, None))
+        per_out_probes += index.probes() - before
+        expected += pairs
+        looked_up.add(out)  # a BFS looks up the start and all it reaches
+        looked_up.update(src for _, src in pairs)
+
+    before = index.probes()
+    rows = engine.query(lineage_query)
+    probes = index.probes() - before
+    assert [(row.out, row.src) for row in rows] == expected
+    assert 0 < 2 * probes <= per_out_probes
+    relations = 2  # prov:used, prov:wasGeneratedBy
+    assert probes <= relations * 2 * index.edge_count.bit_length() * len(looked_up)

@@ -10,6 +10,7 @@ from repro.sparql.paths import (
     PathInverse,
     PathSequence,
     eval_path,
+    eval_path_batch,
 )
 
 EX = Namespace("http://example.org/")
@@ -271,6 +272,102 @@ class TestUnboundClosureOrder:
         assert {o for s, o in plus["diamond"] if s == EX.d0} == {
             EX.d1, EX.d2, EX.d3, EX.d4, EX.d5}
         assert {o for s, o in plus["sequence"] if s == EX.q1} == {EX.q2, EX.q3, EX.q1}
+
+
+def _ref_step_back(graph, path, node):
+    """The nodes one *path* step leads from to *node*, in the order the
+    graph lists them."""
+    if isinstance(path, PathInverse):
+        return [t.object for t in graph.triples(node, path.inner, None)]
+    if isinstance(path, PathAlternative):
+        return [n for option in path.options for n in _ref_step_back(graph, option, node)]
+    if isinstance(path, PathSequence):
+        frontier = [node]
+        for step in reversed(path.steps):
+            frontier = [n for mid in frontier for n in _ref_step_back(graph, step, mid)]
+        return frontier
+    return [t.subject for t in graph.triples(None, path, node)]
+
+
+def _ref_reach(step, start, include_zero):
+    """The nodes a fresh BFS from *start* alone reaches, in discovery
+    order, where ``step(node)`` lists a node's one-step neighbours."""
+    reached = [start] if include_zero else []
+    visited, frontier = set(reached), [start]
+    while frontier:
+        next_frontier = []
+        for node in frontier:
+            for neighbor in step(node):
+                if neighbor not in visited:
+                    visited.add(neighbor)
+                    next_frontier.append(neighbor)
+                    reached.append(neighbor)
+        frontier = next_frontier
+    return reached
+
+
+def _column(shape):
+    """Every node of *shape* in edge order, then its first node again and
+    a node no dictionary has seen: one path step's column of starts."""
+    nodes = dict.fromkeys(EX[n] for s, _, o in SHAPES[shape][0] for n in (s, o))
+    return list(nodes) + [next(iter(nodes)), EX.ghost]
+
+
+class TestBoundClosureOrder:
+    """A path step hands :func:`eval_path_batch` its whole column of bound
+    endpoints, whose walks share step lookups; each endpoint's rows, and
+    their order, are those of a fresh BFS from that endpoint alone."""
+
+    @staticmethod
+    def _check(graph, shape, include_zero, direction):
+        """*direction* "both" puts the subject- and object-bound columns
+        into one call."""
+        path = SHAPES[shape][1]
+        starts = _column(shape)
+        endpoints, expected = [], []
+        if direction in ("subject", "both"):
+            endpoints += [(start, None) for start in starts]
+            expected += [[(start, node) for node in _ref_reach(
+                lambda n: _ref_step(graph, path, n), start, include_zero)]
+                for start in starts]
+        if direction in ("object", "both"):
+            endpoints += [(None, start) for start in starts]
+            expected += [[(node, start) for node in _ref_reach(
+                lambda n: _ref_step_back(graph, path, n), start, include_zero)]
+                for start in starts]
+        answers = eval_path_batch(graph, PathClosure(path, include_zero), endpoints)
+        assert answers == expected
+        return answers
+
+    @pytest.mark.parametrize("direction", ["subject", "object", "both"])
+    @pytest.mark.parametrize("include_zero", [False, True], ids=["plus", "star"])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_memory_matches_reference(self, shape, include_zero, direction):
+        self._check(_shape_graph(shape), shape, include_zero, direction)
+
+    @pytest.mark.parametrize("source", ["indexed", "graph-walk"])
+    @pytest.mark.parametrize("direction", ["subject", "object", "both"])
+    @pytest.mark.parametrize("include_zero", [False, True], ids=["plus", "star"])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_store_matches_reference(self, shape_stores, shape, include_zero,
+                                     direction, source):
+        union = shape_stores[shape][source]
+        answers = self._check(union, shape, include_zero, direction)
+        memory = self._check(_shape_graph(shape), shape, include_zero, direction)
+        assert [set(rows) for rows in answers] == [set(rows) for rows in memory]
+
+    def test_column_covers_the_shapes(self):
+        graph = _shape_graph("diamond")
+        plus = PathClosure(SHAPES["diamond"][1], False)
+        d1, d2 = eval_path_batch(graph, plus, [(EX.d1, None), (EX.d2, None)])
+        shared = {EX.d3, EX.d4, EX.d5}
+        assert {o for _, o in d1} == {o for _, o in d2} == shared
+        cycle = _column("cycle")
+        assert cycle[-2] == cycle[0] and cycle[-1] == EX.ghost
+        answers = eval_path_batch(_shape_graph("cycle"), PathClosure(USED, True),
+                                  [(start, None) for start in cycle])
+        assert answers[-2] == answers[0] and len(answers[0]) == 3
+        assert answers[-1] == [(EX.ghost, EX.ghost)]
 
 
 class TestOnCorpus:
