@@ -1,2 +1,2 @@
-"""Paper-artifact scripts (one per table/figure), two gate scripts, and the
+"""The paper-artifact script (``bench_artifacts.py``), two gate scripts, and the
 benchmark harness (``benchmarks/harness`` — the only program that reports a timing)."""

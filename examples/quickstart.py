@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import CorpusBuilder, CorpusQueries, format_table1
-from repro.corpus import DOMAINS
+from repro.report import format_figure1
 
 
 def main() -> None:
@@ -25,11 +25,8 @@ def main() -> None:
     print(format_table1(corpus))
 
     # --- Figure 1: domains of workflows ------------------------------------
-    print("\nFigure 1: Domains of workflows  (# = Taverna, * = Wings)")
-    width = max(len(d.name) for d in DOMAINS)
-    for domain in DOMAINS:
-        bar = "#" * domain.taverna_workflows + "*" * domain.wings_workflows
-        print(f"  {domain.name.ljust(width)}  {bar}")
+    print()
+    print(format_figure1(corpus))
 
     # --- Exemplar query 1 ---------------------------------------------------
     print("\nQuery 1: workflow runs with start and end times (first 5):")

@@ -6,10 +6,6 @@ Sub-commands:
   directory layout; ``--scale N`` multiplies workflows/runs for a
   deterministic N×-sized corpus, streamed run-at-a-time so memory stays
   flat at any scale;
-* ``stats <dir>`` — print the Section 2 statistics of a stored corpus;
-* ``table1`` — build in memory and print Table 1;
-* ``figure1`` — print the Figure 1 domain histogram;
-* ``coverage`` — print Tables 2 and 3;
 * ``query <dir> <sparql or @file>`` — run a SPARQL query over a stored
   corpus;
 * ``lineage <dir> <entity>`` — trace an entity's derivation lineage
@@ -26,7 +22,12 @@ Sub-commands:
   endpoint;
 * ``obs slowlog <url|dir>`` — print retained query records;
 * ``obs profile <url>`` — sample a live endpoint's profiler (folded
-  stacks on stdout).
+  stacks on stdout);
+* ``report`` — build in memory and print every paper artifact (Tables
+  1–3, Figure 1, Section 2, applications, profile, maintenance) as one
+  Markdown report; exits 1 when a paper cell deviates or the
+  maintenance pass finds an issue, naming each on stderr;
+* ``ro <template-id>`` — print a template's Research Object manifest.
 
 ``query`` and ``serve`` accept ``--store PATH`` to answer from the
 persistent store (memory-mapped dictionary-encoded segments) instead of
@@ -84,13 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spill_budget_flag(p_build)
     _add_trace_flag(p_build)
     _add_obs_dir_flag(p_build)
-
-    p_stats = sub.add_parser("stats", help="print statistics of a stored corpus")
-    p_stats.add_argument("directory", type=Path)
-
-    sub.add_parser("table1", help="build in memory and print Table 1")
-    sub.add_parser("figure1", help="print the Figure 1 domain histogram")
-    sub.add_parser("coverage", help="print Tables 2 and 3 (PROV term coverage)")
 
     p_query = sub.add_parser("query", help="run SPARQL over a stored corpus")
     p_query.add_argument("directory", type=Path)
@@ -219,9 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="sampling window (default: 2)",
     )
 
-    sub.add_parser("maintenance", help="run the vocabulary-alignment maintenance pass")
-    sub.add_parser("profile", help="print the structural profile of the corpus")
-    sub.add_parser("report", help="print the full reproduction report (Markdown)")
+    sub.add_parser(
+        "report", help="print the full reproduction report (Markdown); exit 1 "
+                       "when it deviates from the paper",
+    )
 
     p_ro = sub.add_parser("ro", help="print the Research Object manifest of a template")
     p_ro.add_argument("template_id")
@@ -319,17 +314,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
         "build": _cmd_build,
-        "stats": _cmd_stats,
-        "table1": _cmd_table1,
-        "figure1": _cmd_figure1,
-        "coverage": _cmd_coverage,
         "query": _cmd_query,
         "lineage": _cmd_lineage,
         "serve": _cmd_serve,
         "store": _cmd_store,
         "obs": _cmd_obs,
-        "maintenance": _cmd_maintenance,
-        "profile": _cmd_profile,
         "report": _cmd_report,
         "ro": _cmd_ro,
     }[args.command]
@@ -367,51 +356,6 @@ def _cmd_build(args) -> int:
     if obs_dir is not None:
         print(f"  obs dir: {obs_dir}")
     _write_trace(tracer, args)
-    return 0
-
-
-def _cmd_stats(args) -> int:
-    from .corpus import load_corpus
-
-    stored = load_corpus(args.directory)
-    print(json.dumps(stored.statistics, indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_table1(args) -> int:
-    from .corpus import CorpusBuilder, format_table1
-
-    corpus = CorpusBuilder(seed=args.seed).build()
-    print(format_table1(corpus))
-    return 0
-
-
-def _cmd_figure1(args) -> int:
-    from .corpus import DOMAINS
-
-    width = max(len(d.name) for d in DOMAINS)
-    print("Figure 1: Domains of workflows  (# = Taverna, * = Wings)")
-    for domain in DOMAINS:
-        bar = "#" * domain.taverna_workflows + "*" * domain.wings_workflows
-        print(f"{domain.name.ljust(width)}  {bar}  "
-              f"({domain.taverna_workflows} Taverna, {domain.wings_workflows} Wings)")
-    return 0
-
-
-def _cmd_coverage(args) -> int:
-    from .corpus import CorpusBuilder
-    from .coverage import coverage_report, format_table2, format_table3
-
-    corpus = CorpusBuilder(seed=args.seed).build()
-    report = coverage_report(corpus.system_graph("taverna"), corpus.system_graph("wings"))
-    print(format_table2(report))
-    print()
-    print(format_table3(report))
-    if not report.matches_paper():
-        print("\nWARNING: coverage deviates from the paper:", file=sys.stderr)
-        for difference in report.differences():
-            print(f"  {difference}", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -684,32 +628,20 @@ def _obs_slowlog(args) -> int:
     return 0
 
 
-def _cmd_maintenance(args) -> int:
-    from .corpus import CorpusBuilder, check_corpus
-
-    corpus = CorpusBuilder(seed=args.seed).build()
-    report = check_corpus(corpus)
-    print(report.summary())
-    for issue in report.issues:
-        print(f"  {issue}")
-    return 0 if report.aligned else 1
-
-
-def _cmd_profile(args) -> int:
-    from .corpus import CorpusBuilder, profile_corpus
-
-    corpus = CorpusBuilder(seed=args.seed).build()
-    profile = profile_corpus(corpus)
-    print(json.dumps(profile.summary(), indent=2, sort_keys=True))
-    return 0
-
-
 def _cmd_report(args) -> int:
     from .corpus import CorpusBuilder
-    from .report import build_report
+    from .report import PaperArtifacts
 
-    corpus = CorpusBuilder(seed=args.seed).build()
-    print(build_report(corpus))
+    artifacts = PaperArtifacts(CorpusBuilder(seed=args.seed).build())
+    # UTF-8 whatever the locale says: the report carries "—" and "✓".
+    sys.stdout.buffer.write((artifacts.report() + "\n").encode("utf-8"))
+    sys.stdout.buffer.flush()
+    deviations = artifacts.deviations()
+    if deviations:
+        print("the reproduction deviates from the paper:", file=sys.stderr)
+        for deviation in deviations:
+            print(f"  {deviation}", file=sys.stderr)
+        return 1
     return 0
 
 

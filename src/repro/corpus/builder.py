@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -122,6 +123,66 @@ class CorpusTrace:
         return to_dataset(self.document)
 
 
+def merged_dataset(traces) -> Dataset:
+    """Every trace's dataset merged into one (bundles stay named graphs)."""
+    merged = Dataset()
+    for trace in traces:
+        trace_ds = trace.dataset()
+        merged.default.add_all(trace_ds.default)
+        for name in trace_ds.graph_names():
+            merged.graph(name).add_all(trace_ds.graph(name))
+        for prefix, base in trace_ds.namespaces.namespaces():
+            merged.namespaces.bind(prefix, base, replace=False)
+    return merged
+
+
+def merged_graph(traces) -> Graph:
+    """Every trace's graph merged into one."""
+    merged = Graph()
+    for trace in traces:
+        merged.add_all(trace.graph())
+    return merged
+
+
+class CorpusStatistics:
+    """Section 2's running totals: one :meth:`add` per trace.
+
+    :meth:`Corpus.statistics` and the streaming corpus writer both count
+    through it, so the in-memory corpus and ``manifest.json`` report the
+    same dict without either holding the other's traces.
+    """
+
+    def __init__(self, templates: Dict[str, WorkflowTemplate]):
+        self.templates = templates
+        self.runs = {"taverna": 0, "wings": 0}
+        self.failure_causes: Counter = Counter()
+        self.size_bytes = 0
+        self.triples = 0
+
+    def add(self, trace: CorpusTrace) -> None:
+        self.runs[trace.system] += 1
+        if trace.failed:
+            self.failure_causes[trace.failure_cause] += 1
+        self.size_bytes += trace.size_bytes
+        self.triples += trace.triples
+
+    def as_dict(self) -> Dict[str, object]:
+        systems = [template.system for template in self.templates.values()]
+        return {
+            "workflows": len(systems),
+            "taverna_workflows": systems.count("taverna"),
+            "wings_workflows": systems.count("wings"),
+            "runs": sum(self.runs.values()),
+            "taverna_runs": self.runs["taverna"],
+            "wings_runs": self.runs["wings"],
+            "failed_runs": sum(self.failure_causes.values()),
+            "failure_causes": dict(self.failure_causes),
+            "domains": len(DOMAINS),
+            "size_bytes": self.size_bytes,
+            "triples": self.triples,
+        }
+
+
 class Corpus:
     """The built corpus: 120 templates, 198 traces, and query surfaces."""
 
@@ -201,53 +262,29 @@ class Corpus:
     def dataset(self) -> Dataset:
         """The whole corpus as one dataset (Wings bundles as named graphs)."""
         if self._merged is None:
-            merged = Dataset()
-            for trace in self.traces:
-                trace_ds = trace.dataset()
-                merged.default.add_all(trace_ds.default)
-                for name in trace_ds.graph_names():
-                    merged.graph(name).add_all(trace_ds.graph(name))
-                for prefix, base in trace_ds.namespaces.namespaces():
-                    merged.namespaces.bind(prefix, base, replace=False)
-            self._merged = merged
+            self._merged = merged_dataset(self.traces)
         return self._merged
 
     def system_graph(self, system: str) -> Graph:
         """All of one system's traces merged into a single graph."""
         if system not in self._system_graphs:
-            merged = Graph()
-            for trace in self.by_system(system):
-                merged.add_all(trace.graph())
-            self._system_graphs[system] = merged
+            self._system_graphs[system] = merged_graph(self.by_system(system))
         return self._system_graphs[system]
 
     # -- statistics ------------------------------------------------------------------
 
-    def total_size_bytes(self) -> int:
-        return sum(t.size_bytes for t in self.traces)
-
     def statistics(self) -> Dict[str, object]:
-        failed = self.failed_traces()
-        causes: Dict[str, int] = {}
-        for trace in failed:
-            causes[trace.failure_cause] = causes.get(trace.failure_cause, 0) + 1
-        return {
-            "workflows": len(self.templates),
-            "taverna_workflows": sum(1 for t in self.templates.values() if t.system == "taverna"),
-            "wings_workflows": sum(1 for t in self.templates.values() if t.system == "wings"),
-            "runs": len(self.traces),
-            "taverna_runs": len(self.by_system("taverna")),
-            "wings_runs": len(self.by_system("wings")),
-            "failed_runs": len(failed),
-            "failure_causes": causes,
-            "domains": len(DOMAINS),
-            "size_bytes": self.total_size_bytes(),
-            "triples": sum(t.triples for t in self.traces),
-        }
+        """Section 2's numbers (the dict ``manifest.json`` carries)."""
+        totals = CorpusStatistics(self.templates)
+        for trace in self.traces:
+            totals.add(trace)
+        return totals.as_dict()
 
     def domain_histogram(self) -> List[Tuple[str, int, int]]:
-        """Figure 1: (domain name, taverna workflows, wings workflows)."""
-        return [(d.name, d.taverna_workflows, d.wings_workflows) for d in DOMAINS]
+        """Figure 1: (domain name, taverna workflows, wings workflows),
+        counted over the built templates in :data:`DOMAINS` order."""
+        counts = Counter((t.domain, t.system) for t in self.templates.values())
+        return [(d.name, counts[d.slug, "taverna"], counts[d.slug, "wings"]) for d in DOMAINS]
 
     def __repr__(self) -> str:
         return (

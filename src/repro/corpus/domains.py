@@ -38,10 +38,6 @@ class Domain:
     #: Wings data types (name, parent) for this domain's components
     data_types: Tuple[Tuple[str, str], ...] = ()
 
-    @property
-    def total(self) -> int:
-        return self.taverna_workflows + self.wings_workflows
-
 
 DOMAINS: List[Domain] = [
     Domain(

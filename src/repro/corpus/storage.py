@@ -30,8 +30,14 @@ from ..rdf.graph import Dataset, Graph
 from ..rdf.trig import parse_trig
 from ..rdf.turtle import parse_turtle
 from ..taverna.t2flow import to_t2flow
-from .builder import Corpus, CorpusBuilder, CorpusTrace
-from .domains import DOMAINS
+from .builder import (
+    Corpus,
+    CorpusBuilder,
+    CorpusStatistics,
+    CorpusTrace,
+    merged_dataset,
+    merged_graph,
+)
 
 __all__ = ["write_corpus", "build_and_write", "load_corpus", "StoredTrace",
            "StoredCorpus"]
@@ -62,8 +68,9 @@ class _TraceWriter:
 
     Shared by the materialized (:func:`write_corpus`) and streaming
     (:func:`build_and_write`) paths so both produce byte-identical trees
-    and manifests.  Holds only manifest entries and running statistics —
-    never the traces themselves — so memory stays flat in corpus size.
+    and manifests.  Holds only manifest entries and the running
+    :class:`CorpusStatistics` — never the traces themselves — so memory
+    stays flat in corpus size.
     """
 
     def __init__(self, root: Path, templates: Dict[str, object]):
@@ -72,11 +79,7 @@ class _TraceWriter:
         self.templates = templates
         self._written_templates = set()
         self.manifest_traces: List[Dict] = []
-        self._runs_by_system = {"taverna": 0, "wings": 0}
-        self._failed = 0
-        self._causes: Dict[str, int] = {}
-        self._size_bytes = 0
-        self._triples = 0
+        self.totals = CorpusStatistics(templates)
 
     def add(self, trace: CorpusTrace) -> None:
         system_dir = _SYSTEM_DIR[trace.system]
@@ -106,43 +109,18 @@ class _TraceWriter:
             "path": str(Path(system_dir) / trace.domain / trace.template_id / filename),
             "size_bytes": trace.size_bytes,
         })
-        self._runs_by_system[trace.system] += 1
-        if trace.failed:
-            self._failed += 1
-            self._causes[trace.failure_cause] = self._causes.get(trace.failure_cause, 0) + 1
-        self._size_bytes += trace.size_bytes
-        self._triples += trace.triples
+        self.totals.add(trace)
 
     @property
     def triples(self) -> int:
         """Running triple total (progress reporting reads this)."""
-        return self._triples
-
-    def statistics(self) -> Dict[str, object]:
-        """Running totals in the exact shape of :meth:`Corpus.statistics`."""
-        return {
-            "workflows": len(self.templates),
-            "taverna_workflows": sum(
-                1 for t in self.templates.values() if t.system == "taverna"
-            ),
-            "wings_workflows": sum(
-                1 for t in self.templates.values() if t.system == "wings"
-            ),
-            "runs": len(self.manifest_traces),
-            "taverna_runs": self._runs_by_system["taverna"],
-            "wings_runs": self._runs_by_system["wings"],
-            "failed_runs": self._failed,
-            "failure_causes": dict(self._causes),
-            "domains": len(DOMAINS),
-            "size_bytes": self._size_bytes,
-            "triples": self._triples,
-        }
+        return self.totals.triples
 
     def finish(self, seed: int) -> Path:
         manifest = {
             "name": "Wf4Ever-PROV (reproduction)",
             "seed": seed,
-            "statistics": self.statistics(),
+            "statistics": self.totals.as_dict(),
             "traces": self.manifest_traces,
         }
         manifest_path = self.root / "manifest.json"
@@ -191,7 +169,7 @@ def build_and_write(
     memory, so a ``--scale 50`` corpus builds in flat RSS.  *on_trace*,
     when given, is called as ``on_trace(done, total, writer)`` after each
     trace hits disk — the writer exposes running totals (``triples``,
-    ``statistics()``) for progress reporting.  *store_kwargs* are
+    ``totals``) for progress reporting.  *store_kwargs* are
     forwarded to :class:`repro.store.QuadStore` (e.g.
     ``spill_quad_budget``); *on_ingest_file* is forwarded to
     :func:`repro.store.ingest_corpus` as its per-file progress hook.
@@ -295,15 +273,7 @@ class StoredCorpus:
             from ..store import StoreDataset
 
             return StoreDataset(self.store)
-        merged = Dataset()
-        for trace in self.traces:
-            ds = trace.dataset()  # parse errors carry trace.relpath as source
-            merged.default.add_all(ds.default)
-            for name in ds.graph_names():
-                merged.graph(name).add_all(ds.graph(name))
-            for prefix, base in ds.namespaces.namespaces():
-                merged.namespaces.bind(prefix, base, replace=False)
-        return merged
+        return merged_dataset(self.traces)  # parse errors name trace.relpath
 
     def close(self) -> None:
         if self.store is not None:
@@ -317,10 +287,7 @@ class StoredCorpus:
         self.close()
 
     def system_graph(self, system: str) -> Graph:
-        merged = Graph()
-        for trace in self.by_system(system):
-            merged.add_all(trace.graph())
-        return merged
+        return merged_graph(self.by_system(system))
 
 
 def load_corpus(root: Path, store: Optional[Path] = None) -> StoredCorpus:

@@ -35,6 +35,7 @@ __all__ = [
     "format_table3",
     "PAPER_TABLE2",
     "PAPER_TABLE3",
+    "paper_cells",
 ]
 
 SUPPORT_DIRECT = "direct"
@@ -106,6 +107,16 @@ class TermCoverage:
     def comment(self) -> str:
         return _COMMENTS.get(self.term.name, "")
 
+    @property
+    def cells(self) -> Tuple[str, str]:
+        return (self.taverna, self.wings)
+
+    def asserted(self) -> "TermCoverage":
+        """This entry with inferred support counted as absent."""
+        return TermCoverage(self.term, *(
+            SUPPORT_ABSENT if value == SUPPORT_INFERRED else value for value in self.cells
+        ))
+
 
 @dataclass
 class CoverageReport:
@@ -120,26 +131,32 @@ class CoverageReport:
                 return entry
         return None
 
+    def tables(self) -> Tuple[List[TermCoverage], List[TermCoverage]]:
+        """Tables 2 and 3 as the paper reports them.
+
+        Table 2 tracks assertion only: there, inferred counts as absent.
+        """
+        return [entry.asserted() for entry in self.starting_point], self.additional
+
     def matches_paper(self) -> bool:
         """True when every cell equals the paper's tables."""
         return not self.differences()
 
     def differences(self) -> List[str]:
         """Human-readable list of cells that deviate from the paper."""
-        out: List[str] = []
-        for rows, expected in ((self.starting_point, PAPER_TABLE2),
-                               (self.additional, PAPER_TABLE3)):
-            for entry in rows:
-                want = expected[entry.term.name]
-                got = (entry.taverna, entry.wings)
-                # Table 2 tracks assertion only: inferred counts as absent.
-                if expected is PAPER_TABLE2:
-                    got = tuple(
-                        SUPPORT_ABSENT if v == SUPPORT_INFERRED else v for v in got
-                    )
-                if got != want:
-                    out.append(f"{entry.term.name}: expected {want}, measured {got}")
-        return out
+        return [
+            f"{entry.term.name}: expected {paper_cells(entry.term.name)}, "
+            f"measured {entry.cells}"
+            for rows in self.tables() for entry in rows
+            if entry.cells != paper_cells(entry.term.name)
+        ]
+
+
+def paper_cells(term_name: str) -> Tuple[str, str]:
+    """The paper's (Taverna, Wings) cell for a term of Table 2 or 3."""
+    if term_name in PAPER_TABLE2:
+        return PAPER_TABLE2[term_name]
+    return PAPER_TABLE3[term_name]
 
 
 def scan_term(graph: Graph, term: ProvTerm) -> bool:
@@ -178,33 +195,23 @@ def coverage_report(taverna_graph: Graph, wings_graph: Graph) -> CoverageReport:
     )
 
 
-def _format_table(title: str, rows: List[TermCoverage], table2: bool) -> str:
+def _format_table(title: str, rows: List[TermCoverage]) -> str:
     lines = [title, "-" * 100]
     header = f"{'PROV Terms':<26} {'Support by the Systems':<24} Comments"
     lines.append(header)
     lines.append("-" * 100)
     for entry in rows:
-        if table2:
-            # Table 2 reports assertion support only (no stars).
-            plain = TermCoverage(
-                entry.term,
-                SUPPORT_ABSENT if entry.taverna == SUPPORT_INFERRED else entry.taverna,
-                SUPPORT_ABSENT if entry.wings == SUPPORT_INFERRED else entry.wings,
-            )
-            label = plain.support_label
-        else:
-            label = entry.support_label
-        lines.append(f"{entry.term.name:<26} {label:<24} {entry.comment}")
+        lines.append(f"{entry.term.name:<26} {entry.support_label:<24} {entry.comment}")
     return "\n".join(lines)
 
 
 def format_table2(report: CoverageReport) -> str:
-    """Table 2 as fixed-width console text."""
+    """Table 2 as fixed-width console text (assertion only, no stars)."""
     return _format_table("Table 2: Coverage of Starting-point PROV Terms.",
-                         report.starting_point, table2=True)
+                         report.tables()[0])
 
 
 def format_table3(report: CoverageReport) -> str:
     """Table 3 as fixed-width console text (stars = inferred)."""
     return _format_table("Table 3: Coverage of Additional PROV Terms.",
-                         report.additional, table2=False)
+                         report.tables()[1])

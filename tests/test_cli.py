@@ -27,23 +27,11 @@ class TestParser:
         assert args.command == "build"
 
     def test_seed_flag(self):
-        args = build_parser().parse_args(["--seed", "7", "table1"])
+        args = build_parser().parse_args(["--seed", "7", "report"])
         assert args.seed == 7
 
 
 class TestCommands:
-    def test_stats(self, built_dir, capsys):
-        assert main(["stats", str(built_dir)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["runs"] == 198
-
-    def test_figure1(self, capsys):
-        assert main(["figure1"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 1" in out
-        assert out.count("\n") >= 12
-        assert "(14 Taverna, 4 Wings)" in out
-
     def test_query_table(self, built_dir, capsys):
         code = main([
             "query", str(built_dir),

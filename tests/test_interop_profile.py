@@ -1,75 +1,100 @@
-"""Tests for the interoperability view and the corpus profiler."""
+"""Tests for §6 interoperability over both systems and the corpus profiler."""
 
 import datetime as dt
+from collections import Counter
 
 import pytest
 
 from repro.corpus.profile import profile_corpus
-from repro.interop import InteropView, UNIFIED_RUNS_QUERY
-from repro.queries import taverna_workflow_iri, wings_template_iri
+from repro.queries import (
+    Q1_WORKFLOW_RUNS,
+    CorpusQueries,
+    taverna_workflow_iri,
+    wings_template_iri,
+)
+from repro.taverna import TAVERNA_RUN_NS
 
 
 @pytest.fixture(scope="module")
-def view(corpus_dataset):
-    return InteropView(corpus_dataset)
+def queries(corpus_dataset):
+    return CorpusQueries(corpus_dataset)
+
+
+@pytest.fixture(scope="module")
+def runs(queries):
+    """Q1: every top-level run of either system with its start and end."""
+    return list(queries.workflow_runs())
+
+
+@pytest.fixture(scope="module")
+def template_counts(corpus, queries):
+    """Q2 per template: ``{"total": runs, "failed": failures}``."""
+    def iri(template):
+        if template.system == "taverna":
+            return taverna_workflow_iri(template.template_id, template.name)
+        return wings_template_iri(template.template_id)
+
+    return {tid: queries.runs_of_template(iri(t)) for tid, t in corpus.templates.items()}
+
+
+def _system(run) -> str:
+    return "taverna" if run.value.startswith(TAVERNA_RUN_NS.base) else "wings"
 
 
 class TestInteropView:
-    def test_all_runs_unified(self, view):
-        assert len(view.runs()) == 198
+    """§6: the exemplar queries' UNION over both systems' idioms is one
+    view of every run — Q1 runs and times, Q2 totals and failures per
+    template, Q5 the responsible agent."""
 
-    def test_system_split(self, view):
-        grouped = view.by_system()
-        assert len(grouped["taverna"]) == 112
-        assert len(grouped["wings"]) == 86
+    def test_all_runs_unified(self, runs):
+        assert len(runs) == 198
 
-    def test_failed_runs_cross_system(self, view, corpus):
-        failed = view.failed_runs()
-        assert len(failed) == 30
-        systems = {r.system for r in failed}
-        assert systems == {"taverna", "wings"}
+    def test_system_split(self, runs):
+        assert Counter(_system(row.run) for row in runs) == {"taverna": 112, "wings": 86}
 
-    def test_every_run_has_times_and_agent(self, view):
-        for run in view.runs():
-            assert run.start is not None
-            assert run.end is not None
-            assert run.agent is not None
-            assert run.duration is not None and run.duration > dt.timedelta(0)
+    def test_failed_runs_cross_system(self, template_counts, corpus):
+        failed = {tid: n["failed"] for tid, n in template_counts.items() if n["failed"]}
+        assert sum(failed.values()) == 30
+        assert {corpus.templates[tid].system for tid in failed} == {"taverna", "wings"}
 
-    def test_status_matches_corpus(self, view, corpus):
-        failed_ids = {t.run_id for t in corpus.failed_traces()}
-        for run in view.runs():
-            run_tail = run.run.value.rstrip("/").rsplit("/", 1)[-1]
-            is_failed = any(fid in run.run.value for fid in failed_ids)
-            assert run.failed == is_failed, run_tail
+    def test_every_run_has_times_and_agent(self, runs, queries):
+        for row in runs:
+            assert row.start is not None
+            assert row.end is not None
+            assert row.end.to_python() - row.start.to_python() > dt.timedelta(0)
+            assert queries.who_executed(row.run)
 
-    def test_template_links_resolve(self, view, corpus):
+    def test_status_matches_corpus(self, template_counts, corpus):
+        for template_id, counts in template_counts.items():
+            traces = corpus.by_template(template_id)
+            assert counts == {"total": len(traces),
+                              "failed": sum(1 for t in traces if t.failed)}, template_id
+
+    def test_template_links_resolve(self, template_counts, corpus):
         multi = corpus.multi_run_templates()[0]
-        template = corpus.templates[multi]
-        if template.system == "taverna":
-            iri = taverna_workflow_iri(template.template_id, template.name)
-        else:
-            iri = wings_template_iri(template.template_id)
-        assert len(view.runs_of_template(iri)) == 3
+        assert template_counts[multi]["total"] == 3
 
-    def test_failure_rate(self, view):
-        assert abs(view.failure_rate() - 30 / 198) < 1e-9
+    def test_failure_rate(self, template_counts):
+        failed = sum(n["failed"] for n in template_counts.values())
+        total = sum(n["total"] for n in template_counts.values())
+        assert abs(failed / total - 30 / 198) < 1e-9
 
-    def test_mean_durations_positive(self, view):
-        assert view.mean_duration("taverna") > dt.timedelta(0)
-        assert view.mean_duration("wings") > dt.timedelta(0)
-        assert view.mean_duration() > dt.timedelta(0)
+    def test_mean_durations_positive(self, runs):
+        durations = {"taverna": [], "wings": []}
+        for row in runs:
+            durations[_system(row.run)].append(row.end.to_python() - row.start.to_python())
+        for values in durations.values():
+            assert sum(values, dt.timedelta(0)) / len(values) > dt.timedelta(0)
 
-    def test_timeline_sorted(self, view):
-        timeline = view.timeline()
-        assert len(timeline) == 198
-        starts = [r.start for r in timeline]
+    def test_timeline_sorted(self, runs):
+        starts = [row.start.to_python() for row in runs]
+        assert len(starts) == 198
         assert starts == sorted(starts)
 
     def test_query_text_is_single_interoperable_query(self):
-        assert "UNION" in UNIFIED_RUNS_QUERY
-        assert "wfprov:WorkflowRun" in UNIFIED_RUNS_QUERY
-        assert "opmw:WorkflowExecutionAccount" in UNIFIED_RUNS_QUERY
+        assert "UNION" in Q1_WORKFLOW_RUNS
+        assert "wfprov:WorkflowRun" in Q1_WORKFLOW_RUNS
+        assert "opmw:WorkflowExecutionAccount" in Q1_WORKFLOW_RUNS
 
 
 class TestCorpusProfile:
