@@ -4,8 +4,9 @@ The subset implemented covers everything the corpus's exemplar queries and
 coverage tooling need: SELECT/ASK, BGPs with join reordering, OPTIONAL,
 FILTER (full expression grammar + built-ins), UNION, MINUS, BIND, GRAPH,
 (NOT) EXISTS/IN, aggregates with GROUP BY/HAVING, ORDER BY and slicing.
-``repro.sparql.plan`` adds EXPLAIN/PROFILE: serializable plan trees with
-deterministic digests and per-operator execution statistics.
+Each query compiles into one operator tree (``repro.sparql.plan``): the
+tree the engine runs is the one EXPLAIN renders, with a deterministic
+digest, and PROFILE times, with per-operator execution statistics.
 """
 
 from .algebra import AskQuery, SelectQuery, Var
@@ -15,7 +16,7 @@ from .evaluator import (
     plan_bgp_steps,
 )
 from .parser import parse_query
-from .plan import QueryPlan, QueryProfile, build_plan
+from .plan import QueryPlan, QueryProfile
 from .results import ResultRow, ResultTable
 from .tokenizer import SparqlSyntaxError
 
@@ -24,7 +25,6 @@ __all__ = [
     "DEFAULT_RESULT_CACHE_SIZE",
     "parse_query",
     "plan_bgp_steps",
-    "build_plan",
     "QueryPlan",
     "QueryProfile",
     "ResultTable",

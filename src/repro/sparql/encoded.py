@@ -1,6 +1,6 @@
 """Encoded-ID BGP execution over store-backed graphs.
 
-The per-binding pipeline (``QueryEngine._extend_step``, what in-memory
+The per-binding pipeline (``evaluator._extend_step``, what in-memory
 graphs and property-path steps run) resolves every pattern against a
 solution's *terms*; over a store that means re-encoding them per binding
 inside ``StoreGraph.triples()`` — a dictionary lookup, a fresh binary

@@ -1,22 +1,24 @@
-"""SPARQL query evaluation over in-memory graphs and datasets.
+"""SPARQL query evaluation: each query compiles into one operator tree.
 
-The evaluator walks the algebra tree with *lateral* semantics: every
-pattern is evaluated against a list of partial solutions and extends each
-one, which gives correct OPTIONAL/EXISTS behavior without a separate join
-machinery.  Basic graph patterns are reordered by a selectivity heuristic
-before evaluation (see :func:`~repro.sparql.plan.plan_bgp_steps`).
+:class:`QueryEngine` parses a query, compiles it — once per execution,
+against the graph snapshot it will run on — into a tree of
+:class:`~repro.sparql.plan.Operator` nodes (this module's ``*Op``
+classes) and runs that tree, the one EXPLAIN renders and PROFILE times.
+Operators are *lateral*: each extends the list of partial solutions
+produced so far, so an OPTIONAL right side and an EXISTS pattern see
+the solution they extend.  The compiler passes down the variables
+*certainly bound* before each operator (a UNION keeps what both sides
+bind; an OPTIONAL's right side binds nothing certainly), which seed
+each BGP's one planner call.  The *active graph* is passed down at run
+time: GRAPH swaps it, and the EXISTS patterns of an expression — child
+operators of the node holding it — read that node's active graph.
 
-Entry point: :class:`QueryEngine` — construct over a :class:`Graph` or a
-:class:`Dataset` and call :meth:`QueryEngine.query` with SPARQL text.
-
-Acceleration layer: the engine keeps a bounded LRU cache of query results
-keyed by ``(query text, source version)`` — the version is the source's
-monotonic mutation counter, so any write to the graph/dataset implicitly
-invalidates every cached entry without bookkeeping.  Predicate
-cardinalities used by the planner live in the per-graph
-:class:`~repro.rdf.statistics.GraphStatistics` object instead of being
-rebuilt per query.  Both caches are lock-protected: the endpoint serves
-one shared engine from many threads.
+The engine also keeps a bounded LRU cache of query results keyed by
+``(query text, source version)``: the version is the source's monotonic
+mutation counter, so any write invalidates every entry without
+bookkeeping.  The endpoint shares one engine across threads, so its
+caches are lock-protected.  Planner cardinalities live in each graph's
+:class:`~repro.rdf.statistics.GraphStatistics`, not per query.
 """
 
 from __future__ import annotations
@@ -28,24 +30,30 @@ from typing import Dict, List, Optional, Union as TyUnion
 
 from ..rdf.graph import Dataset, Graph
 from ..rdf.namespace import CORE_PREFIXES, NamespaceManager
-from ..rdf.terms import BlankNode, IRI, Literal, Term
+from ..rdf.terms import BlankNode, IRI, Literal, Term, from_python
 from .algebra import (
     Aggregate,
+    And,
+    Arithmetic,
     AskQuery,
     BGP,
     Bind,
+    Compare,
     ConstructQuery,
     DescribeQuery,
+    ExistsExpr,
     Expression,
     Filter,
     FunctionCall,
     GraphPattern,
+    InExpr,
     Join,
     LeftJoin,
     Minus,
-    Pattern,
-    Projection,
+    Not,
+    Or,
     SelectQuery,
+    TermExpr,
     TriplePattern,
     Union,
     Values,
@@ -54,6 +62,7 @@ from .algebra import (
 )
 from .functions import (
     ExprError,
+    compare_terms,
     effective_boolean_value,
     evaluate_expression,
     order_key,
@@ -65,13 +74,16 @@ from .encoded import encoded_executor
 from .parser import parse_query
 from .paths import Path, eval_path_batch
 from .plan import (
-    ProfileCollector,
+    Operator,
     QueryPlan,
     QueryProfile,
-    build_plan,
+    Scan,
     plan_bgp_steps,
+    render_expression,
+    render_term,
 )
 from .results import ResultTable
+from .tokenizer import SparqlSyntaxError
 
 __all__ = ["QueryEngine", "plan_bgp_steps", "DEFAULT_RESULT_CACHE_SIZE"]
 
@@ -79,7 +91,7 @@ Binding = Dict[str, Term]
 
 #: Default capacity of the per-engine LRU query-result cache.
 DEFAULT_RESULT_CACHE_SIZE = 128
-_PLAN_CACHE_SIZE = 256  # (query text, version) → plan memo entries
+_PLAN_CACHE_SIZE = 256  # (query text, version) → plan digest entries
 
 _CACHE_EVENTS = _metrics.counter(
     "repro_query_cache_total", "Query result cache events", labels=("event",)
@@ -128,21 +140,15 @@ class QueryEngine:
             raise TypeError("QueryEngine requires a Graph or Dataset")
         self.namespaces = namespaces if namespaces is not None else _corpus_namespaces(source)
         self.tracer = tracer
-        # (query text, version) → (plan digest, parsed query, its plan),
-        # filled by the first miss that runs under a request record — the
-        # last two only for a profiling one: a result-cache hit reads its
-        # digest here, and no plan is built twice.
-        self._plan_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-        # Count of active per-thread profilers.  The evaluator's hot
-        # paths gate on its truthiness — a single attribute check when
-        # no profile is in play.
-        self._profiling = 0
+        # (query text, version) → plan digest, filled by the first miss
+        # that runs under a request record: a result-cache hit reads its
+        # digest here, and a repeat miss renders no plan text.
+        self._plan_cache: "OrderedDict[tuple, str]" = OrderedDict()
         # Result cache: (query text, source version) → result.  The lock
         # also guards the lazy union-graph refresh; the endpoint shares
         # one engine across ThreadingHTTPServer worker threads.
         self.cache_size = max(0, cache_size)
         self._lock = threading.RLock()
-        self._tlocal = threading.local()
         self._result_cache: "OrderedDict[tuple, object]" = OrderedDict()
         self._cache_hits = 0
         self._cache_misses = 0
@@ -164,7 +170,8 @@ class QueryEngine:
         (and no mid-iteration RuntimeError), so a concurrent writer can
         never leave a torn snapshot behind.  The snapshot graph itself is
         only ever *replaced*, never mutated, which is what lets queries
-        evaluate on it outside the engine lock.
+        evaluate on it outside the engine lock: a compiled plan holds the
+        snapshot it was compiled against.
         """
         if self.dataset is None:
             return
@@ -180,16 +187,6 @@ class QueryEngine:
                 self._default = snapshot
                 self._union_version = version
                 return
-
-    def _default_graph(self) -> Graph:
-        """The default graph for the query running on this thread.
-
-        :meth:`_dispatch` pins the current snapshot in a thread-local so
-        a concurrent refresh cannot swap graphs mid-evaluation (which
-        would mix two dataset versions inside one result).
-        """
-        pinned = getattr(self._tlocal, "default", None)
-        return pinned if pinned is not None else self._default
 
     def cache_info(self) -> Dict[str, int]:
         """Hit/miss/eviction counters plus current size and version."""
@@ -220,10 +217,8 @@ class QueryEngine:
         """
         tracer = self.tracer
         if not isinstance(query, str):
-            with self._lock:
-                self._refresh_default_locked()
             with _span(tracer, "sparql.execute", cat="query"):
-                return self._dispatch(query)
+                return self._compile(query).execute()
         ctx = _tracectx.current()
         record = ctx.record if ctx is not None else None
         started = time.perf_counter()
@@ -233,8 +228,8 @@ class QueryEngine:
             with self._lock:
                 self._refresh_default_locked()
                 key = (query, self.source_version())
-                memo = self._plan_cache.get(key)
-                if memo is not None:
+                digest = self._plan_cache.get(key)
+                if digest is not None:
                     self._plan_cache.move_to_end(key)
                 if self.cache_size:
                     cached = self._result_cache.get(key, _MISS)
@@ -251,25 +246,21 @@ class QueryEngine:
             if cached is not _MISS:
                 if record is not None:
                     record.cache_ms = (looked_up - started) * 1000.0
-                    self._fill_record(record, key, "hit", memo, None, query_span)
+                    self._fill_record(record, key, "hit", digest, None, query_span)
                 return cached
             with _span(tracer, "sparql.parse", cat="query"):
                 parsed = parse_query(query, namespaces=self.namespaces)
             parsed_at = time.perf_counter()
             _QUERY_SECONDS.labels("parse").observe(parsed_at - looked_up)
-            if memo is not None and memo[1] is not None:
-                # The memoised plan keys its operators by id() of the
-                # query object it was built from, so a repeat miss runs
-                # that object.  (The parse above stays: skipping it would
-                # be a parse cache, which this memo is not.)
-                parsed = memo[1]
-            # A profiling request runs every miss under a collector:
-            # collection is batch-level (per operator call, not per row),
-            # so the record gets operator rows without a re-execution.
-            collector = (ProfileCollector()
-                         if record is not None and record.profile else None)
             with _span(tracer, "sparql.execute", cat="query"):
-                result = self._dispatch(parsed, collector)
+                plan = self._compile(parsed, query)
+                # A profiling request runs every miss with statistics on:
+                # collection is batch-level (per operator call, not per
+                # row), so the record gets operator rows without a
+                # re-execution.
+                profile = (plan.profile()
+                           if record is not None and record.profile else None)
+                result = plan.execute() if profile is None else profile.result
             executed_at = time.perf_counter()
             _QUERY_SECONDS.labels("execute").observe(executed_at - parsed_at)
             if self.cache_size:
@@ -285,33 +276,37 @@ class QueryEngine:
                                    + (stored_at - executed_at)) * 1000.0
                 record.parse_ms = (parsed_at - looked_up) * 1000.0
                 record.execute_ms = (executed_at - parsed_at) * 1000.0
-                if memo is None or (collector is not None and memo[2] is None):
-                    plan = build_plan(parsed, self._default, text=query)
-                    # only operator rows need more than the digest kept
-                    memo = ((plan.digest, parsed, plan) if collector is not None
-                            else (plan.digest, None, None))
+                if digest is None:
+                    digest = plan.digest
                     with self._lock:
-                        self._plan_cache[key] = memo
+                        self._plan_cache[key] = digest
                         while len(self._plan_cache) > _PLAN_CACHE_SIZE:
                             self._plan_cache.popitem(last=False)
-                self._fill_record(record, key, "miss", memo, collector, query_span)
+                self._fill_record(record, key, "miss", digest, profile, query_span)
             return result
 
-    def _fill_record(self, record, key, cache: str, memo, collector,
-                     query_span) -> None:
+    def _fill_record(self, record, key, cache: str, digest: Optional[str],
+                     profile: Optional[QueryProfile], query_span) -> None:
         """Write what the engine knows about this query onto the active
-        request record.  *memo* is the ``(digest, parsed, plan)`` entry
-        for *key*, or ``None`` on a hit whose miss predates the memo."""
+        request record.  *digest* is ``None`` on a hit whose miss
+        predates the memo; *profile* is the profiled execution, if any."""
         record.query, record.generation = key  # (text, version)
         record.cache = cache
         # the span's W3C id: args.span_id of the same span in a --trace file
         record.span_id = query_span.span_id
-        if memo is not None:
-            record.plan_digest = memo[0]
-            if collector is not None:
-                report = memo[2].profile_report(collector)
-                record.operators = report["operators"]
-                record.misestimates = report["misestimates"]
+        if digest is not None:
+            record.plan_digest = digest
+        if profile is not None:
+            record.operators = profile.report["operators"]
+            record.misestimates = profile.report["misestimates"]
+
+    def _compile(self, query, text: Optional[str] = None) -> QueryPlan:
+        """The operator tree of a parsed *query* over the current snapshot."""
+        with self._lock:
+            self._refresh_default_locked()
+            graph = self._default
+        root = _Compiler(graph, self.dataset, self.namespaces).query(query)
+        return QueryPlan(root, graph, query=text)
 
     # -- introspection -------------------------------------------------------
 
@@ -323,14 +318,9 @@ class QueryEngine:
         Chrome-trace args; its ``digest`` is deterministic for a given
         query + source contents, so plan regressions diff cleanly.
         """
-        text = query if isinstance(query, str) else None
         if isinstance(query, str):
-            parsed = parse_query(query, namespaces=self.namespaces)
-        else:
-            parsed = query
-        with self._lock:
-            self._refresh_default_locked()
-        return build_plan(parsed, self._default, text=text)
+            return self._compile(parse_query(query, namespaces=self.namespaces), query)
+        return self._compile(query)
 
     def profile(self, query: TyUnion[str, SelectQuery, AskQuery]) -> QueryProfile:
         """PROFILE: execute with per-operator statistics collection.
@@ -342,47 +332,11 @@ class QueryEngine:
         the plan, and the merged stats report.
         """
         text = query if isinstance(query, str) else None
-        if isinstance(query, str):
+        if text is not None:
             with _span(self.tracer, "sparql.parse", cat="query"):
-                parsed = parse_query(query, namespaces=self.namespaces)
-        else:
-            parsed = query
-        with self._lock:
-            self._refresh_default_locked()
-        plan = build_plan(parsed, self._default, text=text)
-        collector = ProfileCollector()
-        started = time.perf_counter()
+                query = parse_query(text, namespaces=self.namespaces)
         with _span(self.tracer, "sparql.execute", cat="query"):
-            result = self._dispatch(parsed, collector)
-        duration_ms = (time.perf_counter() - started) * 1000.0
-        report = plan.profile_report(collector, duration_ms)
-        return QueryProfile(result=result, plan=plan, report=report,
-                            duration_ms=duration_ms)
-
-    def _dispatch(self, query, collector: Optional[ProfileCollector] = None):
-        """Evaluate a parsed query — under *collector*, installed as this
-        thread's profiler for the duration, when one is given."""
-        self._tlocal.default = self._default  # pin the snapshot for this query
-        if collector is not None:
-            self._tlocal.profiler = collector
-            with self._lock:
-                self._profiling += 1
-        try:
-            if isinstance(query, SelectQuery):
-                return self._run_select(query)
-            if isinstance(query, AskQuery):
-                return self._run_ask(query)
-            if isinstance(query, ConstructQuery):
-                return self._run_construct(query)
-            if isinstance(query, DescribeQuery):
-                return self._run_describe(query)
-            raise TypeError(f"unsupported query type {type(query).__name__}")
-        finally:
-            self._tlocal.default = None
-            if collector is not None:
-                self._tlocal.profiler = None
-                with self._lock:
-                    self._profiling -= 1
+            return self._compile(query, text).profile()
 
     def construct(self, text: str) -> Graph:
         result = self.query(text)
@@ -402,15 +356,493 @@ class QueryEngine:
             raise TypeError("select() requires a SELECT query")
         return result
 
-    # -- SELECT pipeline --------------------------------------------------------
 
-    def _run_select(self, query: SelectQuery) -> ResultTable:
-        solutions = self._eval(query.where, [{}], self._default_graph())
+# ---------------------------------------------------------------------------
+# Compilation
+# ---------------------------------------------------------------------------
+
+
+class _Compiler:
+    """Folds a parsed query into its operator tree.
+
+    Each pattern is compiled against the graph it will run on — the
+    default graph, a constant ``GRAPH``'s named graph, or for
+    ``GRAPH ?g`` :class:`_AnyNamedGraph` — with the variables certainly
+    bound before it.
+    """
+
+    def __init__(self, graph, dataset: Optional[Dataset], namespaces):
+        self.graph = graph  # the default graph (a dataset's union snapshot)
+        self.dataset = dataset
+        self.namespaces = namespaces
+
+    def query(self, query) -> Operator:
+        graph = self.graph
+        if isinstance(query, SelectQuery):
+            _check_grouping(query)
+            where, bound = self.pattern(query.where, set(), graph)
+            expressions = [*(p.expression for p in query.projections), *query.group_by,
+                           query.having, *(c.expression for c in query.order_by)]
+            return SelectOp(query, where, tests=self.tests(expressions, bound, graph))
+        if isinstance(query, AskQuery):
+            return AskOp(query, self.pattern(query.where, set(), graph)[0])
+        if isinstance(query, (ConstructQuery, DescribeQuery)):
+            op_class = ConstructOp if isinstance(query, ConstructQuery) else DescribeOp
+            where = () if query.where is None else (self.pattern(query.where, set(), graph)[0],)
+            op = op_class(query, *where)
+            op.namespaces = self.namespaces
+            return op
+        raise TypeError(f"unsupported query type {type(query).__name__}")
+
+    def pattern(self, pattern, bound: set, graph):
+        """(operator, variables certainly bound after it)."""
+        if isinstance(pattern, BGP):
+            out = bound.union(*(tp.variables() for tp in pattern.triples))
+            return BgpOp(pattern, plan_bgp_steps(pattern.triples, bound, graph)), out
+        if isinstance(pattern, Join):
+            left, bound = self.pattern(pattern.left, bound, graph)
+            right, bound = self.pattern(pattern.right, bound, graph)
+            return JoinOp(pattern, left, right), bound
+        if isinstance(pattern, LeftJoin):
+            left, bound = self.pattern(pattern.left, bound, graph)
+            right, extended = self.pattern(pattern.right, bound, graph)
+            tests = self.tests([pattern.condition], extended, graph)
+            return OptionalOp(pattern, left, right, tests=tests), bound
+        if isinstance(pattern, Union):
+            left, left_bound = self.pattern(pattern.left, bound, graph)
+            right, right_bound = self.pattern(pattern.right, bound, graph)
+            return UnionOp(pattern, left, right), left_bound & right_bound
+        if isinstance(pattern, Minus):
+            left, bound = self.pattern(pattern.left, bound, graph)
+            # the right side runs from scratch: it shares no bindings
+            right, _ = self.pattern(pattern.right, set(), graph)
+            return MinusOp(pattern, left, right), bound
+        if isinstance(pattern, Filter):
+            child, bound = self.pattern(pattern.pattern, bound, graph)
+            tests = self.tests([pattern.condition], bound, graph)
+            return FilterOp(pattern, child, tests=tests), bound
+        if isinstance(pattern, Bind):
+            child, bound = self.pattern(pattern.pattern, bound, graph)
+            tests = self.tests([pattern.expression], bound, graph)
+            return ExtendOp(pattern, child, tests=tests), bound | {pattern.var.name}
+        if isinstance(pattern, GraphPattern):
+            name, dataset, target = pattern.name, self.dataset, None
+            if isinstance(name, Var):
+                bound = bound | {name.name}
+                if dataset is not None:
+                    graph = _AnyNamedGraph(self.graph, dataset.default)
+            elif dataset is not None and dataset.has_graph(name):
+                graph = target = dataset.graph(name)
+            body, bound = self.pattern(pattern.pattern, bound, graph)
+            op = GraphOp(pattern, body)
+            op.dataset, op.target = dataset, target
+            return op, bound
+        if isinstance(pattern, Values):
+            inner = pattern.pattern if pattern.pattern is not None else BGP()
+            child, bound = self.pattern(inner, bound, graph)
+            certain = {var.name for column, var in enumerate(pattern.variables)
+                       if all(row[column] is not None for row in pattern.rows)}
+            return ValuesOp(pattern, child), bound | certain
+        raise TypeError(f"unknown pattern type {type(pattern).__name__}")
+
+    def tests(self, expressions, bound: set, graph) -> List["ExistsOp"]:
+        """One :class:`ExistsOp` per EXISTS inside *expressions*."""
+        return [ExistsOp(exists, self.pattern(exists.pattern, bound, graph)[0])
+                for exists in _exists_in(expressions, [])]
+
+
+class _AnyNamedGraph:
+    """What a ``GRAPH ?g`` body is planned against: one plan serves every
+    named graph, so estimates come from the union graph, while access
+    paths (and the absence of a path index) are a single graph's — any
+    single-graph view has them, and the dataset's default graph is one
+    at hand."""
+
+    def __init__(self, union, single):
+        self.statistics = union.statistics
+        self._single = single
+
+    def __getattr__(self, name):
+        # encoded_scope / access_path / path_index: presence is the capability
+        return getattr(self._single, name)
+
+
+def _exists_in(values, found: list) -> list:
+    """*found* extended by the EXISTS sub-expressions among *values* (a
+    list of expressions, or the fields of one), in written order."""
+    for item in values:
+        if isinstance(item, list):  # FunctionCall args, IN choices
+            _exists_in(item, found)
+        elif isinstance(item, ExistsExpr):
+            found.append(item)
+        elif isinstance(item, (And, Or, Not, Compare, Arithmetic, FunctionCall,
+                               InExpr, Aggregate)):
+            _exists_in(vars(item).values(), found)
+    return found
+
+
+def _check_grouping(query: SelectQuery) -> None:
+    """SPARQL 1.1 §11.4: a variable an aggregate query projects must be
+    a GROUP BY key.  A malformed query, whatever the data."""
+    if not query.has_aggregates():
+        return
+    keys = {expr.var.name for expr in query.group_by if isinstance(expr, VarExpr)}
+    for projection in query.projections:
+        if projection.expression is None and projection.var.name not in keys:
+            raise SparqlSyntaxError(
+                f"?{projection.var.name} must appear in GROUP BY or inside an aggregate"
+            )
+
+
+# ---------------------------------------------------------------------------
+# Pattern operators
+# ---------------------------------------------------------------------------
+
+
+class _Op(Operator):
+    """An operator over the algebra *node* it was compiled from; *tests*
+    are the compiled EXISTS patterns of that node's expressions (the
+    trailing children)."""
+
+    __slots__ = ("node", "tests")
+
+    def __init__(self, node, *children: Operator, tests=()):
+        super().__init__(*children, *tests)
+        self.node = node
+        self.tests = tests
+
+    def exists(self, graph):
+        """The ``(pattern, binding) -> bool`` EXISTS evaluator of this
+        node's expressions over *graph*, or None when they hold none."""
+        if not self.tests:
+            return None
+
+        def exists(pattern, binding: Binding) -> bool:
+            test = next(test for test in self.tests if test.node.pattern is pattern)
+            return bool(test.run([dict(binding)], graph))
+
+        return exists
+
+
+def _holds(condition: Expression, solution: Binding, exists) -> bool:
+    """FILTER semantics: the effective boolean value, an error is false."""
+    try:
+        return effective_boolean_value(evaluate_expression(condition, solution, exists))
+    except ExprError:
+        return False
+
+
+class BgpOp(_Op):
+    op = "bgp"
+
+    def __init__(self, node: BGP, steps):
+        super().__init__(node, *(Scan(index, step) for index, step in enumerate(steps)))
+        # the plain steps before the first property path
+        self.split = len(steps)
+        for position, step in enumerate(steps):
+            if isinstance(step.pattern.predicate, Path):
+                self.split = position
+                break
+
+    def describe(self):
+        return {"patterns": len(self.children)}
+
+    def execute(self, inputs: List[Binding], graph) -> List[Binding]:
+        # The plain steps before the first property path run in id space
+        # (encode once, merge/bisect scans over batches of encoded
+        # bindings, decode once at that prefix's egress) when a step can
+        # see more than one binding — a multi-pattern prefix (the batch
+        # grows step to step) or a multi-solution input.  A single
+        # pattern over a single solution (EXISTS checks, OPTIONAL right
+        # sides seeded one binding at a time) has exactly one scan range
+        # either way, so the leaner per-binding path wins.  The path step
+        # and every step after it extend decoded solutions.
+        scans = self.children
+        split = self.split
+        executor = None
+        if split > 1 or (split and len(inputs) > 1):
+            executor = encoded_executor(graph, [scan.step.pattern for scan in scans[:split]])
+        if executor is not None:
+            solutions = executor.encode_inputs(inputs)
+            for position in range(split):
+                # PROFILE bills the one decode to the step whose egress
+                # it is, so the step after the switch counts only itself.
+                extend = (executor.extend if position < split - 1
+                          else executor.extend_and_decode)
+                solutions = scans[position].run(solutions, graph, extend)
+                if not solutions:
+                    return []
+            scans = scans[split:]
+        else:
+            solutions = [dict(sol) for sol in inputs]
+        for scan in scans:
+            solutions = scan.run(solutions, graph, _extend_step)
+            if not solutions:
+                return []
+        return solutions
+
+
+def _extend_step(step, solutions: List[Binding], graph) -> List[Binding]:
+    """One step of the per-binding pipeline."""
+    tp = step.pattern
+    if isinstance(tp.predicate, Path):
+        return _extend_with_path(tp, solutions, graph)
+    return _extend_with_pattern(tp, solutions, graph)
+
+
+def _extend_with_path(tp: TriplePattern, solutions: List[Binding], graph) -> List[Binding]:
+    """Extend every solution through a property path: the step's whole
+    endpoint column goes to :func:`eval_path_batch` in one call, so
+    solutions that reach shared ancestors share their lookups."""
+    ends = [(_resolve(tp.subject, sol), _resolve(tp.object, sol)) for sol in solutions]
+    answers = eval_path_batch(graph, tp.predicate, [
+        (None if isinstance(s, Var) else s, None if isinstance(o, Var) else o)
+        for s, o in ends])
+    out: List[Binding] = []
+    for sol, (s, o), pairs in zip(solutions, ends, answers):
+        for s_val, o_val in pairs:
+            extended = dict(sol)
+            if _bind(extended, s, s_val) and _bind(extended, o, o_val):
+                out.append(extended)
+    return out
+
+
+def _extend_with_pattern(tp: TriplePattern, solutions: List[Binding], graph) -> List[Binding]:
+    out: List[Binding] = []
+    for sol in solutions:
+        s = _resolve(tp.subject, sol)
+        o = _resolve(tp.object, sol)
+        p = _resolve(tp.predicate, sol)
+        # A variable repeated inside the pattern must match consistently.
+        for triple in graph.triples(
+            s if not isinstance(s, Var) else None,
+            p if not isinstance(p, Var) else None,
+            o if not isinstance(o, Var) else None,
+        ):
+            extended = dict(sol)
+            if (_bind(extended, s, triple.subject) and _bind(extended, p, triple.predicate)
+                    and _bind(extended, o, triple.object)):
+                out.append(extended)
+    return out
+
+
+class JoinOp(_Op):
+    op = "join"
+
+    def execute(self, inputs, graph):
+        left, right = self.children
+        return right.run(left.run(inputs, graph), graph)
+
+
+class OptionalOp(_Op):
+    """Each left solution, extended by the right side where it matches
+    and the condition holds, else kept as it is."""
+
+    op = "optional"
+
+    def describe(self):
+        condition = self.node.condition
+        return {} if condition is None else {"condition": render_expression(condition)}
+
+    def execute(self, inputs, graph):
+        left, right = self.children[:2]
+        condition = self.node.condition
+        exists = self.exists(graph)
+        out: List[Binding] = []
+        for sol in left.run(inputs, graph):
+            extensions = right.run([sol], graph)
+            if condition is not None:
+                extensions = [ext for ext in extensions if _holds(condition, ext, exists)]
+            if extensions:
+                out.extend(extensions)
+            else:
+                out.append(sol)
+        return out
+
+
+class UnionOp(_Op):
+    op = "union"
+
+    def execute(self, inputs, graph):
+        left, right = self.children
+        return left.run(inputs, graph) + right.run(inputs, graph)
+
+
+class MinusOp(_Op):
+    """Each left solution, unless compatible with a right solution it
+    shares a variable with.  The right rows are indexed by domain, and a
+    left row looks its values up on the variables it shares with each
+    domain; left order is kept."""
+
+    op = "minus"
+
+    def execute(self, inputs, graph):
+        left, right = self.children
+        lefts = left.run(inputs, graph)
+        domains: Dict[frozenset, List[Binding]] = {}
+        for row in right.run([{}], graph):
+            domains.setdefault(frozenset(row), []).append(row)
+        keys: Dict[tuple, set] = {}  # (domain, shared variables) → value tuples
+        out = []
+        for sol in lefts:
+            for domain, rows in domains.items():
+                shared = tuple(sorted(domain.intersection(sol)))
+                if not shared:
+                    continue
+                index = keys.get((domain, shared))
+                if index is None:
+                    index = keys[(domain, shared)] = {
+                        tuple(row[name] for name in shared) for row in rows}
+                if tuple(sol[name] for name in shared) in index:
+                    break
+            else:
+                out.append(sol)
+        return out
+
+
+class FilterOp(_Op):
+    op = "filter"
+
+    def describe(self):
+        return {"condition": render_expression(self.node.condition)}
+
+    def execute(self, inputs, graph):
+        condition = self.node.condition
+        exists = self.exists(graph)
+        return [sol for sol in self.children[0].run(inputs, graph)
+                if _holds(condition, sol, exists)]
+
+
+class ExtendOp(_Op):
+    """BIND: an expression error leaves the variable unbound; a clash with
+    an existing binding drops the solution."""
+
+    op = "extend"
+
+    def describe(self):
+        return {"var": f"?{self.node.var.name}",
+                "expression": render_expression(self.node.expression)}
+
+    def execute(self, inputs, graph):
+        name, expression = self.node.var.name, self.node.expression
+        exists = self.exists(graph)
+        out = []
+        for sol in self.children[0].run(inputs, graph):
+            extended = dict(sol)
+            try:
+                value = evaluate_expression(expression, sol, exists)
+                if name in extended and extended[name] != value:
+                    continue
+                extended[name] = value
+            except ExprError:
+                pass
+            out.append(extended)
+        return out
+
+
+class GraphOp(_Op):
+    """The body, with a named graph as the active graph: the constant
+    one (*target*, resolved at compile time; ``None`` when the dataset
+    has no such graph), or each one the variable is (or can be) bound
+    to."""
+
+    op = "graph"
+    dataset: Optional[Dataset] = None
+    target = None
+
+    def describe(self):
+        return {"name": render_term(self.node.name)}
+
+    def execute(self, inputs, graph):
+        dataset, name, body = self.dataset, self.node.name, self.children[0]
+        if not isinstance(name, Var):
+            return [] if self.target is None else body.run(inputs, self.target)
+        if dataset is None:
+            return []  # a bare graph has no named graphs
+        out: List[Binding] = []
+        for sol in inputs:
+            pre_bound = sol.get(name.name)
+            for graph_name in ([pre_bound] if pre_bound is not None
+                               else dataset.graph_names()):
+                if dataset.has_graph(graph_name):
+                    out.extend(body.run([{**sol, name.name: graph_name}],
+                                        dataset.graph(graph_name)))
+        return out
+
+
+class ValuesOp(_Op):
+    """Its group's solutions joined with the inline rows (UNDEF leaves a
+    variable as it is)."""
+
+    op = "values"
+
+    def describe(self):
+        return {"variables": [f"?{v.name}" for v in self.node.variables],
+                "rows": len(self.node.rows)}
+
+    def execute(self, inputs, graph):
+        out: List[Binding] = []
+        for sol in self.children[0].run(inputs, graph):
+            for row in self.node.rows:
+                merged = dict(sol)
+                if all(value is None or _bind(merged, var, value)
+                       for var, value in zip(self.node.variables, row)):
+                    out.append(merged)
+        return out
+
+
+class ExistsOp(_Op):
+    """An EXISTS pattern of its parent's expressions, run by the parent
+    once per solution it tests."""
+
+    op = "exists"
+
+    def execute(self, inputs, graph):
+        return self.children[0].run(inputs, graph)
+
+
+# ---------------------------------------------------------------------------
+# Query forms
+# ---------------------------------------------------------------------------
+
+
+class SelectOp(_Op):
+    """Projection or aggregation, ORDER BY, DISTINCT, slicing."""
+
+    op = "select"
+
+    def describe(self):
+        query = self.node
+        detail: Dict[str, object] = {
+            "projections": ["*"] if query.select_all
+            else [f"?{p.var.name}" for p in query.projections],
+        }
+        if query.distinct:
+            detail["distinct"] = True
+        if query.group_by:
+            detail["group_by"] = [render_expression(e) for e in query.group_by]
+        if query.having is not None:
+            detail["having"] = render_expression(query.having)
+        if query.order_by:
+            detail["order_by"] = [
+                ("-" if c.descending else "") + render_expression(c.expression)
+                for c in query.order_by
+            ]
+        if query.limit is not None:
+            detail["limit"] = query.limit
+        if query.offset:
+            detail["offset"] = query.offset
+        return detail
+
+    def execute(self, inputs, graph) -> ResultTable:
+        query = self.node
+        exists = self.exists(graph)
+        solutions = self.children[0].run(inputs, graph)
         if query.has_aggregates():
-            rows, variables = self._aggregate(query, solutions)
+            rows, variables = _aggregate(query, solutions, exists)
             scopes = rows  # ORDER BY sees group keys and aggregate aliases
         else:
-            rows, variables = self._project(query, solutions)
+            rows, variables = _project(query, solutions, exists)
             # ORDER BY is evaluated over the pre-projection solution
             # extended with any computed projection aliases.
             scopes = [dict(sol) | row for sol, row in zip(solutions, rows)]
@@ -418,35 +850,45 @@ class QueryEngine:
             paired = list(zip(scopes, rows))
             for condition in reversed(query.order_by):
                 paired.sort(
-                    key=lambda pair: self._order_value(condition.expression, pair[0]),
+                    key=lambda pair: order_key(_value(condition.expression, pair[0], exists)),
                     reverse=condition.descending,
                 )
             rows = [row for _, row in paired]
-        if query.distinct:
-            seen = set()
-            unique = []
-            for row in rows:
-                key = tuple(sorted((k, v) for k, v in row.items()))
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(row)
-            rows = unique
+        if query.distinct:  # in first-occurrence order
+            rows = list({tuple(sorted(row.items())): row for row in rows}.values())
         if query.offset:
             rows = rows[query.offset :]
         if query.limit is not None:
             rows = rows[: query.limit]
         return ResultTable(variables, rows)
 
-    def _run_ask(self, query: AskQuery) -> bool:
-        for _ in self._eval(query.where, [{}], self._default_graph()):
-            return True
-        return False
 
-    def _run_construct(self, query: ConstructQuery) -> Graph:
-        """Instantiate the template once per solution; ill-formed
-        instantiations (unbound positions, literal subjects) are skipped
-        per the SPARQL spec."""
-        solutions = self._eval(query.where, [{}], self._default_graph())
+class AskOp(_Op):
+    op = "ask"
+
+    def execute(self, inputs, graph) -> bool:
+        return bool(self.children[0].run(inputs, graph))
+
+
+class ConstructOp(_Op):
+    """The template instantiated once per solution; ill-formed
+    instantiations (unbound positions, literal subjects) are skipped per
+    the SPARQL spec."""
+
+    op = "construct"
+
+    def describe(self):
+        query = self.node
+        detail: Dict[str, object] = {"template_triples": len(query.template)}
+        if query.limit is not None:
+            detail["limit"] = query.limit
+        if query.offset:
+            detail["offset"] = query.offset
+        return detail
+
+    def execute(self, inputs, graph) -> Graph:
+        query = self.node
+        solutions = self.children[0].run(inputs, graph)
         if query.offset:
             solutions = solutions[query.offset:]
         if query.limit is not None:
@@ -464,16 +906,22 @@ class QueryEngine:
                 out.add((s, p, o))
         return out
 
-    def _run_describe(self, query: DescribeQuery) -> Graph:
-        """Concise bounded description: every triple whose subject is a
-        described resource, expanded through blank-node objects."""
-        resources: List[Term] = []
-        constants = [t for t in query.targets if not isinstance(t, Var)]
-        variables = [t for t in query.targets if isinstance(t, Var)]
-        resources.extend(constants)
-        if variables:
-            solutions = self._eval(query.where, [{}], self._default_graph()) if query.where else []
-            for sol in solutions:
+
+class DescribeOp(_Op):
+    """The concise bounded description: every triple whose subject is a
+    described resource, expanded through blank-node objects."""
+
+    op = "describe"
+
+    def describe(self):
+        return {"targets": [render_term(t) for t in self.node.targets]}
+
+    def execute(self, inputs, graph) -> Graph:
+        targets = self.node.targets
+        resources: List[Term] = [t for t in targets if not isinstance(t, Var)]
+        variables = [t for t in targets if isinstance(t, Var)]
+        if variables and self.children:
+            for sol in self.children[0].run(inputs, graph):
                 for var in variables:
                     value = sol.get(var.name)
                     if value is not None and value not in resources:
@@ -486,427 +934,135 @@ class QueryEngine:
             if resource in seen or isinstance(resource, Literal):
                 continue
             seen.add(resource)
-            for t in self._default_graph().triples(resource, None, None):
+            for t in graph.triples(resource, None, None):
                 out.add(t)
                 if isinstance(t.object, BlankNode) and t.object not in seen:
                     frontier.append(t.object)
         return out
 
-    def _project(self, query: SelectQuery, solutions: List[Binding]):
-        if query.select_all:
-            variables = sorted({name for sol in solutions for name in sol})
-            return [dict(sol) for sol in solutions], variables
-        variables = [p.var.name for p in query.projections]
-        rows = []
-        for sol in solutions:
-            row: Binding = {}
-            for proj in query.projections:
-                if proj.expression is None:
-                    value = sol.get(proj.var.name)
-                else:
-                    try:
-                        value = evaluate_expression(proj.expression, sol, self._exists)
-                    except ExprError:
-                        value = None
-                if value is not None:
-                    row[proj.var.name] = value
-            rows.append(row)
-        return rows, variables
 
-    def _order_value(self, expression: Expression, row: Binding):
-        try:
-            return order_key(evaluate_expression(expression, row, self._exists))
-        except ExprError:
-            return order_key(None)
+# ---------------------------------------------------------------------------
+# SELECT helpers
+# ---------------------------------------------------------------------------
 
-    # -- aggregation --------------------------------------------------------------
 
-    def _aggregate(self, query: SelectQuery, solutions: List[Binding]):
-        groups: Dict[tuple, List[Binding]] = {}
-        for sol in solutions:
-            key_parts = []
-            for expr in query.group_by:
-                try:
-                    key_parts.append(evaluate_expression(expr, sol, self._exists))
-                except ExprError:
-                    key_parts.append(None)
-            groups.setdefault(tuple(key_parts), []).append(sol)
-        if not groups and not query.group_by:
-            groups[()] = []  # aggregates over an empty solution set yield one row
-        variables = [p.var.name for p in query.projections]
-        group_var_names = [
-            expr.var.name for expr in query.group_by if isinstance(expr, VarExpr)
-        ]
-        rows: List[Binding] = []
-        for key, members in sorted(groups.items(), key=lambda kv: tuple(order_key(k) for k in kv[0])):
-            group_binding: Binding = {}
-            for expr, value in zip(query.group_by, key):
-                if isinstance(expr, VarExpr) and value is not None:
-                    group_binding[expr.var.name] = value
-            if query.having is not None:
-                try:
-                    ok = effective_boolean_value(
-                        self._eval_group_expression(query.having, group_binding, members)
-                    )
-                except ExprError:
-                    ok = False
-                if not ok:
-                    continue
-            row: Binding = {}
-            for proj in query.projections:
-                if proj.expression is None:
-                    if proj.var.name not in group_var_names:
-                        raise ExprError(
-                            f"?{proj.var.name} must appear in GROUP BY or inside an aggregate"
-                        )
-                    value = group_binding.get(proj.var.name)
-                else:
-                    try:
-                        value = self._eval_group_expression(proj.expression, group_binding, members)
-                    except ExprError:
-                        value = None
-                if value is not None:
-                    row[proj.var.name] = value
-            rows.append(row)
-        return rows, variables
+def _project(query: SelectQuery, solutions: List[Binding], exists):
+    if query.select_all:
+        variables = sorted({name for sol in solutions for name in sol})
+        return [dict(sol) for sol in solutions], variables
+    variables = [p.var.name for p in query.projections]
+    rows = []
+    for sol in solutions:
+        row: Binding = {}
+        for proj in query.projections:
+            value = (sol.get(proj.var.name) if proj.expression is None
+                     else _value(proj.expression, sol, exists))
+            if value is not None:
+                row[proj.var.name] = value
+        rows.append(row)
+    return rows, variables
 
-    def _eval_group_expression(self, expr: Expression, group_binding: Binding, members: List[Binding]):
-        if isinstance(expr, Aggregate):
-            return self._eval_aggregate(expr, members)
-        if isinstance(expr, VarExpr):
-            value = group_binding.get(expr.var.name)
-            if value is None:
-                raise ExprError(f"?{expr.var.name} not bound at group level")
-            return value
-        # Rebuild composite expressions bottom-up over the group context.
-        from .algebra import And, Arithmetic, Compare, Not, Or, TermExpr
 
-        if isinstance(expr, TermExpr):
-            return expr.term
-        if isinstance(expr, Compare):
-            from .functions import compare_terms
+def _value(expression: Expression, solution: Binding, exists):
+    """The expression's value, or None (unbound) on an expression error."""
+    try:
+        return evaluate_expression(expression, solution, exists)
+    except ExprError:
+        return None
 
-            left = self._eval_group_expression(expr.left, group_binding, members)
-            right = self._eval_group_expression(expr.right, group_binding, members)
-            return Literal(
-                "true" if compare_terms(expr.op, left, right) else "false",
-                datatype="http://www.w3.org/2001/XMLSchema#boolean",
-            )
-        if isinstance(expr, (And, Or, Not, Arithmetic, FunctionCall)):
-            # Aggregate-free subtrees evaluate under the group binding alone.
-            return evaluate_expression(expr, group_binding, self._exists)
-        raise ExprError(f"unsupported group-level expression {type(expr).__name__}")
 
-    def _eval_aggregate(self, agg: Aggregate, members: List[Binding]):
-        from ..rdf.terms import from_python
-
-        values: List[Term] = []
-        if agg.expression is None:  # COUNT(*)
-            count = len(members)
-            if agg.distinct:
-                count = len({tuple(sorted((k, v) for k, v in m.items())) for m in members})
-            return from_python(count)
-        for member in members:
+def _aggregate(query: SelectQuery, solutions: List[Binding], exists):
+    groups: Dict[tuple, List[Binding]] = {}
+    for sol in solutions:
+        key = tuple(_value(expr, sol, exists) for expr in query.group_by)
+        groups.setdefault(key, []).append(sol)
+    if not groups and not query.group_by:
+        groups[()] = []  # aggregates over an empty solution set yield one row
+    variables = [p.var.name for p in query.projections]
+    rows: List[Binding] = []
+    for key, members in sorted(groups.items(), key=lambda kv: tuple(order_key(k) for k in kv[0])):
+        group_binding: Binding = {}
+        for expr, value in zip(query.group_by, key):
+            if isinstance(expr, VarExpr) and value is not None:
+                group_binding[expr.var.name] = value
+        if query.having is not None:
             try:
-                values.append(evaluate_expression(agg.expression, member, self._exists))
+                ok = effective_boolean_value(
+                    _group_value(query.having, group_binding, members, exists))
             except ExprError:
+                ok = False
+            if not ok:
                 continue
-        if agg.distinct:
-            unique: List[Term] = []
-            seen = set()
-            for value in values:
-                if value not in seen:
-                    seen.add(value)
-                    unique.append(value)
-            values = unique
-        if agg.name == "COUNT":
-            return from_python(len(values))
-        if agg.name == "SAMPLE":
-            return values[0] if values else None
-        if agg.name == "GROUP_CONCAT":
-            return Literal(agg.separator.join(_lexical(v) for v in values))
-        if not values:
-            return None
-        if agg.name in ("MIN", "MAX"):
-            chooser = min if agg.name == "MIN" else max
-            return chooser(values, key=order_key)
-        numbers = []
-        for value in values:
-            if isinstance(value, Literal) and value.is_numeric:
-                numbers.append(float(value.lexical))
+        row: Binding = {}
+        for proj in query.projections:
+            if proj.expression is None:
+                # a GROUP BY key: the compiler refused any other variable
+                value = group_binding.get(proj.var.name)
             else:
-                raise ExprError(f"{agg.name} over non-numeric value")
-        if agg.name == "SUM":
-            total = sum(numbers)
-            return from_python(int(total) if total == int(total) else total)
-        if agg.name == "AVG":
-            return from_python(sum(numbers) / len(numbers))
-        raise ExprError(f"unknown aggregate {agg.name}")
-
-    # -- pattern evaluation ---------------------------------------------------------
-
-    def _eval(self, pattern: Pattern, inputs: List[Binding], graph: Graph) -> List[Binding]:
-        # Hot path: one int check when nobody is profiling anywhere.
-        if not self._profiling:
-            return self._eval_node(pattern, inputs, graph)
-        profiler = getattr(self._tlocal, "profiler", None)
-        if profiler is None:
-            return self._eval_node(pattern, inputs, graph)
-        wall0 = time.perf_counter()
-        cpu0 = time.process_time()
-        out = self._eval_node(pattern, inputs, graph)
-        profiler.record_operator(
-            pattern, len(inputs), len(out),
-            time.perf_counter() - wall0, time.process_time() - cpu0)
-        return out
-
-    def _eval_node(self, pattern: Pattern, inputs: List[Binding], graph: Graph) -> List[Binding]:
-        if isinstance(pattern, BGP):
-            return self._eval_bgp(pattern, inputs, graph)
-        if isinstance(pattern, Join):
-            return self._eval(pattern.right, self._eval(pattern.left, inputs, graph), graph)
-        if isinstance(pattern, LeftJoin):
-            return self._eval_left_join(pattern, inputs, graph)
-        if isinstance(pattern, Union):
-            left = self._eval(pattern.left, inputs, graph)
-            right = self._eval(pattern.right, inputs, graph)
-            return left + right
-        if isinstance(pattern, Minus):
-            return self._eval_minus(pattern, inputs, graph)
-        if isinstance(pattern, Filter):
-            solutions = self._eval(pattern.pattern, inputs, graph)
-            kept = []
-            for sol in solutions:
                 try:
-                    if effective_boolean_value(
-                        evaluate_expression(pattern.condition, sol, self._exists)
-                    ):
-                        kept.append(sol)
+                    value = _group_value(proj.expression, group_binding, members, exists)
                 except ExprError:
-                    continue
-            return kept
-        if isinstance(pattern, Bind):
-            solutions = self._eval(pattern.pattern, inputs, graph)
-            out = []
-            for sol in solutions:
-                extended = dict(sol)
-                try:
-                    value = evaluate_expression(pattern.expression, sol, self._exists)
-                    if pattern.var.name in extended and extended[pattern.var.name] != value:
-                        continue  # BIND clash: solution is incompatible
-                    extended[pattern.var.name] = value
-                except ExprError:
-                    pass  # errors leave the variable unbound
-                out.append(extended)
-            return out
-        if isinstance(pattern, GraphPattern):
-            return self._eval_graph_pattern(pattern, inputs)
-        if isinstance(pattern, Values):
-            return self._eval_values(pattern, inputs, graph)
-        raise TypeError(f"unknown pattern type {type(pattern).__name__}")
+                    value = None
+            if value is not None:
+                row[proj.var.name] = value
+        rows.append(row)
+    return rows, variables
 
-    def _eval_values(self, pattern: Values, inputs: List[Binding], graph: Graph):
-        base = (
-            self._eval(pattern.pattern, inputs, graph)
-            if pattern.pattern is not None
-            else [dict(sol) for sol in inputs]
+
+def _group_value(expr: Expression, group_binding: Binding, members: List[Binding], exists):
+    if isinstance(expr, Aggregate):
+        return _aggregate_value(expr, members, exists)
+    if isinstance(expr, VarExpr):
+        value = group_binding.get(expr.var.name)
+        if value is None:
+            raise ExprError(f"?{expr.var.name} not bound at group level")
+        return value
+    # Rebuild composite expressions bottom-up over the group context.
+    if isinstance(expr, TermExpr):
+        return expr.term
+    if isinstance(expr, Compare):
+        left = _group_value(expr.left, group_binding, members, exists)
+        right = _group_value(expr.right, group_binding, members, exists)
+        return Literal(
+            "true" if compare_terms(expr.op, left, right) else "false",
+            datatype="http://www.w3.org/2001/XMLSchema#boolean",
         )
-        out: List[Binding] = []
-        for sol in base:
-            for row in pattern.rows:
-                merged = dict(sol)
-                compatible = True
-                for var, value in zip(pattern.variables, row):
-                    if value is None:
-                        continue  # UNDEF leaves the variable as-is
-                    existing = merged.get(var.name)
-                    if existing is None:
-                        merged[var.name] = value
-                    elif existing != value:
-                        compatible = False
-                        break
-                if compatible:
-                    out.append(merged)
-        return out
+    if isinstance(expr, (And, Or, Not, Arithmetic, FunctionCall)):
+        # Aggregate-free subtrees evaluate under the group binding alone.
+        return evaluate_expression(expr, group_binding, exists)
+    raise ExprError(f"unsupported group-level expression {type(expr).__name__}")
 
-    def _eval_bgp(self, bgp: BGP, inputs: List[Binding], graph: Graph) -> List[Binding]:
-        if not bgp.triples:
-            return [dict(sol) for sol in inputs]
-        # After OPTIONAL/UNION the inputs are heterogeneous: only a
-        # variable bound in *every* input solution may seed the planner
-        # as bound, or patterns get ordered for bindings most solutions
-        # don't have.
-        if inputs:
-            bound = set(inputs[0])
-            for sol in inputs[1:]:
-                bound.intersection_update(sol)
-        else:
-            bound = set()
-        if self.tracer is not None:
-            with _span(self.tracer, "sparql.plan", cat="query",
-                       patterns=len(bgp.triples)):
-                steps = plan_bgp_steps(bgp.triples, bound, graph)
-        else:
-            steps = plan_bgp_steps(bgp.triples, bound, graph)
-        profiler = (getattr(self._tlocal, "profiler", None)
-                    if self._profiling else None)
-        # The plain steps before the first property path run in id space
-        # (encode once, merge/bisect scans over batches of encoded
-        # bindings, decode once at that prefix's egress) when a step can
-        # see more than one binding — a multi-pattern prefix (the batch
-        # grows step to step) or a multi-solution input.  A single
-        # pattern over a single solution (EXISTS checks, OPTIONAL right
-        # sides seeded one binding at a time) has exactly one scan range
-        # either way, so the leaner per-binding path wins.  The path step
-        # and every step after it extend decoded solutions.
-        split = len(steps)
-        for position, step in enumerate(steps):
-            if isinstance(step.pattern.predicate, Path):
-                split = position
-                break
-        executor = None
-        if split > 1 or (split and len(inputs) > 1):
-            executor = encoded_executor(graph, [step.pattern for step in steps[:split]])
-        if executor is not None:
-            batch = executor.encode_inputs(inputs)
-            for position in range(split):
-                # PROFILE bills the one decode to the step whose egress
-                # it is, so the step after the switch counts only itself.
-                extend = (executor.extend if position < split - 1
-                          else executor.extend_and_decode)
-                if profiler is not None:
-                    batch = profiler.run_pattern(steps[position], batch, graph, extend)
-                else:
-                    batch = extend(steps[position], batch, graph)
-                if not batch:
-                    return []
-            solutions = batch
-            steps = steps[split:]
-        else:
-            solutions = [dict(sol) for sol in inputs]
-        for step in steps:
-            if profiler is not None:
-                solutions = profiler.run_pattern(
-                    step, solutions, graph, self._extend_step)
-            else:
-                solutions = self._extend_step(step, solutions, graph)
-            if not solutions:
-                return []
-        return solutions
 
-    def _extend_step(self, step, solutions: List[Binding], graph: Graph) -> List[Binding]:
-        """One step of the per-binding pipeline (it takes the full
-        :class:`PlanStep`, as the profiler hands it so encoded execution
-        can reuse its annotations; here only the pattern matters)."""
-        if isinstance(step.pattern.predicate, Path):
-            return self._extend_with_path(step.pattern, solutions, graph)
-        return self._extend_with_pattern(step.pattern, solutions, graph)
-
-    def _extend_with_path(
-        self, tp: TriplePattern, solutions: List[Binding], graph: Graph
-    ) -> List[Binding]:
-        """Extend every solution through a property path: the step's
-        whole endpoint column goes to :func:`eval_path_batch` in one
-        call, so solutions that reach shared ancestors share their
-        lookups."""
-        ends = [(_resolve(tp.subject, sol), _resolve(tp.object, sol)) for sol in solutions]
-        answers = eval_path_batch(graph, tp.predicate, [
-            (None if isinstance(s, Var) else s, None if isinstance(o, Var) else o)
-            for s, o in ends])
-        out: List[Binding] = []
-        for sol, (s, o), pairs in zip(solutions, ends, answers):
-            for s_val, o_val in pairs:
-                extended = dict(sol)
-                if _bind(extended, s, s_val) and _bind(extended, o, o_val):
-                    out.append(extended)
-        return out
-
-    def _extend_with_pattern(
-        self, tp: TriplePattern, solutions: List[Binding], graph: Graph
-    ) -> List[Binding]:
-        out: List[Binding] = []
-        for sol in solutions:
-            s = _resolve(tp.subject, sol)
-            o = _resolve(tp.object, sol)
-            p = _resolve(tp.predicate, sol)
-            # A variable repeated inside the pattern must match consistently.
-            for triple in graph.triples(
-                s if not isinstance(s, Var) else None,
-                p if not isinstance(p, Var) else None,
-                o if not isinstance(o, Var) else None,
-            ):
-                extended = dict(sol)
-                if not _bind(extended, s, triple.subject):
-                    continue
-                if not _bind(extended, p, triple.predicate):
-                    continue
-                if not _bind(extended, o, triple.object):
-                    continue
-                out.append(extended)
-        return out
-
-    def _eval_left_join(self, pattern: LeftJoin, inputs: List[Binding], graph: Graph):
-        lefts = self._eval(pattern.left, inputs, graph)
-        out: List[Binding] = []
-        for sol in lefts:
-            extensions = self._eval(pattern.right, [sol], graph)
-            if pattern.condition is not None:
-                kept = []
-                for ext in extensions:
-                    try:
-                        if effective_boolean_value(
-                            evaluate_expression(pattern.condition, ext, self._exists)
-                        ):
-                            kept.append(ext)
-                    except ExprError:
-                        continue
-                extensions = kept
-            if extensions:
-                out.extend(extensions)
-            else:
-                out.append(sol)
-        return out
-
-    def _eval_minus(self, pattern: Minus, inputs: List[Binding], graph: Graph):
-        lefts = self._eval(pattern.left, inputs, graph)
-        rights = self._eval(pattern.right, [{}], graph)
-        out = []
-        for sol in lefts:
-            excluded = False
-            for other in rights:
-                shared = set(sol) & set(other)
-                if shared and all(sol[v] == other[v] for v in shared):
-                    excluded = True
-                    break
-            if not excluded:
-                out.append(sol)
-        return out
-
-    def _eval_graph_pattern(self, pattern: GraphPattern, inputs: List[Binding]):
-        if self.dataset is None:
-            return []  # a bare graph has no named graphs
-        out: List[Binding] = []
-        if isinstance(pattern.name, Var):
-            var = pattern.name.name
-            for sol in inputs:
-                pre_bound = sol.get(var)
-                names = [pre_bound] if pre_bound is not None else self.dataset.graph_names()
-                for name in names:
-                    if not self.dataset.has_graph(name):
-                        continue
-                    seeded = dict(sol)
-                    seeded[var] = name
-                    out.extend(self._eval(pattern.pattern, [seeded], self.dataset.graph(name)))
-            return out
-        target_name = pattern.name
-        if not self.dataset.has_graph(target_name):
-            return []
-        target = self.dataset.graph(target_name)
-        return self._eval(pattern.pattern, inputs, target)
-
-    def _exists(self, pattern: Pattern, binding: Binding) -> bool:
-        """EXISTS probe: does *pattern* match under *binding*?"""
-        return bool(self._eval(pattern, [dict(binding)], self._default_graph()))
+def _aggregate_value(agg: Aggregate, members: List[Binding], exists):
+    if agg.expression is None:  # COUNT(*)
+        count = len(members)
+        if agg.distinct:
+            count = len({tuple(sorted((k, v) for k, v in m.items())) for m in members})
+        return from_python(count)
+    values = [value for value in (_value(agg.expression, member, exists)
+                                  for member in members) if value is not None]
+    if agg.distinct:
+        values = list(dict.fromkeys(values))
+    if agg.name == "COUNT":
+        return from_python(len(values))
+    if agg.name == "SAMPLE":
+        return values[0] if values else None
+    if agg.name == "GROUP_CONCAT":
+        return Literal(agg.separator.join(_lexical(v) for v in values))
+    if not values:
+        return None
+    if agg.name in ("MIN", "MAX"):
+        chooser = min if agg.name == "MIN" else max
+        return chooser(values, key=order_key)
+    if not all(isinstance(value, Literal) and value.is_numeric for value in values):
+        raise ExprError(f"{agg.name} over non-numeric value")
+    numbers = [float(value.lexical) for value in values]
+    if agg.name == "SUM":
+        total = sum(numbers)
+        return from_python(int(total) if total == int(total) else total)
+    if agg.name == "AVG":
+        return from_python(sum(numbers) / len(numbers))
+    raise ExprError(f"unknown aggregate {agg.name}")
 
 
 def _resolve(term, binding: Binding):

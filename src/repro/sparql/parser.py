@@ -62,6 +62,8 @@ BUILTIN_FUNCTIONS = frozenset(
 )
 
 _AGGREGATES = frozenset({"COUNT", "SUM", "MIN", "MAX", "AVG", "SAMPLE", "GROUP_CONCAT"})
+#: numeric token kind → literal datatype
+_NUMERIC = {"integer": XSD.INTEGER, "decimal": XSD.DECIMAL, "double": XSD.DOUBLE}
 
 
 def parse_query(text: str, namespaces: Optional[NamespaceManager] = None):
@@ -492,12 +494,8 @@ class QueryParser:
             return BlankNode(tok.text[2:])
         if tok.kind == "string":
             return self._finish_literal(tok)
-        if tok.kind == "integer":
-            return Literal(tok.text, datatype=XSD.INTEGER)
-        if tok.kind == "decimal":
-            return Literal(tok.text, datatype=XSD.DECIMAL)
-        if tok.kind == "double":
-            return Literal(tok.text, datatype=XSD.DOUBLE)
+        if tok.kind in _NUMERIC:
+            return Literal(tok.text, datatype=_NUMERIC[tok.kind])
         if tok.is_keyword("TRUE"):
             return Literal("true", datatype=XSD.BOOLEAN)
         if tok.is_keyword("FALSE"):
@@ -605,11 +603,18 @@ class QueryParser:
             if tok is not None and tok.kind == "op" and tok.text in ("+", "-"):
                 self.tokens.next()
                 left = Arithmetic(tok.text, left, self._parse_multiplicative())
+            elif tok is not None and tok.kind in _NUMERIC and tok.text[0] in "+-":
+                # Grammar rule [116]: the tokenizer reads ``?x+1`` as ``?x``
+                # then the signed numeral ``+1``, which here is ``?x + 1``.
+                self.tokens.next()
+                operand = TermExpr(Literal(tok.text[1:], datatype=_NUMERIC[tok.kind]))
+                left = Arithmetic(tok.text[0], left, self._parse_multiplicative(operand))
             else:
                 return left
 
-    def _parse_multiplicative(self) -> Expression:
-        left = self._parse_unary()
+    def _parse_multiplicative(self, left: Optional[Expression] = None) -> Expression:
+        if left is None:
+            left = self._parse_unary()
         while True:
             tok = self.tokens.peek()
             if tok is not None and tok.kind == "op" and tok.text in ("*", "/"):
@@ -644,12 +649,8 @@ class QueryParser:
             return TermExpr(self._resolve_iri(tok))
         if tok.kind == "string":
             return TermExpr(self._finish_literal(tok))
-        if tok.kind == "integer":
-            return TermExpr(Literal(tok.text, datatype=XSD.INTEGER))
-        if tok.kind == "decimal":
-            return TermExpr(Literal(tok.text, datatype=XSD.DECIMAL))
-        if tok.kind == "double":
-            return TermExpr(Literal(tok.text, datatype=XSD.DOUBLE))
+        if tok.kind in _NUMERIC:
+            return TermExpr(Literal(tok.text, datatype=_NUMERIC[tok.kind]))
         if tok.is_keyword("TRUE"):
             return TermExpr(Literal("true", datatype=XSD.BOOLEAN))
         if tok.is_keyword("FALSE"):

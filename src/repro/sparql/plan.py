@@ -1,9 +1,13 @@
-"""EXPLAIN / PROFILE: serializable query plans and operator statistics.
+"""EXPLAIN / PROFILE: the operator tree, its planner and its statistics.
 
-The planner (:func:`plan_bgp_steps`) is the single source of truth for
-BGP join ordering: the evaluator executes its steps directly, so the
-order EXPLAIN shows is — by construction, not by convention — the order
-the evaluator executes.  Each chosen pattern carries:
+A query is compiled once per execution (``QueryEngine``'s compiler, in
+:mod:`repro.sparql.evaluator`) into a tree of :class:`Operator` nodes —
+one per algebra operator, a BGP holding one :class:`Scan` per triple
+pattern — and that tree is the one thing the engine runs, EXPLAIN
+renders, PROFILE times and the digest hashes.  The planner
+(:func:`plan_bgp_steps`) is called once per BGP node, at compile time,
+with the variables *certainly bound* before it.  Each chosen pattern
+carries:
 
 * a **bound mask** (one char per position: ``b`` constant, ``j``
   join-bound variable, ``?`` free) at the moment it was selected;
@@ -11,29 +15,28 @@ the evaluator executes.  Each chosen pattern carries:
 * a **tiebreak reason** — the first score component that separated the
   winner from the runner-up (or "only pattern" / "tie: written order").
 
-:func:`build_plan` folds a parsed query into a :class:`QueryPlan`: a
-tree of :class:`PlanNode` rendered as text, JSON, or Chrome-trace args.
-The **digest** is the first 16 hex chars of the SHA-256 of the plan's
-canonical JSON; it covers only static facts (operators, pattern order,
-masks, estimates, reasons), so the same query over the same store yields
+:class:`QueryPlan` wraps a compiled tree and renders it as text, JSON,
+or Chrome-trace args.  Node details are rendered only when asked for,
+so a plain execution never turns a pattern into text.  The **digest**
+is the first 16 hex chars of the SHA-256 of the plan's canonical JSON;
+it covers only static facts (operators, pattern order, masks,
+estimates, reasons), so the same query over the same store yields
 byte-identical EXPLAIN output across runs and across ``--jobs`` builds
-(PR 3 made stores bit-identical; statistics derive from them).
+(the stores are bit-identical, and statistics derive from them).
 
-:class:`ProfileCollector` is the opt-in per-operator statistics
-recorder the evaluator consults at two choke points (operator dispatch
-and per-pattern extension).  When no profile is active the evaluator
-pays a single attribute check — the same contract as the
-:class:`~repro.obs.metrics.MetricsRegistry`.  Collected per operator:
-rows in/out, wall and CPU time, call count; per scan additionally
-bisect probes (segments, plus the path index's adjacency for a path
-step it serves) and decode-LRU hits (attributed by reading the store's
-plain-int counters before/after each pattern batch) and the
-estimate-vs-actual cardinality error.  A BGP that leaves id space
-before a path step bills the one decode to the last id-space step, so
-each scan's row counts and probes are its own on either side of the
-switch.  A pattern whose actual output exceeds its estimate by more
-than 10x bumps ``repro_planner_misestimate_total`` so bench
-trajectories catch statistics staleness.
+PROFILE (:meth:`QueryPlan.profile`) gives every node of that one tree a
+``stats`` dict before running it; unprofiled, a node pays one attribute
+check per call.  Collected per operator: rows in/out, wall and CPU
+time, call count; per scan additionally bisect probes (segments, plus
+the path index's adjacency for a path step it serves) and decode-LRU
+hits (attributed by reading the store's plain-int counters
+before/after each pattern batch) and the estimate-vs-actual cardinality
+error.  A BGP that leaves id space before a path step bills the one
+decode to the last id-space step, so each scan's row counts and probes
+are its own on either side of the switch.  A pattern whose actual
+output exceeds its estimate by more than 10x bumps
+``repro_planner_misestimate_total`` so bench trajectories catch
+statistics staleness.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..obs import metrics as _metrics
@@ -50,28 +53,14 @@ from .algebra import (
     Aggregate,
     And,
     Arithmetic,
-    AskQuery,
-    BGP,
-    Bind,
     Compare,
-    ConstructQuery,
-    DescribeQuery,
     ExistsExpr,
-    Filter,
     FunctionCall,
-    GraphPattern,
     InExpr,
-    Join,
-    LeftJoin,
-    Minus,
     Not,
     Or,
-    Pattern,
-    SelectQuery,
     TermExpr,
     TriplePattern,
-    Union,
-    Values,
     Var,
     VarExpr,
 )
@@ -86,11 +75,10 @@ from .paths import (
 
 __all__ = [
     "PlanStep",
-    "PlanNode",
+    "Operator",
+    "Scan",
     "QueryPlan",
     "QueryProfile",
-    "ProfileCollector",
-    "build_plan",
     "choose_access",
     "plan_bgp_steps",
     "render_term",
@@ -285,49 +273,45 @@ def plan_bgp_steps(
     (constants plus variables already bound by previously chosen
     patterns), preferring plain patterns over property paths, bound
     subjects over bound objects, and using the graph's predicate
-    cardinalities as the final tiebreaker.  This is the planner the
-    evaluator executes, so EXPLAIN output is the executed order by
-    construction.
+    cardinalities as the final tiebreaker.  Called once per BGP node
+    when a query is compiled: the steps it returns are the scans that
+    node runs and EXPLAIN prints.
     """
-    remaining = list(patterns)
     bound = set(bound_vars)
     statistics = graph.statistics() if graph is not None else None
     annotate = _access_annotator(patterns, graph)
+    # (pattern, its predicate's cardinality): fixed for the whole BGP
+    remaining = [
+        (tp, statistics.predicate_cardinality(tp.predicate)
+         if statistics is not None and isinstance(tp.predicate, IRI) else 0)
+        for tp in patterns
+    ]
     steps: List[PlanStep] = []
 
-    def score(tp: TriplePattern) -> tuple:
+    def score(tp: TriplePattern, cardinality: int) -> tuple:
         s = not isinstance(tp.subject, Var) or tp.subject.name in bound
         p = not isinstance(tp.predicate, Var) or tp.predicate.name in bound
         o = not isinstance(tp.object, Var) or tp.object.name in bound
-        bound_count = s + p + o
-        cardinality = 0
-        if isinstance(tp.predicate, IRI) and p:
-            cardinality = (
-                statistics.predicate_cardinality(tp.predicate)
-                if statistics is not None
-                else 0
-            )
         is_path = isinstance(tp.predicate, Path)
-        return (-bound_count, is_path, not s, not o, cardinality)
+        return (-(s + p + o), is_path, not s, not o, cardinality)
 
     while remaining:
-        scored = sorted(
-            ((score(tp), index, tp) for index, tp in enumerate(remaining)),
-            key=lambda item: (item[0], item[1]),
-        )
-        best_score, best_index, best = scored[0]
-        if len(scored) == 1:
+        if len(remaining) == 1:
+            best_index, (best, estimate) = 0, remaining[0]
             reason = "only pattern"
         else:
+            scored = sorted(
+                ((score(tp, card), index, tp, card)
+                 for index, (tp, card) in enumerate(remaining)),
+                key=lambda item: (item[0], item[1]),
+            )
+            best_score, best_index, best, estimate = scored[0]
             reason = "tie: written order"
             runner_score = scored[1][0]
             for component, (won, lost) in enumerate(zip(best_score, runner_score)):
                 if won != lost:
                     reason = _SCORE_REASONS[component]
                     break
-        estimate = 0
-        if isinstance(best.predicate, IRI) and statistics is not None:
-            estimate = statistics.predicate_cardinality(best.predicate)
         mask = _mask(best, bound)
         access, ordering = annotate(mask, best)
         steps.append(PlanStep(best, mask, estimate, reason, access, ordering))
@@ -337,46 +321,169 @@ def plan_bgp_steps(
 
 
 # ---------------------------------------------------------------------------
-# Plan tree
+# The operator tree
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PlanNode:
-    """One operator in a query plan.
+class Operator:
+    """One node of a compiled query: what EXPLAIN prints, what PROFILE
+    times and what the engine runs.
 
-    ``detail`` holds only static, JSON-serializable facts (it feeds the
-    digest); ``key`` is the ``id()`` of the algebra node this operator
-    came from, letting a :class:`ProfileCollector` attach runtime stats
-    recorded against the same parsed query object.
+    Subclasses name their EXPLAIN operator in ``op``, implement
+    ``execute(inputs, graph)`` — the solutions out, given the solutions
+    in and the active graph — and return their static facts from
+    ``describe()``, which is only called when the tree is rendered.
+    ``stats`` is ``None`` unless the tree is being profiled.
     """
 
-    op: str
-    detail: Dict[str, object] = field(default_factory=dict)
-    children: List["PlanNode"] = field(default_factory=list)
-    key: Optional[int] = None
+    op = ""
+    __slots__ = ("children", "stats")
+
+    def __init__(self, *children: "Operator"):
+        self.children = list(children)
+        self.stats: Optional[dict] = None
+
+    def describe(self) -> Dict[str, object]:
+        return {}
+
+    #: Static, JSON-serializable facts: the digest covers them.
+    detail = property(lambda self: self.describe())
+
+    def run(self, inputs: list, graph) -> list:
+        """:meth:`execute`, timed into ``stats`` when profiling."""
+        if self.stats is None:
+            return self.execute(inputs, graph)
+        return self._profiled(inputs, lambda: self.execute(inputs, graph))
+
+    def _profiled(self, inputs: list, call: Callable) -> list:
+        stats = self.stats
+        wall0 = time.perf_counter()
+        cpu0 = time.process_time()
+        out = call()
+        stats["wall_s"] += time.perf_counter() - wall0
+        stats["cpu_s"] += time.process_time() - cpu0
+        stats["calls"] += 1
+        stats["rows_in"] += len(inputs)
+        stats["rows_out"] += len(out)
+        return out
+
+    def new_stats(self) -> dict:
+        return {"calls": 0, "rows_in": 0, "rows_out": 0, "wall_s": 0.0, "cpu_s": 0.0}
+
+    def runtime(self) -> dict:
+        """JSON-ready profile statistics (times inclusive of children)."""
+        stats = self.stats
+        return {
+            "calls": stats["calls"],
+            "rows_in": stats["rows_in"],
+            "rows_out": stats["rows_out"],
+            "wall_ms": round(stats["wall_s"] * 1000.0, 3),
+            "cpu_ms": round(stats["cpu_s"] * 1000.0, 3),
+        }
 
     def to_dict(self) -> dict:
         out: dict = {"op": self.op}
-        if self.detail:
-            out["detail"] = self.detail
+        detail = self.detail
+        if detail:
+            out["detail"] = detail
         if self.children:
             out["children"] = [child.to_dict() for child in self.children]
         return out
 
-    def walk(self) -> Iterable["PlanNode"]:
+    def walk(self) -> Iterable["Operator"]:
         yield self
         for child in self.children:
             yield from child.walk()
 
 
-class QueryPlan:
-    """A stable, serializable plan tree plus its digest."""
+def _runtime_counters(graph, index=None) -> Tuple[int, int]:
+    """(bisect probes, decode-LRU hits) — plain ints, store-backed graphs
+    only; in-memory graphs report zeros.  Probes are the segments', plus
+    the adjacency probes of *index* when a path step is served by it."""
+    counters = getattr(graph, "runtime_counters", None)
+    if counters is None:
+        return (0, 0)
+    probes, decode_hits = counters()
+    if index is not None:
+        probes += index.probes()
+    return probes, decode_hits
 
-    def __init__(self, root: PlanNode, query: Optional[str] = None):
+
+class Scan(Operator):
+    """One planned triple pattern of a BGP; its BGP drives it."""
+
+    op = "scan"
+    __slots__ = ("index", "step")
+
+    def __init__(self, index: int, step: PlanStep):
+        super().__init__()
+        self.index = index
+        self.step = step
+
+    def describe(self) -> Dict[str, object]:
+        step = self.step
+        detail: Dict[str, object] = {
+            "index": self.index,
+            "pattern": render_triple_pattern(step.pattern),
+            "mask": step.bound_mask,
+            "estimate": step.estimate,
+            "reason": step.reason,
+        }
+        if step.access is not None:
+            # Only encoded-capable graphs annotate, so in-memory
+            # digests are unaffected.
+            detail["join"] = step.access
+            detail["ordering"] = step.ordering
+        return detail
+
+    def run(self, batch: list, graph, extend: Callable) -> list:
+        """``extend(step, batch, graph)`` — the encoded executor's or the
+        per-binding pipeline's — with the store work it caused attributed
+        to this pattern when profiling."""
+        step = self.step
+        if self.stats is None:
+            return extend(step, batch, graph)
+        index = graph.path_index() if step.access == "pathindex" else None
+        probes_before, decode_before = _runtime_counters(graph, index)
+        out = self._profiled(batch, lambda: extend(step, batch, graph))
+        probes_after, decode_after = _runtime_counters(graph, index)
+        stats = self.stats
+        stats["probes"] += probes_after - probes_before
+        stats["decode_hits"] += decode_after - decode_before
+        if (not stats["misestimate"] and step.estimate > 0
+                and stats["rows_out"] > MISESTIMATE_FACTOR * step.estimate):
+            stats["misestimate"] = True
+            _MISESTIMATES.inc()
+        return out
+
+    def new_stats(self) -> dict:
+        return {**super().new_stats(), "probes": 0, "decode_hits": 0,
+                "misestimate": False}
+
+    def runtime(self) -> dict:
+        stats = self.stats
+        out = {**super().runtime(), "probes": stats["probes"],
+               "decode_hits": stats["decode_hits"]}
+        if self.step.estimate:
+            out["error_ratio"] = round(stats["rows_out"] / self.step.estimate, 2)
+        if stats["misestimate"]:
+            out["misestimate"] = True
+        return out
+
+
+class QueryPlan:
+    """A compiled query: its operator tree, the graph snapshot it was
+    compiled against, and the digest of its static facts."""
+
+    def __init__(self, root: Operator, graph, query: Optional[str] = None):
         self.root = root
+        self.graph = graph
         self.query = query
         self._digest: Optional[str] = None
+
+    def execute(self):
+        """Run the tree: a ResultTable, a bool or a Graph."""
+        return self.root.execute([{}], self.graph)
 
     @property
     def digest(self) -> str:
@@ -411,7 +518,7 @@ class QueryPlan:
             "plan_operators": sum(1 for _ in self.root.walk()),
         }
 
-    def _render(self, node: PlanNode, lines, prefix, is_last, is_root=False):
+    def _render(self, node: Operator, lines, prefix, is_last, is_root=False):
         detail = _render_detail(node.detail)
         label = f"{node.op}{'  ' + detail if detail else ''}"
         if is_root:
@@ -424,36 +531,44 @@ class QueryPlan:
         for index, child in enumerate(node.children):
             self._render(child, lines, child_prefix, index == len(node.children) - 1)
 
-    # -- profile merging ----------------------------------------------------
+    # -- profiling ------------------------------------------------------------
 
-    def profile_report(
-        self, collector: "ProfileCollector", duration_ms: Optional[float] = None
-    ) -> dict:
-        """Merge collected runtime statistics into the plan tree.
+    def profile(self) -> "QueryProfile":
+        """Execute with statistics on every operator below the query node
+        (batch-level: one timestamp pair per operator call and per scan
+        batch, nothing per row)."""
+        for node in self.root.walk():
+            if node is not self.root:
+                node.stats = node.new_stats()
+        started = time.perf_counter()
+        result = self.execute()
+        duration_ms = (time.perf_counter() - started) * 1000.0
+        return QueryProfile(result=result, plan=self,
+                            report=self.profile_report(duration_ms),
+                            duration_ms=duration_ms)
+
+    def profile_report(self, duration_ms: float) -> dict:
+        """The tree with its runtime statistics merged in.
 
         Returns a JSON-serializable dict with the merged tree plus a
         flat preorder ``operators`` list (what the slow-query log
-        embeds).  Nodes the evaluator never reached keep zero stats.
+        embeds).  Operators that never ran keep zero stats.
         """
         operators: List[dict] = []
+        misestimates = 0
 
-        def merge(node: PlanNode) -> dict:
+        def merge(node: Operator) -> dict:
+            nonlocal misestimates
             out: dict = {"op": node.op}
-            if node.detail:
-                out["detail"] = dict(node.detail)
-            stats = collector.stats_for(node.key)
-            if stats is not None:
-                out.update(stats)
-            row = {"op": node.op}
-            label = ""
-            if node.detail:
-                label = str(
-                    node.detail.get("pattern")
-                    or node.detail.get("condition")
-                    or node.detail.get("expression")
-                    or ""
-                )
-            row["label"] = label
+            detail = node.detail
+            if detail:
+                out["detail"] = dict(detail)
+            if node.stats is not None:
+                out.update(node.runtime())
+                misestimates += bool(node.stats.get("misestimate"))
+            row = {"op": node.op, "label": str(
+                detail.get("pattern") or detail.get("condition")
+                or detail.get("expression") or "")}
             for field_name in (
                 "calls", "rows_in", "rows_out", "wall_ms", "cpu_ms",
                 "probes", "decode_hits", "estimate", "error_ratio",
@@ -461,23 +576,21 @@ class QueryPlan:
             ):
                 if field_name in out:
                     row[field_name] = out[field_name]
-                elif field_name in (node.detail or {}):
-                    row[field_name] = node.detail[field_name]
+                elif field_name in detail:
+                    row[field_name] = detail[field_name]
             operators.append(row)
             if node.children:
                 out["children"] = [merge(child) for child in node.children]
             return out
 
         merged = merge(self.root)
-        report = {
+        return {
             "digest": self.digest,
             "plan": merged,
             "operators": operators,
-            "misestimates": collector.misestimates,
+            "misestimates": misestimates,
+            "duration_ms": round(duration_ms, 3),
         }
-        if duration_ms is not None:
-            report["duration_ms"] = round(duration_ms, 3)
-        return report
 
 
 def _render_detail(detail: Dict[str, object]) -> str:
@@ -490,277 +603,6 @@ def _render_detail(detail: Dict[str, object]) -> str:
             value = ",".join(str(v) for v in value)
         parts.append(f"{key}={value}")
     return " ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# Plan construction
-# ---------------------------------------------------------------------------
-
-
-def build_plan(query, graph=None, text: Optional[str] = None) -> QueryPlan:
-    """EXPLAIN a parsed query against *graph* (for cardinality estimates).
-
-    Purely static: nothing is executed.  Variable boundness is
-    propagated the way the lateral evaluator binds variables (left to
-    right through joins, into OPTIONAL right sides), so the BGP orders
-    shown match execution.
-    """
-    if isinstance(query, SelectQuery):
-        detail: Dict[str, object] = {
-            "projections": ["*"] if query.select_all
-            else [f"?{p.var.name}" for p in query.projections],
-        }
-        if query.distinct:
-            detail["distinct"] = True
-        if query.group_by:
-            detail["group_by"] = [render_expression(e) for e in query.group_by]
-        if query.having is not None:
-            detail["having"] = render_expression(query.having)
-        if query.order_by:
-            detail["order_by"] = [
-                ("-" if c.descending else "") + render_expression(c.expression)
-                for c in query.order_by
-            ]
-        if query.limit is not None:
-            detail["limit"] = query.limit
-        if query.offset:
-            detail["offset"] = query.offset
-        child, _ = _pattern_node(query.where, set(), graph)
-        root = PlanNode("select", detail, [child], key=id(query))
-    elif isinstance(query, AskQuery):
-        child, _ = _pattern_node(query.where, set(), graph)
-        root = PlanNode("ask", {}, [child], key=id(query))
-    elif isinstance(query, ConstructQuery):
-        detail = {"template_triples": len(query.template)}
-        if query.limit is not None:
-            detail["limit"] = query.limit
-        if query.offset:
-            detail["offset"] = query.offset
-        child, _ = _pattern_node(query.where, set(), graph)
-        root = PlanNode("construct", detail, [child], key=id(query))
-    elif isinstance(query, DescribeQuery):
-        detail = {"targets": [render_term(t) for t in query.targets]}
-        children = []
-        if query.where is not None:
-            child, _ = _pattern_node(query.where, set(), graph)
-            children.append(child)
-        root = PlanNode("describe", detail, children, key=id(query))
-    else:
-        raise TypeError(f"cannot explain {type(query).__name__}")
-    return QueryPlan(root, query=text)
-
-
-def _pattern_node(pattern: Pattern, bound: set, graph) -> Tuple[PlanNode, set]:
-    """(plan node, variables bound after the pattern)."""
-    if isinstance(pattern, BGP):
-        steps = plan_bgp_steps(pattern.triples, bound, graph)
-        children = []
-        for index, step in enumerate(steps):
-            detail: Dict[str, object] = {
-                "index": index,
-                "pattern": render_triple_pattern(step.pattern),
-                "mask": step.bound_mask,
-                "estimate": step.estimate,
-                "reason": step.reason,
-            }
-            if step.access is not None:
-                # Only encoded-capable graphs annotate, so in-memory
-                # digests are unaffected.
-                detail["join"] = step.access
-                detail["ordering"] = step.ordering
-            children.append(PlanNode("scan", detail, key=id(step.pattern)))
-        out = set(bound)
-        for tp in pattern.triples:
-            out |= tp.variables()
-        return PlanNode("bgp", {"patterns": len(steps)}, children, key=id(pattern)), out
-    if isinstance(pattern, Join):
-        left, bound_left = _pattern_node(pattern.left, bound, graph)
-        right, bound_out = _pattern_node(pattern.right, bound_left, graph)
-        return PlanNode("join", {}, [left, right], key=id(pattern)), bound_out
-    if isinstance(pattern, LeftJoin):
-        left, bound_left = _pattern_node(pattern.left, bound, graph)
-        right, bound_out = _pattern_node(pattern.right, bound_left, graph)
-        detail = {}
-        if pattern.condition is not None:
-            detail["condition"] = render_expression(pattern.condition)
-        return PlanNode("optional", detail, [left, right], key=id(pattern)), bound_out
-    if isinstance(pattern, Union):
-        left, bound_left = _pattern_node(pattern.left, bound, graph)
-        right, bound_right = _pattern_node(pattern.right, bound, graph)
-        return (
-            PlanNode("union", {}, [left, right], key=id(pattern)),
-            bound_left | bound_right,
-        )
-    if isinstance(pattern, Minus):
-        left, bound_left = _pattern_node(pattern.left, bound, graph)
-        # MINUS right side is evaluated from scratch (no shared bindings).
-        right, _ = _pattern_node(pattern.right, set(), graph)
-        return PlanNode("minus", {}, [left, right], key=id(pattern)), bound_left
-    if isinstance(pattern, Filter):
-        child, bound_out = _pattern_node(pattern.pattern, bound, graph)
-        detail = {"condition": render_expression(pattern.condition)}
-        return PlanNode("filter", detail, [child], key=id(pattern)), bound_out
-    if isinstance(pattern, Bind):
-        child, bound_out = _pattern_node(pattern.pattern, bound, graph)
-        detail = {
-            "var": f"?{pattern.var.name}",
-            "expression": render_expression(pattern.expression),
-        }
-        return (
-            PlanNode("extend", detail, [child], key=id(pattern)),
-            bound_out | {pattern.var.name},
-        )
-    if isinstance(pattern, GraphPattern):
-        seeded = set(bound)
-        detail = {"name": render_term(pattern.name)}
-        if isinstance(pattern.name, Var):
-            seeded.add(pattern.name.name)
-        child, bound_out = _pattern_node(pattern.pattern, seeded, graph)
-        return PlanNode("graph", detail, [child], key=id(pattern)), bound_out
-    if isinstance(pattern, Values):
-        detail = {
-            "variables": [f"?{v.name}" for v in pattern.variables],
-            "rows": len(pattern.rows),
-        }
-        children = []
-        bound_out = set(bound) | {v.name for v in pattern.variables}
-        if pattern.pattern is not None:
-            child, inner_bound = _pattern_node(pattern.pattern, bound, graph)
-            children.append(child)
-            bound_out |= inner_bound
-        return PlanNode("values", detail, children, key=id(pattern)), bound_out
-    return PlanNode(type(pattern).__name__.lower(), {}, [], key=id(pattern)), set(bound)
-
-
-# ---------------------------------------------------------------------------
-# Profiling
-# ---------------------------------------------------------------------------
-
-
-def _runtime_counters(graph, index=None) -> Tuple[int, int]:
-    """(bisect probes, decode-LRU hits) — plain ints, store-backed graphs
-    only; in-memory graphs report zeros.  Probes are the segments', plus
-    the adjacency probes of *index* when a path step is served by it."""
-    counters = getattr(graph, "runtime_counters", None)
-    if counters is None:
-        return (0, 0)
-    probes, decode_hits = counters()
-    if index is not None:
-        probes += index.probes()
-    return probes, decode_hits
-
-
-class ProfileCollector:
-    """Accumulates per-operator and per-scan statistics for one query.
-
-    Keyed by ``id()`` of algebra nodes so stats land on the plan nodes
-    :func:`build_plan` produced from the *same* parsed query object.
-    Times are inclusive of children (the evaluator is recursive).
-    """
-
-    __slots__ = ("operators", "patterns", "misestimates")
-
-    def __init__(self):
-        self.operators: Dict[int, dict] = {}
-        self.patterns: Dict[int, dict] = {}
-        self.misestimates = 0
-
-    # -- recording ----------------------------------------------------
-
-    def record_operator(
-        self, node, rows_in: int, rows_out: int, wall_s: float, cpu_s: float
-    ) -> None:
-        stats = self.operators.get(id(node))
-        if stats is None:
-            stats = {"calls": 0, "rows_in": 0, "rows_out": 0, "wall_s": 0.0, "cpu_s": 0.0}
-            self.operators[id(node)] = stats
-        stats["calls"] += 1
-        stats["rows_in"] += rows_in
-        stats["rows_out"] += rows_out
-        stats["wall_s"] += wall_s
-        stats["cpu_s"] += cpu_s
-
-    def run_pattern(
-        self,
-        step: PlanStep,
-        solutions: List[dict],
-        graph,
-        extend: Callable,
-    ) -> List[dict]:
-        """Run one pattern-extension batch, attributing its cost.
-
-        *extend* takes ``(step, solutions, graph)`` — the full step, so
-        the encoded executor can reuse the planned mask annotations.
-        """
-        index = graph.path_index() if step.access == "pathindex" else None
-        probes_before, decode_before = _runtime_counters(graph, index)
-        started = time.perf_counter()
-        out = extend(step, solutions, graph)
-        wall_s = time.perf_counter() - started
-        probes_after, decode_after = _runtime_counters(graph, index)
-        key = id(step.pattern)
-        stats = self.patterns.get(key)
-        if stats is None:
-            stats = {
-                "calls": 0,
-                "rows_in": 0,
-                "rows_out": 0,
-                "wall_s": 0.0,
-                "probes": 0,
-                "decode_hits": 0,
-                "estimate": step.estimate,
-                "misestimate": False,
-            }
-            self.patterns[key] = stats
-        stats["calls"] += 1
-        stats["rows_in"] += len(solutions)
-        stats["rows_out"] += len(out)
-        stats["wall_s"] += wall_s
-        stats["probes"] += probes_after - probes_before
-        stats["decode_hits"] += decode_after - decode_before
-        if (
-            not stats["misestimate"]
-            and step.estimate > 0
-            and stats["rows_out"] > MISESTIMATE_FACTOR * step.estimate
-        ):
-            stats["misestimate"] = True
-            self.misestimates += 1
-            _MISESTIMATES.inc()
-        return out
-
-    # -- reporting ----------------------------------------------------
-
-    def stats_for(self, key: Optional[int]) -> Optional[dict]:
-        """JSON-ready runtime stats for one plan node, or ``None``."""
-        if key is None:
-            return None
-        stats = self.operators.get(key)
-        if stats is not None:
-            return {
-                "calls": stats["calls"],
-                "rows_in": stats["rows_in"],
-                "rows_out": stats["rows_out"],
-                "wall_ms": round(stats["wall_s"] * 1000.0, 3),
-                "cpu_ms": round(stats["cpu_s"] * 1000.0, 3),
-            }
-        stats = self.patterns.get(key)
-        if stats is not None:
-            out = {
-                "calls": stats["calls"],
-                "rows_in": stats["rows_in"],
-                "rows_out": stats["rows_out"],
-                "wall_ms": round(stats["wall_s"] * 1000.0, 3),
-                "probes": stats["probes"],
-                "decode_hits": stats["decode_hits"],
-            }
-            if stats["estimate"]:
-                out["error_ratio"] = round(
-                    stats["rows_out"] / stats["estimate"], 2
-                )
-            if stats["misestimate"]:
-                out["misestimate"] = True
-            return out
-        return None
 
 
 @dataclass

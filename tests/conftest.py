@@ -38,6 +38,41 @@ def corpus_dataset(corpus):
     return corpus.dataset()
 
 
+# The session corpus on disk and its serial store (path index included),
+# shared by the SPARQL and path-index tests.
+
+@pytest.fixture(scope="session")
+def pathindex_corpus_dir(tmp_path_factory, corpus):
+    from repro.corpus import write_corpus
+
+    root = tmp_path_factory.mktemp("pathindex-corpus")
+    write_corpus(corpus, root)
+    return root
+
+
+def ingest_store(tmp_path_factory, corpus_dir, jobs: int, path_index: bool = True):
+    from repro.store import QuadStore, ingest_corpus
+
+    directory = tmp_path_factory.mktemp(f"pathindex-store-j{jobs}") / "store"
+    with QuadStore(directory) as store:
+        report = ingest_corpus(store, corpus_dir, jobs=jobs, path_index=path_index)
+        assert report.path_index == ("built" if path_index else "skipped")
+    return directory
+
+
+@pytest.fixture(scope="session")
+def store_dir_j1(tmp_path_factory, pathindex_corpus_dir):
+    return ingest_store(tmp_path_factory, pathindex_corpus_dir, jobs=1)
+
+
+@pytest.fixture(scope="session")
+def indexed_store(store_dir_j1):
+    from repro.store import QuadStore
+
+    with QuadStore(store_dir_j1) as store:
+        yield store
+
+
 @pytest.fixture(scope="session")
 def taverna_graph(corpus):
     return corpus.system_graph("taverna")

@@ -146,8 +146,8 @@ class TestEngineIntegration:
         assert record["cache"] == "miss"
         assert record["plan_digest"]
         assert record["operators"] == []
-        # nothing will read operator rows: only the digest is memoised
-        assert list(engine._plan_cache.values()) == [(record["plan_digest"], None, None)]
+        # the memo keeps only the digest: trees are compiled per execution
+        assert list(engine._plan_cache.values()) == [record["plan_digest"]]
 
     def test_engine_without_record_writes_nowhere(self):
         engine = QueryEngine(_tiny_graph())
@@ -197,9 +197,10 @@ class TestEngineIntegration:
         assert record.span_id == query_span["args"]["span_id"]
 
     def test_plan_built_at_most_once_per_text_and_version(self, monkeypatch):
-        """A miss builds its plan once (digest and operator rows share
-        it); a repeat miss of the same text at the same version reuses
-        the memoised plan and still carries operator rows."""
+        """A miss compiles its operator tree exactly once — the execution,
+        the digest and the operator rows share it; a repeat miss of the
+        same text at the same version compiles its own tree, keeps the
+        memoised digest and still carries operator rows."""
         from repro.sparql import evaluator
 
         calls = []
@@ -208,14 +209,14 @@ class TestEngineIntegration:
             calls.append(1)
             return real(*args, **kwargs)
 
-        real = evaluator.build_plan
-        monkeypatch.setattr(evaluator, "build_plan", counting)
+        real = evaluator._Compiler.query
+        monkeypatch.setattr(evaluator._Compiler, "query", counting)
         with SparqlEndpoint(_tiny_graph(), slow_query_ms=0, cache_size=0) as server:
             _query(server, ACTIVITY_QUERY)
-            assert len(calls) <= 1
+            assert calls == [1]
             del calls[:]
             _query(server, ACTIVITY_QUERY)
-            assert calls == []
+            assert calls == [1]
             _wait_retained(server, 2)
             first, repeat = server.requests.queries()
         assert first["cache"] == repeat["cache"] == "miss"

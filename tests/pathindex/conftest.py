@@ -1,54 +1,24 @@
 """Fixtures for the path/pattern index tests.
 
-The session corpus is written to disk once and ingested twice — serially
-and with two workers — so byte-level determinism of the index can be
-asserted directly.  `indexed_store` / `store_union` serve the read-side
-tests from the serial store.  A third ingest with `path_index=False`
-leaves a store with no index files: over it the engine can only walk the
-graph, which makes `bfs_union` the BFS baseline the indexed stores must
-match pair for pair.
+The session corpus on disk, whose serial ingest (`indexed_store`) the
+top-level conftest shares, is ingested once more with two workers, so
+byte-level determinism of the index can be asserted directly.
+`indexed_store` / `store_union` serve the read-side tests.  A third
+ingest with `path_index=False` leaves a store with no index files: over
+it the engine can only walk the graph, which makes `bfs_union` the BFS
+baseline the indexed stores must match pair for pair.
 """
 
 from __future__ import annotations
 
 import pytest
 
-
-@pytest.fixture(scope="session")
-def pathindex_corpus_dir(tmp_path_factory, corpus):
-    from repro.corpus import write_corpus
-
-    root = tmp_path_factory.mktemp("pathindex-corpus")
-    write_corpus(corpus, root)
-    return root
-
-
-def _ingest(tmp_path_factory, corpus_dir, jobs: int, path_index: bool = True):
-    from repro.store import QuadStore, ingest_corpus
-
-    directory = tmp_path_factory.mktemp(f"pathindex-store-j{jobs}") / "store"
-    with QuadStore(directory) as store:
-        report = ingest_corpus(store, corpus_dir, jobs=jobs, path_index=path_index)
-        assert report.path_index == ("built" if path_index else "skipped")
-    return directory
-
-
-@pytest.fixture(scope="session")
-def store_dir_j1(tmp_path_factory, pathindex_corpus_dir):
-    return _ingest(tmp_path_factory, pathindex_corpus_dir, jobs=1)
+from tests.conftest import ingest_store
 
 
 @pytest.fixture(scope="session")
 def store_dir_j2(tmp_path_factory, pathindex_corpus_dir):
-    return _ingest(tmp_path_factory, pathindex_corpus_dir, jobs=2)
-
-
-@pytest.fixture(scope="session")
-def indexed_store(store_dir_j1):
-    from repro.store import QuadStore
-
-    with QuadStore(store_dir_j1) as store:
-        yield store
+    return ingest_store(tmp_path_factory, pathindex_corpus_dir, jobs=2)
 
 
 @pytest.fixture(scope="session")
@@ -62,8 +32,8 @@ def store_union(indexed_store):
 def bfs_store(tmp_path_factory, pathindex_corpus_dir):
     from repro.store import QuadStore
 
-    directory = _ingest(tmp_path_factory, pathindex_corpus_dir, jobs=1,
-                        path_index=False)
+    directory = ingest_store(tmp_path_factory, pathindex_corpus_dir, jobs=1,
+                             path_index=False)
     with QuadStore(directory) as store:
         assert store.path_index() is None
         yield store

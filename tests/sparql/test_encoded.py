@@ -1,10 +1,11 @@
 """Encoded-ID execution: planner seeding, parity with the in-memory path.
 
-The planner-seeding test reproduces a latent bug: `_eval_bgp` seeded
-`plan_bgp_steps` with `set(inputs[0])`, so after an OPTIONAL (or UNION)
-a variable bound in only *some* input solutions was planned as bound for
-all of them.  The correct seed is the intersection of bound-variable
-sets across the inputs.
+The planner-seeding test guards against a latent bug: seeding
+`plan_bgp_steps` with the variables of the first input solution, so that
+after an OPTIONAL (or UNION) a variable bound in only *some* solutions
+was planned as bound for all of them.  The seed is the set of variables
+*certainly* bound there, which the compiler propagates: an OPTIONAL's
+right side binds nothing certainly.
 """
 
 import dataclasses

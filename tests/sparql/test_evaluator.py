@@ -185,10 +185,17 @@ class TestAggregates:
         assert rows[0].n.to_python() == 0
 
     def test_bare_var_requires_group_by(self, engine):
-        from repro.sparql.functions import ExprError
+        """A malformed query whatever the data: the compiler refuses it
+        before any scan, on a matching WHERE and on an empty one
+        (SPARQL 1.1 §11.4)."""
+        from repro.sparql import SparqlSyntaxError
 
-        with pytest.raises(ExprError):
-            engine.select("SELECT ?x (COUNT(?y) AS ?n) WHERE { ?x a ?y }")
+        for where in ("?x a ?y", "?x prov:wasDerivedFrom ?y"):
+            with pytest.raises(SparqlSyntaxError, match="GROUP BY"):
+                engine.select(f"SELECT ?x (COUNT(?y) AS ?n) WHERE {{ {where} }}")
+            with pytest.raises(SparqlSyntaxError, match="GROUP BY"):
+                engine.select(
+                    f"SELECT (COUNT(?y) AS ?n) ?x WHERE {{ {where} }} GROUP BY ?y")
 
 
 class TestAsk:

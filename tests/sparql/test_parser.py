@@ -206,6 +206,31 @@ class TestExpressions:
 
         assert isinstance(q.where.condition, Or)
 
+    @pytest.mark.parametrize("text,expression", [
+        ("SELECT * { VALUES ?x {1} BIND(?x+1 AS ?y) }",
+         lambda q: q.where.expression),
+        ("SELECT * { ?s prov:value ?o FILTER(?o-1 > 0) }",
+         lambda q: q.where.condition.left),
+        ("SELECT (?o-1.5*2 AS ?y) { ?s prov:value ?o }",
+         lambda q: q.projections[0].expression),
+    ], ids=["bind", "filter", "projection"])
+    def test_signed_numeral_after_operand_is_arithmetic(self, text, expression):
+        """Grammar rule [116]: ``?x+1`` is an addition, not ``?x`` then
+        the numeral ``+1``; a following ``*`` / ``/`` binds tighter."""
+        from repro.sparql.algebra import Arithmetic, TermExpr, VarExpr
+
+        arithmetic = expression(parse_query(text))
+        assert isinstance(arithmetic, Arithmetic)
+        assert isinstance(arithmetic.left, VarExpr)
+        right = arithmetic.right
+        if arithmetic.op == "+":
+            assert right == TermExpr(Literal("1", datatype=XSD.INTEGER))
+        elif isinstance(right, TermExpr):
+            assert arithmetic.op == "-" and right.term == Literal("1", datatype=XSD.INTEGER)
+        else:
+            assert arithmetic.op == "-" and right.op == "*"
+            assert right.left == TermExpr(Literal("1.5", datatype=XSD.DECIMAL))
+
 
 class TestSolutionModifiers:
     def test_order_limit_offset(self):

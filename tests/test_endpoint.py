@@ -118,6 +118,18 @@ class TestProtocol:
             urllib.request.urlopen(url, timeout=5)
         assert err.value.code == 400
 
+    def test_grouped_projection_400(self, endpoint):
+        """A projected variable outside GROUP BY is a malformed query
+        (SPARQL 1.1 §11.4): 400 before any scan, not a 500 from the
+        evaluator — whether or not the WHERE matches."""
+        for where in ("?r a prov:Activity", "?r prov:wasDerivedFrom ?x"):
+            text = f"SELECT (COUNT(?r) AS ?n) ?x WHERE {{ {where} }} GROUP BY ?r"
+            url = endpoint.query_url + "?" + urllib.parse.urlencode({"query": text})
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(url, timeout=5)
+            assert err.value.code == 400
+            assert b"GROUP BY" in err.value.read()
+
     def test_missing_query_param_400(self, endpoint):
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(endpoint.query_url, timeout=5)
