@@ -127,7 +127,8 @@ class IRI(Term):
         return isinstance(other, IRI) and other.value == self.value
 
     def __hash__(self) -> int:
-        return hash(("IRI", self.value))
+        # the str caches its own hash: no tuple per call
+        return hash(self.value)
 
     def n3(self) -> str:
         return f"<{self.value}>"
@@ -264,7 +265,10 @@ class Literal(Term):
         )
 
     def __hash__(self) -> int:
-        return hash(("Literal", self.lexical, self.datatype.value, self.language))
+        # the strs cache their own hashes: no tuple per call.  The
+        # language tag is left out: literals differing only in it share
+        # a bucket, and __eq__ tells them apart.
+        return hash(self.lexical) ^ hash(self.datatype.value)
 
     def n3(self) -> str:
         escaped = escape_string(self.lexical)

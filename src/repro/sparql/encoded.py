@@ -19,7 +19,7 @@ Patterns are read through the access path the graph hands out
 (``graph.access_path``: ordering, sort prefix, and how a record range
 becomes (s, p, o) ids) — the one ``triples()`` itself reads through, so
 row order cannot depend on which pipeline ran — but batch execution
-unlocks two operators the per-binding path cannot express:
+unlocks three operators the per-binding path cannot express:
 
 * **bisect** — when no join-bound variable sits in the ordering's sort
   prefix, every solution in the group shares one probe key, so the
@@ -27,7 +27,15 @@ unlocks two operators the per-binding path cannot express:
 * **merge** — when a join-bound variable is in the prefix, the group's
   keys are sorted and a monotone cursor advances with galloping search
   (:meth:`SegmentReader.gallop_left`), making a batch of k probes cost
-  O(k · log(gap)) instead of O(k · log n).
+  O(k · log(gap)) instead of O(k · log n);
+* **hash** — a merge whose keys are dense in the range of the pattern's
+  constants (at most :data:`HASH_RECORDS_PER_KEY` records per key) reads
+  that range once and buckets it by key instead of probing per key.
+
+Which one runs is decided per batch, at run time; the plan (EXPLAIN)
+states only the static merge/bisect choice.  Batches are large because
+the evaluator hands an OPTIONAL right side or an EXISTS pattern all the
+solutions it extends or tests at once.
 
 The executor is created per BGP via :func:`encoded_executor`, which
 duck-types on ``graph.encoded_scope()`` — in-memory graphs (no encoded
@@ -40,6 +48,7 @@ endpoint column goes to ``paths.eval_path_batch`` in one call.)
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..obs import metrics as _metrics
@@ -54,7 +63,7 @@ _SCAN_STRATEGY = _metrics.counter(
     "Encoded BGP scan batches by chosen operator",
     labels=("strategy",),
 )
-for _strategy in ("merge", "bisect"):
+for _strategy in ("merge", "bisect", "hash"):
     _SCAN_STRATEGY.labels(_strategy)
 del _strategy
 
@@ -64,6 +73,15 @@ del _strategy
 EncodedSolution = Tuple[Dict[str, Term], Dict[str, Optional[int]]]
 
 _ABSENT = object()
+
+#: ``hash`` replaces a ``merge`` when the constants-only range holds at
+#: most this many records per distinct key.  Measured on the seed-2013
+#: store's ``?run prov:startedAtTime ?start`` join (937 records, 8–900
+#: keys, CPython 3.11, 2-core x86 VM): a galloping merge costs ~11 µs
+#: per key — two gallops of ~10 probes, Q1's 122 keys did 2,350 — and
+#: the range read ~0.45 µs per record, so the two break even near 20
+#: records per key; 16 keeps ``hash`` to where it clearly wins.
+HASH_RECORDS_PER_KEY = 16
 
 
 def encoded_executor(graph, patterns: List[TriplePattern]):
@@ -79,11 +97,13 @@ def encoded_executor(graph, patterns: List[TriplePattern]):
 class EncodedExecutor:
     """Executes one BGP's steps batch-at-a-time in id space."""
 
-    __slots__ = ("graph", "scope", "_bgp_vars")
+    __slots__ = ("graph", "scope", "_bgp_vars", "ran")
 
     def __init__(self, graph, scope: Optional[int], patterns: List[TriplePattern]):
         self.graph = graph
         self.scope = scope
+        #: The operators the last :meth:`extend` ran (PROFILE's ``join``).
+        self.ran: set = set()
         self._bgp_vars = set()
         for tp in patterns:
             self._bgp_vars |= tp.variables()
@@ -130,6 +150,7 @@ class EncodedExecutor:
         emitted in segment-record order, matching the decoded path
         byte for byte); an empty return short-circuits the BGP.
         """
+        self.ran = set()
         tp = step.pattern
         terms = (tp.subject, tp.predicate, tp.object)
         names = [t.name if isinstance(t, Var) else None for t in terms]
@@ -173,9 +194,8 @@ class EncodedExecutor:
         return out
 
     def _run_group(self, mask, indices, batch, names, const_ids, extensions):
-        scope = self.scope
-        operator, path = choose_access(mask, self.graph)
-        reader = self.graph.segment_reader(path.ordering)
+        graph, scope = self.graph, self.scope
+        operator, path = choose_access(mask, graph)
         free_positions = [p for p in (0, 1, 2) if mask[p] == "?"]
         # The probe key, in the path's prefix order: constants (the
         # scope's graph id included) are fixed for the group, join-bound
@@ -194,26 +214,32 @@ class EncodedExecutor:
 
         solution_keys = [(index, key_of(batch[index][1])) for index in indices]
         unique_keys = {key for _, key in solution_keys}
-        if operator == "merge" and len(unique_keys) < 2:
-            # A merge over one key *is* a bisect probe — and galloping
-            # to it from record 0 would cost ~2× the comparisons.  This
-            # is the common case for per-solution sub-evaluations
-            # (EXISTS, OPTIONAL right sides seeded one binding at a
-            # time), so dispatch on the runtime key count, not just the
-            # static mask.
-            operator = "bisect"
-        _SCAN_STRATEGY.labels(operator).inc()
         matches: Dict[Tuple[int, ...], List[Tuple[int, int, int]]] = {}
         if operator == "merge":
+            if len(unique_keys) < 2:
+                # A merge over one key *is* a bisect probe — and
+                # galloping to it from record 0 would cost ~2x the
+                # comparisons.  A batch of one (a one-row OPTIONAL or
+                # EXISTS batch, an aggregate group's EXISTS key) lands
+                # here, so dispatch on the runtime key count, not just
+                # the static mask.
+                operator = "bisect"
+            elif len(free_positions) < 2:
+                operator = self._hash(mask, path, fixed, unique_keys, matches)
+        _SCAN_STRATEGY.labels(operator).inc()
+        self.ran.add(operator)
+        reader = graph.segment_reader(path.ordering)
+        if operator == "merge":
             # Sorted keys + a monotone galloping cursor: each range
-            # starts at or after the previous one's end.
+            # starts at or after the previous one's end.  The first has
+            # no cursor to gallop from, and bisects.
             cursor = 0
             for key in sorted(unique_keys):
-                lo = reader.gallop_left(key, cursor)
+                lo = reader.gallop_left(key, cursor) if cursor else reader.bisect_left(key)
                 hi = reader.gallop_left(key[:-1] + (key[-1] + 1,), lo)
                 matches[key] = list(path.triples(reader, lo, hi, scope))
                 cursor = hi
-        else:
+        elif operator == "bisect":
             # Either no join-bound prefix position (every solution in
             # the group shares the constants-only key) or a single-key
             # merge demoted above: one bisect per distinct key.
@@ -240,3 +266,33 @@ class EncodedExecutor:
                         break
                 if compatible:
                     slot.append((orig, new_enc))
+
+    def _hash(self, mask, path, fixed, unique_keys, matches) -> str:
+        """``"hash"``, with *matches* filled by one read of the
+        constants-only range bucketed by join key, when that range holds
+        at most :data:`HASH_RECORDS_PER_KEY` records per distinct key;
+        else ``"merge"`` (*matches* untouched).
+
+        With at most one free position, a key's records arrive in the
+        free value's order (the graph id last) from either ordering, so
+        each solution's extensions keep the order ``merge`` gives them.
+        """
+        graph, scope = self.graph, self.scope
+        const_path = graph.access_path(*(state == "b" for state in mask))
+        reader = graph.segment_reader(const_path.ordering)
+        lo, hi = reader.constant_range(
+            tuple(fixed[position] for position in const_path.prefix))
+        if hi - lo > HASH_RECORDS_PER_KEY * len(unique_keys):
+            return "merge"
+        for key in unique_keys:
+            matches[key] = []
+        triples = const_path.triples(reader, lo, hi, scope)
+        if 3 in path.prefix:  # a single graph's gspo key leads with its id
+            triples = (triple + (scope,) for triple in triples)
+        # two or more bound positions: the key is a tuple, not a bare id
+        key_of = itemgetter(*path.prefix)
+        for triple in triples:
+            bucket = matches.get(key_of(triple))
+            if bucket is not None:
+                bucket.append(triple[:3])
+        return "hash"

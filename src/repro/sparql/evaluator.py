@@ -5,8 +5,11 @@ against the graph snapshot it will run on — into a tree of
 :class:`~repro.sparql.plan.Operator` nodes (this module's ``*Op``
 classes) and runs that tree, the one EXPLAIN renders and PROFILE times.
 Operators are *lateral*: each extends the list of partial solutions
-produced so far, so an OPTIONAL right side and an EXISTS pattern see
-the solution they extend.  The compiler passes down the variables
+produced so far.  An OPTIONAL right side and an EXISTS pattern run once
+per batch of the solutions they extend or test, over those solutions'
+distinct bindings of the variables the side mentions — all it could
+read of them — so each solution gets what a run of it alone would give.
+The compiler passes down the variables
 *certainly bound* before each operator (a UNION keeps what both sides
 bind; an OPTIONAL's right side binds nothing certainly), which seed
 each BGP's one planner call.  The *active graph* is passed down at run
@@ -52,6 +55,7 @@ from .algebra import (
     Minus,
     Not,
     Or,
+    Pattern,
     SelectQuery,
     TermExpr,
     TriplePattern,
@@ -380,7 +384,11 @@ class _Compiler:
         graph = self.graph
         if isinstance(query, SelectQuery):
             _check_grouping(query)
-            where, bound = self.pattern(query.where, set(), graph)
+            where, bound, scope = self.pattern(query.where, set(), graph)
+            for projection in query.projections:
+                if projection.expression is not None and projection.var.name in scope:
+                    raise SparqlSyntaxError(
+                        f"?{projection.var.name} is already in scope in WHERE")
             expressions = [*(p.expression for p in query.projections), *query.group_by,
                            query.having, *(c.expression for c in query.order_by)]
             return SelectOp(query, where, tests=self.tests(expressions, bound, graph))
@@ -395,60 +403,76 @@ class _Compiler:
         raise TypeError(f"unsupported query type {type(query).__name__}")
 
     def pattern(self, pattern, bound: set, graph):
-        """(operator, variables certainly bound after it)."""
+        """(operator, variables certainly bound after it, variables in
+        scope after it — SPARQL 1.1 §18.2.1: a MINUS keeps its left
+        side's, a FILTER adds none)."""
         if isinstance(pattern, BGP):
-            out = bound.union(*(tp.variables() for tp in pattern.triples))
-            return BgpOp(pattern, plan_bgp_steps(pattern.triples, bound, graph)), out
+            scope = set().union(*(tp.variables() for tp in pattern.triples))
+            steps = plan_bgp_steps(pattern.triples, bound, graph)
+            return BgpOp(pattern, steps), bound | scope, scope
         if isinstance(pattern, Join):
-            left, bound = self.pattern(pattern.left, bound, graph)
-            right, bound = self.pattern(pattern.right, bound, graph)
-            return JoinOp(pattern, left, right), bound
+            left, bound, left_scope = self.pattern(pattern.left, bound, graph)
+            right, bound, right_scope = self.pattern(pattern.right, bound, graph)
+            return JoinOp(pattern, left, right), bound, left_scope | right_scope
         if isinstance(pattern, LeftJoin):
-            left, bound = self.pattern(pattern.left, bound, graph)
-            right, extended = self.pattern(pattern.right, bound, graph)
-            tests = self.tests([pattern.condition], extended, graph)
-            return OptionalOp(pattern, left, right, tests=tests), bound
+            left, bound, left_scope = self.pattern(pattern.left, bound, graph)
+            right, extended, right_scope = self.pattern(pattern.right, bound, graph)
+            tests = self.tests([pattern.condition], extended, graph, "OPTIONAL")
+            return (OptionalOp(pattern, left, right, tests=tests), bound,
+                    left_scope | right_scope)
         if isinstance(pattern, Union):
-            left, left_bound = self.pattern(pattern.left, bound, graph)
-            right, right_bound = self.pattern(pattern.right, bound, graph)
-            return UnionOp(pattern, left, right), left_bound & right_bound
+            left, left_bound, left_scope = self.pattern(pattern.left, bound, graph)
+            right, right_bound, right_scope = self.pattern(pattern.right, bound, graph)
+            return (UnionOp(pattern, left, right), left_bound & right_bound,
+                    left_scope | right_scope)
         if isinstance(pattern, Minus):
-            left, bound = self.pattern(pattern.left, bound, graph)
+            left, bound, scope = self.pattern(pattern.left, bound, graph)
             # the right side runs from scratch: it shares no bindings
-            right, _ = self.pattern(pattern.right, set(), graph)
-            return MinusOp(pattern, left, right), bound
+            right = self.pattern(pattern.right, set(), graph)[0]
+            return MinusOp(pattern, left, right), bound, scope
         if isinstance(pattern, Filter):
-            child, bound = self.pattern(pattern.pattern, bound, graph)
-            tests = self.tests([pattern.condition], bound, graph)
-            return FilterOp(pattern, child, tests=tests), bound
+            child, bound, scope = self.pattern(pattern.pattern, bound, graph)
+            tests = self.tests([pattern.condition], bound, graph, "FILTER")
+            return FilterOp(pattern, child, tests=tests), bound, scope
         if isinstance(pattern, Bind):
-            child, bound = self.pattern(pattern.pattern, bound, graph)
-            tests = self.tests([pattern.expression], bound, graph)
-            return ExtendOp(pattern, child, tests=tests), bound | {pattern.var.name}
+            name = pattern.var.name
+            child, bound, scope = self.pattern(pattern.pattern, bound, graph)
+            if name in scope:
+                raise SparqlSyntaxError(f"BIND target ?{name} is already in scope")
+            tests = self.tests([pattern.expression], bound, graph, "BIND")
+            return ExtendOp(pattern, child, tests=tests), bound | {name}, scope | {name}
         if isinstance(pattern, GraphPattern):
-            name, dataset, target = pattern.name, self.dataset, None
+            name, dataset, target, named = pattern.name, self.dataset, None, set()
             if isinstance(name, Var):
-                bound = bound | {name.name}
+                named = {name.name}
+                bound = bound | named
                 if dataset is not None:
                     graph = _AnyNamedGraph(self.graph, dataset.default)
             elif dataset is not None and dataset.has_graph(name):
                 graph = target = dataset.graph(name)
-            body, bound = self.pattern(pattern.pattern, bound, graph)
+            body, bound, scope = self.pattern(pattern.pattern, bound, graph)
             op = GraphOp(pattern, body)
             op.dataset, op.target = dataset, target
-            return op, bound
+            return op, bound, scope | named
         if isinstance(pattern, Values):
             inner = pattern.pattern if pattern.pattern is not None else BGP()
-            child, bound = self.pattern(inner, bound, graph)
+            child, bound, scope = self.pattern(inner, bound, graph)
             certain = {var.name for column, var in enumerate(pattern.variables)
                        if all(row[column] is not None for row in pattern.rows)}
-            return ValuesOp(pattern, child), bound | certain
+            return (ValuesOp(pattern, child), bound | certain,
+                    scope | {var.name for var in pattern.variables})
         raise TypeError(f"unknown pattern type {type(pattern).__name__}")
 
-    def tests(self, expressions, bound: set, graph) -> List["ExistsOp"]:
-        """One :class:`ExistsOp` per EXISTS inside *expressions*."""
+    def tests(self, expressions, bound: set, graph, clause=None) -> List["ExistsOp"]:
+        """One :class:`ExistsOp` per EXISTS inside *expressions*.  Those
+        of a graph-pattern *clause* (FILTER, BIND, OPTIONAL) may hold no
+        aggregate: aggregates belong to SELECT, HAVING and ORDER BY."""
+        aggregates: list = []
+        found = _exists_in(expressions, [], aggregates)
+        if aggregates and clause is not None:
+            raise SparqlSyntaxError(f"aggregate inside {clause}")
         return [ExistsOp(exists, self.pattern(exists.pattern, bound, graph)[0])
-                for exists in _exists_in(expressions, [])]
+                for exists in found]
 
 
 class _AnyNamedGraph:
@@ -467,17 +491,23 @@ class _AnyNamedGraph:
         return getattr(self._single, name)
 
 
-def _exists_in(values, found: list) -> list:
+def _exists_in(values, found: list, aggregates: list, within=None) -> list:
     """*found* extended by the EXISTS sub-expressions among *values* (a
-    list of expressions, or the fields of one), in written order."""
+    list of expressions, or the fields of one), in written order, and
+    *aggregates* by its aggregates; an aggregate *within* another is a
+    malformed query."""
     for item in values:
         if isinstance(item, list):  # FunctionCall args, IN choices
-            _exists_in(item, found)
+            _exists_in(item, found, aggregates, within)
         elif isinstance(item, ExistsExpr):
             found.append(item)
-        elif isinstance(item, (And, Or, Not, Compare, Arithmetic, FunctionCall,
-                               InExpr, Aggregate)):
-            _exists_in(vars(item).values(), found)
+        elif isinstance(item, Aggregate):
+            if within is not None:
+                raise SparqlSyntaxError(f"{within.name} holds an aggregate")
+            aggregates.append(item)
+            _exists_in(vars(item).values(), found, aggregates, item)
+        elif isinstance(item, (And, Or, Not, Compare, Arithmetic, FunctionCall, InExpr)):
+            _exists_in(vars(item).values(), found, aggregates, within)
     return found
 
 
@@ -511,17 +541,84 @@ class _Op(Operator):
         self.node = node
         self.tests = tests
 
-    def exists(self, graph):
+    def exists(self, graph, rows: List[Binding]):
         """The ``(pattern, binding) -> bool`` EXISTS evaluator of this
-        node's expressions over *graph*, or None when they hold none."""
+        node's expressions over *graph*, or None when they hold none.
+
+        Each test runs up front, once per domain, over the distinct keys
+        of *rows* — the batch this node is about to test — into one memo
+        per test.  A binding outside the batch (an aggregate's group row)
+        fills the same memo as a batch of its own."""
         if not self.tests:
             return None
+        memos = {}
+        for test in self.tests:
+            memo = memos[id(test.node.pattern)] = (test, {})
+            test.fill(rows, graph, memo[1])
 
         def exists(pattern, binding: Binding) -> bool:
-            test = next(test for test in self.tests if test.node.pattern is pattern)
-            return bool(test.run([dict(binding)], graph))
+            test, memo = memos[id(pattern)]
+            found = memo.get(test.key(binding))
+            if found is None:
+                test.fill([binding], graph, memo)
+                found = memo[test.key(binding)]
+            return found
 
         return exists
+
+
+class _Keyed(_Op):
+    """An operator whose right side runs once per batch: each row it is
+    handed is keyed by its bindings of *names*, every variable that side
+    mentions (compiled once), and the side runs once per domain — the
+    set of those variables a row binds — over that domain's distinct
+    keys.  Its answer for a row is then exactly the answer for the row's
+    key: the side reads no other variable of the row."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, node, *children: Operator, side, tests=()):
+        super().__init__(node, *children, tests=tests)
+        self.names = tuple(sorted(_mentioned(side, set())))
+
+    def key(self, row: Binding) -> tuple:
+        return tuple([(name, row[name]) for name in self.names if name in row])
+
+    def run_keyed(self, side: Operator, rows: List[Binding], graph):
+        """(each row's key, each distinct key's extensions in the order
+        a run of that key alone gives): *side* run once per domain."""
+        keys = [self.key(row) for row in rows]
+        found: Dict[tuple, List[Binding]] = {}
+        domains: Dict[tuple, List[tuple]] = {}
+        for key in keys:
+            if key not in found:
+                found[key] = []
+                domains.setdefault(tuple([name for name, _ in key]), []).append(key)
+        for domain, group in domains.items():
+            # every operator keeps each input's extensions in order, and
+            # an extension still binds its input's key
+            for row in side.run([dict(key) for key in group], graph):
+                found[tuple([(name, row[name]) for name in domain])].append(row)
+        return keys, found
+
+
+def _mentioned(item, names: set) -> set:
+    """*names* extended by every variable *item* mentions — a pattern or
+    an expression, its sub-patterns, sub-expressions and EXISTS patterns
+    included."""
+    if isinstance(item, TriplePattern):
+        names.update(term.name for term in (item.subject, item.predicate, item.object)
+                     if isinstance(term, Var))
+    elif isinstance(item, Var):
+        names.add(item.name)
+    elif isinstance(item, _HOLDERS):  # walk what can hold a variable
+        for value in (item if isinstance(item, list) else vars(item).values()):
+            if isinstance(value, _HOLDERS):
+                _mentioned(value, names)
+    return names
+
+
+_HOLDERS = (Var, TriplePattern, Pattern, Expression, list)
 
 
 def _holds(condition: Expression, solution: Binding, exists) -> bool:
@@ -549,12 +646,12 @@ class BgpOp(_Op):
 
     def execute(self, inputs: List[Binding], graph) -> List[Binding]:
         # The plain steps before the first property path run in id space
-        # (encode once, merge/bisect scans over batches of encoded
+        # (encode once, merge/bisect/hash scans over batches of encoded
         # bindings, decode once at that prefix's egress) when a step can
         # see more than one binding — a multi-pattern prefix (the batch
         # grows step to step) or a multi-solution input.  A single
-        # pattern over a single solution (EXISTS checks, OPTIONAL right
-        # sides seeded one binding at a time) has exactly one scan range
+        # pattern over a single solution (a batch of one: one OPTIONAL
+        # or EXISTS key, one GRAPH ?g binding) has exactly one scan range
         # either way, so the leaner per-binding path wins.  The path step
         # and every step after it extend decoded solutions.
         scans = self.children
@@ -569,7 +666,10 @@ class BgpOp(_Op):
                 # it is, so the step after the switch counts only itself.
                 extend = (executor.extend if position < split - 1
                           else executor.extend_and_decode)
-                solutions = scans[position].run(solutions, graph, extend)
+                scan = scans[position]
+                solutions = scan.run(solutions, graph, extend)
+                if scan.stats is not None and "hash" in executor.ran:
+                    scan.stats["hash"] = True  # PROFILE's join: what ran
                 if not solutions:
                     return []
             scans = scans[split:]
@@ -634,11 +734,15 @@ class JoinOp(_Op):
         return right.run(left.run(inputs, graph), graph)
 
 
-class OptionalOp(_Op):
+class OptionalOp(_Keyed):
     """Each left solution, extended by the right side where it matches
-    and the condition holds, else kept as it is."""
+    and the condition holds on the merged solution, else kept as it is.
+    The right side runs once per batch of left solutions."""
 
     op = "optional"
+
+    def __init__(self, node: LeftJoin, left: Operator, right: Operator, tests=()):
+        super().__init__(node, left, right, side=node.right, tests=tests)
 
     def describe(self):
         condition = self.node.condition
@@ -646,15 +750,19 @@ class OptionalOp(_Op):
 
     def execute(self, inputs, graph):
         left, right = self.children[:2]
+        lefts = left.run(inputs, graph)
+        keys, found = self.run_keyed(right, lefts, graph)
+        # a fresh dict per merge: duplicate left rows share no solution
+        merged = [[{**sol, **ext} for ext in found[key]] for sol, key in zip(lefts, keys)]
         condition = self.node.condition
-        exists = self.exists(graph)
+        if condition is not None:
+            exists = self.exists(graph, [row for rows in merged for row in rows])
+            merged = [[row for row in rows if _holds(condition, row, exists)]
+                      for rows in merged]
         out: List[Binding] = []
-        for sol in left.run(inputs, graph):
-            extensions = right.run([sol], graph)
-            if condition is not None:
-                extensions = [ext for ext in extensions if _holds(condition, ext, exists)]
-            if extensions:
-                out.extend(extensions)
+        for sol, rows in zip(lefts, merged):
+            if rows:
+                out.extend(rows)
             else:
                 out.append(sol)
         return out
@@ -708,9 +816,9 @@ class FilterOp(_Op):
 
     def execute(self, inputs, graph):
         condition = self.node.condition
-        exists = self.exists(graph)
-        return [sol for sol in self.children[0].run(inputs, graph)
-                if _holds(condition, sol, exists)]
+        rows = self.children[0].run(inputs, graph)
+        exists = self.exists(graph, rows)
+        return [sol for sol in rows if _holds(condition, sol, exists)]
 
 
 class ExtendOp(_Op):
@@ -725,9 +833,10 @@ class ExtendOp(_Op):
 
     def execute(self, inputs, graph):
         name, expression = self.node.var.name, self.node.expression
-        exists = self.exists(graph)
+        rows = self.children[0].run(inputs, graph)
+        exists = self.exists(graph, rows)
         out = []
-        for sol in self.children[0].run(inputs, graph):
+        for sol in rows:
             extended = dict(sol)
             try:
                 value = evaluate_expression(expression, sol, exists)
@@ -791,14 +900,23 @@ class ValuesOp(_Op):
         return out
 
 
-class ExistsOp(_Op):
+class ExistsOp(_Keyed):
     """An EXISTS pattern of its parent's expressions, run by the parent
-    once per solution it tests."""
+    once per batch of the solutions it tests (see :meth:`_Op.exists`)."""
 
     op = "exists"
 
+    def __init__(self, node: ExistsExpr, pattern: Operator):
+        super().__init__(node, pattern, side=node.pattern)
+
     def execute(self, inputs, graph):
         return self.children[0].run(inputs, graph)
+
+    def fill(self, rows: List[Binding], graph, memo: Dict[tuple, bool]) -> None:
+        """*memo* given whether the pattern matches each key of *rows*."""
+        keys, found = self.run_keyed(self, rows, graph)
+        for key in keys:
+            memo[key] = bool(found[key])
 
 
 # ---------------------------------------------------------------------------
@@ -836,8 +954,8 @@ class SelectOp(_Op):
 
     def execute(self, inputs, graph) -> ResultTable:
         query = self.node
-        exists = self.exists(graph)
         solutions = self.children[0].run(inputs, graph)
+        exists = self.exists(graph, solutions)
         if query.has_aggregates():
             rows, variables = _aggregate(query, solutions, exists)
             scopes = rows  # ORDER BY sees group keys and aggregate aliases

@@ -177,7 +177,9 @@ class PlanStep:
     reason: str  # which score component won the tiebreak
     #: Scan operator for encoded (store-backed) execution: "merge" when
     #: a join-bound variable sits in the chosen ordering's sort prefix
-    #: (batch sorted, monotone galloping cursor), "bisect" otherwise.
+    #: (batch sorted, monotone galloping cursor), "bisect" otherwise; a
+    #: merge batch dense in its constant range runs as "hash" (decided
+    #: at run time, so PROFILE, not EXPLAIN, shows it).
     #: ``None`` on graphs without an encoded surface, and for plain steps
     #: planned after a property path (those run on the per-binding
     #: pipeline).
@@ -458,12 +460,16 @@ class Scan(Operator):
 
     def new_stats(self) -> dict:
         return {**super().new_stats(), "probes": 0, "decode_hits": 0,
-                "misestimate": False}
+                "misestimate": False, "hash": False}
 
     def runtime(self) -> dict:
         stats = self.stats
         out = {**super().runtime(), "probes": stats["probes"],
                "decode_hits": stats["decode_hits"]}
+        if stats["hash"]:
+            # the executor picks its operator per batch: a scan any batch
+            # of which read its constants-only range reports ``hash``
+            out["join"] = "hash"
         if self.step.estimate:
             out["error_ratio"] = round(stats["rows_out"] / self.step.estimate, 2)
         if stats["misestimate"]:

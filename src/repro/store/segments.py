@@ -45,7 +45,7 @@ import mmap
 import os
 import struct
 from contextlib import contextmanager
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from typing import (
     BinaryIO, Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple,
@@ -67,6 +67,8 @@ class StoreError(RuntimeError):
 # -- the record format --------------------------------------------------------
 
 _READ_RECORDS = 65536  # records per read() when streaming a run
+_RANGE_RECORDS = 4096  # records per mmap slice when reading a range
+_CONSTANT_RANGES = 4096  # memoised constants-only ranges per reader
 _WRITE_BUFFER = 1 << 20  # bytes packed before a write() when streaming one out
 
 
@@ -168,6 +170,7 @@ class RecordReader:
         # store aggregates these into store_info(); the endpoint mirrors
         # them into /metrics via a collector.
         self.probes = 0
+        self._constant_ranges: Dict[Tuple[int, ...], Tuple[int, int]] = {}
         size = self.path.stat().st_size if self.path.exists() else 0
         if size % self._RECORD.size:
             # A torn copy or a foreign file must not be answered from as
@@ -191,6 +194,19 @@ class RecordReader:
 
     def __len__(self) -> int:
         return self.record_count
+
+    def records(self, lo: int, hi: int) -> Iterator[Tuple[int, ...]]:
+        """Records ``[lo, hi)`` in order, unpacked with ``iter_unpack``
+        over bounded copies of their bytes — past a couple of records,
+        cheaper per record than :meth:`record`, and no buffer of the map
+        stays exported while a caller holds the iterator."""
+        size, data = self._RECORD.size, self._map
+        unpack = self._RECORD.iter_unpack
+        if hi - lo <= _RANGE_RECORDS:
+            return unpack(data[lo * size:hi * size]) if lo < hi else ()
+        return chain.from_iterable(
+            unpack(data[start * size:min(hi, start + _RANGE_RECORDS) * size])
+            for start in range(lo, hi, _RANGE_RECORDS))
 
     def bisect_left(self, key: Tuple[int, ...]) -> int:
         """First index whose record (prefix) is >= *key*."""
@@ -251,6 +267,18 @@ class RecordReader:
         lo = self.bisect_left(prefix)
         hi = self.bisect_left(prefix[:-1] + (prefix[-1] + 1,))
         return (lo, hi)
+
+    def constant_range(self, prefix: Tuple[int, ...]) -> Tuple[int, int]:
+        """:meth:`range_for_prefix`, memoised: for a pattern's constants,
+        which recur from query to query.  The file never changes under a
+        reader; the memo is cleared wholesale when it fills."""
+        memo = self._constant_ranges
+        found = memo.get(prefix)
+        if found is None:
+            if len(memo) >= _CONSTANT_RANGES:
+                memo.clear()
+            found = memo[prefix] = self.range_for_prefix(prefix)
+        return found
 
     def count_prefix(self, prefix: Tuple[int, ...]) -> int:
         lo, hi = self.range_for_prefix(prefix)
@@ -330,24 +358,20 @@ class AccessPath(NamedTuple):
     ) -> Iterator[Tuple[int, int, int]]:
         """Distinct (s, p, o) ids of records ``[lo, hi)`` of this path's
         ordering, in record order."""
-        record = reader.record
         s, p, o = self.fields
         if self.collapse:
             last = None
-            for index in range(lo, hi):
-                rec = record(index)
+            for rec in reader.records(lo, hi):
                 head = rec[:3]
                 if head != last:
                     last = head
                     yield (rec[s], rec[p], rec[o])
         elif self.filter:
-            for index in range(lo, hi):
-                rec = record(index)
+            for rec in reader.records(lo, hi):
                 if rec[3] == graph_id:
                     yield (rec[s], rec[p], rec[o])
         else:
-            for index in range(lo, hi):
-                rec = record(index)
+            for rec in reader.records(lo, hi):
                 yield (rec[s], rec[p], rec[o])
 
 

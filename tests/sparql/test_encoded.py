@@ -437,14 +437,36 @@ class TestPathParity:
         assert QueryEngine(mem_ds).ask(query) is True
 
 
+#: Two join keys against the 200 ``prov:used`` records of ``big_pair``:
+#: sparse in the constant range, so the join gallops (``merge``).
+SPARSE_JOIN = """
+    PREFIX ex: <http://example.org/>
+    SELECT ?run ?data WHERE { VALUES ?run { ex:run3 ex:run7 } ?run prov:used ?data }
+"""
+
+
 class TestScanStrategyMetrics:
-    def test_merge_counter_increments_on_join(self, parity_pair):
+    def test_merge_counter_increments_on_join(self, big_pair):
         from repro.sparql.encoded import _SCAN_STRATEGY
 
-        store_ds, _ = parity_pair
+        store_ds, _ = big_pair
         before = _SCAN_STRATEGY.labels("merge").value
-        QueryEngine(store_ds).select(PARITY_QUERIES["join"])
+        rows = _rows(QueryEngine(store_ds), SPARSE_JOIN)
+        assert [row["data"] for row in rows] == [EX.data3, EX.data7]
         assert _SCAN_STRATEGY.labels("merge").value > before
+
+    def test_hash_counter_increments_on_dense_join(self, parity_pair):
+        """Three ``?run`` keys against the six ``rdf:type`` records: the
+        constants-only range is read once and bucketed by key."""
+        from repro.sparql.encoded import _SCAN_STRATEGY
+
+        store_ds, mem_ds = parity_pair
+        before = _SCAN_STRATEGY.labels("hash").value
+        merge = _SCAN_STRATEGY.labels("merge").value
+        query = PARITY_QUERIES["join"]
+        assert _rows(QueryEngine(store_ds), query) == _rows(QueryEngine(mem_ds), query)
+        assert _SCAN_STRATEGY.labels("hash").value > before
+        assert _SCAN_STRATEGY.labels("merge").value == merge
 
     def test_bisect_counter_increments_on_constant_scan(self, parity_pair):
         from repro.sparql.encoded import _SCAN_STRATEGY
@@ -498,10 +520,23 @@ class TestPlanRendering:
         assert "join=bisect" not in text
         assert "join=pathindex" in text
 
-    def test_profile_reports_operator(self, parity_pair):
-        store_ds, _ = parity_pair
-        profile = QueryEngine(store_ds).profile(PARITY_QUERIES["join"])
+    def test_profile_reports_operator(self, big_pair):
+        store_ds, _ = big_pair
+        profile = QueryEngine(store_ds).profile(SPARSE_JOIN)
         assert "merge" in profile.to_text()
+
+    def test_profile_reports_the_operator_that_ran(self, parity_pair):
+        """EXPLAIN keeps the static plan (``merge``); PROFILE's join
+        column says what the batches ran (``hash``)."""
+        store_ds, _ = parity_pair
+        engine = QueryEngine(store_ds)
+        query = PARITY_QUERIES["join"]
+        explained = [node.detail["join"] for node in engine.explain(query).root.walk()
+                     if node.op == "scan"]
+        ran = [row["join"] for row in engine.profile(query).report["operators"]
+               if row["op"] == "scan"]
+        assert explained == ["bisect", "merge", "merge"]
+        assert ran == ["bisect", "hash", "hash"]
 
 
 @pytest.fixture(scope="module")

@@ -198,6 +198,48 @@ class TestAggregates:
                     f"SELECT (COUNT(?y) AS ?n) ?x WHERE {{ {where} }} GROUP BY ?y")
 
 
+#: Malformed under SPARQL 1.1 (§18.2.1 scope; aggregates only in SELECT,
+#: HAVING and ORDER BY), each with what the compiler says.
+SCOPE_ERRORS = {
+    "bind-in-scope": ("SELECT ?x WHERE { ?x ?p ?o . BIND(1 AS ?x) }", "already in scope"),
+    "filter-aggregate": ("SELECT ?s WHERE { ?s ?p ?o FILTER(COUNT(?o) > 0) }",
+                         "aggregate inside FILTER"),
+    "bind-aggregate": ("SELECT ?s WHERE { ?s ?p ?o BIND(COUNT(?o) AS ?n) }",
+                       "aggregate inside BIND"),
+    "nested-aggregate": ("SELECT (COUNT(COUNT(?o)) AS ?n) WHERE { ?s ?p ?o }",
+                         "holds an aggregate"),
+    "alias-in-scope": ("SELECT (COUNT(?o) AS ?s) WHERE { ?s ?p ?o }", "already in scope"),
+}
+
+
+class TestScopeErrors:
+    """Each text is refused at compile time, before any scan: on a graph
+    where WHERE matches and on an empty one."""
+
+    @pytest.mark.parametrize("name", sorted(SCOPE_ERRORS))
+    def test_refused_whatever_the_data(self, engine, name):
+        from repro.sparql import SparqlSyntaxError
+
+        text, message = SCOPE_ERRORS[name]
+        for source in (engine, QueryEngine(Graph())):
+            with pytest.raises(SparqlSyntaxError, match=message):
+                source.query(text)
+            with pytest.raises(SparqlSyntaxError, match=message):
+                source.explain(text)
+
+    def test_legal_neighbours_still_answer(self, engine):
+        """A BIND target fresh in its group (per UNION branch, or in a
+        nested group) and an aggregate in HAVING stay legal."""
+        rows = engine.select(
+            "SELECT ?x ?f WHERE { { ?x a prov:Activity BIND(1 AS ?f) }"
+            " UNION { ?x a prov:Entity BIND(2 AS ?f) } }")
+        assert {row.f.to_python() for row in rows} == {1, 2}
+        assert len(engine.select("SELECT ?x WHERE { ?x a prov:Activity { BIND(?x AS ?y) } }")) == 3
+        rows = engine.select("SELECT ?x (COUNT(?y) AS ?n) WHERE { ?x prov:used ?y }"
+                             " GROUP BY ?x HAVING (COUNT(?y) > 0)")
+        assert len(rows) > 0
+
+
 class TestAsk:
     def test_true_false(self, engine):
         assert engine.ask("ASK { ?x a prov:Activity }")

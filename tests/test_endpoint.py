@@ -130,6 +130,18 @@ class TestProtocol:
             assert err.value.code == 400
             assert b"GROUP BY" in err.value.read()
 
+    def test_scope_errors_400(self, endpoint):
+        """BIND and aggregate scope errors are malformed queries: the
+        compiler's 400, before any scan."""
+        from tests.sparql.test_evaluator import SCOPE_ERRORS
+
+        for text, message in SCOPE_ERRORS.values():
+            url = endpoint.query_url + "?" + urllib.parse.urlencode({"query": text})
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(url, timeout=5)
+            assert err.value.code == 400
+            assert message.encode() in err.value.read()
+
     def test_missing_query_param_400(self, endpoint):
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(endpoint.query_url, timeout=5)
