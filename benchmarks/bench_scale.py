@@ -38,7 +38,7 @@ CHILD_SPILL_BUDGET = 25_000
 #: 1 + SLOPE·N — markedly sublinear (a linear pipeline would track N
 #: itself).  The residual slope covers what legitimately scales with
 #: corpus size at O(runs), not O(quads): dictionary mmaps the merge
-#: touches, manifest entries, and the trie's per-run sequences.
+#: touches and manifest entries.
 RSS_SUBLINEAR_SLOPE = 0.3
 
 #: Intern-throughput floor (terms/s, cold dictionary, folds included)

@@ -1,22 +1,22 @@
 """Query-parity gate: every source must agree on Q1–Q6 and P1–P5.
 
-Builds the deterministic corpus, ingests it into three stores, then
+Builds the deterministic corpus, ingests it into two stores, then
 evaluates the six exemplar queries and five property-path queries over
-the four sources the engine can be handed:
+the three sources the engine can be handed:
 
-    memory     the in-memory dataset (per-binding BGPs, graph-walk BFS)
-    store-j1   ``--jobs 1`` ingest (id-space BGPs, index-served paths)
+    memory     the in-memory dataset (per-binding BGPs, term-walk paths)
+    store-j1   ``--jobs 1`` ingest (id-space BGPs, paths walking the
+               store's own orderings)
     store-j2   ``--jobs 2`` ingest (same bytes, or this gate fails)
-    store-bfs  ingested with ``path_index=False``: no index files, so
-               every path falls back to graph-walk BFS over the store
 
 The engine has no switches; which pipeline runs is decided by what each
 source can do.  For each query the canonical row multiset must be
-identical across all four sources, the path queries must come back in
-the *same row order* from the indexed and the index-less store, the
-EXPLAIN plan digest must be identical between the two indexed builds
-(plan determinism across parallel ingest), and the three index files
-must be byte-identical between them.
+identical across all three sources, the EXPLAIN plan digest must be
+identical between the two store builds (plan determinism across
+parallel ingest), and the two path-index edge files must be
+byte-identical between them.  (Row *order* of a path walk is held
+against a per-start BFS by ``TestUnboundClosureOrder`` and
+``TestBoundClosureOrder`` in ``tests/sparql/test_paths.py``.)
 
 Run as a script (CI gate)::
 
@@ -40,8 +40,8 @@ from repro.taverna import TAVERNA_RUN_NS
 
 SEED = 2013
 
-#: Property-path parity queries: the closure/sequence/inverse shapes the
-#: path index serves, plus the `p*` shape that must fall back to BFS.
+#: Property-path parity queries: closure, sequence and inverse shapes, and
+#: the both-unbound `p*` whose zero-length pairs cover every node.
 PATH_QUERIES = {
     "P1-lineage": """
         PREFIX prov: <http://www.w3.org/ns/prov#>
@@ -105,13 +105,9 @@ def run_parity(workdir: Path) -> int:
     queries = {**exemplar_queries(corpus), **path_queries}
 
     stores = {}
-    for name, options in (
-        ("store-j1", {"jobs": 1}),
-        ("store-j2", {"jobs": 2}),
-        ("store-bfs", {"jobs": 1, "path_index": False}),
-    ):
+    for name, jobs in (("store-j1", 1), ("store-j2", 2)):
         store = QuadStore(workdir / name)
-        report = ingest_corpus(store, corpus_dir, **options)
+        report = ingest_corpus(store, corpus_dir, jobs=jobs)
         print(f"ingested {name}: {len(report.parsed)} files, "
               f"path index {report.path_index}")
         stores[name] = store
@@ -124,8 +120,8 @@ def run_parity(workdir: Path) -> int:
     summary = {}
     try:
         for name, text in sorted(queries.items()):
-            tables = {source: engine.query(text) for source, engine in engines.items()}
-            results = {source: _canon_rows(table) for source, table in tables.items()}
+            results = {source: _canon_rows(engine.query(text))
+                       for source, engine in engines.items()}
             baseline = results["memory"]
             mismatched = [
                 source for source, rows in results.items() if rows != baseline
@@ -138,16 +134,7 @@ def run_parity(workdir: Path) -> int:
                 print(f"ok   {name}: {len(baseline)} rows identical "
                       f"across {len(results)} sources")
             summary[name] = {"rows": len(baseline)}
-
             if name in path_queries:
-                # The index must replay BFS discovery order, not just
-                # reach the same pairs.
-                indexed = [row.asdict() for row in tables["store-j1"]]
-                walked = [row.asdict() for row in tables["store-bfs"]]
-                if indexed != walked:
-                    failures += 1
-                    print(f"FAIL {name}: index-served row order differs "
-                          f"from the index-less store's BFS")
                 continue
 
             digests = {source: engine.explain(text).digest
@@ -162,9 +149,9 @@ def run_parity(workdir: Path) -> int:
 
         # The index derives purely from the (byte-identical) segments,
         # so its own files must not depend on the ingest job count.
-        from repro.pathindex import FWD_FILE, INV_FILE, TRIE_FILE
+        from repro.pathindex import FWD_FILE, INV_FILE
 
-        for file_name in (FWD_FILE, INV_FILE, TRIE_FILE):
+        for file_name in (FWD_FILE, INV_FILE):
             bytes_j1 = (stores["store-j1"].path / file_name).read_bytes()
             bytes_j2 = (stores["store-j2"].path / file_name).read_bytes()
             if bytes_j1 != bytes_j2:

@@ -10,16 +10,21 @@ applies equally to Taverna and Wings traces (both assert ``prov:used`` and
 through the shared activity, plus any explicitly asserted derivation
 subproperties such as the Wings ``prov:hadPrimarySource``).
 
+The derivation relation is defined once, here, as two property-path
+texts, each with its rule:
+
+* ``prov:wasGeneratedBy/prov:used`` — usage through generation — keeping
+  the pairs whose source is not the product itself;
+* ``prov:wasDerivedFrom | prov:hadPrimarySource | prov:wasQuotedFrom |
+  prov:wasRevisionOf`` — asserted derivation — keeping IRI sources only.
+
 The transitive questions — dependencies, dependents, lineage paths — are
-one reachability BFS and one shortest-chain BFS over an edge source.
-Over a store-backed union graph that source is the persisted path index
-(the duck-typed ``path_index()`` capability): the pre-composed derivation
-DAG in u32 id space, no adjacency scan and no per-step ``prov:used``
-lookups.  Over any other graph it is :class:`_TermEdges`, the same read
-surface over :meth:`DependencyAnalyzer.all_dependency_pairs` with terms
-standing in for ids.  The derivation relation in the index is built by
-the same composition rule as
-:meth:`DependencyAnalyzer.direct_dependencies`, so both sources agree.
+one reachability BFS and one shortest-chain BFS over that relation,
+which they read one BFS frontier at a time through
+:func:`~repro.sparql.paths.eval_path_batch`.  The same code runs on an
+in-memory graph and on a store-backed view, whose path walk reads the
+store's own orderings in id space.  Each node's step is looked up once
+per analyzer.
 """
 
 from __future__ import annotations
@@ -30,9 +35,13 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from ..prov.constants import DERIVATION_SUBPROPERTIES
 from ..rdf.graph import Graph
 from ..rdf.namespace import PROV
-from ..rdf.terms import IRI
+from ..rdf.terms import IRI, Term
+from ..sparql import parse_query
+from ..sparql.paths import eval_path_batch
 
 __all__ = ["DependencyAnalyzer", "Derivation"]
+
+_ASSERTED = [PROV.wasDerivedFrom] + list(DERIVATION_SUBPROPERTIES)
 
 
 @dataclass(frozen=True)
@@ -44,34 +53,19 @@ class Derivation:
     activity: Optional[IRI]  # None when asserted directly (hadPrimarySource, ...)
 
 
-class _TermEdges:
-    """The path index's read surface over a list of (product, source)
-    pairs: terms stand in for node ids and there is one relation, so the
-    *rel* argument is ignored."""
-
-    __slots__ = ("_fwd", "_inv")
-
-    DERIVATION = None
-
-    def __init__(self, pairs: Iterable[Tuple[IRI, IRI]]):
-        self._fwd: Dict[IRI, List[IRI]] = {}
-        self._inv: Dict[IRI, List[IRI]] = {}
-        for product, source in pairs:
-            self._fwd.setdefault(product, []).append(source)
-            self._inv.setdefault(source, []).append(product)
-
-    def neighbors(self, rel, node):
-        return self._fwd.get(node, ())
-
-    def neighbors_inv(self, rel, node):
-        return self._inv.get(node, ())
-
-    def in_dag(self, rel, node) -> bool:
-        return node in self._fwd or node in self._inv
+def _path(text: str):
+    """The property path *text* names, as the SPARQL parser reads it."""
+    query = parse_query(f"SELECT * WHERE {{ ?product {text} ?source }}")
+    return query.where.triples[0].predicate
 
 
-def _same(node):
-    return node
+#: The derivation relation: (path, keep(product, source)) per part.
+_DERIVATION = (
+    (_path("prov:wasGeneratedBy/prov:used"),
+     lambda product, source: source != product),
+    (_path("|".join(predicate.n3() for predicate in _ASSERTED)),
+     lambda product, source: isinstance(source, IRI)),
+)
 
 
 class DependencyAnalyzer:
@@ -79,21 +73,12 @@ class DependencyAnalyzer:
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        probe = getattr(graph, "path_index", None)
-        #: Persisted derivation DAG, when the graph is a store-backed
-        #: union view with a live index; None otherwise.
-        self._index = probe() if callable(probe) else None
-        # Adjacency maps are built lazily: the index fast paths never
-        # need them, so an analyzer used only for transitive questions
-        # over a store skips the two full predicate scans entirely.
+        # Adjacency maps are built lazily: the transitive questions never
+        # need them.
         self._generated_by: Optional[Dict[IRI, List[IRI]]] = None
         self._used_by: Optional[Dict[IRI, List[IRI]]] = None
-        self._term_edges: Optional[_TermEdges] = None
-
-    @property
-    def uses_index(self) -> bool:
-        """True when transitive questions ride the persisted path index."""
-        return self._index is not None
+        #: inverse? → {node: its one-step neighbours over _DERIVATION}
+        self._steps: Dict[bool, Dict[Term, List[Term]]] = {False: {}, True: {}}
 
     def _ensure_maps(self) -> None:
         if self._generated_by is not None:
@@ -107,15 +92,25 @@ class DependencyAnalyzer:
         self._generated_by = generated_by
         self._used_by = used_by
 
-    def _edge_source(self):
-        """``(edges, encode, decode)``: the persisted index with the
-        graph's term ↔ id maps, or the term adjacency — built on first
-        use, once per analyzer — with terms as their own ids."""
-        if self._index is not None:
-            return self._index, self.graph.term_to_id, self.graph.id_to_term
-        if self._term_edges is None:
-            self._term_edges = _TermEdges(self.all_dependency_pairs())
-        return self._term_edges, _same, _same
+    def _step(self, frontier: Iterable[Term], inverse: bool) -> Dict[Term, List[Term]]:
+        """``node → [neighbours]`` over the derivation relation — sources
+        a product derives from, or with *inverse* products derived from
+        a source — covering every node of *frontier*; the nodes not yet
+        looked up go to :func:`eval_path_batch` in one column per part."""
+        memo = self._steps[inverse]
+        todo = [node for node in dict.fromkeys(frontier) if node not in memo]
+        if not todo:
+            return memo
+        ends = [(None, node) if inverse else (node, None) for node in todo]
+        found: Dict[Term, Dict[Term, None]] = {node: {} for node in todo}
+        for path, keep in _DERIVATION:
+            for node, pairs in zip(todo, eval_path_batch(self.graph, path, ends)):
+                found[node].update(
+                    (product if inverse else source, None)
+                    for product, source in pairs if keep(product, source))
+        for node, neighbours in found.items():
+            memo[node] = list(neighbours)
+        return memo
 
     # -- the paper's core question -------------------------------------------
 
@@ -143,7 +138,7 @@ class DependencyAnalyzer:
             for source in self.inputs_of(activity):
                 if source != entity:
                     out.append(Derivation(entity, source, activity))
-        for prop in [PROV.wasDerivedFrom] + list(DERIVATION_SUBPROPERTIES):
+        for prop in _ASSERTED:
             for t in self.graph.triples(entity, prop, None):
                 if isinstance(t.object, IRI):
                     out.append(Derivation(entity, t.object, None))
@@ -151,91 +146,69 @@ class DependencyAnalyzer:
 
     def transitive_dependencies(self, entity: IRI) -> Set[IRI]:
         """Every data product *entity* transitively depends on."""
-        return self._transitive_ids(entity, inverse=False)
+        return self._transitive(entity, inverse=False)
 
     def dependents_of(self, entity: IRI) -> Set[IRI]:
         """Every data product that transitively depends on *entity*."""
-        return self._transitive_ids(entity, inverse=True)
+        return self._transitive(entity, inverse=True)
 
-    def _transitive_ids(self, entity: IRI, inverse: bool) -> Set[IRI]:
-        """Reachable set over the derivation DAG (forward = sources the
-        entity depends on, inverse = dependent products).  *entity*
-        itself is in the answer only when an asserted-derivation cycle
-        leads back to it."""
-        edges, encode, decode = self._edge_source()
-        entity_id = encode(entity)
-        if entity_id is None:
-            return set()
-        step = edges.neighbors_inv if inverse else edges.neighbors
+    def _transitive(self, entity: IRI, inverse: bool) -> Set[IRI]:
+        """Reachable set over the derivation relation (forward = sources
+        the entity depends on, inverse = dependent products).  *entity*
+        itself is in the answer only when a cycle leads back to it."""
         seen: Set = set()
-        frontier = [entity_id]
+        frontier = [entity]
         while frontier:
-            current = frontier.pop()
-            for neighbor in step(edges.DERIVATION, current):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        return {decode(node) for node in seen}
+            steps = self._step(frontier, inverse)
+            next_frontier = []
+            for node in frontier:
+                for neighbor in steps[node]:
+                    if neighbor not in seen:
+                        seen.add(neighbor)
+                        next_frontier.append(neighbor)
+            frontier = next_frontier
+        return seen
 
     # -- every edge at once ------------------------------------------------------
-
-    def _products(self) -> List[IRI]:
-        """Entities with at least one outgoing derivation: generated
-        entities plus subjects of asserted derivation (sub)properties —
-        products of the latter kind carry no ``prov:wasGeneratedBy``."""
-        self._ensure_maps()
-        products: Dict[IRI, None] = dict.fromkeys(self._generated_by)
-        for prop in [PROV.wasDerivedFrom] + list(DERIVATION_SUBPROPERTIES):
-            for t in self.graph.triples(None, prop, None):
-                if isinstance(t.object, IRI):
-                    products.setdefault(t.subject, None)
-        return list(products)
 
     def all_dependency_pairs(self) -> List[Tuple[IRI, IRI]]:
         """Every (product, source) pair in the trace, sorted."""
         pairs = set()
-        for entity in self._products():
-            for dep in self.direct_dependencies(entity):
-                pairs.add((dep.product, dep.source))
+        for path, keep in _DERIVATION:
+            (found,) = eval_path_batch(self.graph, path, [(None, None)])
+            pairs.update(pair for pair in found if keep(*pair))
         return sorted(pairs, key=lambda p: (p[0].value, p[1].value))
+
+    def _in_dag(self, node: Term) -> bool:
+        """Is *node* the product or the source of some derivation?"""
+        return bool(self._step([node], False)[node] or self._step([node], True)[node])
 
     def derivation_path(self, product: IRI, source: IRI) -> Optional[List[IRI]]:
         """A shortest derivation chain product → ... → source, or None.
 
         BFS with parent pointers.  Both endpoints must participate in
-        the derivation DAG at all (as product *or* source of some edge),
-        even for the trivial product == source chain.
+        the derivation relation at all (as product *or* source of some
+        edge), even for the trivial product == source chain.
         """
-        edges, encode, decode = self._edge_source()
-        product_id = encode(product)
-        source_id = encode(source)
-        if product_id is None or source_id is None:
+        if not self._in_dag(product) or not self._in_dag(source):
             return None
-        rel = edges.DERIVATION
-        if not edges.in_dag(rel, product_id) or not edges.in_dag(rel, source_id):
-            return None
-        if product_id == source_id:
+        if product == source:
             return [product]
         parents: Dict = {}
-        frontier = [product_id]
-        found = False
-        while frontier and not found:
+        frontier = [product]
+        while frontier:
+            steps = self._step(frontier, False)
             next_frontier: List = []
             for node in frontier:
-                for neighbor in edges.neighbors(rel, node):
-                    if neighbor in parents or neighbor == product_id:
+                for neighbor in steps[node]:
+                    if neighbor in parents or neighbor == product:
                         continue
                     parents[neighbor] = node
-                    if neighbor == source_id:
-                        found = True
-                        break
+                    if neighbor == source:
+                        chain = [source]
+                        while chain[-1] != product:
+                            chain.append(parents[chain[-1]])
+                        return chain[::-1]
                     next_frontier.append(neighbor)
-                if found:
-                    break
             frontier = next_frontier
-        if not found:
-            return None
-        chain = [source_id]
-        while chain[-1] != product_id:
-            chain.append(parents[chain[-1]])
-        return [decode(node) for node in reversed(chain)]
+        return None

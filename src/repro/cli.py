@@ -10,8 +10,8 @@ Sub-commands:
   corpus;
 * ``lineage <dir> <entity>`` — trace an entity's derivation lineage
   (ancestors by default, ``--descendants`` for dependents, ``--to IRI``
-  for a chain between two entities); with ``--store`` the traversal runs
-  over the store's persisted path index;
+  for a chain between two entities); with ``--store`` the traversal walks
+  the store's own orderings;
 * ``serve <dir> [--port N]`` — start the SPARQL endpoint over a stored
   corpus;
 * ``store ingest <dir>`` — incrementally ingest a stored corpus into a
@@ -122,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lineage.add_argument(
         "--store", type=Path, default=None, metavar="DIR",
-        help="answer from a persistent quad store; lineage then runs over "
-             "the store's persisted path index",
+        help="answer from a persistent quad store; lineage then walks "
+             "the store's own orderings",
     )
     p_lineage.add_argument("--json", action="store_true", help="print JSON")
 
@@ -418,12 +418,10 @@ def _cmd_lineage(args) -> int:
             results = sorted(
                 term.value for term in analyzer.transitive_dependencies(entity)
             )
-        indexed = analyzer.uses_index
     if args.json:
         print(json.dumps({
             "entity": entity.value,
             "mode": mode,
-            "indexed": indexed,
             "results": results,
         }, indent=2))
         # An empty ancestor/dependent list is a valid answer; only a
@@ -438,8 +436,7 @@ def _cmd_lineage(args) -> int:
     for value in results:
         print(value)
     label = "dependent(s)" if mode == "descendants" else "ancestor(s)"
-    via = "path index" if indexed else "graph traversal"
-    print(f"({len(results)} {label} of {entity.value}, via {via})")
+    print(f"({len(results)} {label} of {entity.value})")
     return 0
 
 

@@ -1,50 +1,24 @@
-"""Persistent path/pattern index: id-space reachability for provenance.
+"""Persistent path index: the derivation edges, written at ingest.
 
 Built at ingest from a store's compacted segments (see
 :func:`~repro.pathindex.build.build_path_index`), persisted beside the
 segment files, and opened read-only through
-:func:`~repro.pathindex.index.load_path_index`.  The stack reaches it
-via the duck-typed ``graph.path_index()`` capability on store-backed
-graphs: SPARQL property-path closures run BFS over the mmap'd adjacency
-in u32 id space, the applications layer traverses the pre-composed
-derivation DAG, and the generalized trie answers frequent-execution-
-pattern queries over per-run activity sequences.
+:func:`~repro.pathindex.index.load_path_index` for its identity and
+sizes.  Nothing in the program reads its edges: SPARQL property paths
+and the applications layer walk the store's own ``spog`` / ``posg``
+orderings (``StoreGraph.path_edges()``).
 """
 
-from .build import build_path_index, run_sequences, store_files_sha
-from .format import (
-    FWD_FILE,
-    INDEX_FORMAT_VERSION,
-    INV_FILE,
-    MANIFEST_FILE,
-    REL_DERIVATION,
-    REL_GENERATED_BY,
-    REL_USED,
-    REL_WAS_DERIVED_FROM,
-    RELATION_NAMES,
-    TRIE_FILE,
-    AdjacencyReader,
-)
+from .build import build_path_index, store_files_sha
+from .format import FWD_FILE, INV_FILE, MANIFEST_FILE
 from .index import PathIndex, load_path_index
-from .trie import TrieReader, build_trie_bytes
 
 __all__ = [
     "build_path_index",
-    "run_sequences",
     "store_files_sha",
     "load_path_index",
     "PathIndex",
-    "TrieReader",
-    "build_trie_bytes",
-    "AdjacencyReader",
-    "INDEX_FORMAT_VERSION",
     "MANIFEST_FILE",
     "FWD_FILE",
     "INV_FILE",
-    "TRIE_FILE",
-    "RELATION_NAMES",
-    "REL_USED",
-    "REL_GENERATED_BY",
-    "REL_WAS_DERIVED_FROM",
-    "REL_DERIVATION",
 ]

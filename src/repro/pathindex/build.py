@@ -1,9 +1,9 @@
 """Build the persistent path/pattern index from a store's segments.
 
 :func:`build_path_index` derives everything from the store's **current
-compacted generation** — sorted segment scans in id space plus a handful
-of label/timestamp decodes — and writes the three index files followed
-by the manifest (the commit point).  Because segment files are
+compacted generation** — sorted segment scans in id space plus one decode per asserted derivation
+object — and writes the two edge files followed by the manifest (the
+commit point).  Because segment files are
 byte-identical across serial and parallel ingest, so is the index.
 
 Edge derivation (see :mod:`repro.pathindex.format` for the relation
@@ -19,16 +19,6 @@ table):
   asserted derivation (sub)property edge whose object is an IRI — the
   same relation :class:`repro.apps.dependencies.DependencyAnalyzer`
   derives per query, materialized once.
-
-Sequence extraction for the trie groups process activities by their
-**run**: Taverna processes via ``wfprov:wasPartOfWorkflowRun`` (typed
-``wfprov:ProcessRun``), Wings processes via ``opmw:isStepOfTemplate``
-pointing at a ``opmw:WorkflowExecutionAccount``.  Runs are keyed by the
-run/account term id — graph ids cannot do this job, because Turtle
-traces all land in the default graph.  Within a run, activities sort by
-(``prov:startedAtTime`` lexical, template-step IRI), which is temporal
-order for Taverna and stable step order for Wings (whose exports carry
-no per-process timestamps).
 """
 
 from __future__ import annotations
@@ -40,7 +30,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..prov.constants import DERIVATION_SUBPROPERTIES
-from ..rdf.namespace import OPMW, PROV, RDF, WFPROV
+from ..rdf.namespace import PROV
 from ..rdf.terms import IRI
 from ..store.segments import iter_records, merge_distinct, pack_records, write_records
 from .format import (
@@ -55,13 +45,10 @@ from .format import (
     REL_WAS_QUOTED_FROM,
     REL_WAS_REVISION_OF,
     RELATION_NAMES,
-    TRIE_FILE,
     write_index_manifest,
 )
-from .trie import write_trie
 
-__all__ = ["build_path_index", "run_sequences", "store_files_sha",
-           "DEFAULT_EDGE_BUDGET"]
+__all__ = ["build_path_index", "store_files_sha", "DEFAULT_EDGE_BUDGET"]
 
 #: In-memory edge cap before the spool spills a sorted run to disk.
 #: Sized like the store's spill budget: high enough that the default
@@ -151,74 +138,6 @@ class _EdgeSpool:
                 (self._dir / name).unlink()
 
 
-def _first_object(store, subject_id: int, predicate_id: Optional[int]) -> Optional[int]:
-    if predicate_id is None:
-        return None
-    for _, _, o in store.match_ids(subject_id, predicate_id, None):
-        return o
-    return None
-
-
-def _has(store, s: int, p: Optional[int], o: Optional[int]) -> bool:
-    if p is None or o is None:
-        return False
-    return next(store.match_ids(s, p, o), None) is not None
-
-
-def run_sequences(store) -> Dict[int, List[int]]:
-    """Per-run activity-label sequences, keyed by run/account term id.
-
-    Exposed separately from :func:`build_path_index` so parity tests and
-    benchmarks can brute-force pattern support against the raw sequences
-    the trie was built from.
-    """
-    tid = store.term_id
-    type_id = tid(RDF.type)
-
-    # (run id → [(sort key, label id)]) — labels are template-step ids.
-    grouped: Dict[int, List[Tuple[Tuple[str, str, int], int]]] = {}
-
-    def decoded_value(term_id: int) -> str:
-        term = store.term(term_id)
-        return getattr(term, "value", None) or getattr(term, "lexical", str(term))
-
-    def add(run_id: int, proc_id: int, label_id: Optional[int], start_pid) -> None:
-        label = label_id if label_id is not None else proc_id
-        start = ""
-        started = _first_object(store, proc_id, start_pid)
-        if started is not None:
-            start = getattr(store.term(started), "lexical", "")
-        key = (start, decoded_value(label), proc_id)
-        grouped.setdefault(run_id, []).append((key, label))
-
-    # Taverna: ProcessRun --wasPartOfWorkflowRun--> run.
-    process_run = tid(WFPROV.ProcessRun)
-    described_by = tid(WFPROV.describedByProcess)
-    started_at = tid(PROV.startedAtTime)
-    for proc, run in _union_pairs(store, WFPROV.wasPartOfWorkflowRun):
-        if not _has(store, proc, type_id, process_run):
-            continue  # nested WorkflowRun activities are not steps
-        add(run, proc, _first_object(store, proc, described_by), started_at)
-
-    # Wings: WorkflowExecutionProcess --isStepOfTemplate--> account.
-    exec_process = tid(OPMW.WorkflowExecutionProcess)
-    exec_account = tid(OPMW.WorkflowExecutionAccount)
-    corresponds = tid(OPMW.correspondsToTemplateProcess)
-    for proc, account in _union_pairs(store, OPMW.isStepOfTemplate):
-        # The same predicate also links template steps to templates;
-        # keep only execution-process → execution-account edges.
-        if not _has(store, proc, type_id, exec_process):
-            continue
-        if not _has(store, account, type_id, exec_account):
-            continue
-        add(account, proc, _first_object(store, proc, corresponds), started_at)
-
-    return {
-        run_id: [label for _, label in sorted(entries)]
-        for run_id, entries in sorted(grouped.items())
-    }
-
-
 def build_path_index(store, spill_edge_budget: Optional[int] = DEFAULT_EDGE_BUDGET) -> Dict:
     """Derive and persist the index for the store's current generation;
     returns the committed manifest.
@@ -230,9 +149,8 @@ def build_path_index(store, spill_edge_budget: Optional[int] = DEFAULT_EDGE_BUDG
     scans into an :class:`_EdgeSpool` that spills sorted runs to disk
     and k-way merges them into the final files, and the usage→generation
     composition resolves each generating activity's used entities with a
-    (s, p) prefix bisect instead of a corpus-wide ``used_of`` map.  Only
-    the trie's per-run sequences (O(runs), not O(quads)) stay resident.
-    The output bytes do not depend on the budget.
+    (s, p) prefix bisect instead of a corpus-wide ``used_of`` map.  The
+    output bytes do not depend on the budget.
     """
     if store.has_pending():
         raise RuntimeError("build_path_index() requires a compacted store")
@@ -268,9 +186,6 @@ def build_path_index(store, spill_edge_budget: Optional[int] = DEFAULT_EDGE_BUDG
     finally:
         spool.cleanup()
 
-    sequences = run_sequences(store)
-    trie_bytes = write_trie(store.path / TRIE_FILE, sequences)
-
     relations = {}
     for predicate, rel in [(PROV.used, REL_USED), (PROV.wasGeneratedBy, REL_GENERATED_BY)] + _ASSERTED_RELS:
         relations[predicate.value] = rel
@@ -281,10 +196,6 @@ def build_path_index(store, spill_edge_budget: Optional[int] = DEFAULT_EDGE_BUDG
         "edge_count": edge_count,
         "relations": relations,
         "relation_names": {name: code for code, name in RELATION_NAMES.items()},
-        "trie": {
-            "bytes": len(trie_bytes),
-            "sequences": len(sequences),
-        },
     }
     write_index_manifest(store.path, manifest)
     return manifest

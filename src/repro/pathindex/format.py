@@ -1,6 +1,6 @@
 """On-disk format of the persistent path/pattern index.
 
-The index lives beside a store's segment files as three flat files plus
+The index lives beside a store's segment files as two flat files plus
 a JSON manifest, all derived purely from the current segment generation:
 
     pathindex.json   manifest: format version, the store generation the
@@ -10,15 +10,17 @@ a JSON manifest, all derived purely from the current segment generation:
                      adjacency per relation
     paths.inv        sorted edge records (rel, dst, src) — inverse
                      adjacency per relation
-    paths.trie       generalized trie over per-run activity sequences
-                     (see :mod:`repro.pathindex.trie`)
 
 Edge records are width-three record files of :mod:`repro.store.segments`
 — 12-byte rows of three little-endian ``u32`` values, sorted
-lexicographically, read by mmap + binary search — so a ``(rel, node)``
-prefix maps to one contiguous neighbor range.  Every file is committed
-through ``atomic_write``; the manifest is written last and is the commit
-point.
+lexicographically — so a ``(rel, node)`` prefix is one contiguous
+neighbor range.  Every file is committed through ``atomic_write``; the
+manifest is written last and is the commit point.
+
+Nothing in the program reads the edges: property paths and the
+applications walk the store's own ``spog`` / ``posg`` orderings.  The
+files are written, identified and sized (``store_info()["path_index"]``)
+only.
 
 Relations are small integer codes, fixed by the format:
 
@@ -37,16 +39,15 @@ code  name                     edge direction
                                object — the apps-layer dependency DAG
 ====  =======================  ========================================
 
-Codes 0–5 mirror raw predicates one-to-one so the SPARQL property-path
-evaluator can replay its BFS discovery order in id space byte for byte;
-code 6 is the pre-composed relation the applications traverse.
+Codes 0–5 mirror raw predicates one-to-one; code 6 pre-composes the
+relation :mod:`repro.apps.dependencies` defines as two path texts.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
 from ..store.segments import RecordReader, atomic_write_json, record_struct
 
@@ -55,7 +56,6 @@ __all__ = [
     "MANIFEST_FILE",
     "FWD_FILE",
     "INV_FILE",
-    "TRIE_FILE",
     "REL_USED",
     "REL_GENERATED_BY",
     "REL_WAS_DERIVED_FROM",
@@ -74,7 +74,6 @@ INDEX_FORMAT_VERSION = 1
 MANIFEST_FILE = "pathindex.json"
 FWD_FILE = "paths.fwd"
 INV_FILE = "paths.inv"
-TRIE_FILE = "paths.trie"
 
 REL_USED = 0
 REL_GENERATED_BY = 1
@@ -96,43 +95,13 @@ RELATION_NAMES = {
 }
 
 _EDGE = record_struct(3)
-EDGE_SIZE = _EDGE.size
 
 
 class AdjacencyReader(RecordReader):
-    """Binary-search access to one sorted edge file.
-
-    Records are ``(rel, a, b)`` sorted lexicographically, so the
-    neighbors of ``a`` under ``rel`` are the contiguous ``(rel, a)``
-    prefix range, already in ascending ``b`` order.
-    """
+    """One sorted edge file, ``(rel, a, b)`` records: opening it refuses
+    a torn copy; its length is the edge count."""
 
     _RECORD = _EDGE
-
-    def record(self, index: int) -> Tuple[int, int, int]:
-        return _EDGE.unpack_from(self._map, index * EDGE_SIZE)
-
-    def neighbors(self, rel: int, node: int) -> Iterator[int]:
-        """Ascending third-field values of the ``(rel, node)`` range."""
-        lo, hi = self.range_for_prefix((rel, node))
-        for index in range(lo, hi):
-            yield self.record(index)[2]
-
-    def pairs(self, rel: int) -> Iterator[Tuple[int, int]]:
-        """All ``(a, b)`` pairs of one relation, in (a, b) sort order."""
-        lo, hi = self.range_for_prefix((rel,))
-        for index in range(lo, hi):
-            yield self.record(index)[1:]
-
-    def has(self, rel: int, a: int, b: int) -> bool:
-        return self.count_prefix((rel, a, b)) > 0
-
-    def firsts(self, rel: int) -> Iterator[int]:
-        """Distinct second-field values under *rel*, by bisect jumps."""
-        return self.distinct((rel,))
-
-    def degree(self, rel: int, node: int) -> int:
-        return self.count_prefix((rel, node))
 
 
 def write_index_manifest(directory: Path, manifest: dict) -> None:

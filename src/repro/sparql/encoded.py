@@ -40,9 +40,10 @@ solutions it extends or tests at once.
 The executor is created per BGP via :func:`encoded_executor`, which
 duck-types on ``graph.encoded_scope()`` — in-memory graphs (no encoded
 surface) take the per-binding pipeline.  The path step itself, and every
-step after it, run on decoded terms: a zero-length closure (``p*``)
+step after it, extend decoded solutions: a zero-length closure (``p*``)
 yields ``(t, t)`` even for a term the dictionary has never seen, which
-id space cannot represent.  (The path step still batches: its whole
+this executor's id space cannot represent.  (The path step still
+batches, and its walk reads the segments in id space: its whole
 endpoint column goes to ``paths.eval_path_batch`` in one call.)
 """
 

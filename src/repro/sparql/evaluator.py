@@ -478,16 +478,15 @@ class _Compiler:
 class _AnyNamedGraph:
     """What a ``GRAPH ?g`` body is planned against: one plan serves every
     named graph, so estimates come from the union graph, while access
-    paths (and the absence of a path index) are a single graph's — any
-    single-graph view has them, and the dataset's default graph is one
-    at hand."""
+    paths are a single graph's — any single-graph view has them, and the
+    dataset's default graph is one at hand."""
 
     def __init__(self, union, single):
         self.statistics = union.statistics
         self._single = single
 
     def __getattr__(self, name):
-        # encoded_scope / access_path / path_index: presence is the capability
+        # encoded_scope / access_path: presence is the capability
         return getattr(self._single, name)
 
 

@@ -30,20 +30,14 @@ the spec requires, but no BFS runs from nodes with no outgoing step.
 The memos live as long as one call.
 
 There is one evaluator (:func:`_eval`); what varies is the *edge
-source* it walks.  Store-backed graphs can advertise a persisted
-reachability index via a duck-typed ``path_index()`` capability (the
-same pattern as ``encoded_scope()`` — this module never imports
-``repro.store`` or ``repro.pathindex``).  When the path's predicates
-all map to indexed relations, the evaluator runs in u32 id space over
-mmap'd sorted adjacency — no per-step term decode — and pairs are
-decoded only at egress, each id once per column.  Anything the index
-cannot serve (no index, unknown predicates, ``GRAPH``-scoped views,
-``p*`` with both endpoints unbound, a bound endpoint the dictionary has
-never seen) runs the same evaluator over :class:`_GraphEdges`, which
-exposes the index's surface on top of ``graph.triples()`` with terms
-standing in for ids; one column may use both.  The
-``repro_pathindex_total{outcome}`` counter tallies the dispatch, once
-per distinct endpoint pair.
+source* it walks, and the graph picks it, never the path.  A
+store-backed graph offers its own through a duck-typed ``path_edges()``
+capability (the same pattern as ``encoded_scope()`` — this module never
+imports ``repro.store``): every lookup reads the scope's ``spog`` /
+``posg`` (or, in one named graph, ``gspo``) ordering in u32 id space,
+for every predicate, and pairs are decoded only at egress, each id once
+per column.  Any other graph is walked over :class:`_GraphEdges`, the
+same surface over ``graph.triples()`` with terms standing in for ids.
 """
 
 from __future__ import annotations
@@ -51,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..obs import metrics as _metrics
 from ..rdf.graph import Graph
 from ..rdf.terms import IRI, Term
 
@@ -63,17 +56,8 @@ __all__ = [
     "PathClosure",
     "eval_path",
     "eval_path_batch",
-    "index_supported",
+    "first_access",
 ]
-
-_PATHINDEX_TOTAL = _metrics.counter(
-    "repro_pathindex_total",
-    "Property-path evaluations by path-index dispatch outcome",
-    labels=("outcome",),
-)
-for _outcome in ("hit", "fallback", "no-index"):
-    _PATHINDEX_TOTAL.labels(_outcome)
-del _outcome
 
 
 class Path:
@@ -128,85 +112,37 @@ def eval_path_batch(
     None), the duplicate-free (subject, object) pairs *path* connects.
 
     One path step of a query hands its whole endpoint column here: the
-    path is compiled, its edge source picked and every closure's step
+    path is compiled, its edge source made and every closure's step
     lookups memoised once for the column, so the starts of one run's
     outputs share the lookups of the ancestors they share.  Each answer
     is the one its endpoints would get alone, in the same order; a
     repeated pair is answered from its first walk.
     """
-    index = _live_index(graph)
-    ops = _index_ops(index, path) if index is not None else None
-    id_walk = term_walk = None  # made on first use, shared by the column
-    terms: Dict[int, Term] = {}  # id → term, decoded once per column
-    safe: Dict[Tuple[bool, bool], bool] = {}
-    outcomes = {"hit": 0, "fallback": 0, "no-index": 0}
+    offer = getattr(graph, "path_edges", None)
+    edges = offer() if callable(offer) else _GraphEdges(graph)
+    ops = _compile(path, edges.relation)
+    if ops is None:
+        raise TypeError(f"not a path expression: {path!r}")
+    walk = _Walk(edges, ops)
+    encode, decode = edges.encode, edges.decode
     answers: Dict[Tuple[Optional[Term], Optional[Term]], List[Tuple[Term, Term]]] = {}
     for key in endpoints:
         if key in answers:
             continue
         subject, obj = key
-        outcome = "no-index"
-        if index is not None:
-            outcome = "fallback"
-            shape = (subject is not None, obj is not None)
-            servable = safe.get(shape)
-            if servable is None:
-                servable = safe[shape] = ops is not None and _safe(ops, *shape)
-            sid = oid = None
-            # A bound endpoint the dictionary has never seen matches
-            # nothing (or only a zero-length pair) — the graph walk
-            # already handles that cheaply.
-            if servable and subject is not None:
-                sid = graph.term_to_id(subject)
-                servable = sid is not None
-            if servable and obj is not None:
-                oid = graph.term_to_id(obj)
-                servable = oid is not None
-            if servable:
-                outcome = "hit"
-                if id_walk is None:
-                    id_walk = _Walk(index, ops)
-                pairs = []
-                for s_id, o_id in dict.fromkeys(id_walk.run(sid, oid)):
-                    s_term = terms.get(s_id)
-                    if s_term is None:
-                        s_term = terms[s_id] = graph.id_to_term(s_id)
-                    o_term = terms.get(o_id)
-                    if o_term is None:
-                        o_term = terms[o_id] = graph.id_to_term(o_id)
-                    pairs.append((s_term, o_term))
-        if outcome != "hit":
-            if term_walk is None:
-                term_ops = _compile(path, lambda predicate: predicate)
-                if term_ops is None:
-                    raise TypeError(f"not a path expression: {path!r}")
-                term_walk = _Walk(_GraphEdges(graph), term_ops)
-            pairs = list(dict.fromkeys(term_walk.run(subject, obj)))
-        outcomes[outcome] += 1
-        answers[key] = pairs
-    for outcome, count in outcomes.items():
-        if count:
-            _PATHINDEX_TOTAL.labels(outcome).inc(count)
+        pairs = dict.fromkeys(walk.run(
+            None if subject is None else encode(subject),
+            None if obj is None else encode(obj)))
+        answers[key] = ([(decode(s), decode(o)) for s, o in pairs]
+                        if decode is not None else list(pairs))
     return [answers[key] for key in endpoints]
 
 
-# ---------------------------------------------------------------------------
-# Index dispatch
-# ---------------------------------------------------------------------------
-
-
-def _live_index(graph: Graph):
-    probe = getattr(graph, "path_index", None)
-    return probe() if callable(probe) else None
-
-
 def _compile(path, rel_of):
-    """Map *path* onto an edge source's relations; an op tree, or None
-    when *rel_of* knows no relation for some predicate IRI (or *path* is
-    no path at all)."""
+    """Map *path* onto an edge source's relations: an op tree, or None
+    when *path* is no path at all."""
     if isinstance(path, IRI):
-        rel = rel_of(path)
-        return None if rel is None else ("rel", rel)
+        return ("rel", rel_of(path))
     if isinstance(path, PathInverse):
         sub = _compile(path.inner, rel_of)
         return None if sub is None else ("inv", sub)
@@ -222,72 +158,48 @@ def _compile(path, rel_of):
     return None
 
 
-def _index_ops(index, path):
-    """*path* compiled onto the index's relation codes, or None when any
-    predicate is not an indexed relation."""
-    return _compile(path, lambda predicate: index.rel_for(predicate.value))
-
-
-def _safe(op, s_bound: bool, o_bound: bool) -> bool:
-    """Can *op* run fully in id space under these endpoint bindings?
-
-    The one hole is ``p*`` reached with both endpoints unbound: its
-    zero-length pairs range over every node in the *graph*, which the
-    edge index cannot enumerate.
-    """
-    kind = op[0]
-    if kind == "rel":
-        return True
-    if kind == "inv":
-        return _safe(op[1], o_bound, s_bound)
-    if kind == "alt":
-        return all(_safe(sub, s_bound, o_bound) for sub in op[1])
-    if kind == "seq":
-        return _safe_seq(list(op[1]), s_bound, o_bound)
-    # closure
-    sub, include_zero = op[1], op[2]
-    if s_bound:
-        return _safe(sub, True, False)
-    if o_bound:
-        return _safe(sub, False, True)
-    if include_zero:
-        return False
-    return _safe(sub, False, False) and _safe(sub, True, False)
-
-
-def _safe_seq(ops: List, s_bound: bool, o_bound: bool) -> bool:
-    if len(ops) == 1:
-        return _safe(ops[0], s_bound, o_bound)
-    if s_bound or not o_bound:
-        return _safe(ops[0], s_bound, False) and _safe_seq(ops[1:], True, o_bound)
-    return _safe(ops[-1], False, True) and _safe_seq(ops[:-1], False, True)
-
-
-def index_supported(path, index) -> bool:
-    """Would the index serve *path* (some endpoint binding permitting)?
-
-    The planner's EXPLAIN annotation: true when every predicate in the
-    path maps to an indexed relation.  Endpoint-shape holes (``p*`` both
-    unbound) still fall back at runtime; the static answer keys the plan
-    the way ``choose_access`` does for plain patterns.
-    """
-    return index is not None and _index_ops(index, path) is not None
+def first_access(path, s_bound: bool, o_bound: bool) -> Tuple[bool, bool, bool]:
+    """The (s, p, o) positions bound in the first lookup a walk of *path*
+    makes with these endpoints bound — what EXPLAIN names the step's
+    ordering by.  A both-unbound ``*`` first lists every node."""
+    if isinstance(path, PathInverse):
+        return first_access(path.inner, o_bound, s_bound)
+    if isinstance(path, PathAlternative):
+        return first_access(path.options[0], s_bound, o_bound)
+    if isinstance(path, PathSequence):
+        if len(path.steps) == 1:
+            return first_access(path.steps[0], s_bound, o_bound)
+        if s_bound or not o_bound:
+            return first_access(path.steps[0], s_bound, False)
+        return first_access(path.steps[-1], False, True)
+    if isinstance(path, PathClosure):
+        if s_bound or o_bound:
+            return first_access(path.inner, s_bound, not s_bound)
+        if path.include_zero:
+            return (False, False, False)
+        return first_access(path.inner, False, False)
+    return (s_bound, True, o_bound)
 
 
 class _GraphEdges:
-    """The path index's read surface over ``graph.triples()``.
-
-    Terms stand in for node ids and a predicate IRI is its own relation
-    (no ``rel_for`` step), so the one evaluator below also walks graphs
-    the index cannot serve.
-    Unlike the edge index it can enumerate every node, which is what the
-    zero-length pairs of a both-unbound ``p*`` need.
-    """
+    """The term-space edge source: an in-memory graph's ``triples()``,
+    with terms standing in for node ids and a predicate IRI for its own
+    relation."""
 
     __slots__ = ("graph",)
 
+    decode = None  # pairs leave the walk as they are
+
     def __init__(self, graph: Graph):
         self.graph = graph
+
+    @staticmethod
+    def relation(predicate):
+        return predicate
+
+    @staticmethod
+    def encode(term):
+        return term
 
     def has_edge(self, rel, src, dst) -> bool:
         return next(iter(self.graph.triples(src, rel, dst)), None) is not None
@@ -309,7 +221,7 @@ class _GraphEdges:
 
 
 # ---------------------------------------------------------------------------
-# The evaluator: one walk over an edge source — the persisted index (u32
+# The evaluator: one walk over an edge source — a store's orderings (u32
 # ids) or _GraphEdges (terms) — so both yield in the same discovery order
 # ---------------------------------------------------------------------------
 
@@ -365,8 +277,8 @@ def _eval(walk: _Walk, op, s, o) -> Iterator[Tuple[object, object]]:
             for neighbor in edges.neighbors_inv(rel, o):
                 yield (neighbor, o)
         else:
-            # The index's pairs() yields in (dst, src) order — the order
-            # a union posg scan yields the same triples off the store.
+            # A store's pairs() read posg: (o, s) order, the order its
+            # triples() yields the same pattern in.
             yield from edges.pairs(rel)
         return
     if kind == "inv":
@@ -437,14 +349,13 @@ def _eval_closure(walk: _Walk, op, s, o) -> Iterator[Tuple[object, object]]:
     # Both unbound: BFS only from nodes that can begin the path, in their
     # discovery order — never from every node in the graph.
     if include_zero:
-        # Zero-length: the spec pairs every node with itself.  _safe
-        # keeps the edge index, which cannot enumerate them, out of here.
+        # Zero-length: the spec pairs every node with itself.
         for node in walk.edges.all_nodes():
             yield (node, node)
     # One enumeration of the step pairs is the whole step relation: keep
     # it as adjacency and walk that, rather than re-deriving a node's
-    # steps on every visit.  The index and a store graph list one
-    # source's targets in the order a bound step would (ascending id per
+    # steps on every visit.  A store graph lists one source's targets
+    # in the order a bound step would (ascending id per
     # relation, alternatives in option order), so discovery order is
     # unchanged; an in-memory Graph lists them in its POS-index order.
     steps: Dict[object, List[object]] = {}

@@ -27,11 +27,10 @@ byte-identical EXPLAIN output across runs and across ``--jobs`` builds
 PROFILE (:meth:`QueryPlan.profile`) gives every node of that one tree a
 ``stats`` dict before running it; unprofiled, a node pays one attribute
 check per call.  Collected per operator: rows in/out, wall and CPU
-time, call count; per scan additionally bisect probes (segments, plus
-the path index's adjacency for a path step it serves) and decode-LRU
-hits (attributed by reading the store's plain-int counters
-before/after each pattern batch) and the estimate-vs-actual cardinality
-error.  A BGP that leaves id space before a path step bills the one
+time, call count; per scan additionally segment bisect probes (a path
+step's walk reads the same segments) and decode-LRU hits (attributed by
+reading the store's plain-int counters before/after each pattern batch)
+and the estimate-vs-actual cardinality error.  A BGP that leaves id space before a path step bills the one
 decode to the last id-space step, so each scan's row counts and probes
 are its own on either side of the switch.  A pattern whose actual
 output exceeds its estimate by more than 10x bumps
@@ -70,7 +69,7 @@ from .paths import (
     PathClosure,
     PathInverse,
     PathSequence,
-    index_supported,
+    first_access,
 )
 
 __all__ = [
@@ -204,7 +203,7 @@ def choose_access(mask: str, graph):
     return ("merge" if joined else "bisect"), path
 
 
-def _access_annotator(patterns: List[TriplePattern], graph):
+def _access_annotator(graph):
     """(mask, tp) → (access, ordering) annotation for one plan step.
 
     Called once per step in plan order.  Plain patterns annotate via
@@ -212,18 +211,13 @@ def _access_annotator(patterns: List[TriplePattern], graph):
     no property path has been planned before them: the executor runs a
     BGP in id space up to its first path step and per binding after it,
     so advertising merge/bisect past that step would describe a pipeline
-    that never runs.  Property-path steps annotate ``("pathindex",
-    "fwd"|"inv")`` when the graph's persisted path index can serve the
-    path — the direction the closure BFS walks given the mask's bound
-    endpoint.  Annotating only capability-bearing graphs keeps in-memory
-    plan digests byte-identical to earlier releases.
+    that never runs.  A property-path step annotates ``("path",
+    ordering)``: its walk reads the store's own orderings, and the one
+    named is the ordering of the first lookup the walk makes given the
+    mask's bound endpoints.  Annotating only capability-bearing graphs
+    keeps in-memory plan digests byte-identical to earlier releases.
     """
-    scope_of = getattr(graph, "encoded_scope", None)
-    index = None
-    if any(isinstance(tp.predicate, Path) for tp in patterns):
-        probe = getattr(graph, "path_index", None)
-        index = probe() if callable(probe) else None
-    if scope_of is None and index is None:
+    if getattr(graph, "encoded_scope", None) is None:
         return lambda mask, tp: (None, None)
     after_path = False
 
@@ -231,11 +225,9 @@ def _access_annotator(patterns: List[TriplePattern], graph):
         nonlocal after_path
         if isinstance(tp.predicate, Path):
             after_path = True
-            if index is not None and index_supported(tp.predicate, index):
-                direction = "fwd" if mask[0] != "?" or mask[2] == "?" else "inv"
-                return ("pathindex", direction)
-            return (None, None)
-        if scope_of is None or after_path:
+            bound = first_access(tp.predicate, mask[0] != "?", mask[2] != "?")
+            return "path", graph.access_path(*bound).ordering
+        if after_path:
             return (None, None)
         operator, path = choose_access(mask, graph)
         return operator, path.ordering
@@ -281,7 +273,7 @@ def plan_bgp_steps(
     """
     bound = set(bound_vars)
     statistics = graph.statistics() if graph is not None else None
-    annotate = _access_annotator(patterns, graph)
+    annotate = _access_annotator(graph)
     # (pattern, its predicate's cardinality): fixed for the whole BGP
     remaining = [
         (tp, statistics.predicate_cardinality(tp.predicate)
@@ -398,17 +390,11 @@ class Operator:
             yield from child.walk()
 
 
-def _runtime_counters(graph, index=None) -> Tuple[int, int]:
-    """(bisect probes, decode-LRU hits) — plain ints, store-backed graphs
-    only; in-memory graphs report zeros.  Probes are the segments', plus
-    the adjacency probes of *index* when a path step is served by it."""
+def _runtime_counters(graph) -> Tuple[int, int]:
+    """(segment bisect probes, decode-LRU hits) — plain ints, store-backed
+    graphs only; in-memory graphs report zeros."""
     counters = getattr(graph, "runtime_counters", None)
-    if counters is None:
-        return (0, 0)
-    probes, decode_hits = counters()
-    if index is not None:
-        probes += index.probes()
-    return probes, decode_hits
+    return (0, 0) if counters is None else counters()
 
 
 class Scan(Operator):
@@ -445,10 +431,9 @@ class Scan(Operator):
         step = self.step
         if self.stats is None:
             return extend(step, batch, graph)
-        index = graph.path_index() if step.access == "pathindex" else None
-        probes_before, decode_before = _runtime_counters(graph, index)
+        probes_before, decode_before = _runtime_counters(graph)
         out = self._profiled(batch, lambda: extend(step, batch, graph))
-        probes_after, decode_after = _runtime_counters(graph, index)
+        probes_after, decode_after = _runtime_counters(graph)
         stats = self.stats
         stats["probes"] += probes_after - probes_before
         stats["decode_hits"] += decode_after - decode_before

@@ -619,12 +619,13 @@ class QuadStore:
 
     def path_index(self):
         """The live :class:`~repro.pathindex.index.PathIndex` for the
-        current generation, or None when absent or stale.
+        current generation, or None when absent or stale — what
+        :meth:`store_info` reports; no query reads its edges.
 
         Generation keying is the whole consistency story: the index
         manifest records the generation it was built from, compaction
-        and reset move the store's generation, so a stale index can
-        never be served — it is simply invisible until
+        and reset move the store's generation, so a stale index is
+        never reported — it is simply invisible until
         :func:`~repro.pathindex.build.build_path_index` runs again
         (``ingest_corpus`` does this after its compaction).
         """

@@ -7,7 +7,7 @@ records of little-endian ``u32`` values, sorted lexicographically.  This
 module owns that format at any width:
 
 * :func:`atomic_write` — tmp file + flush + fsync + rename, the only way
-  a committed file (record file, JSON manifest, trie) reaches its name;
+  a committed file (record file or JSON manifest) reaches its name;
 * :func:`pack_records` / :func:`write_records` — the streaming writer;
 * :func:`iter_records` — stream a run back in bounded chunks;
 * :func:`merge_distinct` — k-way merge of sorted sources with a

@@ -8,7 +8,9 @@ a disk-backed store *unchanged*:
 
 * :class:`StoreGraph` answers ``triples()`` / ``count()`` / ``predicates()``
   etc. by binary search over the store's sorted segments, decoding ids
-  back to terms through the dictionary's bounded LRU;
+  back to terms through the dictionary's bounded LRU, and hands a
+  property-path walk those same orderings, in id space, as its edge
+  source (``path_edges()``);
 * :class:`StoreDataset` maps named-graph access (``GRAPH`` patterns,
   ``quads()``) onto the ``gspo`` ordering and hands the evaluator a
   :class:`StoreGraph` union view from :meth:`union_graph`.
@@ -22,6 +24,7 @@ behind a running endpoint.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from ..rdf.graph import Dataset, Graph
@@ -114,18 +117,12 @@ class StoreGraph(Graph):
         """The store's current :class:`SegmentReader` for *name*."""
         return self._store.segment(name)
 
-    def path_index(self):
-        """The store's live path/pattern index, or None.
-
-        Like :meth:`encoded_scope`, the *presence* of this method is the
-        capability signal the property-path evaluator duck-types on.
-        The index covers the union scope only — single-graph views
-        return None and keep the per-graph BFS fallback, because index
-        edges carry no graph attribution.
-        """
-        if self._graph_id is not _UNION:
-            return None
-        return self._store.path_index()
+    def path_edges(self) -> "_StoreEdges":
+        """The id-space edge source of one property-path walk over this
+        graph's scope.  Like :meth:`encoded_scope`, the *presence* of
+        this method is the capability signal the path evaluator
+        duck-types on."""
+        return _StoreEdges(self)
 
     def term_to_id(self, term: Term) -> Optional[int]:
         """term → id through a bounded generation-keyed cache; ``None``
@@ -264,6 +261,109 @@ class StoreGraph(Graph):
             term = self._store.term(p)
             histogram[term] = histogram.get(term, 0) + 1
         return histogram
+
+
+class _Decoded(dict):
+    """id → term, each id decoded once: the egress memo of one walk."""
+
+    __slots__ = ("_decode",)
+
+    def __init__(self, decode):
+        super().__init__()
+        self._decode = decode
+
+    def __missing__(self, term_id):
+        term = self[term_id] = self._decode(term_id)
+        return term
+
+
+class _StoreEdges:
+    """The edge source a property-path walk reads: the store's own
+    orderings, every predicate, in this view's scope.
+
+    Each lookup reads the scope's :data:`ACCESS_PATHS` entry — the
+    ordering a pattern with the same bound positions reads — so it
+    lists what ``triples()`` would, in the same order: an ``(s, p)``
+    lookup gives o ascending, a ``(p, o)`` lookup s ascending, and
+    ``pairs(p)`` comes in ``(o, s)`` order.  Readers are resolved once
+    per walk; a lookup bisects its lower bound and gallops its upper
+    bound from there.  A term the dictionary has never seen gets a
+    negative id of its own, which every lookup misses, so a bound ghost
+    endpoint still yields its zero-length ``*`` pair; an unknown
+    predicate matches nothing.
+    """
+
+    __slots__ = ("_view", "_gid", "_out", "_in", "_pairs", "_edge",
+                 "_terms", "decode", "_ghosts")
+
+    def __init__(self, view: StoreGraph):
+        store, self._gid = view._store, view._graph_id
+        self._view = view
+
+        def access(s_bound, o_bound):
+            path = view.access_path(s_bound, True, o_bound)
+            return path, store.segment(path.ordering), itemgetter(*path.prefix)
+
+        self._out = access(True, False)
+        self._in = access(False, True)
+        self._pairs = access(False, False)
+        self._edge = access(True, True)
+        self._terms = _Decoded(store.term)
+        self.decode = self._terms.__getitem__
+        self._ghosts: Dict[Term, int] = {}
+
+    def relation(self, predicate: IRI) -> int:
+        term_id = self._view.term_to_id(predicate)
+        return -1 if term_id is None else term_id
+
+    def encode(self, term: Term) -> int:
+        term_id = self._view.term_to_id(term)
+        if term_id is None:
+            term_id = self._ghosts.get(term)
+            if term_id is None:
+                term_id = self._ghosts[term] = -1 - len(self._ghosts)
+                self._terms[term_id] = term
+        return term_id
+
+    def _column(self, access, s, p, o, position: int) -> List[int]:
+        """One field of a lookup's records, distinct, in record order.
+        The range is short: its upper bound is galloped from its lower."""
+        path, reader, key_of = access
+        key = key_of((s, p, o, self._gid))
+        lo = reader.bisect_left(key)
+        records = reader.records(lo, reader.gallop_left(key[:-1] + (key[-1] + 1,), lo))
+        field = path.fields[position]
+        if path.filter:
+            gid = self._gid
+            return [rec[field] for rec in records if rec[3] == gid]
+        if path.collapse:  # a triple in several graphs: adjacent records
+            return list(dict.fromkeys([rec[field] for rec in records]))
+        return [rec[field] for rec in records]
+
+    def neighbors(self, rel: int, node: int) -> List[int]:
+        return self._column(self._out, node, rel, None, 2)
+
+    def neighbors_inv(self, rel: int, node: int) -> List[int]:
+        return self._column(self._in, None, rel, node, 0)
+
+    def has_edge(self, rel: int, src: int, dst: int) -> bool:
+        return bool(self._column(self._edge, src, rel, dst, 2))
+
+    def pairs(self, rel: int) -> Iterator[Tuple[int, int]]:
+        path, reader, _ = self._pairs  # posg in either scope: key (p,)
+        records = reader.records(*reader.range_for_prefix((rel,)))
+        s_field, _, o_field = path.fields
+        if path.filter:
+            gid = self._gid
+            return ((rec[s_field], rec[o_field]) for rec in records if rec[3] == gid)
+        return iter(dict.fromkeys([(rec[s_field], rec[o_field]) for rec in records]))
+
+    def all_nodes(self):
+        """Every subject/object node in the scope's full-scan order,
+        first seen first — the order ``triples()`` meets them in."""
+        return dict.fromkeys(
+            node for s, _, o in self._view._match_ids(None, None, None)
+            for node in (s, o))
 
 
 class StoreDataset(Dataset):

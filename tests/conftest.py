@@ -50,13 +50,13 @@ def pathindex_corpus_dir(tmp_path_factory, corpus):
     return root
 
 
-def ingest_store(tmp_path_factory, corpus_dir, jobs: int, path_index: bool = True):
+def ingest_store(tmp_path_factory, corpus_dir, jobs: int):
     from repro.store import QuadStore, ingest_corpus
 
     directory = tmp_path_factory.mktemp(f"pathindex-store-j{jobs}") / "store"
     with QuadStore(directory) as store:
-        report = ingest_corpus(store, corpus_dir, jobs=jobs, path_index=path_index)
-        assert report.path_index == ("built" if path_index else "skipped")
+        report = ingest_corpus(store, corpus_dir, jobs=jobs)
+        assert report.path_index == "built"
     return directory
 
 

@@ -1,12 +1,11 @@
-"""Fixtures for the path/pattern index tests.
+"""Fixtures for the path-index and id-space path-walk tests.
 
 The session corpus on disk, whose serial ingest (`indexed_store`) the
 top-level conftest shares, is ingested once more with two workers, so
-byte-level determinism of the index can be asserted directly.
-`indexed_store` / `store_union` serve the read-side tests.  A third
-ingest with `path_index=False` leaves a store with no index files: over
-it the engine can only walk the graph, which makes `bfs_union` the BFS
-baseline the indexed stores must match pair for pair.
+byte-level determinism of the index files can be asserted directly.
+`store_union` and `memory_union` are the same corpus on the two
+backends: the store's path walk reads its own orderings, the in-memory
+one walks terms.
 """
 
 from __future__ import annotations
@@ -26,24 +25,6 @@ def store_union(indexed_store):
     from repro.store import StoreDataset
 
     return StoreDataset(indexed_store).union_graph()
-
-
-@pytest.fixture(scope="session")
-def bfs_store(tmp_path_factory, pathindex_corpus_dir):
-    from repro.store import QuadStore
-
-    directory = ingest_store(tmp_path_factory, pathindex_corpus_dir, jobs=1,
-                             path_index=False)
-    with QuadStore(directory) as store:
-        assert store.path_index() is None
-        yield store
-
-
-@pytest.fixture(scope="session")
-def bfs_union(bfs_store):
-    from repro.store import StoreDataset
-
-    return StoreDataset(bfs_store).union_graph()
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,9 @@
-"""Apps-layer fast paths ride the index and agree with decoded traversal."""
+"""The apps layer on a store agrees with the same corpus in memory.
+
+One analyzer reads the store-backed union view (its path walks read the
+store's own orderings), the other the in-memory union graph (term
+walks); the fixtures keep their earlier names.
+"""
 
 from __future__ import annotations
 
@@ -10,16 +15,12 @@ from repro.prov.constants import PROV
 
 @pytest.fixture(scope="module")
 def fast(store_union):
-    analyzer = DependencyAnalyzer(store_union)
-    assert analyzer.uses_index
-    return analyzer
+    return DependencyAnalyzer(store_union)
 
 
 @pytest.fixture(scope="module")
-def slow(store_union):
-    analyzer = DependencyAnalyzer(store_union)
-    analyzer._index = None  # force the decoded route over the same graph
-    return analyzer
+def slow(memory_union):
+    return DependencyAnalyzer(memory_union)
 
 
 @pytest.fixture(scope="module")
@@ -56,20 +57,20 @@ def test_derivation_paths_agree(fast, slow, entities):
             slow.transitive_dependencies(entity), key=lambda term: term.value
         )
         for source in sources[:2]:
-            indexed = fast.derivation_path(entity, source)
-            decoded = slow.derivation_path(entity, source)
-            assert indexed is not None and decoded is not None
+            stored = fast.derivation_path(entity, source)
+            memory = slow.derivation_path(entity, source)
+            assert stored is not None and memory is not None
             # Both are valid chains of equal (shortest) length with the
             # same endpoints; intermediate hops may differ on ties.
-            assert len(indexed) == len(decoded)
-            assert indexed[0] == decoded[0] == entity
-            assert indexed[-1] == decoded[-1] == source
+            assert len(stored) == len(memory)
+            assert stored[0] == memory[0] == entity
+            assert stored[-1] == memory[-1] == source
             adjacent = {
                 (d.product, d.source)
-                for node in indexed
+                for node in stored
                 for d in slow.direct_dependencies(node)
             }
-            for product, src in zip(indexed, indexed[1:]):
+            for product, src in zip(stored, stored[1:]):
                 assert (product, src) in adjacent
             checked += 1
     assert checked > 5
@@ -89,7 +90,6 @@ def test_trivial_and_absent_paths(fast, slow, entities):
 
 def test_memory_graph_agrees(memory_union, store_union, entities):
     memory = DependencyAnalyzer(memory_union)
-    assert not memory.uses_index
     stored = DependencyAnalyzer(store_union)
     for entity in entities[:8]:
         assert memory.transitive_dependencies(entity) == \

@@ -10,13 +10,12 @@ from repro.pathindex import (
     FWD_FILE,
     INV_FILE,
     MANIFEST_FILE,
-    TRIE_FILE,
     build_path_index,
     load_path_index,
     store_files_sha,
 )
 
-INDEX_FILES = (FWD_FILE, INV_FILE, TRIE_FILE)
+INDEX_FILES = (FWD_FILE, INV_FILE)
 
 
 def test_index_bytes_identical_across_jobs(store_dir_j1, store_dir_j2):
@@ -39,8 +38,8 @@ def test_manifest_records_rebuild_key(indexed_store, store_dir_j1):
     manifest = json.loads((store_dir_j1 / MANIFEST_FILE).read_text())
     assert manifest["files_sha"] == store_files_sha(indexed_store)
     assert manifest["edge_count"] > 0
-    assert manifest["trie"]["sequences"] > 0
-    # Every relation the SPARQL layer may ask for is self-described.
+    assert "trie" not in manifest
+    # Every relation is self-described.
     assert "http://www.w3.org/ns/prov#used" in manifest["relations"]
     assert "http://www.w3.org/ns/prov#wasGeneratedBy" in manifest["relations"]
 
@@ -71,7 +70,7 @@ def test_stale_generation_is_rejected(tmp_path, pathindex_corpus_dir):
         manifest["generation"] += 1
         manifest_path.write_text(json.dumps(manifest))
     with QuadStore(tmp_path / "store") as reopened:
-        assert reopened.path_index() is None  # stale → invisible, BFS fallback
+        assert reopened.path_index() is None  # stale → invisible
 
 
 def test_missing_edge_file_is_rejected(tmp_path, pathindex_corpus_dir):

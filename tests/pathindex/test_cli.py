@@ -22,14 +22,21 @@ def traced_entity(store_union):
 
 
 def test_lineage_with_store_uses_index(capsys, pathindex_corpus_dir,
-                                       store_dir_j1, traced_entity):
+                                       store_dir_j1, traced_entity, store_union):
+    """With ``--store`` the ancestors come off the store's own orderings
+    (its spog / posg index), one per line, then their count."""
+    from repro.apps.dependencies import DependencyAnalyzer
+
     code = main([
         "lineage", str(pathindex_corpus_dir), traced_entity.value,
         "--store", str(store_dir_j1),
     ])
-    out = capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    ancestors = sorted(term.value for term in
+                       DependencyAnalyzer(store_union).transitive_dependencies(traced_entity))
     assert code == 0
-    assert "via path index" in out
+    assert lines[:-1] == ancestors
+    assert lines[-1] == f"({len(ancestors)} ancestor(s) of {traced_entity.value})"
 
 
 def test_lineage_memory_matches_store(capsys, pathindex_corpus_dir,
@@ -39,7 +46,7 @@ def test_lineage_memory_matches_store(capsys, pathindex_corpus_dir,
     stored = json.loads(capsys.readouterr().out)
     main(["lineage", str(pathindex_corpus_dir), traced_entity.value, "--json"])
     memory = json.loads(capsys.readouterr().out)
-    assert stored["indexed"] and not memory["indexed"]
+    assert stored.keys() == memory.keys() == {"entity", "mode", "results"}
     assert stored["results"] == memory["results"]
     assert stored["mode"] == "ancestors"
 

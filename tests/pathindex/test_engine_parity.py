@@ -1,4 +1,4 @@
-"""Engine-level parity and introspection for index-served path queries."""
+"""Engine-level parity and introspection for path queries over a store."""
 
 from __future__ import annotations
 
@@ -41,17 +41,32 @@ def indexed_datasets(store_dataset, store_dir_j2):
         yield {1: store_dataset, 2: StoreDataset(parallel)}
 
 
-# "Off" is a store ingested without index files — the engine sees no
-# path_index() there and walks the graph.  The second axis is the job
-# count of the indexed store's ingest; its ids are the recorded ones of
-# the optimizer on/off axis it replaced (the test floor tracks ids).
+@pytest.fixture(scope="module")
+def index_files_removed(store_dir_j1, tmp_path_factory):
+    """A copy of the serial store without its path-index files."""
+    import shutil
+
+    from repro.pathindex import FWD_FILE, INV_FILE, MANIFEST_FILE
+    from repro.store import QuadStore, StoreDataset
+
+    directory = tmp_path_factory.mktemp("no-path-index") / "store"
+    shutil.copytree(store_dir_j1, directory)
+    for name in (FWD_FILE, INV_FILE, MANIFEST_FILE):
+        (directory / name).unlink()
+    with QuadStore(directory) as store:
+        assert store.path_index() is None
+        yield StoreDataset(store)
+
+
+# "Off" is the store without its index files: no query reads them, so the
+# rows and their order must not move.  The second axis is the job count of
+# the store with its index; its ids keep the names of an older on/off axis
+# so that test ids stay stable.
 @pytest.mark.parametrize("name", sorted(QUERIES))
 @pytest.mark.parametrize("jobs", [1, 2], ids=["opt", "noopt"])
-def test_rows_identical_index_on_off(indexed_datasets, bfs_store, name, jobs):
-    from repro.store import StoreDataset
-
+def test_rows_identical_index_on_off(indexed_datasets, index_files_removed, name, jobs):
     on = QueryEngine(indexed_datasets[jobs], cache_size=0)
-    off = QueryEngine(StoreDataset(bfs_store), cache_size=0)
+    off = QueryEngine(index_files_removed, cache_size=0)
     assert _rows(on, QUERIES[name]) == _rows(off, QUERIES[name])  # same order
 
 
@@ -63,16 +78,20 @@ def test_rows_match_memory(store_dataset, corpus_dataset, name):
 
 
 def test_explain_annotates_index_step(store_dataset, corpus_dataset):
+    """A store's path step names the ordering its walk reads first: both
+    ends unbound, ``(used/wasGeneratedBy)+`` starts with used's pairs."""
     plan = QueryEngine(store_dataset).explain(SEQUENCE).to_text()
-    assert "join=pathindex" in plan
-    assert "ordering=fwd" in plan
-    # In-memory plans are unchanged: no index, no annotation.
-    assert "pathindex" not in QueryEngine(corpus_dataset).explain(SEQUENCE).to_text()
+    assert "join=path" in plan and "ordering=posg" in plan
+    assert "pathindex" not in plan
+    # In-memory plans are unchanged: no annotation.
+    assert "join=" not in QueryEngine(corpus_dataset).explain(SEQUENCE).to_text()
 
 
 def test_profile_annotates_index_step(store_dataset):
     profile = QueryEngine(store_dataset).profile(SEQUENCE)
-    assert "pathindex" in profile.to_text()
+    (scan,) = [op for op in profile.report["operators"] if op["op"] == "scan"]
+    assert scan["join"] == "path" and scan["probes"] > 0
+    assert "pathindex" not in profile.to_text()
 
 
 def test_explain_profile_describe_the_switch_to_per_binding(store_dataset, lineage_query):
@@ -85,36 +104,12 @@ def test_explain_profile_describe_the_switch_to_per_binding(store_dataset, linea
     assert [detail["join"] for detail in scans[:2]] == ["bisect", "merge"]
     assert all(detail["ordering"] in ("spog", "posg", "ospg", "gspo")
                for detail in scans[:2])
-    assert scans[2]["join"] == "pathindex" and scans[2]["ordering"] == "fwd"
+    # the bound ?out column walks wasGeneratedBy forward first: (s, p) → spog
+    assert scans[2]["join"] == "path" and scans[2]["ordering"] == "spog"
 
     profile = engine.profile(lineage_query)
     rows = [op for op in profile.report["operators"] if op["op"] == "scan"]
     assert len(profile.result) > 0 and rows[-1]["rows_out"] == len(profile.result)
     assert rows[1]["rows_out"] == rows[2]["rows_in"]  # the decoded ?out column
-    # segment probes for the plain steps, adjacency probes for the path
+    # every step, the path's walk included, reads the store's segments
     assert all(op["probes"] > 0 and op["calls"] == 1 for op in rows)
-
-
-def test_metrics_counter_counts_dispatch(store_dataset, corpus_dataset):
-    from repro.obs import metrics
-
-    def counts():
-        out = {}
-        for line in metrics.render().splitlines():
-            if line.startswith("repro_pathindex_total{"):
-                label, value = line.split(" ")
-                out[label.split('"')[1]] = float(value)
-        return out
-
-    before = counts()
-    list(QueryEngine(store_dataset, cache_size=0).query(SEQUENCE))
-    after_hit = counts()
-    assert after_hit["hit"] == before.get("hit", 0) + 1
-
-    list(QueryEngine(store_dataset, cache_size=0).query(STAR))
-    after_star = counts()  # p* both unbound: index cannot serve it
-    assert after_star["fallback"] == after_hit.get("fallback", 0) + 1
-
-    list(QueryEngine(corpus_dataset, cache_size=0).query(SEQUENCE))
-    after_memory = counts()
-    assert after_memory["no-index"] == after_star.get("no-index", 0) + 1

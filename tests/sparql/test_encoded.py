@@ -512,13 +512,13 @@ class TestPlanRendering:
 
     def test_path_bgp_scans_never_claim_batch_operators(self, parity_pair):
         """Path-containing BGPs decline the encoded executor, so their
-        scans must not advertise merge/bisect; an index-served path step
-        advertises ``pathindex`` instead."""
+        scans must not advertise merge/bisect; a path step advertises
+        ``path`` and the ordering its walk reads first instead."""
         store_ds, _ = parity_pair
         text = QueryEngine(store_ds).explain(PATH_QUERIES["sequence"]).to_text()
         assert "join=merge" not in text
         assert "join=bisect" not in text
-        assert "join=pathindex" in text
+        assert "join=path " in text and "ordering=posg " in text
 
     def test_profile_reports_operator(self, big_pair):
         store_ds, _ = big_pair

@@ -12,6 +12,7 @@ from repro.sparql.paths import (
     eval_path,
     eval_path_batch,
 )
+from tests.sparql.path_reference import ref_plus, ref_reach, ref_step, ref_step_back
 
 EX = Namespace("http://example.org/")
 
@@ -148,7 +149,7 @@ LINEAGE = PathAlternative((USED, PathInverse(GENERATED_BY)))
 #: name → (edges, the path whose `+` closure runs with both ends unbound).
 #: Edges are added to the in-memory graph in an order for which its SPO
 #: and POS indexes list each source's targets alike, as the store's
-#: id-ordered segments and path index always do.
+#: id-ordered segments always do.
 SHAPES = {
     "cycle": ([("c1", USED, "c2"), ("c2", USED, "c3"), ("c3", USED, "c1")], USED),
     "self-loop": ([("s1", USED, "s1"), ("s1", USED, "s2"), ("s2", USED, "s3")], USED),
@@ -173,72 +174,36 @@ def _shape_graph(name):
     return graph
 
 
-def _ref_step(graph, path, node):
-    """One *path* step from *node*, in the order the graph lists it."""
-    if isinstance(path, PathInverse):
-        return [t.subject for t in graph.triples(None, path.inner, node)]
-    if isinstance(path, PathAlternative):
-        return [n for option in path.options for n in _ref_step(graph, option, node)]
-    if isinstance(path, PathSequence):
-        frontier = [node]
-        for step in path.steps:
-            frontier = [n for mid in frontier for n in _ref_step(graph, step, mid)]
-        return frontier
-    return [t.object for t in graph.triples(node, path, None)]
-
-
-def _ref_pairs(graph, path):
-    """Every one-step pair of *path*, in full-enumeration order."""
-    if isinstance(path, PathInverse):
-        return [(t.object, t.subject) for t in graph.triples(None, path.inner, None)]
-    if isinstance(path, PathAlternative):
-        return [pair for option in path.options for pair in _ref_pairs(graph, option)]
-    if isinstance(path, PathSequence):
-        rest = PathSequence(path.steps[1:]) if len(path.steps) > 2 else path.steps[1]
-        return [(s, o) for s, mid in _ref_pairs(graph, path.steps[0])
-                for o in _ref_step(graph, rest, mid)]
-    return [(t.subject, t.object) for t in graph.triples(None, path, None)]
-
-
-def _ref_plus(graph, path):
-    """``path+`` with both ends unbound, by definition: a BFS from each
-    node that begins a step, in the order the steps list them."""
-    rows = []
-    for start in dict.fromkeys(s for s, _ in _ref_pairs(graph, path)):
-        visited, frontier = set(), [start]
-        while frontier:
-            next_frontier = []
-            for node in frontier:
-                for neighbor in _ref_step(graph, path, node):
-                    if neighbor not in visited:
-                        visited.add(neighbor)
-                        next_frontier.append(neighbor)
-                        rows.append((start, neighbor))
-            frontier = next_frontier
-    return rows
-
-
 @pytest.fixture(scope="module")
 def shape_stores(tmp_path_factory):
-    """shape name → {"indexed": union graph, "graph-walk": union graph}
-    over stores ingested with and without the path index."""
-    from repro.rdf.turtle import serialize_turtle
+    """shape name → {"indexed": the union view, "graph-walk": the named
+    graph's view} of one store, into which the shape is ingested once as
+    a TriG named graph.  The two scopes read different orderings through
+    the one edge source (one named graph reads ``gspo`` and a filtered
+    ``posg``); the ids keep older names so that test ids stay stable."""
+    from repro.rdf.graph import Dataset
+    from repro.rdf.trig import serialize_trig
     from repro.store import QuadStore, StoreDataset, ingest_corpus
 
     root = tmp_path_factory.mktemp("closure-shapes")
-    stores, unions = [], {}
+    stores, views = [], {}
     for name in SHAPES:
         corpus = root / name / "corpus"
         corpus.mkdir(parents=True)
-        (corpus / "shape.prov.ttl").write_text(serialize_turtle(_shape_graph(name)))
-        unions[name] = {}
-        for source, path_index in (("indexed", True), ("graph-walk", False)):
-            store = QuadStore(root / name / source)
-            ingest_corpus(store, corpus, path_index=path_index)
-            assert (store.path_index() is not None) == path_index
-            stores.append(store)
-            unions[name][source] = StoreDataset(store).union_graph()
-    yield unions
+        dataset = Dataset()
+        dataset.namespaces.bind("ex", EX)
+        named = dataset.graph(EX[f"graph-{name}"])
+        for triple in _shape_graph(name):
+            named.add(triple)
+        (corpus / "shape.prov.trig").write_text(serialize_trig(dataset))
+        store = QuadStore(root / name / "store")
+        ingest_corpus(store, corpus)
+        stores.append(store)
+        stored = StoreDataset(store)
+        views[name] = {"indexed": stored.union_graph(),
+                       "graph-walk": stored.graph(EX[f"graph-{name}"])}
+        assert len(views[name]["graph-walk"]) == len(SHAPES[name][0])
+    yield views
     for store in stores:
         store.close()
 
@@ -252,15 +217,15 @@ class TestUnboundClosureOrder:
         graph = _shape_graph(shape)
         path = SHAPES[shape][1]
         rows = list(eval_path(graph, PathClosure(path, False)))
-        assert rows == _ref_plus(graph, path)
+        assert rows == ref_plus(graph, path)
 
     @pytest.mark.parametrize("source", ["indexed", "graph-walk"])
     @pytest.mark.parametrize("shape", list(SHAPES))
     def test_store_matches_reference(self, shape_stores, shape, source):
-        union = shape_stores[shape][source]
+        view = shape_stores[shape][source]
         path = SHAPES[shape][1]
-        rows = list(eval_path(union, PathClosure(path, False)))
-        assert rows == _ref_plus(union, path)
+        rows = list(eval_path(view, PathClosure(path, False)))
+        assert rows == ref_plus(view, path)
         memory = _shape_graph(shape)
         assert set(rows) == set(eval_path(memory, PathClosure(path, False)))
 
@@ -272,38 +237,6 @@ class TestUnboundClosureOrder:
         assert {o for s, o in plus["diamond"] if s == EX.d0} == {
             EX.d1, EX.d2, EX.d3, EX.d4, EX.d5}
         assert {o for s, o in plus["sequence"] if s == EX.q1} == {EX.q2, EX.q3, EX.q1}
-
-
-def _ref_step_back(graph, path, node):
-    """The nodes one *path* step leads from to *node*, in the order the
-    graph lists them."""
-    if isinstance(path, PathInverse):
-        return [t.object for t in graph.triples(node, path.inner, None)]
-    if isinstance(path, PathAlternative):
-        return [n for option in path.options for n in _ref_step_back(graph, option, node)]
-    if isinstance(path, PathSequence):
-        frontier = [node]
-        for step in reversed(path.steps):
-            frontier = [n for mid in frontier for n in _ref_step_back(graph, step, mid)]
-        return frontier
-    return [t.subject for t in graph.triples(None, path, node)]
-
-
-def _ref_reach(step, start, include_zero):
-    """The nodes a fresh BFS from *start* alone reaches, in discovery
-    order, where ``step(node)`` lists a node's one-step neighbours."""
-    reached = [start] if include_zero else []
-    visited, frontier = set(reached), [start]
-    while frontier:
-        next_frontier = []
-        for node in frontier:
-            for neighbor in step(node):
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    next_frontier.append(neighbor)
-                    reached.append(neighbor)
-        frontier = next_frontier
-    return reached
 
 
 def _column(shape):
@@ -327,13 +260,13 @@ class TestBoundClosureOrder:
         endpoints, expected = [], []
         if direction in ("subject", "both"):
             endpoints += [(start, None) for start in starts]
-            expected += [[(start, node) for node in _ref_reach(
-                lambda n: _ref_step(graph, path, n), start, include_zero)]
+            expected += [[(start, node) for node in ref_reach(
+                lambda n: ref_step(graph, path, n), start, include_zero)]
                 for start in starts]
         if direction in ("object", "both"):
             endpoints += [(None, start) for start in starts]
-            expected += [[(node, start) for node in _ref_reach(
-                lambda n: _ref_step_back(graph, path, n), start, include_zero)]
+            expected += [[(node, start) for node in ref_reach(
+                lambda n: ref_step_back(graph, path, n), start, include_zero)]
                 for start in starts]
         answers = eval_path_batch(graph, PathClosure(path, include_zero), endpoints)
         assert answers == expected
@@ -351,8 +284,7 @@ class TestBoundClosureOrder:
     @pytest.mark.parametrize("shape", list(SHAPES))
     def test_store_matches_reference(self, shape_stores, shape, include_zero,
                                      direction, source):
-        union = shape_stores[shape][source]
-        answers = self._check(union, shape, include_zero, direction)
+        answers = self._check(shape_stores[shape][source], shape, include_zero, direction)
         memory = self._check(_shape_graph(shape), shape, include_zero, direction)
         assert [set(rows) for rows in answers] == [set(rows) for rows in memory]
 
@@ -368,6 +300,59 @@ class TestBoundClosureOrder:
                                   [(start, None) for start in cycle])
         assert answers[-2] == answers[0] and len(answers[0]) == 3
         assert answers[-1] == [(EX.ghost, EX.ghost)]
+
+
+UNKNOWN = "<http://example.org/not-in-the-corpus>"
+
+#: Texts the store's one edge source must answer as the in-memory term
+#: walk does: named-graph scopes, endpoints and predicates the dictionary
+#: has never seen, literals, and both-unbound zero-length closures.
+EDGE_CASES = {
+    "graph-plus": "SELECT ?g ?a ?b WHERE { GRAPH ?g { ?a prov:used+ ?b } }",
+    "graph-body-star": "SELECT ?g ?act ?b WHERE { GRAPH ?g { "
+                       "?act prov:wasAssociatedWith ?agent . ?act prov:used* ?b } }",
+    "unknown-object": f"SELECT ?x WHERE {{ ?x prov:used* {UNKNOWN} }}",
+    "unknown-subject": f"SELECT ?x WHERE {{ {UNKNOWN} prov:used* ?x }}",
+    "literal-object": 'SELECT ?x WHERE { ?x prov:used* "lit" }',
+    "unknown-predicate": f"SELECT ?a ?b WHERE {{ ?a (prov:used|{UNKNOWN})+ ?b }}",
+    "star-unbound": "SELECT ?a ?b WHERE { ?a prov:used* ?b }",
+    "inverse-star-unbound": "SELECT ?a ?b WHERE { ?a ^prov:used* ?b }",
+    "sequence-star": "SELECT ?e ?x WHERE { ?e prov:wasGeneratedBy/prov:used* ?x }",
+    "derived-plus": "SELECT ?a ?b WHERE { ?a prov:wasDerivedFrom+ ?b }",
+    "unknown-both-bound": f"SELECT * WHERE {{ {UNKNOWN} prov:used* {UNKNOWN} }}",
+}
+
+
+def _row_multiset(result):
+    return sorted(tuple(sorted((name, term.n3()) for name, term in row.asdict().items()))
+                  for row in result)
+
+
+class TestStoreEdgeCases:
+    @pytest.fixture(scope="class")
+    def engines(self, indexed_store, corpus_dataset):
+        from repro.store import StoreDataset
+
+        return (QueryEngine(StoreDataset(indexed_store), cache_size=0),
+                QueryEngine(corpus_dataset, cache_size=0))
+
+    @pytest.mark.parametrize("name", list(EDGE_CASES))
+    def test_store_rows_equal_memory_rows(self, engines, name):
+        stored, memory = engines
+        rows = _row_multiset(stored.query(EDGE_CASES[name]))
+        assert rows == _row_multiset(memory.query(EDGE_CASES[name]))
+        if name.startswith("unknown-") and name != "unknown-predicate":
+            assert len(rows) == 1  # the ghost's zero-length pair
+
+    def test_graph_scoped_and_unbound_star_steps_walk_the_store(self, engines):
+        stored, memory = engines
+        for name, ordering in (("graph-plus", "posg"), ("graph-body-star", "gspo"),
+                               ("star-unbound", "spog")):
+            scans = [node.detail for node in stored.explain(EDGE_CASES[name]).root.walk()
+                     if node.op == "scan"]
+            assert (scans[-1]["join"], scans[-1]["ordering"]) == ("path", ordering)
+            text = memory.explain(EDGE_CASES[name]).to_text()
+            assert "join=" not in text and "ordering=" not in text
 
 
 class TestOnCorpus:

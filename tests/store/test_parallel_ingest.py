@@ -82,19 +82,31 @@ def test_parse_failure_in_worker_names_the_file(tiny_corpus_dir, tmp_path):
 def test_killed_worker_raises_instead_of_hanging(tiny_corpus_dir, tmp_path, monkeypatch,
                                                  hang_guard):
     """A parse worker that dies without returning (SIGKILL, OOM) fails the
-    ingest in seconds, naming the pipeline and the first unfinished file."""
+    ingest in seconds, naming the pipeline and the first unfinished file.
+
+    The worker parsing run2 dies only once run1 has been committed, so
+    run2 is the first unfinished task by construction: a death that beat
+    run1's commit would, truthfully, name run1 instead."""
     from repro.store import ingest
 
     real = ingest._parse_batch_inner
+    committed = tmp_path / "run1-committed"
 
     def die_on_run2(root, relpath, rdf_format):
         if relpath.endswith("run2.prov.trig"):
+            deadline = time.monotonic() + 10
+            while not committed.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
             os.kill(os.getpid(), signal.SIGKILL)
         return real(root, relpath, rdf_format)
+
+    def on_file(done, total, quads):
+        if done == 1:
+            committed.touch()
 
     monkeypatch.setattr(ingest, "_parse_batch_inner", die_on_run2)  # inherited via fork
     started = time.monotonic()
     with QuadStore(tmp_path / "store") as store:
         with pytest.raises(BrokenProcessPool, match="ingest: .*unfinished task: parse:Wings/dom/w-1/run2"):
-            ingest_corpus(store, tiny_corpus_dir, jobs=2)
+            ingest_corpus(store, tiny_corpus_dir, jobs=2, on_file=on_file)
     assert time.monotonic() - started < 30

@@ -24,14 +24,13 @@ STORE_SHA256 = {
     "gspo.seg": "a71a18957a2ec5b954b74891cc97bbc75b88deb64dabc0c3b1e962f82d4b0914",
     "paths.fwd": "86fab195a9d758af312cc915304719ba863b4fd96c9ad9cb5a21bda6dca6b893",
     "paths.inv": "3f06c420b86b37fcf724384385163ce4ffe1cc7dd579e53664c12e1515e8efd1",
-    "paths.trie": "c0f4db2734cc75b67acf477b791404b9d0b3fd9b978e305224ea89107a1cabb2",
     "dict.heap": "9b51ed3657dcb6f5ab0c3cc8d7907b220d269082ffb1d5405d9d3cca5851b91f",
     "dict.off": "8d087d369e0f66b263433bd6d88d3e7b826ab90f60497299e6b6cda9cb7eff61",
     "dict.hash": "179f13b74553cf42cba1f4f0c2411e8f2b022fff71dd27a040a7d83ab55dcd90",
     "store.json": "1338263159c71425ee527d390e718660cf9772c579bcac5ca96ae0ff6c7a3964",
-    "pathindex.json": "2baa1e2bb5a705f7e8871df5de7cd136cb36c763e4099905929c379073beacbb",
+    "pathindex.json": "88a23a22b65e5b8777007e937c23cfcd72df260183aadd4aac28929cd45db3fc",
 }
-STORE_BYTES = 4_233_992  # 40,589 quads: the harness's 104.31 B/quad
+STORE_BYTES = 4_153_178  # 40,589 quads: the harness's 102.32 B/quad
 
 
 def _digests(store_path):
