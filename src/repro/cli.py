@@ -10,9 +10,8 @@ Sub-commands:
   corpus;
 * ``lineage <dir> <entity>`` — trace an entity's derivation lineage
   (ancestors by default, ``--descendants`` for dependents, ``--to IRI``
-  for a chain between two entities); with ``--store`` the traversal walks
-  the store's own orderings;
-* ``serve <dir> [--port N]`` — start the SPARQL endpoint over a stored
+  for a chain between two entities) by walking the store's own orderings;
+* ``serve [<dir>] [--port N]`` — start the SPARQL endpoint over a stored
   corpus;
 * ``store ingest <dir>`` — incrementally ingest a stored corpus into a
   persistent quad store (only new/changed traces are parsed);
@@ -29,9 +28,11 @@ Sub-commands:
   maintenance pass finds an issue, naming each on stderr;
 * ``ro <template-id>`` — print a template's Research Object manifest.
 
-``query`` and ``serve`` accept ``--store PATH`` to answer from the
-persistent store (memory-mapped dictionary-encoded segments) instead of
-re-parsing every trace file on startup.
+``query``, ``lineage`` and ``serve`` read a corpus directory only
+through its persistent quad store (memory-mapped dictionary-encoded
+segments): ``<dir>/.store``, or wherever ``--store PATH`` says it lives,
+synced with the trace files first (a no-op when nothing changed).
+``serve --store PATH`` without a directory serves the store as it is.
 
 ``build``, ``store ingest``, and ``serve`` accept ``--obs-dir DIR``:
 the command appends structured events to ``DIR/events.jsonl`` — one
@@ -90,10 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("directory", type=Path)
     p_query.add_argument("sparql", help="query text, or @path/to/file.rq")
     p_query.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p_query.add_argument(
-        "--store", type=Path, default=None, metavar="DIR",
-        help="answer from a persistent quad store (synced with the corpus first)",
-    )
+    _add_store_location_flag(p_query)
     p_query.add_argument(
         "--explain", action="store_true",
         help="print the query plan (EXPLAIN) instead of evaluating; the "
@@ -120,11 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="list transitive dependents (what was derived from the entity) "
              "instead of its transitive dependencies",
     )
-    p_lineage.add_argument(
-        "--store", type=Path, default=None, metavar="DIR",
-        help="answer from a persistent quad store; lineage then walks "
-             "the store's own orderings",
-    )
+    _add_store_location_flag(p_lineage)
     p_lineage.add_argument("--json", action="store_true", help="print JSON")
 
     p_serve = sub.add_parser("serve", help="serve a stored corpus over SPARQL")
@@ -140,12 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--store", type=Path, default=None, metavar="DIR",
-        help="serve from a persistent quad store (ingests the corpus first "
-             "when a corpus directory is also given)",
-    )
-    p_serve.add_argument(
-        "--decode-cache", type=int, default=None, metavar="N",
-        help="bounded decoded-term cache capacity for --store (default 65536)",
+        help="store directory (default: <corpus>/.store); without a corpus "
+             "directory the store is served as it is, unsynced",
     )
     p_serve.add_argument(
         "--slow-query-ms", type=float, default=None, metavar="MS",
@@ -168,10 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ingest", help="incrementally ingest a stored corpus into a quad store"
     )
     p_ingest.add_argument("directory", type=Path, help="corpus directory")
-    p_ingest.add_argument(
-        "--store", type=Path, default=None, metavar="DIR",
-        help="store directory (default: <corpus>/.store)",
-    )
+    _add_store_location_flag(p_ingest)
     p_ingest.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for trace parsing; 0 = one per CPU.  "
@@ -231,6 +218,13 @@ def _add_trace_flag(parser, what: str = "phase spans for this command") -> None:
     )
 
 
+def _add_store_location_flag(parser) -> None:
+    parser.add_argument(
+        "--store", type=Path, default=None, metavar="DIR",
+        help="store directory (default: <corpus>/.store)",
+    )
+
+
 def _add_obs_dir_flag(parser) -> None:
     parser.add_argument(
         "--obs-dir", type=Path, default=None, metavar="DIR",
@@ -284,6 +278,22 @@ def _progress_hook(label: str, unit: str, work_unit: str, work_of=None):
             progress.update(done, work=work)
 
     return on_event
+
+
+def _synced_store(args, jobs: int = 1, tracer=None, **store_kwargs):
+    """``(store, report)``: the corpus directory's quad store, synced with
+    its trace files; ``(None, None)``, once the error is on stderr, when
+    there is no corpus directory."""
+    from .store import open_corpus_store
+
+    try:
+        return open_corpus_store(
+            args.directory, args.store, jobs=jobs, tracer=tracer,
+            on_file=_progress_hook("ingest", "files", "quads"), **store_kwargs,
+        )
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None, None
 
 
 def _make_tracer(args):
@@ -360,16 +370,18 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    from .corpus import load_corpus
     from .sparql import QueryEngine
+    from .store import StoreDataset
 
     sparql = args.sparql
     if sparql.startswith("@"):
         sparql = Path(sparql[1:]).read_text()
     tracer = _make_tracer(args)
-    stored = load_corpus(args.directory, store=args.store)
-    with stored:
-        engine = QueryEngine(stored.dataset(), tracer=tracer)
+    store, _ = _synced_store(args)
+    if store is None:
+        return 1
+    with store:
+        engine = QueryEngine(StoreDataset(store), tracer=tracer)
         if args.explain:
             plan = engine.explain(sparql)
             print(plan.to_json() if args.format == "json" else plan.to_text())
@@ -397,13 +409,15 @@ def _cmd_query(args) -> int:
 
 def _cmd_lineage(args) -> int:
     from .apps.dependencies import DependencyAnalyzer
-    from .corpus import load_corpus
     from .rdf.terms import IRI
+    from .store import StoreDataset
 
     entity = IRI(args.entity)
-    stored = load_corpus(args.directory, store=args.store)
-    with stored:
-        analyzer = DependencyAnalyzer(stored.dataset().union_graph())
+    store, _ = _synced_store(args)
+    if store is None:
+        return 1
+    with store:
+        analyzer = DependencyAnalyzer(StoreDataset(store).union_graph())
         if args.to is not None:
             mode = "path"
             chain = analyzer.derivation_path(entity, IRI(args.to))
@@ -443,38 +457,31 @@ def _cmd_lineage(args) -> int:
 def _cmd_serve(args) -> int:
     from .endpoint import SparqlEndpoint
     from .sparql import DEFAULT_RESULT_CACHE_SIZE
+    from .store import QuadStore, StoreDataset
 
-    store = None
-    if args.store is not None:
-        from .store import QuadStore, StoreDataset, ingest_corpus
-
-        kwargs = {}
-        if args.decode_cache is not None:
-            kwargs["decode_cache_size"] = args.decode_cache
-        store = QuadStore(args.store, **kwargs)
-        if args.directory is not None:
-            report = ingest_corpus(store, args.directory)
-            if not report.no_op:
-                print(f"store synced: {json.dumps(report.summary())}")
-        source = StoreDataset(store)
-    elif args.directory is not None:
-        from .corpus import load_corpus
-
-        source = load_corpus(args.directory).dataset()
+    if args.directory is not None:
+        store, report = _synced_store(args)
+        if store is None:
+            return 1
+        if not report.no_op:
+            print(f"store synced: {json.dumps(report.summary())}")
+    elif args.store is not None:
+        # an already-built store: opened as it is, no corpus scan, no lock
+        store = QuadStore(args.store)
     else:
         print("error: serve needs a corpus directory, --store, or both", file=sys.stderr)
         return 2
     cache_size = args.cache_size if args.cache_size is not None else DEFAULT_RESULT_CACHE_SIZE
     tracer = _make_tracer(args)
     endpoint = SparqlEndpoint(
-        source, host=args.host, port=args.port, cache_size=cache_size, tracer=tracer,
-        slow_query_ms=args.slow_query_ms,
+        StoreDataset(store), host=args.host, port=args.port, cache_size=cache_size,
+        tracer=tracer, slow_query_ms=args.slow_query_ms,
         obs_dir=str(args.obs_dir) if args.obs_dir is not None else None,
         profile_hz=args.profile_hz,
     )
     endpoint.start()
-    backing = f"store {args.store}" if store is not None else f"corpus {args.directory}"
-    print(f"serving SPARQL endpoint over {backing} at {endpoint.query_url} (Ctrl-C to stop)")
+    print(f"serving SPARQL endpoint over store {store.path} at {endpoint.query_url} "
+          "(Ctrl-C to stop)")
     print(f"  cache: {cache_size} entries  stats: {endpoint.stats_url}")
     print(f"  metrics: {endpoint.metrics_url}  healthz: {endpoint.healthz_url}")
     if endpoint.obs_dir is not None:
@@ -493,32 +500,24 @@ def _cmd_serve(args) -> int:
     except KeyboardInterrupt:
         endpoint.stop()
     finally:
-        if store is not None:
-            store.close()
+        store.close()
         _write_trace(tracer, args)
     return 0
 
 
 def _cmd_store(args) -> int:
-    from .store import QuadStore, ingest_corpus
+    from .store import QuadStore
 
     if args.store_command == "ingest":
-        # validate before QuadStore mkdirs: a typo'd corpus path must not
-        # leave an empty store directory behind
-        if not args.directory.is_dir():
-            print(f"error: no corpus directory at {args.directory}", file=sys.stderr)
-            return 1
-        store_dir = args.store if args.store is not None else args.directory / ".store"
         tracer = _make_tracer(args)
         obs_dir = _apply_obs_dir(args)
         kwargs = {}
         if args.spill_budget is not None:
             kwargs["spill_quad_budget"] = args.spill_budget
-        with QuadStore(store_dir, **kwargs) as store:
-            report = ingest_corpus(
-                store, args.directory, jobs=args.jobs, tracer=tracer,
-                on_file=_progress_hook("ingest", "files", "quads"),
-            )
+        store, report = _synced_store(args, jobs=args.jobs, tracer=tracer, **kwargs)
+        if store is None:
+            return 1
+        store.close()
         print(json.dumps(report.summary(), indent=2, sort_keys=True))
         if report.no_op:
             print("store already up to date (no files re-parsed)")

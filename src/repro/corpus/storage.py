@@ -12,9 +12,9 @@ by workflow system, then workflow.  We reproduce that shape:
         <run-id>.prov.trig           # one TriG trace per run (bundles)
 
 :func:`write_corpus` persists a built :class:`Corpus`; :func:`load_corpus`
-reads the directory back into RDF datasets without re-running anything —
-this is the path a corpus *consumer* (someone who downloaded ProvBench)
-uses, and what the loader tests exercise.
+reads the directory back into in-memory RDF datasets without re-running
+anything.  The command line reads a corpus directory through its quad
+store instead (:func:`repro.store.open_corpus_store`).
 """
 
 from __future__ import annotations
@@ -41,23 +41,6 @@ from .builder import (
 
 __all__ = ["write_corpus", "build_and_write", "load_corpus", "StoredTrace",
            "StoredCorpus"]
-
-# Imported lazily where needed so `repro.corpus` stays importable even if
-# the optional persistent-store layer is stripped from a deployment.
-
-
-def _open_store(store_path: Path, corpus_root: Path, jobs: int = 1, tracer=None,
-                store_kwargs: Optional[Dict] = None, on_file=None):
-    """Open (or create) a quad store and sync it with the corpus files."""
-    from ..store import QuadStore, ingest_corpus
-
-    store = QuadStore(Path(store_path), **(store_kwargs or {}))
-    try:
-        ingest_corpus(store, corpus_root, jobs=jobs, tracer=tracer, on_file=on_file)
-    except Exception:
-        store.close()
-        raise
-    return store
 
 _SYSTEM_DIR = {"taverna": "Taverna", "wings": "Wings"}
 _EXTENSION = {"turtle": ".prov.ttl", "trig": ".prov.trig"}
@@ -130,26 +113,12 @@ class _TraceWriter:
         return manifest_path
 
 
-def write_corpus(
-    corpus: Corpus, root: Path, store: Optional[Path] = None, jobs: int = 1,
-    tracer=None,
-) -> Path:
-    """Write the corpus under *root*; returns the manifest path.
-
-    When *store* names a directory, the freshly written traces are also
-    ingested into a persistent :class:`repro.store.QuadStore` there (built
-    incrementally — unchanged traces are skipped by content hash).  *jobs*
-    is forwarded to :func:`repro.store.ingest_corpus`, which parses trace
-    files in worker processes when it is greater than one; the resulting
-    segments are byte-identical either way.
-    """
+def write_corpus(corpus: Corpus, root: Path) -> Path:
+    """Write the corpus under *root*; returns the manifest path."""
     writer = _TraceWriter(Path(root), corpus.templates)
     for trace in corpus.traces:
         writer.add(trace)
-    manifest_path = writer.finish(corpus.seed)
-    if store is not None:
-        _open_store(store, writer.root, jobs=jobs, tracer=tracer).close()
-    return manifest_path
+    return writer.finish(corpus.seed)
 
 
 def build_and_write(
@@ -169,10 +138,12 @@ def build_and_write(
     memory, so a ``--scale 50`` corpus builds in flat RSS.  *on_trace*,
     when given, is called as ``on_trace(done, total, writer)`` after each
     trace hits disk — the writer exposes running totals (``triples``,
-    ``totals``) for progress reporting.  *store_kwargs* are
-    forwarded to :class:`repro.store.QuadStore` (e.g.
-    ``spill_quad_budget``); *on_ingest_file* is forwarded to
-    :func:`repro.store.ingest_corpus` as its per-file progress hook.
+    ``totals``) for progress reporting.
+
+    When *store* names a directory, the written traces are synced into
+    the quad store there through :func:`repro.store.open_corpus_store`,
+    with *jobs* parse workers; *store_kwargs* (``spill_quad_budget``) and
+    *on_ingest_file*, its per-file progress hook, are forwarded to it.
     """
     registry = _metrics.get_registry()
     counters_base = registry.additive()
@@ -197,8 +168,13 @@ def build_and_write(
         counters=registry.counters_since(counters_base),
     )
     if store is not None:
-        _open_store(store, writer.root, jobs=jobs, tracer=tracer,
-                    store_kwargs=store_kwargs, on_file=on_ingest_file).close()
+        from ..store import open_corpus_store
+
+        quad_store, _ = open_corpus_store(
+            writer.root, store, jobs=jobs, tracer=tracer, on_file=on_ingest_file,
+            **(store_kwargs or {}),
+        )
+        quad_store.close()
     return manifest_path
 
 
@@ -242,20 +218,11 @@ class StoredTrace:
 
 @dataclass
 class StoredCorpus:
-    """A corpus loaded from disk.
-
-    When *store* is attached (``load_corpus(root, store=...)``), queries
-    run against the persistent quad store instead of re-parsing every
-    trace: :meth:`dataset` returns a read-only
-    :class:`repro.store.StoreDataset` view.  Call :meth:`close` (or use
-    the instance as a context manager) when done with a store-backed
-    corpus.
-    """
+    """A corpus loaded from disk into memory."""
 
     root: Path
     manifest: Dict
     traces: List[StoredTrace] = field(default_factory=list)
-    store: Optional[object] = None
 
     @property
     def statistics(self) -> Dict:
@@ -269,35 +236,14 @@ class StoredCorpus:
 
     def dataset(self) -> Dataset:
         """All traces merged into one queryable dataset."""
-        if self.store is not None:
-            from ..store import StoreDataset
-
-            return StoreDataset(self.store)
         return merged_dataset(self.traces)  # parse errors name trace.relpath
-
-    def close(self) -> None:
-        if self.store is not None:
-            self.store.close()
-            self.store = None
-
-    def __enter__(self) -> "StoredCorpus":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def system_graph(self, system: str) -> Graph:
         return merged_graph(self.by_system(system))
 
 
-def load_corpus(root: Path, store: Optional[Path] = None) -> StoredCorpus:
-    """Read a corpus directory written by :func:`write_corpus`.
-
-    With *store*, a persistent quad store at that path is opened (created
-    and synced incrementally if needed) and attached, so
-    :meth:`StoredCorpus.dataset` serves queries from disk segments instead
-    of re-parsing all traces.
-    """
+def load_corpus(root: Path) -> StoredCorpus:
+    """Read a corpus directory written by :func:`write_corpus` into memory."""
     root = Path(root)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -320,6 +266,4 @@ def load_corpus(root: Path, store: Optional[Path] = None) -> StoredCorpus:
                 relpath=entry["path"],
             )
         )
-    if store is not None:
-        stored.store = _open_store(store, root)
     return stored

@@ -18,9 +18,9 @@ the dictionary is three files:
 All three files are read through ``mmap``; the only unbounded in-memory
 state is the *delta* — terms added since the last compaction — which
 :meth:`TermDictionary.compact` folds back into the persisted files.
-Decoded terms are held in a bounded LRU cache (`decode_cache_size`), so a
-store-backed endpoint's memory stays flat no matter how large the
-dictionary grows.
+Decoded terms are held in an LRU cache bounded by
+:data:`DEFAULT_DECODE_CACHE_SIZE`, so a store-backed endpoint's memory
+stays flat no matter how large the dictionary grows.
 
 Term hashing uses BLAKE2b (8-byte digest), not Python's ``hash()``:
 the index is persisted, so the hash function must be stable across
@@ -59,7 +59,7 @@ HEAP_FILE = "dict.heap"
 OFFSETS_FILE = "dict.off"
 HASH_FILE = "dict.hash"
 
-#: Default capacity of the id → Term decode LRU.
+#: Capacity of the id → Term decode LRU (read when a dictionary opens).
 DEFAULT_DECODE_CACHE_SIZE = 65536
 
 
@@ -121,11 +121,11 @@ class TermDictionary:
     ingest thread.
     """
 
-    def __init__(self, directory: Path, decode_cache_size: int = DEFAULT_DECODE_CACHE_SIZE):
+    def __init__(self, directory: Path):
         self.directory = Path(directory)
         self._lock = threading.Lock()
         self._decode_cache: "OrderedDict[int, Term]" = OrderedDict()
-        self.decode_cache_size = max(0, decode_cache_size)
+        self.decode_cache_size = DEFAULT_DECODE_CACHE_SIZE
         self.cache_hits = 0
         self.cache_misses = 0
         # Intern/lookup counters: plain ints on the hot path; mirrored

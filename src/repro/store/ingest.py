@@ -19,17 +19,24 @@ Each file commits atomically through the WAL (terms + quads + FILE
 marker, fsynced); a crash mid-ingest loses at most the in-flight file,
 which the next run re-parses because its hash never reached the
 manifest.
+
+:func:`open_corpus_store` is the one way a command reaches a corpus's
+store: it opens ``<corpus>/.store`` (or a given location) and syncs it
+under an exclusive ``flock`` on the store directory, so two processes
+syncing one store run one after the other and the second finds nothing
+to do.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import os
 import time
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..obs import events as _events
 from ..obs import metrics as _metrics
@@ -40,9 +47,9 @@ from ..rdf.graph import Dataset
 from ..rdf.trig import parse_trig
 from ..rdf.turtle import TurtleError, parse_turtle
 from .dictionary import encode_term
-from .quadstore import QuadStore
+from .quadstore import DEFAULT_SPILL_QUAD_BUDGET, QuadStore
 
-__all__ = ["ingest_corpus", "IngestReport", "TRACE_SUFFIXES"]
+__all__ = ["ingest_corpus", "open_corpus_store", "IngestReport", "TRACE_SUFFIXES"]
 
 _INGEST_FILES = _metrics.counter(
     "repro_ingest_files_total", "Trace files seen by ingest", labels=("result",)
@@ -364,3 +371,39 @@ def ingest_corpus(
         counters=registry.counters_since(counters_base),
     )
     return report
+
+
+def open_corpus_store(
+    corpus_root: Path, store_path: Optional[Path] = None, jobs: int = 1,
+    tracer=None, on_file=None,
+    spill_quad_budget: Optional[int] = DEFAULT_SPILL_QUAD_BUDGET,
+) -> Tuple[QuadStore, IngestReport]:
+    """``(store, report)``: the store at *store_path* (default
+    ``<corpus_root>/.store``), open and synced with the trace files.
+
+    A missing corpus directory is refused before anything is created.  An
+    exclusive ``flock`` is held from before the open (which may replay
+    and compact a WAL) until the sync is done; it locks the directory's
+    own descriptor because :meth:`QuadStore.reset` unlinks every file in
+    it but ``store.json``.  The caller closes the store.
+    """
+    import fcntl  # here, not at the top: a read-only open never loads it
+
+    root = Path(corpus_root)
+    if not root.is_dir():
+        raise FileNotFoundError(f"no corpus directory at {root}")
+    path = Path(store_path) if store_path is not None else root / ".store"
+    path.mkdir(parents=True, exist_ok=True)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        store = QuadStore(path, spill_quad_budget=spill_quad_budget)
+        try:
+            report = ingest_corpus(store, root, jobs=jobs, tracer=tracer,
+                                   on_file=on_file)
+        except Exception:
+            store.close()
+            raise
+    finally:
+        os.close(fd)  # releases the lock
+    return store, report

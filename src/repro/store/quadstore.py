@@ -57,7 +57,7 @@ from ..obs import events as _events
 from ..obs import metrics as _metrics
 from ..rdf.terms import Term
 from . import spill as _spill_io
-from .dictionary import DEFAULT_DECODE_CACHE_SIZE, TermDictionary, decode_term
+from .dictionary import TermDictionary, decode_term
 from .segments import (
     ACCESS_PATHS,
     ORDERINGS,
@@ -121,7 +121,6 @@ class QuadStore:
     def __init__(
         self,
         path: Path,
-        decode_cache_size: int = DEFAULT_DECODE_CACHE_SIZE,
         spill_quad_budget: Optional[int] = DEFAULT_SPILL_QUAD_BUDGET,
     ):
         self.path = Path(path)
@@ -155,7 +154,7 @@ class QuadStore:
         # Before the dictionary and WAL: a torn segment refuses the open
         # with nothing else held.
         self._open_segments()
-        self.dictionary = TermDictionary(self.path, decode_cache_size=decode_cache_size)
+        self.dictionary = TermDictionary(self.path)
         self.wal = WriteAheadLog(self.path)
         # Pending (WAL-committed but uncompacted) state.  Files and
         # prefixes stay cumulative across spills (they are tiny); quads
@@ -443,9 +442,7 @@ class QuadStore:
             # over the old contents can never collide with the rebuild.
             self.manifest["generation"] = generation + 1
             self._write_manifest()
-            self.dictionary = TermDictionary(
-                self.path, decode_cache_size=self.dictionary.decode_cache_size
-            )
+            self.dictionary = TermDictionary(self.path)
             self.wal = WriteAheadLog(self.path)
             self._open_segments()
             self._pending_quads = []

@@ -191,29 +191,3 @@ class TestParseErrorContext:
             stored.dataset()
         assert exc.value.source == relpath
         assert relpath in str(exc.value)
-
-
-class TestStoreBackedLoad:
-    def test_dataset_is_store_backed(self, corpus_dir, tmp_path):
-        from repro.store import StoreDataset
-
-        with load_corpus(corpus_dir, store=tmp_path / "store") as stored:
-            ds = stored.dataset()
-            assert isinstance(ds, StoreDataset)
-            assert len(ds) > 0
-            assert ds.store_info()["files"] == 198
-
-    def test_store_matches_memory_counts(self, corpus_dir, tmp_path):
-        memory = load_corpus(corpus_dir).dataset()
-        with load_corpus(corpus_dir, store=tmp_path / "store") as stored:
-            store_ds = stored.dataset()
-            assert len(store_ds.union_graph()) == len(memory.union_graph())
-            assert store_ds.graph_names() == memory.graph_names()
-
-    def test_write_corpus_builds_store(self, corpus, tmp_path):
-        from repro.store import QuadStore
-
-        write_corpus(corpus, tmp_path / "c", store=tmp_path / "store")
-        with QuadStore(tmp_path / "store") as store:
-            assert store.quad_count > 0
-            assert len(store.files) == 198

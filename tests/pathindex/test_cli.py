@@ -1,4 +1,4 @@
-"""`repro-corpus lineage` smoke tests (memory and store-backed)."""
+"""`repro-corpus lineage` smoke tests (the store at an explicit location)."""
 
 from __future__ import annotations
 
@@ -37,18 +37,6 @@ def test_lineage_with_store_uses_index(capsys, pathindex_corpus_dir,
     assert code == 0
     assert lines[:-1] == ancestors
     assert lines[-1] == f"({len(ancestors)} ancestor(s) of {traced_entity.value})"
-
-
-def test_lineage_memory_matches_store(capsys, pathindex_corpus_dir,
-                                      store_dir_j1, traced_entity):
-    main(["lineage", str(pathindex_corpus_dir), traced_entity.value,
-          "--store", str(store_dir_j1), "--json"])
-    stored = json.loads(capsys.readouterr().out)
-    main(["lineage", str(pathindex_corpus_dir), traced_entity.value, "--json"])
-    memory = json.loads(capsys.readouterr().out)
-    assert stored.keys() == memory.keys() == {"entity", "mode", "results"}
-    assert stored["results"] == memory["results"]
-    assert stored["mode"] == "ancestors"
 
 
 def test_lineage_descendants_and_chain(capsys, pathindex_corpus_dir,

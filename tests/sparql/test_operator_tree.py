@@ -20,12 +20,37 @@ EX = Namespace("http://example.org/")
 
 
 @pytest.fixture(scope="module")
-def golden_texts(pathindex_corpus_dir):
-    """The 820 texts ``golden.json`` pins, from the corpus manifest."""
+def golden_requests(pathindex_corpus_dir):
+    """The 820 requests ``golden.json`` pins, from the corpus manifest."""
     from benchmarks.harness.schedule import all_requests
 
     manifest = json.loads((pathindex_corpus_dir / "manifest.json").read_text())
-    return [request.text for request in all_requests(manifest["traces"])]
+    return all_requests(manifest["traces"])
+
+
+@pytest.fixture(scope="module")
+def golden_texts(golden_requests):
+    return [request.text for request in golden_requests]
+
+
+def test_store_answers_every_golden_text(indexed_store, golden_requests):
+    """The store's SELECT JSON for every golden text is its pinned answer
+    (the pins are computed in memory, so this holds the store to the
+    other backend)."""
+    from benchmarks.harness import golden
+
+    from repro.store import StoreDataset
+
+    pins = golden.load()
+    engine = CorpusQueries(StoreDataset(indexed_store)).engine
+    mismatches = [
+        mismatch for mismatch in (
+            golden.check(pins, request.key,
+                         engine.select(request.text).to_json().encode("utf-8"))
+            for request in golden_requests)
+        if mismatch]
+    assert len(golden_requests) == len(pins["queries"]) == 820
+    assert mismatches == []
 
 
 @pytest.fixture(scope="module", params=["memory", "store"])

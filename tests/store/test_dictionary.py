@@ -4,7 +4,7 @@ import pytest
 
 from repro.rdf import Namespace
 from repro.rdf.terms import BlankNode, IRI, Literal, XSD
-from repro.store import TermDictionary, decode_term, encode_term
+from repro.store import TermDictionary, decode_term, dictionary, encode_term
 
 EX = Namespace("http://example.org/")
 
@@ -79,8 +79,9 @@ class TestDictionary:
         assert reopened.lookup(EX.b) == 2
         reopened.close()
 
-    def test_decode_cache_is_bounded(self, tmp_path):
-        d = TermDictionary(tmp_path, decode_cache_size=4)
+    def test_decode_cache_is_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dictionary, "DEFAULT_DECODE_CACHE_SIZE", 4)
+        d = TermDictionary(tmp_path)
         for i in range(20):
             d.add(EX.term(f"t{i}"))
         d.compact()

@@ -1,12 +1,14 @@
 """Tests for incremental corpus ingest: hashing, no-ops, rebuilds."""
 
 import hashlib
+import threading
+import time
 
 import pytest
 
 from repro.rdf import Namespace
 from repro.rdf.turtle import TurtleError
-from repro.store import QuadStore, StoreDataset, ingest_corpus
+from repro.store import QuadStore, StoreDataset, ingest_corpus, open_corpus_store
 
 EX = Namespace("http://example.org/")
 
@@ -123,3 +125,50 @@ class TestIncrementalIngest:
         assert summary["rebuilt"] is False
         assert summary["quads_added"] == store.quad_count
         assert summary["duration_s"] >= 0
+
+
+class TestOpenCorpusStore:
+    def test_defaults_next_to_corpus(self, tiny_corpus_dir):
+        store, report = open_corpus_store(tiny_corpus_dir)
+        with store:
+            assert store.path == tiny_corpus_dir / ".store"
+            assert len(report.parsed) == 2
+        store, report = open_corpus_store(tiny_corpus_dir)
+        store.close()
+        assert report.no_op
+
+    def test_missing_corpus_creates_nothing(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="no corpus directory at"):
+            open_corpus_store(tmp_path / "nope", tmp_path / "store")
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_concurrent_syncs_serialize(self, tiny_corpus_dir, tmp_path):
+        """A second sync that starts while the first is between files
+        waits for it, then finds nothing to do.  ``flock`` locks belong to
+        an open file description, so two threads opening the store
+        directory contend exactly as two processes do."""
+        store_dir = tmp_path / "store"
+        paused, second_started = threading.Event(), threading.Event()
+        first = {}
+
+        def pause_after_first_file(done, total, quads):
+            if done == 1:
+                paused.set()
+                second_started.wait(10)
+                time.sleep(0.2)  # room for an unserialized second sync to run
+
+        def first_sync():
+            store, first["report"] = open_corpus_store(
+                tiny_corpus_dir, store_dir, on_file=pause_after_first_file)
+            store.close()
+
+        thread = threading.Thread(target=first_sync)
+        thread.start()
+        assert paused.wait(10)
+        second_started.set()
+        store, report = open_corpus_store(tiny_corpus_dir, store_dir)
+        thread.join(10)
+        with store:
+            assert report.summary()["parsed_files"] == 0
+            assert store.generation == 1  # what one serial sync leaves
+        assert len(first["report"].parsed) == 2

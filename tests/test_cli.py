@@ -32,6 +32,8 @@ class TestParser:
 
 
 class TestCommands:
+    # The query tests share the module corpus's default store
+    # (<built_dir>/.store): the first one syncs it, the rest find it fresh.
     def test_query_table(self, built_dir, capsys):
         code = main([
             "query", str(built_dir),
@@ -54,6 +56,17 @@ class TestCommands:
         assert main(["query", str(built_dir), f"@{query_file}", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["head"]["vars"] == ["n"]
+
+    def test_query_first_sync_keeps_stdout_to_the_answer(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        (corpus / "Taverna" / "dom" / "t-1").mkdir(parents=True)
+        (corpus / "Taverna" / "dom" / "t-1" / "run1.prov.ttl").write_text(
+            TestObsCommands._TTL)
+        assert main(["query", str(corpus), "SELECT ?r WHERE { ?r prov:used ?d }",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["results"]["bindings"]) == 1
+        assert (corpus / ".store" / "store.json").exists()
 
     def test_build_command(self, tmp_path, capsys):
         # Smallest end-to-end check of the build path (uses the real builder).
@@ -108,6 +121,22 @@ class TestStoreCommands:
         assert main(["store", "ingest", str(missing)]) == 1
         assert "no corpus directory" in capsys.readouterr().err
         assert not missing.exists()  # must not mkdir a store at the typo'd path
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "{missing}", "ASK { ?s ?p ?o }"],
+        ["lineage", "{missing}", "http://example.org/e"],
+        ["serve", "{missing}", "--store", "{store}"],
+    ], ids=["query", "lineage", "serve"])
+    def test_read_commands_refuse_missing_corpus_without_side_effects(
+            self, argv, tmp_path, capsys):
+        missing, store = tmp_path / "nope", tmp_path / "store"
+        argv = [arg.replace("{missing}", str(missing)).replace("{store}", str(store))
+                for arg in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: no corpus directory at {missing}\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == []
 
     def test_build_store_flag_defaults_next_to_corpus(self, tmp_path, capsys):
         root = tmp_path / "corpus"
