@@ -33,7 +33,7 @@ active for the whole request, carrying the request's one record (see
 write onto.  The trace id is echoed on **every** response — success and
 error alike — as ``X-Trace-Id``, alongside ``X-Query-Duration-ms``;
 ``/sparql`` answers add ``Server-Timing`` with the record's ``cache`` /
-``parse`` / ``exec`` / ``ser`` layer times.  Retention is tail-based:
+``parse`` / ``plan`` / ``exec`` / ``ser`` layer times.  Retention is tail-based:
 only a request that errored (status ≥ 400) or took at least
 ``slow_query_ms`` (100 ms when unset) keeps its record, in one bounded
 ring — ``GET /trace/<id>`` answers 404 once a record is evicted or was

@@ -25,16 +25,21 @@ present only on records whose query the engine answered):
 ``status``          HTTP status
 ``duration_ms``     request wall time up to the response headers (what
                     ``repro_endpoint_request_seconds`` observes)
-``timings_ms``      ``cache``, ``parse``, ``exec``, ``ser`` (the
-                    ``Server-Timing`` parts) and ``write``
-``unattributed_ms`` ``duration_ms`` minus the four ``Server-Timing``
+``timings_ms``      ``cache``, ``parse``, ``plan``, ``exec``, ``ser`` (the
+                    ``Server-Timing`` parts) and ``write``: ``plan`` is
+                    the compile on a plan-cache miss, the lookup and
+                    rebind on a hit; ``exec`` is execution alone
+``unattributed_ms`` ``duration_ms`` minus the five ``Server-Timing``
                     parts (``write`` happens after the stamp)
 ``query_sha256``    SHA-256 of the full query text (stable join key)
 ``query``           query text, truncated to 200 chars
 ``query_ms``        wall time of the engine call (``X-Query-Duration-ms``)
 ``cache``           ``"hit"`` or ``"miss"`` on the result cache
-``plan_digest``     EXPLAIN digest, memoised per (text, version) so a
-                    hit carries the digest of the miss that filled it
+``plan``            ``"hit"`` or ``"miss"`` on the plan cache (``None``
+                    on a result-cache hit, which needs no plan)
+``plan_digest``     EXPLAIN digest of the plan that computed the answer
+                    (on a result-cache hit, the one its miss ran),
+                    rendered only when the record is kept
 ``generation``      source version / store generation at query time
 ``span_id``         W3C id of the ``sparql.query`` span — ``args.span_id``
                     of the same span in a ``--trace`` file
@@ -79,13 +84,15 @@ class RequestRecord:
     query: Optional[str] = None
     query_ms: float = 0.0
     cache: Optional[str] = None
-    plan_digest: Optional[str] = None
+    plan: Optional[str] = None
+    query_plan: Optional[object] = None  # anything with a ``digest``
     generation: Optional[int] = None
     span_id: Optional[str] = None
     operators: List[dict] = field(default_factory=list)
     misestimates: int = 0
     cache_ms: float = 0.0
     parse_ms: float = 0.0
+    plan_ms: float = 0.0
     execute_ms: float = 0.0
     serialize_ms: float = 0.0
     write_ms: float = 0.0
@@ -94,7 +101,8 @@ class RequestRecord:
     def server_timing(self) -> str:
         """The ``Server-Timing`` header value: the layer stamps as sent."""
         return (f"cache;dur={self.cache_ms:.3f}, parse;dur={self.parse_ms:.3f}, "
-                f"exec;dur={self.execute_ms:.3f}, ser;dur={self.serialize_ms:.3f}")
+                f"plan;dur={self.plan_ms:.3f}, exec;dur={self.execute_ms:.3f}, "
+                f"ser;dur={self.serialize_ms:.3f}")
 
     def to_dict(self) -> Dict:
         """The JSON-ready record, without spans (bounded: the query text
@@ -102,6 +110,7 @@ class RequestRecord:
         timings = {
             "cache": round(self.cache_ms, 3),
             "parse": round(self.parse_ms, 3),
+            "plan": round(self.plan_ms, 3),
             "exec": round(self.execute_ms, 3),
             "ser": round(self.serialize_ms, 3),
         }
@@ -120,7 +129,8 @@ class RequestRecord:
                 query=self.query[:200],
                 query_ms=round(self.query_ms, 3),
                 cache=self.cache,
-                plan_digest=self.plan_digest,
+                plan=self.plan,
+                plan_digest=None if self.query_plan is None else self.query_plan.digest,
                 generation=self.generation,
                 span_id=self.span_id,
                 operators=self.operators,

@@ -1,7 +1,7 @@
-"""SPARQL query evaluation: each query compiles into one operator tree.
+"""SPARQL query evaluation: each query shape compiles into one operator tree.
 
-:class:`QueryEngine` parses a query, compiles it — once per execution,
-against the graph snapshot it will run on — into a tree of
+:class:`QueryEngine` parses a query, compiles it — against the graph
+snapshot it will run on — into a tree of
 :class:`~repro.sparql.plan.Operator` nodes (this module's ``*Op``
 classes) and runs that tree, the one EXPLAIN renders and PROFILE times.
 Operators are *lateral*: each extends the list of partial solutions
@@ -16,12 +16,26 @@ each BGP's one planner call.  The *active graph* is passed down at run
 time: GRAPH swaps it, and the EXISTS patterns of an expression — child
 operators of the node holding it — read that node's active graph.
 
-The engine also keeps a bounded LRU cache of query results keyed by
-``(query text, source version)``: the version is the source's monotonic
-mutation counter, so any write invalidates every entry without
-bookkeeping.  The endpoint shares one engine across threads, so its
-caches are lock-protected.  Planner cardinalities live in each graph's
-:class:`~repro.rdf.statistics.GraphStatistics`, not per query.
+The engine keeps two bounded LRU caches, both keyed on the source
+version — its monotonic mutation counter, so any write invalidates every
+entry without bookkeeping:
+
+* **results**, keyed by ``(query text, version)``: a hit returns the
+  answer before the text is even tokenized;
+* **plans**, keyed by the query's *shape* — its token texts with every
+  IRIREF blanked — plus the texts of the IRIREFs the plan depends on
+  (predicates, GRAPH names, VALUES data, PREFIX / BASE) and the
+  version.  The IRIREFs the parser read as triple-pattern subjects and
+  objects are slots: a hit resolves them as a parse would and swaps
+  them into a copy of the cached tree's paths to them
+  (:class:`~repro.sparql.plan.PlanTemplate`), skipping parse, compile
+  and planning.  ``explain`` and ``profile`` take the same route.
+
+The endpoint shares one engine across threads, so its caches are
+lock-protected, and a compiled tree holds no per-execution state, so
+threads may run shared subtrees at once.  Planner cardinalities live in
+each graph's :class:`~repro.rdf.statistics.GraphStatistics`, not per
+query.
 """
 
 from __future__ import annotations
@@ -29,6 +43,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from dataclasses import replace
 from typing import Dict, List, Optional, Union as TyUnion
 
 from ..rdf.graph import Dataset, Graph
@@ -75,19 +90,21 @@ from ..obs import metrics as _metrics
 from ..obs import tracectx as _tracectx
 from ..obs.trace import span as _span
 from .encoded import encoded_executor
-from .parser import parse_query
+from .parser import QueryParser, resolve_iriref
 from .paths import Path, eval_path_batch
 from .plan import (
     Operator,
+    PlanTemplate,
     QueryPlan,
     QueryProfile,
     Scan,
     plan_bgp_steps,
+    profiled_stats,
     render_expression,
     render_term,
 )
 from .results import ResultTable
-from .tokenizer import SparqlSyntaxError
+from .tokenizer import SparqlSyntaxError, Tokenizer, scan
 
 __all__ = ["QueryEngine", "plan_bgp_steps", "DEFAULT_RESULT_CACHE_SIZE"]
 
@@ -95,7 +112,9 @@ Binding = Dict[str, Term]
 
 #: Default capacity of the per-engine LRU query-result cache.
 DEFAULT_RESULT_CACHE_SIZE = 128
-_PLAN_CACHE_SIZE = 256  # (query text, version) → plan digest entries
+#: Compiled query shapes the plan cache keeps (and shapes whose pinned
+#: IRIREF positions it remembers).
+_PLAN_CACHE_SIZE = 256
 
 _CACHE_EVENTS = _metrics.counter(
     "repro_query_cache_total", "Query result cache events", labels=("event",)
@@ -144,16 +163,22 @@ class QueryEngine:
             raise TypeError("QueryEngine requires a Graph or Dataset")
         self.namespaces = namespaces if namespaces is not None else _corpus_namespaces(source)
         self.tracer = tracer
-        # (query text, version) → plan digest, filled by the first miss
-        # that runs under a request record: a result-cache hit reads its
-        # digest here, and a repeat miss renders no plan text.
-        self._plan_cache: "OrderedDict[tuple, str]" = OrderedDict()
-        # Result cache: (query text, source version) → result.  The lock
-        # also guards the lazy union-graph refresh; the endpoint shares
-        # one engine across ThreadingHTTPServer worker threads.
+        # Plan cache: (shape, pinned IRIREF texts, version) → (template,
+        # BASE), and shape → the token indices of its pinned IRIREFs;
+        # both LRU, a lookup refreshing the shape's entry in each.
+        self._plans: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._plans_version: Optional[int] = None  # the version _plans hold
+        self._pinned: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._plan_hits = 0
+        self._plan_misses = 0
+        self._plan_evictions = 0
+        # Result cache: (query text, source version) → (result, the
+        # operator tree that computed it).  The lock also guards the plan cache and the
+        # lazy union-graph refresh; the endpoint shares one engine across
+        # ThreadingHTTPServer worker threads.
         self.cache_size = max(0, cache_size)
         self._lock = threading.RLock()
-        self._result_cache: "OrderedDict[tuple, object]" = OrderedDict()
+        self._result_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._cache_hits = 0
         self._cache_misses = 0
         self._cache_evictions = 0
@@ -164,8 +189,10 @@ class QueryEngine:
         """The source's current monotonic version (cache-key component)."""
         return self.dataset.version if self.dataset is not None else self._default.version
 
-    def _refresh_default_locked(self) -> None:
-        """Rebuild the union-graph snapshot if the dataset has moved.
+    def _refresh_default_locked(self) -> int:
+        """Rebuild the union-graph snapshot if the dataset has moved;
+        returns the source version the snapshot is at (one read of a
+        dataset's version, which sums over its graphs).
 
         Before versioning existed the snapshot was built once in the
         constructor and silently served stale data after any dataset
@@ -178,11 +205,11 @@ class QueryEngine:
         snapshot it was compiled against.
         """
         if self.dataset is None:
-            return
+            return self._default.version
         while True:
             version = self.dataset.version
             if version == self._union_version:
-                return
+                return version
             try:
                 snapshot = self.dataset.union_graph()
             except RuntimeError:
@@ -190,10 +217,11 @@ class QueryEngine:
             if self.dataset.version == version:
                 self._default = snapshot
                 self._union_version = version
-                return
+                return version
 
-    def cache_info(self) -> Dict[str, int]:
-        """Hit/miss/eviction counters plus current size and version."""
+    def cache_info(self) -> Dict[str, object]:
+        """Result-cache hit/miss/eviction counters plus current size and
+        version, and the plan cache's under ``plans``."""
         with self._lock:
             return {
                 "size": len(self._result_cache),
@@ -202,6 +230,12 @@ class QueryEngine:
                 "misses": self._cache_misses,
                 "evictions": self._cache_evictions,
                 "version": self.source_version(),
+                "plans": {
+                    "size": len(self._plans),
+                    "hits": self._plan_hits,
+                    "misses": self._plan_misses,
+                    "evictions": self._plan_evictions,
+                },
             }
 
     def clear_cache(self) -> None:
@@ -217,7 +251,8 @@ class QueryEngine:
         the previously computed result object as long as the source's
         version is unchanged.  Any mutation bumps the version, which
         makes every older cache entry unreachable (logical invalidation
-        — entries age out of the LRU without explicit purging).
+        — entries age out of the LRU without explicit purging).  A miss
+        takes its plan from :meth:`_prepare`.
         """
         tracer = self.tracer
         if not isinstance(query, str):
@@ -230,11 +265,7 @@ class QueryEngine:
                    query=query[:120]) as query_span:
             cached = _MISS
             with self._lock:
-                self._refresh_default_locked()
-                key = (query, self.source_version())
-                digest = self._plan_cache.get(key)
-                if digest is not None:
-                    self._plan_cache.move_to_end(key)
+                key = (query, self._refresh_default_locked())
                 if self.cache_size:
                     cached = self._result_cache.get(key, _MISS)
                     if cached is not _MISS:
@@ -248,16 +279,19 @@ class QueryEngine:
                         query_span.set(cache="miss")
             looked_up = time.perf_counter()
             if cached is not _MISS:
+                result, root = cached
                 if record is not None:
+                    # a cached answer keeps its miss's tree for the digest,
+                    # not the snapshot that tree ran on
+                    plan = QueryPlan(root, None)
                     record.cache_ms = (looked_up - started) * 1000.0
-                    self._fill_record(record, key, "hit", digest, None, query_span)
-                return cached
-            with _span(tracer, "sparql.parse", cat="query"):
-                parsed = parse_query(query, namespaces=self.namespaces)
-            parsed_at = time.perf_counter()
-            _QUERY_SECONDS.labels("parse").observe(parsed_at - looked_up)
+                    self._fill_record(record, key, "hit", plan, None, query_span)
+                return result
+            plan, source, parse_s = self._prepare(query)
+            prepared_at = time.perf_counter()
+            query_span.set(plan=source)
+            _QUERY_SECONDS.labels("parse").observe(parse_s)
             with _span(tracer, "sparql.execute", cat="query"):
-                plan = self._compile(parsed, query)
                 # A profiling request runs every miss with statistics on:
                 # collection is batch-level (per operator call, not per
                 # row), so the record gets operator rows without a
@@ -266,10 +300,10 @@ class QueryEngine:
                            if record is not None and record.profile else None)
                 result = plan.execute() if profile is None else profile.result
             executed_at = time.perf_counter()
-            _QUERY_SECONDS.labels("execute").observe(executed_at - parsed_at)
+            _QUERY_SECONDS.labels("execute").observe(executed_at - looked_up - parse_s)
             if self.cache_size:
                 with self._lock:
-                    self._result_cache[key] = result
+                    self._result_cache[key] = (result, plan.root)
                     while len(self._result_cache) > self.cache_size:
                         self._result_cache.popitem(last=False)
                         self._cache_evictions += 1
@@ -278,52 +312,118 @@ class QueryEngine:
                 stored_at = time.perf_counter()
                 record.cache_ms = ((looked_up - started)
                                    + (stored_at - executed_at)) * 1000.0
-                record.parse_ms = (parsed_at - looked_up) * 1000.0
-                record.execute_ms = (executed_at - parsed_at) * 1000.0
-                if digest is None:
-                    digest = plan.digest
-                    with self._lock:
-                        self._plan_cache[key] = digest
-                        while len(self._plan_cache) > _PLAN_CACHE_SIZE:
-                            self._plan_cache.popitem(last=False)
-                self._fill_record(record, key, "miss", digest, profile, query_span)
+                record.parse_ms = parse_s * 1000.0
+                record.plan_ms = (prepared_at - looked_up - parse_s) * 1000.0
+                record.execute_ms = (executed_at - prepared_at) * 1000.0
+                record.plan = source
+                self._fill_record(record, key, "miss", plan, profile, query_span)
             return result
 
-    def _fill_record(self, record, key, cache: str, digest: Optional[str],
+    def _fill_record(self, record, key, cache: str, plan: QueryPlan,
                      profile: Optional[QueryProfile], query_span) -> None:
         """Write what the engine knows about this query onto the active
-        request record.  *digest* is ``None`` on a hit whose miss
-        predates the memo; *profile* is the profiled execution, if any."""
+        request record.  *plan* is the plan that computed the answer
+        (its digest is rendered only if the record is kept); *profile*
+        is the profiled execution, if any."""
         record.query, record.generation = key  # (text, version)
         record.cache = cache
         # the span's W3C id: args.span_id of the same span in a --trace file
         record.span_id = query_span.span_id
-        if digest is not None:
-            record.plan_digest = digest
+        record.query_plan = plan
         if profile is not None:
             record.operators = profile.report["operators"]
             record.misestimates = profile.report["misestimates"]
 
-    def _compile(self, query, text: Optional[str] = None) -> QueryPlan:
+    def _prepare(self, text: str):
+        """(the plan of *text*, ``"hit"`` or ``"miss"``, seconds spent
+        tokenizing and parsing) — from the plan cache when a query of
+        the same shape was compiled at this version.
+
+        The key is the token texts with every IRIREF blanked, the texts
+        of the IRIREFs the plan depends on (*pinned*: predicates, GRAPH
+        names, VALUES data, PREFIX and BASE) and the source version.
+        The parser says which IRIREFs are pinned; every other one is the
+        subject or object of a triple pattern, and a hit resolves it
+        (the miss's own :func:`resolve_iriref`, same errors) and swaps
+        it into the cached tree."""
+        started = time.perf_counter()
+        scanned = scan(text)
+        # None where an IRIREF stands: no other token starts with "<" and ends with ">"
+        shape = tuple([None if raw[0] == "<" and raw[-1] == ">" else raw
+                       for _, raw in scanned])
+        scanned_at = time.perf_counter()
+        with self._lock:
+            version = self._refresh_default_locked()
+            graph = self._default
+            if version != self._plans_version:
+                # older keys are unreachable, and each plan holds its snapshot
+                self._plan_evictions += len(self._plans)
+                self._plans.clear()
+                self._plans_version = version
+            pinned = self._pinned.get(shape)
+            cached = None
+            if pinned is not None:
+                self._pinned.move_to_end(shape)
+                key = (shape, tuple([scanned[index][1] for index in pinned]), version)
+                cached = self._plans.get(key)
+            if cached is None:
+                self._plan_misses += 1
+            else:
+                self._plans.move_to_end(key)
+                self._plan_hits += 1
+        if cached is not None:
+            template, base = cached
+            terms = []
+            for index in template.slots:
+                try:
+                    terms.append(resolve_iriref(scanned[index][1], base))
+                except ValueError as exc:
+                    tokens = Tokenizer(text, scanned)
+                    raise tokens.error(str(exc), tokens.tokens[index]) from None
+            return template.instantiate(terms), "hit", scanned_at - started
+        looked_up = time.perf_counter()
+        parser = QueryParser(text, self.namespaces, scanned)
+        parsed = parser.parse()
+        parse_s = (scanned_at - started) + (time.perf_counter() - looked_up)
+        plan = QueryPlan(_Compiler(graph, self.dataset, self.namespaces).query(parsed), graph)
+        template = PlanTemplate(plan, parser.lifted)
+        lifted = set(template.slots)
+        pinned = tuple([index for index, part in enumerate(shape)
+                        if part is None and index not in lifted])
+        with self._lock:
+            self._pinned[shape] = pinned
+            self._pinned.move_to_end(shape)
+            if len(self._pinned) > _PLAN_CACHE_SIZE:
+                self._pinned.popitem(last=False)
+            if version == self._plans_version:
+                self._plans[(shape, tuple([scanned[index][1] for index in pinned]), version)] = (
+                    template, parser.base)
+            while len(self._plans) > _PLAN_CACHE_SIZE:
+                self._plans.popitem(last=False)
+                self._plan_evictions += 1
+        return plan, "miss", parse_s
+
+    def _compile(self, query) -> QueryPlan:
         """The operator tree of a parsed *query* over the current snapshot."""
         with self._lock:
             self._refresh_default_locked()
             graph = self._default
         root = _Compiler(graph, self.dataset, self.namespaces).query(query)
-        return QueryPlan(root, graph, query=text)
+        return QueryPlan(root, graph)
 
     # -- introspection -------------------------------------------------------
 
     def explain(self, query: TyUnion[str, SelectQuery, AskQuery]) -> QueryPlan:
         """EXPLAIN: the plan this engine would execute right now.
 
-        Static — nothing is evaluated.  The returned
+        Static — nothing is evaluated.  A text takes the route
+        :meth:`query` takes (the plan cache included).  The returned
         :class:`~repro.sparql.plan.QueryPlan` renders as text, JSON, or
         Chrome-trace args; its ``digest`` is deterministic for a given
         query + source contents, so plan regressions diff cleanly.
         """
         if isinstance(query, str):
-            return self._compile(parse_query(query, namespaces=self.namespaces), query)
+            return self._prepare(query)[0]
         return self._compile(query)
 
     def profile(self, query: TyUnion[str, SelectQuery, AskQuery]) -> QueryProfile:
@@ -331,16 +431,13 @@ class QueryEngine:
 
         Bypasses the result cache in both directions (a cached answer
         would produce an empty profile; a profiled run should not
-        poison timings either).  Returns a
+        poison timings either), not the plan cache.  Returns a
         :class:`~repro.sparql.plan.QueryProfile` carrying the result,
         the plan, and the merged stats report.
         """
-        text = query if isinstance(query, str) else None
-        if text is not None:
-            with _span(self.tracer, "sparql.parse", cat="query"):
-                query = parse_query(text, namespaces=self.namespaces)
+        plan = self._prepare(query)[0] if isinstance(query, str) else self._compile(query)
         with _span(self.tracer, "sparql.execute", cat="query"):
-            return self._compile(query, text).profile()
+            return plan.profile()
 
     def construct(self, text: str) -> Graph:
         result = self.query(text)
@@ -533,12 +630,14 @@ class _Op(Operator):
     are the compiled EXISTS patterns of that node's expressions (the
     trailing children)."""
 
-    __slots__ = ("node", "tests")
-
     def __init__(self, node, *children: Operator, tests=()):
         super().__init__(*children, *tests)
         self.node = node
-        self.tests = tests
+        self.first_test = len(self.children) - len(tests)
+
+    @property
+    def tests(self) -> List["ExistsOp"]:
+        return self.children[self.first_test:]
 
     def exists(self, graph, rows: List[Binding]):
         """The ``(pattern, binding) -> bool`` EXISTS evaluator of this
@@ -548,10 +647,11 @@ class _Op(Operator):
         of *rows* — the batch this node is about to test — into one memo
         per test.  A binding outside the batch (an aggregate's group row)
         fills the same memo as a batch of its own."""
-        if not self.tests:
+        tests = self.tests
+        if not tests:
             return None
         memos = {}
-        for test in self.tests:
+        for test in tests:
             memo = memos[id(test.node.pattern)] = (test, {})
             test.fill(rows, graph, memo[1])
 
@@ -573,8 +673,6 @@ class _Keyed(_Op):
     set of those variables a row binds — over that domain's distinct
     keys.  Its answer for a row is then exactly the answer for the row's
     key: the side reads no other variable of the row."""
-
-    __slots__ = ("names",)
 
     def __init__(self, node, *children: Operator, side, tests=()):
         super().__init__(node, *children, tests=tests)
@@ -667,8 +765,9 @@ class BgpOp(_Op):
                           else executor.extend_and_decode)
                 scan = scans[position]
                 solutions = scan.run(solutions, graph, extend)
-                if scan.stats is not None and "hash" in executor.ran:
-                    scan.stats["hash"] = True  # PROFILE's join: what ran
+                stats = profiled_stats(scan)
+                if stats is not None and "hash" in executor.ran:
+                    stats["hash"] = True  # PROFILE's join: what ran
                 if not solutions:
                     return []
             scans = scans[split:]
@@ -993,6 +1092,15 @@ class ConstructOp(_Op):
     the SPARQL spec."""
 
     op = "construct"
+
+    def patterns(self):
+        return self.node.template
+
+    def rebound(self, children, patterns):
+        new = super().rebound(children, patterns)
+        if patterns is not None:
+            new.node = replace(self.node, template=patterns)
+        return new
 
     def describe(self):
         query = self.node

@@ -5,11 +5,16 @@ and the coverage tooling: SELECT / ASK with BGPs, OPTIONAL, FILTER, UNION,
 MINUS, BIND, GRAPH, property shorthand (``;`` ``,`` and ``a``), expressions
 with the full operator precedence ladder, (NOT) EXISTS, IN, aggregates with
 GROUP BY / HAVING, and ORDER BY / LIMIT / OFFSET.
+
+The parser also reports which IRIREF tokens it read as the subject or
+object of a triple pattern (:attr:`QueryParser.lifted`): the query
+engine's plan cache swaps exactly those into a compiled tree, and keys
+on the text of every other IRIREF.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..rdf.namespace import RDF, NamespaceManager
 from ..rdf.terms import BlankNode, IRI, Literal, XSD, unescape_string
@@ -47,9 +52,9 @@ from .algebra import (
     VarExpr,
 )
 from .paths import PathAlternative, PathClosure, PathInverse, PathSequence
-from .tokenizer import SparqlSyntaxError, Token, Tokenizer
+from .tokenizer import Scanned, Token, Tokenizer
 
-__all__ = ["parse_query", "QueryParser"]
+__all__ = ["parse_query", "QueryParser", "resolve_iriref", "LiftedSite"]
 
 #: Built-in function names the expression grammar accepts.
 BUILTIN_FUNCTIONS = frozenset(
@@ -66,6 +71,11 @@ _AGGREGATES = frozenset({"COUNT", "SUM", "MIN", "MAX", "AVG", "SAMPLE", "GROUP_C
 _NUMERIC = {"integer": XSD.INTEGER, "decimal": XSD.DECIMAL, "double": XSD.DOUBLE}
 
 
+#: A triple pattern written with an IRIREF subject and/or object: the
+#: pattern and the token index of each (``None`` where it is not one).
+LiftedSite = Tuple[TriplePattern, Optional[int], Optional[int]]
+
+
 def parse_query(text: str, namespaces: Optional[NamespaceManager] = None):
     """Parse SPARQL text into a :class:`SelectQuery` or :class:`AskQuery`.
 
@@ -75,12 +85,28 @@ def parse_query(text: str, namespaces: Optional[NamespaceManager] = None):
     return QueryParser(text, namespaces=namespaces).parse()
 
 
+def resolve_iriref(raw: str, base: str) -> IRI:
+    """The IRI an IRIREF token's raw text ``<…>`` names under *base*;
+    ``ValueError`` when it is not a valid IRI."""
+    value = raw[1:-1]
+    if base and "://" not in value and not value.startswith("urn:"):
+        value = base + value
+    return IRI(value)
+
+
 class QueryParser:
-    def __init__(self, text: str, namespaces: Optional[NamespaceManager] = None):
-        self.tokens = Tokenizer(text)
+    """*scanned* is :func:`~repro.sparql.tokenizer.scan`'s result for
+    *text* when the caller has it — the query engine's, which keyed its
+    plan-cache lookup on it — so a miss reads the text once."""
+
+    def __init__(self, text: str, namespaces: Optional[NamespaceManager] = None,
+                 scanned: Optional[Scanned] = None):
+        self.tokens = Tokenizer(text, scanned)
         self.nsm = namespaces.copy() if namespaces is not None else NamespaceManager()
         self.base = ""
-        self._bnode_count = 0
+        #: Every triple pattern with an IRIREF subject or object, in
+        #: parse order.  One subject token can head several patterns.
+        self.lifted: List[LiftedSite] = []
 
     # -- top level -----------------------------------------------------------
 
@@ -88,7 +114,7 @@ class QueryParser:
         self._parse_prologue()
         tok = self.tokens.peek()
         if tok is None:
-            raise SparqlSyntaxError("empty query")
+            raise self.tokens.error("empty query")
         if tok.is_keyword("SELECT"):
             query = self._parse_select()
         elif tok.is_keyword("ASK"):
@@ -98,13 +124,11 @@ class QueryParser:
         elif tok.is_keyword("DESCRIBE"):
             query = self._parse_describe()
         else:
-            raise SparqlSyntaxError(
-                f"expected SELECT, ASK, CONSTRUCT, or DESCRIBE, got {tok.text!r}",
-                tok.lineno,
-            )
+            raise self.tokens.error(
+                f"expected SELECT, ASK, CONSTRUCT, or DESCRIBE, got {tok.text!r}", tok)
         if not self.tokens.at_end():
             stray = self.tokens.peek()
-            raise SparqlSyntaxError(f"unexpected trailing input {stray.text!r}", stray.lineno)
+            raise self.tokens.error(f"unexpected trailing input {stray.text!r}", stray)
         return query
 
     def _parse_prologue(self):
@@ -112,17 +136,16 @@ class QueryParser:
             if self.tokens.accept_keyword("PREFIX"):
                 pname = self.tokens.next()
                 if pname.kind != "pname" or not pname.text.endswith(":"):
-                    raise SparqlSyntaxError(
-                        f"expected prefix declaration, got {pname.text!r}", pname.lineno
-                    )
+                    raise self.tokens.error(
+                        f"expected prefix declaration, got {pname.text!r}", pname)
                 iri = self.tokens.next()
                 if iri.kind != "iriref":
-                    raise SparqlSyntaxError(f"expected IRI, got {iri.text!r}", iri.lineno)
+                    raise self.tokens.error(f"expected IRI, got {iri.text!r}", iri)
                 self.nsm.bind(pname.text[:-1], iri.text[1:-1])
             elif self.tokens.accept_keyword("BASE"):
                 iri = self.tokens.next()
                 if iri.kind != "iriref":
-                    raise SparqlSyntaxError(f"expected IRI, got {iri.text!r}", iri.lineno)
+                    raise self.tokens.error(f"expected IRI, got {iri.text!r}", iri)
                 self.base = iri.text[1:-1]
             else:
                 return
@@ -137,7 +160,7 @@ class QueryParser:
             while True:
                 tok = self.tokens.peek()
                 if tok is None:
-                    raise SparqlSyntaxError("unterminated SELECT clause")
+                    raise self.tokens.error("unterminated SELECT clause")
                 if tok.kind == "var":
                     self.tokens.next()
                     projections.append(Projection(Var(tok.text)))
@@ -147,14 +170,14 @@ class QueryParser:
                     self.tokens.expect_keyword("AS")
                     var_tok = self.tokens.next()
                     if var_tok.kind != "var":
-                        raise SparqlSyntaxError("expected variable after AS", var_tok.lineno)
+                        raise self.tokens.error("expected variable after AS", var_tok)
                     self.tokens.expect_punct(")")
                     projections.append(Projection(Var(var_tok.text), expr))
                 else:
                     break
             if not projections:
                 tok = self.tokens.peek()
-                raise SparqlSyntaxError("SELECT clause has no projections", tok.lineno if tok else 0)
+                raise self.tokens.error("SELECT clause has no projections", tok)
         self.tokens.accept_keyword("WHERE")
         where = self._parse_group_graph_pattern()
         query = SelectQuery(projections=projections, where=where, distinct=distinct)
@@ -202,7 +225,7 @@ class QueryParser:
             else:
                 break
         if not targets:
-            raise SparqlSyntaxError("DESCRIBE requires at least one target")
+            raise self.tokens.error("DESCRIBE requires at least one target", self.tokens.peek())
         where = None
         tok = self.tokens.peek()
         if tok is not None and (tok.is_keyword("WHERE") or tok.is_punct("{")):
@@ -227,7 +250,7 @@ class QueryParser:
                 else:
                     break
             if not query.group_by:
-                raise SparqlSyntaxError("GROUP BY requires at least one grouping expression")
+                raise self.tokens.error("GROUP BY requires at least one grouping expression", tok)
         if self.tokens.accept_keyword("HAVING"):
             self.tokens.expect_punct("(")
             query.having = self._parse_expression()
@@ -256,7 +279,7 @@ class QueryParser:
                 else:
                     break
             if not query.order_by:
-                raise SparqlSyntaxError("ORDER BY requires at least one condition")
+                raise self.tokens.error("ORDER BY requires at least one condition", tok)
         if self.tokens.accept_keyword("LIMIT"):
             query.limit = self._parse_nonneg_int("LIMIT")
         if self.tokens.accept_keyword("OFFSET"):
@@ -268,7 +291,7 @@ class QueryParser:
     def _parse_nonneg_int(self, clause: str) -> int:
         tok = self.tokens.next()
         if tok.kind != "integer" or int(tok.text) < 0:
-            raise SparqlSyntaxError(f"{clause} requires a non-negative integer", tok.lineno)
+            raise self.tokens.error(f"{clause} requires a non-negative integer", tok)
         return int(tok.text)
 
     # -- graph patterns --------------------------------------------------------
@@ -290,7 +313,7 @@ class QueryParser:
         while True:
             tok = self.tokens.peek()
             if tok is None:
-                raise SparqlSyntaxError("unterminated group graph pattern")
+                raise self.tokens.error("unterminated group graph pattern")
             if tok.is_punct("}"):
                 self.tokens.next()
                 break
@@ -312,7 +335,7 @@ class QueryParser:
                 self.tokens.expect_keyword("AS")
                 var_tok = self.tokens.next()
                 if var_tok.kind != "var":
-                    raise SparqlSyntaxError("expected variable after AS", var_tok.lineno)
+                    raise self.tokens.error("expected variable after AS", var_tok)
                 self.tokens.expect_punct(")")
                 base = current if current is not None else BGP()
                 current = Bind(base, Var(var_tok.text), expr)
@@ -356,12 +379,11 @@ class QueryParser:
             while not self.tokens.accept_punct(")"):
                 var_tok = self.tokens.next()
                 if var_tok.kind != "var":
-                    raise SparqlSyntaxError(
-                        f"expected variable in VALUES, got {var_tok.text!r}", var_tok.lineno
-                    )
+                    raise self.tokens.error(
+                        f"expected variable in VALUES, got {var_tok.text!r}", var_tok)
                 variables.append(Var(var_tok.text))
         if not variables:
-            raise SparqlSyntaxError("VALUES requires at least one variable")
+            raise self.tokens.error("VALUES requires at least one variable", tok)
         self.tokens.expect_punct("{")
         rows: List[List] = []
         while not self.tokens.accept_punct("}"):
@@ -373,9 +395,9 @@ class QueryParser:
                 while not self.tokens.accept_punct(")"):
                     row.append(self._parse_values_term())
                 if len(row) != len(variables):
-                    raise SparqlSyntaxError(
-                        f"VALUES row has {len(row)} terms for {len(variables)} variables"
-                    )
+                    raise self.tokens.error(
+                        f"VALUES row has {len(row)} terms for {len(variables)} variables",
+                        self.tokens.tokens[self.tokens.pos - 1])
                 rows.append(row)
         return Values(variables=variables, rows=rows)
 
@@ -386,7 +408,7 @@ class QueryParser:
             return None
         term = self._parse_var_or_term()
         if isinstance(term, Var):
-            raise SparqlSyntaxError("variables are not allowed in VALUES data")
+            raise self.tokens.error("variables are not allowed in VALUES data", tok)
         return term
 
     def _parse_group_or_union(self) -> Pattern:
@@ -396,11 +418,17 @@ class QueryParser:
             pattern = Union(pattern, right)
         return pattern
 
+    def _iriref_index(self) -> Optional[int]:
+        """The next token's index when it is an IRIREF, else None."""
+        tok = self.tokens.peek()
+        return self.tokens.pos if tok is not None and tok.kind == "iriref" else None
+
     def _parse_triples_block(self) -> List[TriplePattern]:
         triples: List[TriplePattern] = []
         while True:
+            subject_index = self._iriref_index()
             subject = self._parse_var_or_term()
-            self._parse_property_list(subject, triples)
+            self._parse_property_list(subject, triples, subject_index)
             if not self.tokens.accept_punct("."):
                 break
             tok = self.tokens.peek()
@@ -408,12 +436,17 @@ class QueryParser:
                 break
         return triples
 
-    def _parse_property_list(self, subject: PatternTerm, triples: List[TriplePattern]):
+    def _parse_property_list(self, subject: PatternTerm, triples: List[TriplePattern],
+                             subject_index: Optional[int]):
         while True:
             predicate = self._parse_verb()
             while True:
+                object_index = self._iriref_index()
                 obj = self._parse_var_or_term()
-                triples.append(TriplePattern(subject, predicate, obj))
+                pattern = TriplePattern(subject, predicate, obj)
+                triples.append(pattern)
+                if subject_index is not None or object_index is not None:
+                    self.lifted.append((pattern, subject_index, object_index))
                 if not self.tokens.accept_punct(","):
                     break
             if not self.tokens.accept_punct(";"):
@@ -480,7 +513,7 @@ class QueryParser:
             return self._resolve_iri(tok)
         if tok.kind == "pname":
             return self._expand_pname(tok)
-        raise SparqlSyntaxError(f"invalid predicate or path {tok.text!r}", tok.lineno)
+        raise self.tokens.error(f"invalid predicate or path {tok.text!r}", tok)
 
     def _parse_var_or_term(self) -> PatternTerm:
         tok = self.tokens.next()
@@ -500,10 +533,16 @@ class QueryParser:
             return Literal("true", datatype=XSD.BOOLEAN)
         if tok.is_keyword("FALSE"):
             return Literal("false", datatype=XSD.BOOLEAN)
-        raise SparqlSyntaxError(f"expected term or variable, got {tok.text!r}", tok.lineno)
+        raise self.tokens.error(f"expected term or variable, got {tok.text!r}", tok)
+
+    def _unescape(self, tok: Token) -> str:
+        try:
+            return unescape_string(tok.text[1:-1])
+        except ValueError as exc:
+            raise self.tokens.error(f"malformed string escape: {exc}", tok) from None
 
     def _finish_literal(self, tok: Token) -> Literal:
-        lexical = unescape_string(tok.text[1:-1])
+        lexical = self._unescape(tok)
         nxt = self.tokens.peek()
         if nxt is not None and nxt.kind == "dtmark":
             self.tokens.next()
@@ -512,27 +551,24 @@ class QueryParser:
                 return Literal(lexical, datatype=self._resolve_iri(dt_tok))
             if dt_tok.kind == "pname":
                 return Literal(lexical, datatype=self._expand_pname(dt_tok))
-            raise SparqlSyntaxError("expected datatype IRI after ^^", dt_tok.lineno)
+            raise self.tokens.error("expected datatype IRI after ^^", dt_tok)
         if nxt is not None and nxt.kind == "langtag":
             self.tokens.next()
             return Literal(lexical, language=nxt.text[1:])
         return Literal(lexical)
 
     def _resolve_iri(self, tok: Token) -> IRI:
-        value = tok.text[1:-1]
-        if self.base and "://" not in value and not value.startswith("urn:"):
-            value = self.base + value
         try:
-            return IRI(value)
+            return resolve_iriref(tok.text, self.base)
         except ValueError as exc:
-            raise SparqlSyntaxError(str(exc), tok.lineno) from None
+            raise self.tokens.error(str(exc), tok) from None
 
     def _expand_pname(self, tok: Token) -> IRI:
         prefix, _, local = tok.text.partition(":")
         try:
             return self.nsm.expand(f"{prefix}:{local}")
         except KeyError:
-            raise SparqlSyntaxError(f"unknown prefix {prefix!r}", tok.lineno) from None
+            raise self.tokens.error(f"unknown prefix {prefix!r}", tok) from None
 
     # -- expressions ------------------------------------------------------------
 
@@ -669,8 +705,8 @@ class QueryParser:
             name = tok.text.upper()
             if name in BUILTIN_FUNCTIONS:
                 return FunctionCall(name, self._parse_arg_list())
-            raise SparqlSyntaxError(f"unknown function {tok.text!r}", tok.lineno)
-        raise SparqlSyntaxError(f"unexpected token in expression: {tok.text!r}", tok.lineno)
+            raise self.tokens.error(f"unknown function {tok.text!r}", tok)
+        raise self.tokens.error(f"unexpected token in expression: {tok.text!r}", tok)
 
     def _parse_arg_list(self) -> List[Expression]:
         self.tokens.expect_punct("(")
@@ -695,10 +731,10 @@ class QueryParser:
             self.tokens.expect_keyword("SEPARATOR")
             eq = self.tokens.next()
             if not (eq.kind == "op" and eq.text == "="):
-                raise SparqlSyntaxError("expected '=' after SEPARATOR", eq.lineno)
+                raise self.tokens.error("expected '=' after SEPARATOR", eq)
             sep_tok = self.tokens.next()
             if sep_tok.kind != "string":
-                raise SparqlSyntaxError("SEPARATOR requires a string", sep_tok.lineno)
-            separator = unescape_string(sep_tok.text[1:-1])
+                raise self.tokens.error("SEPARATOR requires a string", sep_tok)
+            separator = self._unescape(sep_tok)
         self.tokens.expect_punct(")")
         return Aggregate(name, expr, distinct=distinct, separator=separator)

@@ -1,7 +1,8 @@
 """EXPLAIN / PROFILE: the operator tree, its planner and its statistics.
 
-A query is compiled once per execution (``QueryEngine``'s compiler, in
-:mod:`repro.sparql.evaluator`) into a tree of :class:`Operator` nodes —
+A query is compiled once per shape and source version (``QueryEngine``'s
+compiler and plan cache, in :mod:`repro.sparql.evaluator`) into a tree
+of :class:`Operator` nodes —
 one per algebra operator, a BGP holding one :class:`Scan` per triple
 pattern — and that tree is the one thing the engine runs, EXPLAIN
 renders, PROFILE times and the digest hashes.  The planner
@@ -24,9 +25,13 @@ estimates, reasons), so the same query over the same store yields
 byte-identical EXPLAIN output across runs and across ``--jobs`` builds
 (the stores are bit-identical, and statistics derive from them).
 
-PROFILE (:meth:`QueryPlan.profile`) gives every node of that one tree a
-``stats`` dict before running it; unprofiled, a node pays one attribute
-check per call.  Collected per operator: rows in/out, wall and CPU
+A compiled tree holds no per-execution state, so concurrent executions
+may share it, or share subtrees of it (the query engine's plan cache
+hands out :class:`PlanTemplate` instantiations that do).  PROFILE
+(:meth:`QueryPlan.profile`) keeps its statistics in a per-execution map
+from node to ``stats`` dict, published in a context variable for the
+length of the run; unprofiled, a node pays one context-variable read per
+call.  Collected per operator: rows in/out, wall and CPU
 time, call count; per scan additionally segment bisect probes (a path
 step's walk reads the same segments) and decode-LRU hits (attributed by
 reading the store's plain-int counters before/after each pattern batch)
@@ -43,8 +48,9 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs import metrics as _metrics
 from ..rdf.terms import IRI
@@ -78,6 +84,7 @@ __all__ = [
     "Scan",
     "QueryPlan",
     "QueryProfile",
+    "PlanTemplate",
     "choose_access",
     "plan_bgp_steps",
     "render_term",
@@ -319,6 +326,18 @@ def plan_bgp_steps(
 # ---------------------------------------------------------------------------
 
 
+#: The statistics of the profiled execution running in this context —
+#: one dict per operator of its tree — or None when nothing is profiled.
+_PROFILED: ContextVar[Optional[Dict["Operator", dict]]] = ContextVar(
+    "repro_profiled", default=None)
+
+
+def profiled_stats(node: "Operator") -> Optional[dict]:
+    """*node*'s statistics in the profiled execution running here, if any."""
+    profiled = _PROFILED.get()
+    return None if profiled is None else profiled.get(node)
+
+
 class Operator:
     """One node of a compiled query: what EXPLAIN prints, what PROFILE
     times and what the engine runs.
@@ -327,15 +346,13 @@ class Operator:
     ``execute(inputs, graph)`` — the solutions out, given the solutions
     in and the active graph — and return their static facts from
     ``describe()``, which is only called when the tree is rendered.
-    ``stats`` is ``None`` unless the tree is being profiled.
+    A node is never written to once compiled.
     """
 
     op = ""
-    __slots__ = ("children", "stats")
 
     def __init__(self, *children: "Operator"):
         self.children = list(children)
-        self.stats: Optional[dict] = None
 
     def describe(self) -> Dict[str, object]:
         return {}
@@ -343,30 +360,31 @@ class Operator:
     #: Static, JSON-serializable facts: the digest covers them.
     detail = property(lambda self: self.describe())
 
-    def run(self, inputs: list, graph) -> list:
-        """:meth:`execute`, timed into ``stats`` when profiling."""
-        if self.stats is None:
-            return self.execute(inputs, graph)
-        return self._profiled(inputs, lambda: self.execute(inputs, graph))
+    def patterns(self) -> Sequence[TriplePattern]:
+        """The triple patterns this node itself reads when it runs."""
+        return ()
 
-    def _profiled(self, inputs: list, call: Callable) -> list:
-        stats = self.stats
-        wall0 = time.perf_counter()
-        cpu0 = time.process_time()
-        out = call()
-        stats["wall_s"] += time.perf_counter() - wall0
-        stats["cpu_s"] += time.process_time() - cpu0
-        stats["calls"] += 1
-        stats["rows_in"] += len(inputs)
-        stats["rows_out"] += len(out)
-        return out
+    def rebound(self, children: List["Operator"],
+                patterns: Optional[List[TriplePattern]]) -> "Operator":
+        """A shallow copy of this node over *children* that reads
+        *patterns* in place of :meth:`patterns` (``None``: the same)."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        new.children = children
+        return new
+
+    def run(self, inputs: list, graph) -> list:
+        """:meth:`execute`, timed into its statistics when profiling."""
+        profiled = _PROFILED.get()
+        if profiled is None:
+            return self.execute(inputs, graph)
+        return _timed(profiled[self], inputs, lambda: self.execute(inputs, graph))
 
     def new_stats(self) -> dict:
         return {"calls": 0, "rows_in": 0, "rows_out": 0, "wall_s": 0.0, "cpu_s": 0.0}
 
-    def runtime(self) -> dict:
+    def runtime(self, stats: dict) -> dict:
         """JSON-ready profile statistics (times inclusive of children)."""
-        stats = self.stats
         return {
             "calls": stats["calls"],
             "rows_in": stats["rows_in"],
@@ -390,6 +408,18 @@ class Operator:
             yield from child.walk()
 
 
+def _timed(stats: dict, inputs: list, call: Callable) -> list:
+    wall0 = time.perf_counter()
+    cpu0 = time.process_time()
+    out = call()
+    stats["wall_s"] += time.perf_counter() - wall0
+    stats["cpu_s"] += time.process_time() - cpu0
+    stats["calls"] += 1
+    stats["rows_in"] += len(inputs)
+    stats["rows_out"] += len(out)
+    return out
+
+
 def _runtime_counters(graph) -> Tuple[int, int]:
     """(segment bisect probes, decode-LRU hits) — plain ints, store-backed
     graphs only; in-memory graphs report zeros."""
@@ -401,7 +431,6 @@ class Scan(Operator):
     """One planned triple pattern of a BGP; its BGP drives it."""
 
     op = "scan"
-    __slots__ = ("index", "step")
 
     def __init__(self, index: int, step: PlanStep):
         super().__init__()
@@ -424,17 +453,27 @@ class Scan(Operator):
             detail["ordering"] = step.ordering
         return detail
 
+    def patterns(self) -> Sequence[TriplePattern]:
+        return (self.step.pattern,)
+
+    def rebound(self, children, patterns):
+        new = super().rebound(children, patterns)
+        if patterns is not None:
+            new.step = replace(self.step, pattern=patterns[0])
+        return new
+
     def run(self, batch: list, graph, extend: Callable) -> list:
         """``extend(step, batch, graph)`` — the encoded executor's or the
         per-binding pipeline's — with the store work it caused attributed
         to this pattern when profiling."""
         step = self.step
-        if self.stats is None:
+        profiled = _PROFILED.get()
+        if profiled is None:
             return extend(step, batch, graph)
+        stats = profiled[self]
         probes_before, decode_before = _runtime_counters(graph)
-        out = self._profiled(batch, lambda: extend(step, batch, graph))
+        out = _timed(stats, batch, lambda: extend(step, batch, graph))
         probes_after, decode_after = _runtime_counters(graph)
-        stats = self.stats
         stats["probes"] += probes_after - probes_before
         stats["decode_hits"] += decode_after - decode_before
         if (not stats["misestimate"] and step.estimate > 0
@@ -447,9 +486,8 @@ class Scan(Operator):
         return {**super().new_stats(), "probes": 0, "decode_hits": 0,
                 "misestimate": False, "hash": False}
 
-    def runtime(self) -> dict:
-        stats = self.stats
-        out = {**super().runtime(), "probes": stats["probes"],
+    def runtime(self, stats: dict) -> dict:
+        out = {**super().runtime(stats), "probes": stats["probes"],
                "decode_hits": stats["decode_hits"]}
         if stats["hash"]:
             # the executor picks its operator per batch: a scan any batch
@@ -466,10 +504,9 @@ class QueryPlan:
     """A compiled query: its operator tree, the graph snapshot it was
     compiled against, and the digest of its static facts."""
 
-    def __init__(self, root: Operator, graph, query: Optional[str] = None):
+    def __init__(self, root: Operator, graph):
         self.root = root
         self.graph = graph
-        self.query = query
         self._digest: Optional[str] = None
 
     def execute(self):
@@ -527,19 +564,21 @@ class QueryPlan:
     def profile(self) -> "QueryProfile":
         """Execute with statistics on every operator below the query node
         (batch-level: one timestamp pair per operator call and per scan
-        batch, nothing per row)."""
-        for node in self.root.walk():
-            if node is not self.root:
-                node.stats = node.new_stats()
-        started = time.perf_counter()
-        result = self.execute()
-        duration_ms = (time.perf_counter() - started) * 1000.0
+        batch, nothing per row), kept in this execution's own map."""
+        stats = {node: node.new_stats() for node in self.root.walk() if node is not self.root}
+        token = _PROFILED.set(stats)
+        try:
+            started = time.perf_counter()
+            result = self.execute()
+            duration_ms = (time.perf_counter() - started) * 1000.0
+        finally:
+            _PROFILED.reset(token)
         return QueryProfile(result=result, plan=self,
-                            report=self.profile_report(duration_ms),
+                            report=self.profile_report(duration_ms, stats),
                             duration_ms=duration_ms)
 
-    def profile_report(self, duration_ms: float) -> dict:
-        """The tree with its runtime statistics merged in.
+    def profile_report(self, duration_ms: float, stats: Dict[Operator, dict]) -> dict:
+        """The tree with the runtime *stats* of one execution merged in.
 
         Returns a JSON-serializable dict with the merged tree plus a
         flat preorder ``operators`` list (what the slow-query log
@@ -554,9 +593,10 @@ class QueryPlan:
             detail = node.detail
             if detail:
                 out["detail"] = dict(detail)
-            if node.stats is not None:
-                out.update(node.runtime())
-                misestimates += bool(node.stats.get("misestimate"))
+            own = stats.get(node)
+            if own is not None:
+                out.update(node.runtime(own))
+                misestimates += bool(own.get("misestimate"))
             row = {"op": node.op, "label": str(
                 detail.get("pattern") or detail.get("condition")
                 or detail.get("expression") or "")}
@@ -582,6 +622,72 @@ class QueryPlan:
             "misestimates": misestimates,
             "duration_ms": round(duration_ms, 3),
         }
+
+
+class PlanTemplate:
+    """A compiled query whose IRI subjects and objects are slots.
+
+    *sites* are the parser's lifted triple patterns: each with the
+    token index of its IRIREF subject and/or object.  :attr:`slots`
+    lists those token indices in text order; :meth:`instantiate` takes
+    one IRI per slot and returns the tree a compile of the text with
+    those IRIs would give.  It copies only the nodes on the paths from
+    the root to the nodes that read a lifted pattern (scans, a
+    CONSTRUCT template) and shares every other node with this template —
+    the planner's choices read which positions are constants, never
+    their values, so nothing else could differ.
+    """
+
+    def __init__(self, plan: QueryPlan, sites: Sequence[Tuple[TriplePattern, Optional[int],
+                                                               Optional[int]]]):
+        self.plan = plan
+        self.slots: List[int] = sorted(
+            {index for _, *indices in sites for index in indices if index is not None})
+        slot_of = {index: n for n, index in enumerate(self.slots)}
+        self._sites = [(pattern, slot_of.get(subject), slot_of.get(obj))
+                       for pattern, subject, obj in sites]
+        self._program = _rebind_program(plan.root, [pattern for pattern, _, _ in sites])
+
+    def instantiate(self, terms: Sequence[IRI]) -> QueryPlan:
+        """The plan with ``terms[n]`` at slot *n*."""
+        plan = self.plan
+        if self._program is None:
+            return plan
+        patterns = [
+            TriplePattern(pattern.subject if subject is None else terms[subject],
+                          pattern.predicate,
+                          pattern.object if obj is None else terms[obj])
+            for pattern, subject, obj in self._sites]
+        return QueryPlan(_rebind(self._program, patterns), plan.graph)
+
+
+def _rebind_program(node: Operator, lifted: List[TriplePattern]):
+    """``(node, [(child index, child program)], [(pattern index, site)])``
+    for a node on a path to a lifted pattern, else None.  A site is
+    found by identity: equal patterns written twice are two sites."""
+    children = []
+    for index, child in enumerate(node.children):
+        program = _rebind_program(child, lifted)
+        if program is not None:
+            children.append((index, program))
+    own = [(index, site) for index, pattern in enumerate(node.patterns())
+           for site, candidate in enumerate(lifted) if candidate is pattern]
+    return (node, children, own) if children or own else None
+
+
+def _rebind(program, patterns: List[TriplePattern]) -> Operator:
+    node, children, own = program
+    new_children = node.children
+    if children:
+        new_children = list(new_children)
+        for index, child in children:
+            new_children[index] = _rebind(child, patterns)
+    new_patterns = None
+    if own:
+        new_patterns = list(node.patterns())
+        for index, site in own:
+            new_patterns[index] = patterns[site]
+    return node.rebound(new_children, new_patterns)
 
 
 def _render_detail(detail: Dict[str, object]) -> str:

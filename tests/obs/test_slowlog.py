@@ -146,13 +146,16 @@ class TestEngineIntegration:
         assert record["cache"] == "miss"
         assert record["plan_digest"]
         assert record["operators"] == []
-        # the memo keeps only the digest: trees are compiled per execution
-        assert list(engine._plan_cache.values()) == [record["plan_digest"]]
+        # the plan cache keeps the compiled shape, and the record says so
+        assert record["plan"] == "miss"
+        assert engine.cache_info()["plans"] == {"size": 1, "hits": 0, "misses": 1,
+                                                "evictions": 0}
 
     def test_engine_without_record_writes_nowhere(self):
         engine = QueryEngine(_tiny_graph())
         assert len(engine.query(ACTIVITY_QUERY)) == 4
-        assert not engine._plan_cache  # no record asked for a digest
+        # no record: nothing renders a digest, but the plan is cached all the same
+        assert engine.cache_info()["plans"]["size"] == 1
 
     def test_cache_hit_recorded_as_hit(self):
         engine = QueryEngine(_tiny_graph())
@@ -163,7 +166,9 @@ class TestEngineIntegration:
         # the one the miss that filled the cache memoised
         assert hit["plan_digest"] == miss["plan_digest"]
         assert hit["operators"] == []
-        assert hit["timings_ms"]["parse"] == hit["timings_ms"]["exec"] == 0
+        assert hit["plan"] is None  # a result-cache hit needs no plan
+        assert hit["timings_ms"]["parse"] == hit["timings_ms"]["plan"] == 0
+        assert hit["timings_ms"]["exec"] == 0
 
     def test_record_digest_matches_explain(self):
         engine = QueryEngine(_tiny_graph())
@@ -199,8 +204,9 @@ class TestEngineIntegration:
     def test_plan_built_at_most_once_per_text_and_version(self, monkeypatch):
         """A miss compiles its operator tree exactly once — the execution,
         the digest and the operator rows share it; a repeat miss of the
-        same text at the same version compiles its own tree, keeps the
-        memoised digest and still carries operator rows."""
+        same text at the same version compiles nothing (the plan cache
+        hands back the tree), gives the same digest and still carries
+        operator rows."""
         from repro.sparql import evaluator
 
         calls = []
@@ -216,10 +222,11 @@ class TestEngineIntegration:
             assert calls == [1]
             del calls[:]
             _query(server, ACTIVITY_QUERY)
-            assert calls == [1]
+            assert calls == []
             _wait_retained(server, 2)
             first, repeat = server.requests.queries()
         assert first["cache"] == repeat["cache"] == "miss"
+        assert [first["plan"], repeat["plan"]] == ["miss", "hit"]
         assert first["plan_digest"] == repeat["plan_digest"]
         assert [op["op"] for op in repeat["operators"]] == \
             [op["op"] for op in first["operators"]]
@@ -303,7 +310,7 @@ class TestSlowlogRoute:
                                 "recorded", "evicted", "entries"}
         (entry,) = payload["entries"]
         assert set(entry) >= {"ts", "query_sha256", "query", "duration_ms", "cache",
-                              "plan_digest", "generation", "trace_id", "span_id",
+                              "plan", "plan_digest", "generation", "trace_id", "span_id",
                               "operators", "misestimates"}
 
     def test_stats_reports_slowlog_section(self):

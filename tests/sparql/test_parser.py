@@ -280,3 +280,23 @@ class TestAsk:
         # SPARQL Update is out of scope: the corpus is read-only.
         with pytest.raises(SparqlSyntaxError):
             parse_query("INSERT DATA { <http://a/> <http://b/> <http://c/> }")
+
+
+class TestErrors:
+    @pytest.mark.parametrize("text, message", [
+        ('SELECT * { ?s ?p "a\\q" }', "line 1, column 18: malformed string escape: unknown escape: \\q"),
+        ('SELECT * {\n  ?s ?p "\\u00ZZ" }', "line 2, column 9: malformed string escape: "),
+        ('SELECT (GROUP_CONCAT(?o ; SEPARATOR="\\x") AS ?c) { ?s ?p ?o }',
+         "line 1, column 37: malformed string escape: unknown escape: \\x"),
+    ])
+    def test_malformed_string_escape_is_a_syntax_error(self, text, message):
+        with pytest.raises(SparqlSyntaxError) as raised:
+            parse_query(text)
+        assert str(raised.value).startswith(message)
+
+    def test_errors_carry_line_and_column_of_the_failing_token(self):
+        with pytest.raises(SparqlSyntaxError) as raised:
+            parse_query("SELECT ?x\nWHERE {\n  ?x ?p ?o . FILTER(?x ** 2) }")
+        error = raised.value
+        assert (error.lineno, error.column) == (3, 25)
+        assert str(error) == "line 3, column 25: unexpected token in expression: '*'"

@@ -1,8 +1,10 @@
 """Unit tests for the SPARQL tokenizer."""
 
+import time
+
 import pytest
 
-from repro.sparql.tokenizer import SparqlSyntaxError, Tokenizer
+from repro.sparql.tokenizer import SparqlSyntaxError, Tokenizer, position, scan
 
 
 def kinds(text):
@@ -57,12 +59,41 @@ class TestTokenKinds:
         assert kinds("_:node1") == ["bnode"]
 
     def test_line_numbers(self):
-        toks = Tokenizer("?a\n?b\n?c").tokens
-        assert [t.lineno for t in toks] == [1, 2, 3]
+        """A token keeps its offset; line and column derive from it."""
+        text = "?a\n  ?b\n?c"
+        toks = Tokenizer(text).tokens
+        assert [t.offset for t in toks] == [0, 5, 8]
+        assert [position(text, t.offset) for t in toks] == [(1, 1), (2, 3), (3, 1)]
 
     def test_unexpected_character(self):
+        with pytest.raises(SparqlSyntaxError) as raised:
+            Tokenizer("?x\n  ~ ?y")
+        assert (raised.value.lineno, raised.value.column) == (2, 3)
+        assert str(raised.value) == "line 2, column 3: unexpected character '~'"
+
+    def test_error_positions_count_from_the_failing_token(self):
+        tk = Tokenizer("SELECT ?x\nWHERE { ?x ?p }")
+        tk.pos = 4  # the second "?x"
+        error = tk.error("boom", tk.peek())
+        assert (error.lineno, error.column) == (2, 9)
+        end = tk.error("at the end")
+        assert (end.lineno, end.column) == (2, 16)
+
+    def test_scan_keeps_raw_texts_in_one_pass(self):
+        text = "select ?regex # note\n regex <a>"
+        assert scan(text) == [("", "select"), (" ", "?regex"), (" # note\n ", "regex"),
+                              (" ", "<a>")]
+        assert [(t.kind, t.offset) for t in Tokenizer(text, scan(text)).tokens] == [
+            ("keyword", 0), ("var", 7), ("pname", 22), ("iriref", 28)]
+
+    def test_long_whitespace_runs_scan_in_linear_time(self):
+        """The skip prefix of a token never backtracks: a gap or trailing
+        blanks after 200k spaces cost one pass, not a quadratic search."""
+        started = time.perf_counter()
+        assert scan("?x" + " " * 200_000) == [("", "?x")]
         with pytest.raises(SparqlSyntaxError):
-            Tokenizer("?x ~ ?y")
+            Tokenizer(" " * 200_000 + "~")
+        assert time.perf_counter() - started < 1.0
 
 
 class TestNavigation:

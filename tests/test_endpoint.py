@@ -118,6 +118,17 @@ class TestProtocol:
             urllib.request.urlopen(url, timeout=5)
         assert err.value.code == 400
 
+    def test_malformed_string_escape_400(self, endpoint):
+        """An escape the grammar has no meaning for is a malformed query
+        (400 with its position), not an evaluation failure (500)."""
+        for literal in ('"a\\q"', '"\\u00ZZ"'):
+            text = f"SELECT * {{ ?s ?p {literal} }}"
+            url = endpoint.query_url + "?" + urllib.parse.urlencode({"query": text})
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(url, timeout=5)
+            assert err.value.code == 400
+            assert b"line 1, column 18: malformed string escape" in err.value.read()
+
     def test_grouped_projection_400(self, endpoint):
         """A projected variable outside GROUP BY is a malformed query
         (SPARQL 1.1 §11.4): 400 before any scan, not a 500 from the

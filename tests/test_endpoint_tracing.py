@@ -228,20 +228,20 @@ class TestServerTiming:
                              self._parts(response.headers["Server-Timing"]),
                              float(response.headers["X-Query-Duration-ms"])))
         for trace_id, parts, query_ms in seen:
-            assert set(parts) == {"cache", "parse", "exec", "ser"}
+            assert list(parts) == ["cache", "parse", "plan", "exec", "ser"]
             assert all(value >= 0.0 for value in parts.values())
-            assert parts["parse"] + parts["exec"] <= query_ms
+            assert parts["parse"] + parts["plan"] + parts["exec"] <= query_ms
             _wait_admitted(endpoint, trace_id)
             record = endpoint.requests.get(trace_id)
-            assert sum(parts.values()) <= record["duration_ms"] + 0.002  # 4 roundings
+            assert sum(parts.values()) <= record["duration_ms"] + 0.003  # 5 roundings
             timings = record["timings_ms"]
             assert {name: timings[name] for name in parts} == parts
             assert timings["write"] >= 0.0
             assert record["unattributed_ms"] == pytest.approx(
-                record["duration_ms"] - sum(parts.values()), abs=0.003)
+                record["duration_ms"] - sum(parts.values()), abs=0.004)
         (_, miss, _), (_, hit, _) = seen
-        assert miss["parse"] > 0.0 and miss["exec"] > 0.0
-        assert hit["parse"] == 0.0 and hit["exec"] == 0.0
+        assert miss["parse"] > 0.0 and miss["plan"] > 0.0 and miss["exec"] > 0.0
+        assert hit["parse"] == hit["plan"] == hit["exec"] == 0.0
 
     def test_only_query_answers_carry_it(self, endpoint):
         with _get(endpoint.url + "/healthz") as response:
