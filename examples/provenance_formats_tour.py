@@ -1,19 +1,16 @@
 #!/usr/bin/env python3
 """One trace, every serialization — plus a path-based lineage query.
 
-Takes a single run's provenance from the corpus and shows it in all the
+Takes a single run's provenance from the corpus and shows it in the
 formats the library speaks: Turtle (the corpus's primary format),
-N-Triples and TriG, the JSON profile and PROV-N (the human-readable
-notation) — and then asks a transitive lineage question with a SPARQL
-property path.
+N-Triples and TriG — and then asks a transitive lineage question with a
+SPARQL property path.
 
 Run:  python examples/provenance_formats_tour.py
 """
 
 from repro import CorpusBuilder
-from repro.prov import serialize_provn
 from repro.rdf import serialize_ntriples
-from repro.rdf.jsonld import dumps as jsonld_dumps
 from repro.sparql import QueryEngine
 
 
@@ -42,17 +39,7 @@ def main() -> None:
     print("\n".join(trig[first_graph:first_graph + 5]))
     print("  ...")
 
-    banner("3. JSON profile")
-    json_text = jsonld_dumps(trace.graph())
-    print("\n".join(json_text.splitlines()[:14]))
-    print("  ...")
-
-    banner("4. PROV-N")
-    provn = serialize_provn(trace.document)
-    print("\n".join(provn.splitlines()[:20]))
-    print("  ...")
-
-    banner("5. Transitive lineage via a SPARQL property path")
+    banner("3. Transitive lineage via a SPARQL property path")
     engine = QueryEngine(trace.graph())
     rows = engine.select("""
         SELECT DISTINCT ?product ?source WHERE {

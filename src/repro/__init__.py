@@ -2,9 +2,10 @@
 
 A self-contained implementation of *"A Workflow PROV-Corpus based on
 Taverna and Wings"* (Belhajjame et al., EDBT/ICDT Workshops 2013): an RDF
-substrate with a SPARQL engine, a PROV library (PROV-DM/PROV-O/PROV-N,
-inference, constraints), Taverna- and Wings-like workflow systems with
-their native provenance exporters, and the corpus itself — 120 workflows,
+substrate with a SPARQL engine, PROV-O support (the patterns the
+exporters write, inference, and the PROV-CONSTRAINTS rules as SPARQL),
+Taverna- and Wings-like workflow systems with their native provenance
+exporters, and the corpus itself — 120 workflows,
 198 runs, 30 failures — plus the paper's exemplar queries, coverage
 tables, and applications.
 

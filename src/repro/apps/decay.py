@@ -76,16 +76,16 @@ class RepairRecord:
     """An applied repair: the substituted outputs plus its own provenance.
 
     The paper's decay application closes the loop by *repairing* a failed
-    workflow with results from previous runs; `document` records that
-    substitution in PROV itself (a repair activity that used the donor
-    artifacts and generated the substituted outputs, attributed to the
+    workflow with results from previous runs; `graph` records that
+    substitution in PROV-O itself (a repair activity that used the donor
+    artifacts and generated the substituted outputs, associated with the
     decay tool) — so repairs are as traceable as the runs they fix.
     """
 
     failed_run_id: str
     donor_run_id: str
     outputs: Dict[str, str]  # output port → substituted checksum
-    document: object  # ProvDocument describing the repair
+    graph: object  # the repair's PROV-O triples (a repro.rdf.Graph)
 
 
 class DecayDetector:
@@ -178,9 +178,10 @@ class DecayDetector:
 
     def apply_repair(self, failed_run_id: str) -> Optional[RepairRecord]:
         """Substitute the failed run's missing outputs with the donor's,
-        and record the substitution as PROV (a repair activity)."""
-        from ..prov.model import ProvDocument
-        from ..rdf.namespace import Namespace
+        and record the substitution as PROV-O (a repair activity)."""
+        from ..prov.emit import activity, typed, was_derived_from
+        from ..rdf.graph import Graph
+        from ..rdf.namespace import PROV, Namespace
 
         suggestion = self.repair_candidates(failed_run_id)
         if suggestion is None:
@@ -189,31 +190,28 @@ class DecayDetector:
         donor = self.corpus.trace(suggestion.donor_run_id)
 
         repair_ns = Namespace("http://purl.org/provbench/repair/")
-        document = ProvDocument()
-        document.namespaces.bind("repair", repair_ns)
-        tool = document.agent(repair_ns.term("decay-detector"), agent_type="software")
-        activity = document.activity(
-            repair_ns.term(f"repair/{failed_run_id}"),
-            start_time=failed.ended,
-            end_time=failed.ended,
-        )
-        document.was_associated_with(activity, tool)
+        graph = Graph()
+        graph.namespaces.bind("repair", repair_ns)
+        tool = typed(graph, repair_ns.term("decay-detector"), PROV.Agent, PROV.SoftwareAgent)
+        repair = activity(graph, repair_ns.term(f"repair/{failed_run_id}"),
+                          start=failed.ended, end=failed.ended)
+        graph.add((repair, PROV.wasAssociatedWith, tool))
         outputs: Dict[str, str] = {}
         for port, checksum in sorted(suggestion.artifacts.items()):
-            donor_artifact = document.entity(
-                repair_ns.term(f"donor/{donor.run_id}/{checksum[:12]}"),
-                {"prov:value": checksum},
+            donor_artifact = typed(
+                graph, repair_ns.term(f"donor/{donor.run_id}/{checksum[:12]}"), PROV.Entity
             )
-            substituted = document.entity(
-                repair_ns.term(f"substituted/{failed_run_id}/{port}")
+            graph.add((donor_artifact, PROV.value, checksum))
+            substituted = typed(
+                graph, repair_ns.term(f"substituted/{failed_run_id}/{port}"), PROV.Entity
             )
-            document.used(activity, donor_artifact)
-            document.was_generated_by(substituted, activity)
-            document.was_derived_from(substituted, donor_artifact, subtype="revision")
+            graph.add((repair, PROV.used, donor_artifact))
+            graph.add((substituted, PROV.wasGeneratedBy, repair))
+            was_derived_from(graph, substituted, donor_artifact, subtype="revision")
             outputs[port] = checksum
         return RepairRecord(
             failed_run_id=failed_run_id,
             donor_run_id=donor.run_id,
             outputs=outputs,
-            document=document,
+            graph=graph,
         )

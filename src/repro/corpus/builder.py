@@ -24,14 +24,12 @@ import datetime as _dt
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..obs import metrics as _metrics
 from ..obs.trace import span as _span
 from ..parallel import resolve_jobs as _resolve_jobs
 from ..parallel import task_scope as _task_scope
-from ..prov.model import ProvDocument
-from ..prov.rdf_io import to_dataset, to_graph
 from ..rdf.graph import Dataset, Graph
 from ..rdf.trig import serialize_trig
 from ..rdf.turtle import serialize_turtle
@@ -98,7 +96,7 @@ class CorpusTrace:
     started: _dt.datetime
     ended: Optional[_dt.datetime]
     user: str
-    document: ProvDocument
+    rdf: Union[Graph, Dataset]  # the emitted triples: a Graph (Taverna), a Dataset (Wings)
     text: str  # serialized RDF (Turtle for Taverna, TriG for Wings)
     rdf_format: str  # "turtle" | "trig"
     triples: int  # size of the merged RDF graph (what ``len(graph())`` is)
@@ -115,12 +113,24 @@ class CorpusTrace:
         return len(self.text.encode("utf-8"))
 
     def graph(self) -> Graph:
-        """The trace as a single merged RDF graph."""
-        return to_graph(self.document)
+        """A copy of the trace's triples as one graph (bundles merged)."""
+        if isinstance(self.rdf, Dataset):
+            return self.rdf.union_graph()
+        return self.rdf.copy()
 
     def dataset(self) -> Dataset:
-        """The trace as a dataset (bundles as named graphs)."""
-        return to_dataset(self.document)
+        """A copy of the trace's triples as a dataset (bundles as named graphs)."""
+        copy = Dataset(namespaces=self.rdf.namespaces.copy())
+        for name, graph in _graphs(self.rdf):
+            copy.graph(name).add_all(graph)
+        return copy
+
+
+def _graphs(rdf: Union[Graph, Dataset]):
+    """``(name, graph)`` for each graph of *rdf*; None names the default."""
+    if isinstance(rdf, Graph):
+        return [(None, rdf)]
+    return [(None, rdf.default), *((name, rdf.graph(name)) for name in rdf.graph_names())]
 
 
 def merged_dataset(traces) -> Dataset:
@@ -493,23 +503,20 @@ class CorpusBuilder:
                 run = self._execute_entry(entry, template, taverna, wings)
             if template.system == "taverna":
                 with _span(tracer, "export", cat="build", run=entry.run_id):
-                    document = taverna_export(run)
-                    export_template_description(template, document)
+                    rdf = taverna_export(run)
+                    export_template_description(template, rdf)
                 with _span(tracer, "serialize", cat="build", run=entry.run_id):
-                    graph = to_graph(document)
-                    text = serialize_turtle(graph)
-                triples = len(graph)
+                    text = serialize_turtle(rdf)
+                triples = len(rdf)
                 rdf_format = "turtle"
             else:
                 with _span(tracer, "export", cat="build", run=entry.run_id):
-                    document = wings_export(run)
-                    export_template(template, document)
+                    rdf = wings_export(run)
+                    export_template(template, rdf)
                 with _span(tracer, "serialize", cat="build", run=entry.run_id):
-                    dataset = to_dataset(document)
-                    text = serialize_trig(dataset)
+                    text = serialize_trig(rdf)
                 # The merged graph collapses bundles: count distinct triples.
-                graphs = (dataset.default, *dataset.named_graphs())
-                triples = len({triple for graph in graphs for triple in graph})
+                triples = len({triple for _, graph in _graphs(rdf) for triple in graph})
                 rdf_format = "trig"
             result = run.result
             run_span.set(status=result.status)
@@ -524,7 +531,7 @@ class CorpusBuilder:
             started=result.started,
             ended=result.ended,
             user=entry.user,
-            document=document,
+            rdf=rdf,
             text=text,
             rdf_format=rdf_format,
             triples=triples,

@@ -2,7 +2,7 @@
 
 Computes the per-trace and corpus-level structural metrics a ProvBench
 consumer wants before running experiments against the corpus: how many
-entities/activities/agents per trace, how PROV statements distribute over
+entities/activities per trace, how PROV statements distribute over
 properties, trace size distributions, and per-system/per-domain rollups.
 The profile feeds the ``corpus_profile.json`` artifact regenerated by the
 benchmark harness.
@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..rdf.namespace import PROV
+from ..rdf.namespace import PROV, RDF
 from .builder import Corpus, CorpusTrace
 
 __all__ = ["TraceProfile", "CorpusProfile", "profile_corpus"]
@@ -31,8 +31,6 @@ class TraceProfile:
     triples: int
     entities: int
     activities: int
-    agents: int
-    relations: int
     size_bytes: int
 
 
@@ -110,17 +108,21 @@ class CorpusProfile:
 
 
 def _profile_trace(trace: CorpusTrace) -> TraceProfile:
-    stats = trace.document.statistics()
+    dataset = trace.dataset()
+    graphs = (dataset.default, *dataset.named_graphs())
+
+    def typed(rdf_type) -> int:
+        # Counted per graph and summed: a bundle is its own scope.
+        return sum(graph.count(None, RDF.type, rdf_type) for graph in graphs)
+
     return TraceProfile(
         run_id=trace.run_id,
         system=trace.system,
         domain=trace.domain,
         status=trace.status,
         triples=trace.triples,
-        entities=stats["entities"],
-        activities=stats["activities"],
-        agents=stats["agents"],
-        relations=stats["relations"],
+        entities=typed(PROV.Entity),
+        activities=typed(PROV.Activity),
         size_bytes=trace.size_bytes,
     )
 

@@ -1,9 +1,10 @@
-"""PROV library: data model, serializations, inference, and validation.
+"""PROV-O support: vocabulary, the exporters' triple patterns, inference.
 
-A self-contained implementation of the W3C PROV family sized for the
-corpus: PROV-DM documents (:mod:`.model`), PROV-N output (:mod:`.provn`),
-the PROV-O RDF mapping (:mod:`.rdf_io`), forward-chaining inference
-(:mod:`.inference`) and PROV-CONSTRAINTS validation (:mod:`.constraints`).
+A trace is PROV-O triples from the start: the exporters write them with
+the pattern functions of :mod:`.emit`.  :mod:`.constants` lists the PROV-O
+terms (Tables 2–3), :mod:`.inference` materialises the entailments behind
+the paper's starred cells.  The PROV-CONSTRAINTS checks are SPARQL rules
+over the triples (:data:`repro.queries.TRACE_RULES`).
 """
 
 from .constants import (
@@ -13,55 +14,12 @@ from .constants import (
     STARTING_POINT_TERMS,
     ProvTerm,
 )
-from .constraints import Violation, is_valid, validate_document
 from .inference import ProvInferencer, infer, inferred_graph
-from .model import (
-    Association,
-    Attribution,
-    Communication,
-    Delegation,
-    Derivation,
-    Generation,
-    Influence,
-    Membership,
-    ProvActivity,
-    ProvAgent,
-    ProvBundle,
-    ProvDocument,
-    ProvEntity,
-    ProvModelError,
-    Usage,
-)
-from .provn import serialize_provn
-from .rdf_io import from_dataset, from_graph, to_dataset, to_graph
 
 __all__ = [
-    "ProvDocument",
-    "ProvBundle",
-    "ProvEntity",
-    "ProvActivity",
-    "ProvAgent",
-    "Usage",
-    "Generation",
-    "Communication",
-    "Association",
-    "Attribution",
-    "Delegation",
-    "Derivation",
-    "Influence",
-    "Membership",
-    "ProvModelError",
-    "to_graph",
-    "to_dataset",
-    "from_graph",
-    "from_dataset",
-    "serialize_provn",
     "infer",
     "inferred_graph",
     "ProvInferencer",
-    "validate_document",
-    "is_valid",
-    "Violation",
     "PROV",
     "ProvTerm",
     "STARTING_POINT_TERMS",

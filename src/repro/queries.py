@@ -18,11 +18,17 @@ system-specific where it doesn't:
    attribution (Wings: the user).
 6. **Services executed by a run** — ``opmw:hasExecutableComponent``,
    "only available in Wings provenance logs".
+
+Beside them, :data:`TRACE_RULES` holds the PROV-CONSTRAINTS checks the
+corpus can decide (https://www.w3.org/TR/prov-constraints/), written
+over the PROV-O triples a trace ships as: each SELECT returns the
+violations of one rule, and :meth:`CorpusQueries.trace_violations` runs
+them all.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .rdf.graph import Dataset, Graph
 from .rdf.terms import IRI
@@ -42,6 +48,7 @@ __all__ = [
     "q4_process_runs",
     "q5_who_executed",
     "q6_services_executed",
+    "TRACE_RULES",
 ]
 
 
@@ -173,6 +180,78 @@ ORDER BY ?component
 """
 
 
+#: The PROV-CONSTRAINTS checks, rule name → (severity, SELECT text).
+#: Each text returns one row per violation found in its source: one
+#: trace's graph or dataset, where a qualified node (``_:qN``) is that
+#: trace's own.  Dangling references stay warnings: failed runs may leave
+#: them, and the paper keeps such traces.
+TRACE_RULES: Dict[str, Tuple[str, str]] = {
+    # An activity does not end before it starts.
+    "start-precedes-end": ("error", """
+SELECT ?activity ?start ?end WHERE {
+  ?activity prov:startedAtTime ?start ; prov:endedAtTime ?end .
+  FILTER (?end < ?start)
+}
+"""),
+    # Within one graph an entity is generated by one activity.  Taverna
+    # also records a process run's output as generated by the run the
+    # process is part of: two granularities of one event, not a conflict.
+    "generation-uniqueness": ("error", """
+SELECT DISTINCT ?entity ?first ?second WHERE {
+  { GRAPH ?g { ?entity prov:wasGeneratedBy ?first , ?second } }
+  UNION
+  { ?entity prov:wasGeneratedBy ?first , ?second .
+    FILTER NOT EXISTS { GRAPH ?g { ?entity prov:wasGeneratedBy ?first } }
+    FILTER NOT EXISTS { GRAPH ?h { ?entity prov:wasGeneratedBy ?second } } }
+  FILTER (STR(?first) < STR(?second))
+  FILTER NOT EXISTS { ?first wfprov:wasPartOfWorkflowRun ?second }
+  FILTER NOT EXISTS { ?second wfprov:wasPartOfWorkflowRun ?first }
+}
+"""),
+    # An entity is not used before it is generated (both times known).
+    "usage-after-generation": ("error", """
+SELECT DISTINCT ?entity ?activity ?used ?generated WHERE {
+  ?activity prov:qualifiedUsage ?usage .
+  ?usage prov:entity ?entity ; prov:atTime ?used .
+  ?entity prov:qualifiedGeneration ?generation .
+  ?generation prov:atTime ?generated .
+  FILTER (?used < ?generated)
+}
+"""),
+    # A timed generation falls inside its activity's [start, end].
+    "generation-within-activity": ("error", """
+SELECT DISTINCT ?entity ?activity ?time WHERE {
+  ?entity prov:qualifiedGeneration ?generation .
+  ?generation prov:activity ?activity ; prov:atTime ?time .
+  { ?activity prov:startedAtTime ?start FILTER (?time < ?start) }
+  UNION
+  { ?activity prov:endedAtTime ?end FILTER (?time > ?end) }
+}
+"""),
+    # Nothing is both an entity and an activity (an agent may be either).
+    "entity-activity-disjoint": ("error", """
+SELECT DISTINCT ?resource WHERE { ?resource a prov:Entity , prov:Activity }
+"""),
+    # Every IRI a PROV relation names is typed Entity, Activity or Agent
+    # somewhere in the source.
+    "dangling-reference": ("warning", """
+SELECT DISTINCT ?relation ?resource WHERE {
+  VALUES ?relation {
+    prov:used prov:wasGeneratedBy prov:wasInformedBy prov:wasAssociatedWith
+    prov:wasAttributedTo prov:actedOnBehalfOf prov:wasDerivedFrom
+    prov:hadPrimarySource prov:wasQuotedFrom prov:wasRevisionOf
+    prov:wasInfluencedBy prov:hadMember prov:hadPlan
+  }
+  { ?resource ?relation ?other } UNION { ?other ?relation ?resource }
+  FILTER (isIRI(?resource))
+  FILTER NOT EXISTS { ?resource a prov:Entity }
+  FILTER NOT EXISTS { ?resource a prov:Activity }
+  FILTER NOT EXISTS { ?resource a prov:Agent }
+}
+"""),
+}
+
+
 def exemplar_queries(corpus) -> Dict[str, str]:
     """All six exemplar queries instantiated against one corpus.
 
@@ -267,3 +346,14 @@ class CorpusQueries:
         """Component/service IRIs a Wings run executed (empty for Taverna)."""
         table = self.engine.select(q6_services_executed(run))
         return [row.component.value for row in table if row.component is not None]
+
+    # PROV-CONSTRAINTS ----------------------------------------------------------
+
+    def trace_violations(self) -> List[Tuple[str, str, object]]:
+        """``(rule, severity, row)`` for every violation a
+        :data:`TRACE_RULES` text finds, in rule order."""
+        return [
+            (rule, severity, row)
+            for rule, (severity, text) in TRACE_RULES.items()
+            for row in self.engine.select(text)
+        ]

@@ -2,8 +2,7 @@
 
 This subpackage is a self-contained RDF 1.1 implementation sized for the
 ProvBench corpus: immutable terms, hash-indexed graphs, named-graph
-datasets, and four serializations (Turtle, TriG, N-Triples/N-Quads, and a
-JSON-LD-flavoured JSON profile).
+datasets, and three serializations (Turtle, TriG, N-Triples/N-Quads).
 """
 
 from .graph import Dataset, Graph
@@ -29,7 +28,6 @@ from .terms import XSD, BlankNode, IRI, Literal, from_python
 from .trig import parse_trig, serialize_trig
 from .triple import Quad, Triple
 from .turtle import parse_turtle, serialize_turtle
-from .jsonld import from_jsonld, to_jsonld
 
 __all__ = [
     "IRI",
@@ -64,6 +62,4 @@ __all__ = [
     "parse_ntriples",
     "serialize_nquads",
     "parse_nquads",
-    "to_jsonld",
-    "from_jsonld",
 ]

@@ -65,6 +65,10 @@ class Graph:
         self._osp: Dict[Object, Dict[Subject, Dict[Predicate, None]]] = {}
         self._size = 0
         self._version = 0
+        # The version cell of the Dataset holding this graph: a one-item
+        # list shared with it, so the graph holds no reference back to the
+        # dataset (no cycle; both are freed by reference counting).
+        self._dataset_version: Optional[List[int]] = None
         self._statistics = None
         if triples is not None:
             for t in triples:
@@ -105,6 +109,8 @@ class Graph:
         self._osp.setdefault(o, {}).setdefault(s, {})[p] = None
         self._size += 1
         self._version += 1
+        if self._dataset_version is not None:
+            self._dataset_version[0] += 1
         return True
 
     def add_all(self, triples: Iterable[Union[Triple, Tuple]]) -> int:
@@ -118,8 +124,14 @@ class Graph:
         if objs is None or o not in objs:
             return False
         self._remove_present(s, p, o)
-        self._version += 1
+        self._bump()
         return True
+
+    def _bump(self) -> None:
+        """Move this graph's version and its dataset's (``add`` inlines it)."""
+        self._version += 1
+        if self._dataset_version is not None:
+            self._dataset_version[0] += 1
 
     def _remove_present(self, s: Subject, p: Predicate, o: Object) -> None:
         """Delete a triple known to be present from all three indexes.
@@ -185,12 +197,12 @@ class Graph:
         for s, p, o in victims:
             self._remove_present(s, p, o)
         if victims:
-            self._version += 1
+            self._bump()
         return len(victims)
 
     def clear(self) -> None:
         if self._size:
-            self._version += 1
+            self._bump()
         self._spo.clear()
         self._pos.clear()
         self._osp.clear()
@@ -428,23 +440,20 @@ class Dataset:
 
     def __init__(self, namespaces: Optional[NamespaceManager] = None):
         self.namespaces = namespaces if namespaces is not None else NamespaceManager()
-        self.default = Graph(namespaces=self.namespaces)
         self._named: Dict[Union[IRI, BlankNode], Graph] = {}
-        self._structure_version = 0
+        self._version = [0]
+        self.default = self._member(Graph(namespaces=self.namespaces))
+
+    def _member(self, graph: Graph) -> Graph:
+        graph._dataset_version = self._version
+        return graph
 
     @property
     def version(self) -> int:
-        """Monotonic dataset version: structural changes (graphs added or
-        removed) plus the versions of every member graph.
-
-        Removing a graph bumps the structural counter by more than the
-        removed graph's version so the sum can never move backwards.
-        """
-        return (
-            self._structure_version
-            + self.default.version
-            + sum(g.version for g in self._named.values())
-        )
+        """Monotonic dataset version, read in O(1): one counter that every
+        effective mutation of a member graph and every graph added or
+        removed moves."""
+        return self._version[0]
 
     def graph(self, name: Optional[Union[IRI, BlankNode]] = None) -> Graph:
         """Return (creating if needed) the graph with the given name."""
@@ -452,9 +461,9 @@ class Dataset:
             return self.default
         g = self._named.get(name)
         if g is None:
-            g = Graph(identifier=name, namespaces=self.namespaces)
+            g = self._member(Graph(identifier=name, namespaces=self.namespaces))
             self._named[name] = g
-            self._structure_version += 1
+            self._version[0] += 1
         return g
 
     def has_graph(self, name: Union[IRI, BlankNode]) -> bool:
@@ -464,7 +473,8 @@ class Dataset:
         g = self._named.pop(name, None)
         if g is None:
             return False
-        self._structure_version += g.version + 1
+        g._dataset_version = None
+        self._version[0] += 1
         return True
 
     def graph_names(self) -> List[Union[IRI, BlankNode]]:

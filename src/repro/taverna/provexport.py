@@ -1,4 +1,4 @@
-"""Taverna-PROV export: runs → PROV-O + wfprov RDF.
+"""Taverna-PROV export: runs → PROV-O + wfprov triples in one graph.
 
 Reproduces the term-usage conventions the paper documents for Taverna
 (Tables 2 and 3):
@@ -28,11 +28,20 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..prov.model import ProvDocument
-from ..rdf.namespace import DCTERMS, Namespace, NamespaceManager
+from ..prov.emit import (
+    activity,
+    qualified_nodes,
+    typed,
+    used,
+    was_associated_with,
+    was_generated_by,
+)
+from ..rdf.graph import Graph
+from ..rdf.namespace import DCTERMS, PROV, Namespace, NamespaceManager, RDF
 from ..rdf.terms import IRI, Literal
 from ..vocab import wfdesc, wfprov
-from ..workflow.dataflow import RunResult, StepRun
+from ..workflow.data import make_item
+from ..workflow.dataflow import StepRun
 from ..workflow.model import WorkflowTemplate, WORKFLOW_SOURCE
 from .engine import TavernaRun, TAVERNA_RUN_NS, TAVERNA_WF_NS
 
@@ -48,169 +57,157 @@ def _bind_namespaces(nsm: NamespaceManager) -> None:
     nsm.bind("tavernaprov", TAVERNAPROV)
 
 
-def export_run(run: TavernaRun, document: Optional[ProvDocument] = None) -> ProvDocument:
-    """Export one Taverna run as a PROV document (PROV-O + wfprov)."""
-    if document is None:
-        document = ProvDocument()
-    _bind_namespaces(document.namespaces)
+class _Export:
+    """One run's export state: its graph, its qualified-node counter and
+    the artifacts already written (an artifact is declared once, under the
+    top-level run's IRI, nested runs included)."""
+
+    def __init__(self, graph: Graph, run: TavernaRun):
+        self.graph = graph
+        self.run = run
+        self.qnodes = qualified_nodes()
+        self.artifacts: Dict[str, IRI] = {}
+
+    def artifact(self, item) -> IRI:
+        iri = self.run.artifact_iri(item.checksum)
+        if item.checksum not in self.artifacts:
+            graph = self.graph
+            typed(graph, iri, PROV.Entity, wfprov.Artifact)
+            graph.add((iri, PROV.value, Literal(item.preview())))
+            graph.add((iri, TAVERNAPROV.byteCount, item.size_bytes))
+            graph.add((iri, TAVERNAPROV.sha1, Literal(item.checksum)))
+            self.artifacts[item.checksum] = iri
+            if item.is_list:
+                self._collection(iri, item)
+        return self.artifacts[item.checksum]
+
+    def _collection(self, collection: IRI, item) -> None:
+        """List values are Taverna collections: a prov:Collection whose
+        elements are member artifacts (taverna-prov's representation of the
+        engine's list datatype)."""
+        graph = self.graph
+        graph.add((collection, RDF.type, PROV.Collection))
+        for element_value in item.value:
+            element = make_item(element_value)
+            member = self.run.artifact_iri(element.checksum)
+            if element.checksum not in self.artifacts:
+                typed(graph, member, PROV.Entity, wfprov.Artifact)
+                graph.add((member, PROV.value, Literal(element.preview())))
+                graph.add((member, TAVERNAPROV.sha1, Literal(element.checksum)))
+                self.artifacts[element.checksum] = member
+            graph.add((collection, PROV.hadMember, member))
+
+
+def export_run(run: TavernaRun, graph: Optional[Graph] = None) -> Graph:
+    """Export one Taverna run as PROV-O + wfprov triples into *graph*."""
+    if graph is None:
+        graph = Graph()
+    _bind_namespaces(graph.namespaces)
+    export = _Export(graph, run)
     result = run.result
 
-    engine = document.agent(run.engine_iri, agent_type="software")
-    engine.add_type(wfprov.WorkflowEngine)
+    typed(graph, run.engine_iri, PROV.Agent, PROV.SoftwareAgent, wfprov.WorkflowEngine)
 
-    workflow_run = document.activity(
-        run.run_iri, start_time=result.started, end_time=result.ended
-    )
-    workflow_run.add_type(wfprov.WorkflowRun)
-    workflow_run.add_attribute(wfprov.describedByWorkflow, run.workflow_iri)
-    workflow_run.add_attribute(DCTERMS.identifier, Literal(result.run_id))
+    workflow_run = activity(graph, run.run_iri, wfprov.WorkflowRun,
+                            start=result.started, end=result.ended)
+    graph.add((workflow_run, wfprov.describedByWorkflow, run.workflow_iri))
+    graph.add((workflow_run, DCTERMS.identifier, Literal(result.run_id)))
     if result.failed:
-        workflow_run.add_attribute(TAVERNAPROV.runStatus, Literal("failed"))
-        workflow_run.add_attribute(
-            TAVERNAPROV.errorMessage,
-            Literal(f"{result.failed_step}: {result.failure_cause}"),
-        )
+        graph.add((workflow_run, TAVERNAPROV.runStatus, Literal("failed")))
+        graph.add((workflow_run, TAVERNAPROV.errorMessage,
+                   Literal(f"{result.failed_step}: {result.failure_cause}")))
     else:
-        workflow_run.add_attribute(TAVERNAPROV.runStatus, Literal("completed"))
+        graph.add((workflow_run, TAVERNAPROV.runStatus, Literal("completed")))
 
     # Association with the engine, qualified by the plan (the workflow).
-    document.was_associated_with(workflow_run, engine, plan=run.workflow_iri)
-
-    artifacts: Dict[str, IRI] = {}
-
-    def artifact(item) -> IRI:
-        iri = run.artifact_iri(item.checksum)
-        if item.checksum not in artifacts:
-            entity = document.entity(iri)
-            entity.add_type(wfprov.Artifact)
-            entity.add_attribute("prov:value", Literal(item.preview()))
-            entity.add_attribute(TAVERNAPROV.byteCount, item.size_bytes)
-            entity.add_attribute(TAVERNAPROV.sha1, Literal(item.checksum))
-            artifacts[item.checksum] = iri
-            if item.is_list:
-                _export_collection(document, run, entity, item, artifacts)
-        return artifacts[item.checksum]
+    was_associated_with(graph, export.qnodes, workflow_run, run.engine_iri,
+                        plan=run.workflow_iri)
 
     # Workflow-level inputs are used by the workflow run itself.
     for name, item in result.inputs.items():
-        iri = artifact(item)
-        document.used(workflow_run, iri, time=result.started)
-        document.get_element(iri).add_attribute(
-            wfprov.describedByParameter, _parameter_iri(run.workflow_iri, WORKFLOW_SOURCE, name)
-        )
+        iri = export.artifact(item)
+        used(graph, export.qnodes, workflow_run, iri, time=result.started)
+        graph.add((iri, wfprov.describedByParameter,
+                   _parameter_iri(run.workflow_iri, WORKFLOW_SOURCE, name)))
 
     for step_run in result.step_runs:
-        _export_step(document, run, step_run, workflow_run, artifact)
+        _export_step(export, run, step_run)
 
     # Workflow-level outputs are generated by the workflow run.
     for name, item in result.outputs.items():
-        iri = artifact(item)
-        document.was_generated_by(iri, workflow_run, time=result.ended)
-        document.get_element(iri).add_attribute(
-            wfprov.describedByParameter, _parameter_iri(run.workflow_iri, WORKFLOW_SOURCE, name)
-        )
-    return document
+        iri = export.artifact(item)
+        was_generated_by(graph, export.qnodes, iri, workflow_run, time=result.ended)
+        graph.add((iri, wfprov.describedByParameter,
+                   _parameter_iri(run.workflow_iri, WORKFLOW_SOURCE, name)))
+    return graph
 
 
-def _export_collection(document, run: TavernaRun, entity, item, artifacts: Dict[str, IRI]) -> None:
-    """List values are Taverna collections: a prov:Collection whose
-    elements are member artifacts (taverna-prov's representation of the
-    engine's list datatype)."""
-    from ..rdf.namespace import PROV
-    from ..workflow.data import make_item
-
-    entity.add_type(PROV.Collection)
-    for index, element_value in enumerate(item.value):
-        element = make_item(element_value)
-        member_iri = run.artifact_iri(element.checksum)
-        if element.checksum not in artifacts:
-            member = document.entity(member_iri)
-            member.add_type(wfprov.Artifact)
-            member.add_attribute("prov:value", Literal(element.preview()))
-            member.add_attribute(TAVERNAPROV.sha1, Literal(element.checksum))
-            artifacts[element.checksum] = member_iri
-        document.had_member(entity.identifier, member_iri)
-
-
-def _export_step(document, run: TavernaRun, step_run: StepRun, workflow_run, artifact) -> None:
-    process_iri = run.process_iri(step_run.name)
-    process = document.activity(
-        process_iri, start_time=step_run.started, end_time=step_run.ended
-    )
-    process.add_type(wfprov.ProcessRun)
-    process.add_attribute(wfprov.wasPartOfWorkflowRun, run.run_iri)
-    process.add_attribute(
-        wfprov.describedByProcess, _process_iri(run.workflow_iri, step_run.name)
-    )
+def _process_run(export: _Export, run: TavernaRun, iri: IRI, step_name: str,
+                 step_run: StepRun) -> IRI:
+    """A wfprov:ProcessRun of *run*, associated with the engine."""
+    graph = export.graph
+    activity(graph, iri, wfprov.ProcessRun, start=step_run.started, end=step_run.ended)
+    graph.add((iri, wfprov.wasPartOfWorkflowRun, run.run_iri))
+    graph.add((iri, wfprov.describedByProcess, _process_iri(run.workflow_iri, step_name)))
     if step_run.failed:
-        process.add_attribute(TAVERNAPROV.processStatus, Literal("failed"))
-        process.add_attribute(TAVERNAPROV.errorMessage, Literal(step_run.failure_cause or ""))
-    document.was_associated_with(process, run.engine_iri)
-    for port, item in step_run.inputs.items():
-        document.used(process, artifact(item), time=step_run.started)
+        graph.add((iri, TAVERNAPROV.processStatus, Literal("failed")))
+        graph.add((iri, TAVERNAPROV.errorMessage, Literal(step_run.failure_cause or "")))
+    was_associated_with(graph, export.qnodes, iri, run.engine_iri)
+    for item in step_run.inputs.values():
+        used(graph, export.qnodes, iri, export.artifact(item), time=step_run.started)
+    return iri
+
+
+def _export_step(export: _Export, run: TavernaRun, step_run: StepRun) -> None:
+    process = _process_run(export, run, run.process_iri(step_run.name), step_run.name,
+                           step_run)
     for index, iteration in enumerate(step_run.iterations):
-        _export_iteration(document, run, step_run, iteration, index, artifact)
+        _export_iteration(export, run, step_run, iteration, index)
     if step_run.child_run is None:
-        for port, item in step_run.outputs.items():
-            document.was_generated_by(artifact(item), process, time=step_run.ended)
+        for item in step_run.outputs.values():
+            was_generated_by(export.graph, export.qnodes, export.artifact(item),
+                             process, time=step_run.ended)
     else:
         # A sub-workflow step's outputs are generated inside the nested
         # run (asserting them here too would violate generation-uniqueness).
-        _export_nested(document, run, step_run, process_iri, artifact)
+        _export_nested(export, run, step_run)
 
 
-def _export_iteration(document, run: TavernaRun, step_run: StepRun, iteration: StepRun,
-                      index: int, artifact) -> None:
+def _export_iteration(export: _Export, run: TavernaRun, step_run: StepRun,
+                      iteration: StepRun, index: int) -> None:
     """One implicit-iteration element invocation, as its own process run
     (taverna-prov publishes each iteration separately, under
     ``.../process/<name>/iteration/<n>/``)."""
-    iteration_iri = IRI(f"{run.run_iri.value}process/{step_run.name}/iteration/{index}/")
-    process = document.activity(
-        iteration_iri, start_time=iteration.started, end_time=iteration.ended
-    )
-    process.add_type(wfprov.ProcessRun)
-    process.add_attribute(wfprov.wasPartOfWorkflowRun, run.run_iri)
-    process.add_attribute(
-        wfprov.describedByProcess, _process_iri(run.workflow_iri, step_run.name)
-    )
-    process.add_attribute(TAVERNAPROV.iteration, index)
-    if iteration.failed:
-        process.add_attribute(TAVERNAPROV.processStatus, Literal("failed"))
-        process.add_attribute(TAVERNAPROV.errorMessage, Literal(iteration.failure_cause or ""))
-    document.was_associated_with(process, run.engine_iri)
-    for port, item in iteration.inputs.items():
-        document.used(process, artifact(item), time=iteration.started)
-    for port, item in iteration.outputs.items():
-        document.was_generated_by(artifact(item), process, time=iteration.ended)
+    iri = IRI(f"{run.run_iri.value}process/{step_run.name}/iteration/{index}/")
+    export.graph.add((iri, TAVERNAPROV.iteration, index))
+    _process_run(export, run, iri, step_run.name, iteration)
+    for item in iteration.outputs.values():
+        was_generated_by(export.graph, export.qnodes, export.artifact(item), iri,
+                         time=iteration.ended)
 
 
-def _export_nested(document, run: TavernaRun, step_run: StepRun, parent_process_iri, artifact):
+def _export_nested(export: _Export, run: TavernaRun, step_run: StepRun) -> None:
     """Nested workflow: its run is an activity informed by the parent run.
 
     This is the paper's only use of prov:wasInformedBy ("used to express
     the connection between sub-workflows").
     """
+    graph = export.graph
     child = step_run.child_run
     nested_iri = IRI(f"{run.run_iri.value}nested/{step_run.name}/")
-    nested = document.activity(nested_iri, start_time=child.started, end_time=child.ended)
-    nested.add_type(wfprov.WorkflowRun)
-    nested.add_attribute(wfprov.wasPartOfWorkflowRun, run.run_iri)
-    nested.add_attribute(
-        wfprov.describedByWorkflow,
-        TAVERNA_WF_NS.term(f"{child.template.template_id}/workflow/{child.template.name}/"),
+    workflow_iri = TAVERNA_WF_NS.term(
+        f"{child.template.template_id}/workflow/{child.template.name}/"
     )
-    document.was_informed_by(nested_iri, run.run_iri)
-    document.was_associated_with(nested_iri, run.engine_iri)
+    activity(graph, nested_iri, wfprov.WorkflowRun, start=child.started, end=child.ended)
+    graph.add((nested_iri, wfprov.wasPartOfWorkflowRun, run.run_iri))
+    graph.add((nested_iri, wfprov.describedByWorkflow, workflow_iri))
+    graph.add((nested_iri, PROV.wasInformedBy, run.run_iri))
+    was_associated_with(graph, export.qnodes, nested_iri, run.engine_iri)
     nested_run = TavernaRun(
-        result=child,
-        run_iri=nested_iri,
-        workflow_iri=TAVERNA_WF_NS.term(
-            f"{child.template.template_id}/workflow/{child.template.name}/"
-        ),
-        user=run.user,
+        result=child, run_iri=nested_iri, workflow_iri=workflow_iri, user=run.user
     )
     for child_step in child.step_runs:
-        _export_step(document, nested_run, child_step, nested, artifact)
+        _export_step(export, nested_run, child_step)
 
 
 def _process_iri(workflow_iri: IRI, step_name: str) -> IRI:
@@ -223,49 +220,43 @@ def _parameter_iri(workflow_iri: IRI, processor: str, port: str) -> IRI:
 
 
 def export_template_description(
-    template: WorkflowTemplate, document: Optional[ProvDocument] = None
-) -> ProvDocument:
+    template: WorkflowTemplate, graph: Optional[Graph] = None
+) -> Graph:
     """Publish the template's wfdesc description (the prov:hadPlan target)."""
-    if document is None:
-        document = ProvDocument()
-    _bind_namespaces(document.namespaces)
-    workflow_iri = TAVERNA_WF_NS.term(f"{template.template_id}/workflow/{template.name}/")
-    workflow = document.entity(workflow_iri)
-    workflow.add_type(wfdesc.Workflow)
-    workflow.add_attribute(DCTERMS.title, Literal(template.name))
-    workflow.add_attribute(DCTERMS.description, Literal(template.description or template.name))
-    workflow.add_attribute(DCTERMS.subject, Literal(template.domain))
+    if graph is None:
+        graph = Graph()
+    _bind_namespaces(graph.namespaces)
+    workflow = typed(
+        graph, TAVERNA_WF_NS.term(f"{template.template_id}/workflow/{template.name}/"),
+        PROV.Entity, wfdesc.Workflow,
+    )
+    graph.add((workflow, DCTERMS.title, Literal(template.name)))
+    graph.add((workflow, DCTERMS.description, Literal(template.description or template.name)))
+    graph.add((workflow, DCTERMS.subject, Literal(template.domain)))
+
+    def parameter(owner: IRI, processor: str, port: str, kind: IRI, link: IRI) -> None:
+        iri = typed(graph, _parameter_iri(workflow, processor, port), PROV.Entity, kind)
+        graph.add((owner, link, iri))
+
     for port in template.inputs:
-        parameter = document.entity(_parameter_iri(workflow_iri, WORKFLOW_SOURCE, port.name))
-        parameter.add_type(wfdesc.Input)
-        workflow.add_attribute(wfdesc.hasInput, parameter.identifier)
+        parameter(workflow, WORKFLOW_SOURCE, port.name, wfdesc.Input, wfdesc.hasInput)
     for port in template.outputs:
-        parameter = document.entity(_parameter_iri(workflow_iri, WORKFLOW_SOURCE, port.name))
-        parameter.add_type(wfdesc.Output)
-        workflow.add_attribute(wfdesc.hasOutput, parameter.identifier)
+        parameter(workflow, WORKFLOW_SOURCE, port.name, wfdesc.Output, wfdesc.hasOutput)
     for processor in template.processors.values():
-        process = document.entity(_process_iri(workflow_iri, processor.name))
-        process.add_type(wfdesc.Process)
-        process.add_attribute(DCTERMS.title, Literal(processor.name))
-        workflow.add_attribute(wfdesc.hasSubProcess, process.identifier)
+        process = typed(graph, _process_iri(workflow, processor.name),
+                        PROV.Entity, wfdesc.Process)
+        graph.add((process, DCTERMS.title, Literal(processor.name)))
+        graph.add((workflow, wfdesc.hasSubProcess, process))
         for port in processor.inputs:
-            parameter = document.entity(_parameter_iri(workflow_iri, processor.name, port.name))
-            parameter.add_type(wfdesc.Input)
-            process.add_attribute(wfdesc.hasInput, parameter.identifier)
+            parameter(process, processor.name, port.name, wfdesc.Input, wfdesc.hasInput)
         for port in processor.outputs:
-            parameter = document.entity(_parameter_iri(workflow_iri, processor.name, port.name))
-            parameter.add_type(wfdesc.Output)
-            process.add_attribute(wfdesc.hasOutput, parameter.identifier)
+            parameter(process, processor.name, port.name, wfdesc.Output, wfdesc.hasOutput)
     for index, link in enumerate(template.links):
-        link_entity = document.entity(IRI(f"{workflow_iri.value}datalink/{index}"))
-        link_entity.add_type(wfdesc.DataLink)
-        link_entity.add_attribute(
-            wfdesc.hasSource,
-            _parameter_iri(workflow_iri, link.source.processor, link.source.port),
-        )
-        link_entity.add_attribute(
-            wfdesc.hasSink,
-            _parameter_iri(workflow_iri, link.sink.processor, link.sink.port),
-        )
-        workflow.add_attribute(wfdesc.hasDataLink, link_entity.identifier)
-    return document
+        link_iri = typed(graph, IRI(f"{workflow.value}datalink/{index}"),
+                         PROV.Entity, wfdesc.DataLink)
+        graph.add((link_iri, wfdesc.hasSource,
+                   _parameter_iri(workflow, link.source.processor, link.source.port)))
+        graph.add((link_iri, wfdesc.hasSink,
+                   _parameter_iri(workflow, link.sink.processor, link.sink.port)))
+        graph.add((workflow, wfdesc.hasDataLink, link_iri))
+    return graph

@@ -1,4 +1,4 @@
-"""Wings/OPMW export: runs → OPMW + PROV-O RDF with bundles.
+"""Wings/OPMW export: runs → OPMW + PROV-O triples, the account a named graph.
 
 Reproduces the Wings-side conventions of the paper's Tables 2 and 3:
 
@@ -27,12 +27,13 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..prov.model import ProvBundle, ProvDocument
-from ..rdf.namespace import DCTERMS, NamespaceManager
+from ..prov.emit import activity, typed, was_derived_from
+from ..rdf.graph import Dataset, Graph
+from ..rdf.namespace import DCTERMS, PROV, NamespaceManager
 from ..rdf.terms import IRI, Literal
 from ..vocab import opmw
-from ..workflow.dataflow import RunResult, StepRun
-from ..workflow.model import WorkflowTemplate, WORKFLOW_SOURCE
+from ..workflow.dataflow import StepRun
+from ..workflow.model import WorkflowTemplate
 from .engine import OPMW_EXPORT_NS, WingsRun
 
 __all__ = ["export_run", "export_template"]
@@ -42,51 +43,47 @@ def _bind_namespaces(nsm: NamespaceManager) -> None:
     nsm.bind("opmw-export", OPMW_EXPORT_NS)
 
 
-def export_run(run: WingsRun, document: Optional[ProvDocument] = None) -> ProvDocument:
-    """Export one Wings run: account bundle + template linkage."""
-    if document is None:
-        document = ProvDocument()
-    _bind_namespaces(document.namespaces)
+def export_run(run: WingsRun, dataset: Optional[Dataset] = None) -> Dataset:
+    """Export one Wings run: the account, and its bundle as a named graph."""
+    if dataset is None:
+        dataset = Dataset()
+    _bind_namespaces(dataset.namespaces)
     result = run.result
+    default = dataset.default
+    user = run.user_iri()
 
-    # The account itself is declared in the document (default graph): it is
-    # the bundle entity others refer to.
-    account_entity = document.entity(run.account_iri)
-    account_entity.add_type(opmw.WorkflowExecutionAccount)
-    account_entity.add_attribute(opmw.correspondsToTemplate, run.template_iri)
-    account_entity.add_attribute(opmw.overallStartTime, result.started)
+    # The account itself is declared in the default graph: it is the
+    # bundle entity others refer to.
+    account = typed(default, run.account_iri, PROV.Entity, PROV.Bundle,
+                    opmw.WorkflowExecutionAccount)
+    default.add((account, opmw.correspondsToTemplate, run.template_iri))
+    default.add((account, opmw.overallStartTime, result.started))
     if result.ended is not None:
-        account_entity.add_attribute(opmw.overallEndTime, result.ended)
-    account_entity.add_attribute(
-        opmw.hasStatus, Literal("FAILURE" if result.failed else "SUCCESS")
-    )
-    account_entity.add_attribute(opmw.executedInWorkflowSystem, run.system_iri)
-    document.agent(run.system_iri, agent_type="software")
+        default.add((account, opmw.overallEndTime, result.ended))
+    default.add((account, opmw.hasStatus, Literal("FAILURE" if result.failed else "SUCCESS")))
+    default.add((account, opmw.executedInWorkflowSystem, run.system_iri))
+    typed(default, run.system_iri, PROV.Agent, PROV.SoftwareAgent)
+    default.add((account, PROV.wasAttributedTo, user))
 
-    bundle = document.bundle(run.account_iri)
-    user = bundle.agent(run.user_iri(), agent_type="person")
-    document.was_attributed_to(run.account_iri, run.user_iri())
+    bundle = dataset.graph(account)
+    typed(bundle, user, PROV.Agent, PROV.Person)
 
     artifacts: Dict[str, IRI] = {}
 
     def artifact(item, template_role: Optional[str] = None) -> IRI:
         iri = run.artifact_iri(item.checksum)
         if item.checksum not in artifacts:
-            entity = bundle.entity(iri)
-            entity.add_type(opmw.WorkflowExecutionArtifact)
-            entity.add_attribute("prov:value", Literal(item.preview()))
-            entity.add_attribute(opmw.hasSize, item.size_bytes)
-            entity.add_attribute(
-                "prov:atLocation",
-                Literal(f"/export/wings/workspace/runs/{result.run_id}/{item.checksum[:12]}.dat"),
-            )
-            bundle.was_attributed_to(iri, run.user_iri())
+            typed(bundle, iri, PROV.Entity, opmw.WorkflowExecutionArtifact)
+            bundle.add((iri, PROV.value, Literal(item.preview())))
+            bundle.add((iri, opmw.hasSize, item.size_bytes))
+            bundle.add((iri, PROV.atLocation, Literal(
+                f"/export/wings/workspace/runs/{result.run_id}/{item.checksum[:12]}.dat"
+            )))
+            bundle.add((iri, PROV.wasAttributedTo, user))
             artifacts[item.checksum] = iri
         if template_role is not None:
-            bundle.elements[iri].add_attribute(
-                opmw.correspondsToTemplateArtifact,
-                _template_variable_iri(run.template_iri, template_role),
-            )
+            bundle.add((iri, opmw.correspondsToTemplateArtifact,
+                        _template_variable_iri(run.template_iri, template_role)))
         return artifacts[item.checksum]
 
     input_iris = [artifact(item, template_role=name) for name, item in result.inputs.items()]
@@ -99,43 +96,38 @@ def export_run(run: WingsRun, document: Optional[ProvDocument] = None) -> ProvDo
         # Wings-only: published results point at their primary data sources.
         for input_iri in input_iris:
             if input_iri != output_iri:
-                bundle.had_primary_source(output_iri, input_iri)
-    return document
+                was_derived_from(bundle, output_iri, input_iri, subtype="primary_source")
+    return dataset
 
 
-def _export_step(bundle: ProvBundle, run: WingsRun, step_run: StepRun, artifact) -> None:
-    process_iri = run.process_iri(step_run.name)
-    # Deliberately no start/end times: Wings does not record them (Table 2).
-    process = bundle.activity(process_iri)
-    process.add_type(opmw.WorkflowExecutionProcess)
-    process.add_attribute(opmw.isStepOfTemplate, run.account_iri)
-    process.add_attribute(
-        opmw.correspondsToTemplateProcess,
-        _template_process_iri(run.template_iri, step_run.name),
-    )
+def _export_step(bundle: Graph, run: WingsRun, step_run: StepRun, artifact) -> None:
+    # Deliberately no start/end times: Wings does not record them (Table 2),
+    # so no relation here is qualified either.
+    process = activity(bundle, run.process_iri(step_run.name), opmw.WorkflowExecutionProcess)
+    bundle.add((process, opmw.isStepOfTemplate, run.account_iri))
+    bundle.add((process, opmw.correspondsToTemplateProcess,
+                _template_process_iri(run.template_iri, step_run.name)))
     # The semantic template names the *component*; the step run only knows
     # the underlying operation it was bound to.
     semantic_step = run.result.template.processors.get(step_run.name)
     component = semantic_step.operation if semantic_step is not None else step_run.operation
-    process.add_attribute(
-        opmw.hasExecutableComponent,
-        OPMW_EXPORT_NS.term(f"Component/{component}"),
-    )
+    bundle.add((process, opmw.hasExecutableComponent,
+                OPMW_EXPORT_NS.term(f"Component/{component}")))
     if step_run.failed:
-        process.add_attribute(opmw.hasStatus, Literal("FAILURE"))
-        process.add_attribute(DCTERMS.description, Literal(step_run.failure_cause or ""))
+        bundle.add((process, opmw.hasStatus, Literal("FAILURE")))
+        bundle.add((process, DCTERMS.description, Literal(step_run.failure_cause or "")))
     else:
-        process.add_attribute(opmw.hasStatus, Literal("SUCCESS"))
-    bundle.was_associated_with(process_iri, run.user_iri())
-    for port, item in step_run.inputs.items():
+        bundle.add((process, opmw.hasStatus, Literal("SUCCESS")))
+    bundle.add((process, PROV.wasAssociatedWith, run.user_iri()))
+    for item in step_run.inputs.values():
         input_iri = artifact(item)
-        bundle.used(process_iri, input_iri)
+        bundle.add((process, PROV.used, input_iri))
         # Direct (unstarred) prov:wasInfluencedBy assertion — Wings idiom.
-        bundle.was_influenced_by(process_iri, input_iri)
-    for port, item in step_run.outputs.items():
+        bundle.add((process, PROV.wasInfluencedBy, input_iri))
+    for item in step_run.outputs.values():
         output_iri = artifact(item)
-        bundle.was_generated_by(output_iri, process_iri)
-        bundle.was_influenced_by(output_iri, process_iri)
+        bundle.add((output_iri, PROV.wasGeneratedBy, process))
+        bundle.add((output_iri, PROV.wasInfluencedBy, process))
 
 
 def _template_process_iri(template_iri: IRI, step_name: str) -> IRI:
@@ -146,36 +138,34 @@ def _template_variable_iri(template_iri: IRI, variable: str) -> IRI:
     return IRI(f"{template_iri.value}_variable_{variable}")
 
 
-def export_template(
-    template: WorkflowTemplate, document: Optional[ProvDocument] = None
-) -> ProvDocument:
-    """Publish the OPMW template description (typed prov:Plan — Wings
-    asserts the class directly, unlike Taverna)."""
-    if document is None:
-        document = ProvDocument()
-    _bind_namespaces(document.namespaces)
-    template_iri = OPMW_EXPORT_NS.term(f"WorkflowTemplate/{template.template_id}")
-    plan = document.plan(template_iri)
-    plan.add_type(opmw.WorkflowTemplate)
-    plan.add_attribute(DCTERMS.title, Literal(template.name))
-    plan.add_attribute(DCTERMS.description, Literal(template.description or template.name))
-    plan.add_attribute(DCTERMS.subject, Literal(template.domain))
+def export_template(template: WorkflowTemplate, dataset: Optional[Dataset] = None) -> Dataset:
+    """Publish the OPMW template description in the default graph (typed
+    prov:Plan — Wings asserts the class directly, unlike Taverna)."""
+    if dataset is None:
+        dataset = Dataset()
+    _bind_namespaces(dataset.namespaces)
+    graph = dataset.default
+    template_iri = typed(graph, OPMW_EXPORT_NS.term(f"WorkflowTemplate/{template.template_id}"),
+                         PROV.Entity, PROV.Plan, opmw.WorkflowTemplate)
+    graph.add((template_iri, DCTERMS.title, Literal(template.name)))
+    graph.add((template_iri, DCTERMS.description,
+               Literal(template.description or template.name)))
+    graph.add((template_iri, DCTERMS.subject, Literal(template.domain)))
     for processor in template.processors.values():
-        step = document.entity(_template_process_iri(template_iri, processor.name))
-        step.add_type(opmw.WorkflowTemplateProcess)
-        step.add_attribute(opmw.isStepOfTemplate, template_iri)
-        step.add_attribute(DCTERMS.title, Literal(processor.name))
-        step.add_attribute(
-            opmw.hasExecutableComponent, OPMW_EXPORT_NS.term(f"Component/{processor.operation}")
-        )
+        step = typed(graph, _template_process_iri(template_iri, processor.name),
+                     PROV.Entity, opmw.WorkflowTemplateProcess)
+        graph.add((step, opmw.isStepOfTemplate, template_iri))
+        graph.add((step, DCTERMS.title, Literal(processor.name)))
+        graph.add((step, opmw.hasExecutableComponent,
+                   OPMW_EXPORT_NS.term(f"Component/{processor.operation}")))
     for port in list(template.inputs) + list(template.outputs):
-        variable = document.entity(_template_variable_iri(template_iri, port.name))
-        variable.add_type(opmw.DataVariable)
-        variable.add_attribute(opmw.isVariableOfTemplate, template_iri)
-        variable.add_attribute(DCTERMS.title, Literal(port.name))
+        variable = typed(graph, _template_variable_iri(template_iri, port.name),
+                         PROV.Entity, opmw.DataVariable)
+        graph.add((variable, opmw.isVariableOfTemplate, template_iri))
+        graph.add((variable, DCTERMS.title, Literal(port.name)))
     for parameter in template.parameters:
-        variable = document.entity(_template_variable_iri(template_iri, parameter.name))
-        variable.add_type(opmw.ParameterVariable)
-        variable.add_attribute(opmw.isVariableOfTemplate, template_iri)
-        variable.add_attribute("prov:value", Literal(str(parameter.value)))
-    return document
+        variable = typed(graph, _template_variable_iri(template_iri, parameter.name),
+                         PROV.Entity, opmw.ParameterVariable)
+        graph.add((variable, opmw.isVariableOfTemplate, template_iri))
+        graph.add((variable, PROV.value, Literal(str(parameter.value))))
+    return dataset

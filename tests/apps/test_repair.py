@@ -3,10 +3,8 @@
 import pytest
 
 from repro.apps import DecayDetector
-from repro.prov.constraints import validate_document
-from repro.prov.model import Derivation, Usage
+from repro.queries import CorpusQueries
 from repro.rdf import PROV, RDF
-from repro.prov.rdf_io import to_graph
 
 
 @pytest.fixture(scope="module")
@@ -30,29 +28,24 @@ class TestApplyRepair:
 
     def test_repair_has_its_own_provenance(self, detector, repairable_run):
         record = detector.apply_repair(repairable_run)
-        doc = record.document
-        stats = doc.statistics()
-        assert stats["activities"] == 1
-        assert stats["agents"] == 1
-        # one usage + one generation + one derivation per substituted output
-        usages = list(doc.relations_of(Usage))
-        derivations = list(doc.relations_of(Derivation))
-        assert len(usages) == len(record.outputs)
-        assert len(derivations) == len(record.outputs)
-        assert all(d.subtype == "revision" for d in derivations)
+        graph = record.graph
+        assert graph.count(None, RDF.type, PROV.Activity) == 1
+        assert graph.count(None, RDF.type, PROV.Agent) == 1
+        # one usage + one generation + one revision per substituted output
+        assert graph.count(None, PROV.used, None) == len(record.outputs)
+        assert graph.count(None, PROV.wasGeneratedBy, None) == len(record.outputs)
+        assert graph.count(None, PROV.wasRevisionOf, None) == len(record.outputs)
+        assert graph.count(None, PROV.wasDerivedFrom, None) == 0
 
     def test_repair_document_is_valid_prov(self, detector, repairable_run):
         record = detector.apply_repair(repairable_run)
-        errors = [v for v in validate_document(record.document)
-                  if v.severity == "error"]
-        assert not errors
+        assert CorpusQueries(record.graph).trace_violations() == []
 
     def test_repair_graph_queryable(self, detector, repairable_run):
         from repro.sparql import QueryEngine
 
         record = detector.apply_repair(repairable_run)
-        graph = to_graph(record.document)
-        engine = QueryEngine(graph)
+        engine = QueryEngine(record.graph)
         rows = engine.select(
             "SELECT ?sub ?donor WHERE { ?sub prov:wasRevisionOf ?donor }"
         )

@@ -45,8 +45,8 @@ class TestTripleCount:
             assert trace.triples == len(trace.graph()), trace.run_id
 
     def test_build_and_write_exports_each_trace_once(self, tmp_path, monkeypatch):
-        """Writing a trace counts its triples from the graph the build
-        already serialised, not from a second PROV → RDF export."""
+        """Writing a trace counts its triples from the triples the build
+        already serialised, not from a second export."""
         from repro.corpus import CorpusBuilder
         from repro.corpus import builder as builder_module
         from repro.corpus.storage import build_and_write
@@ -58,16 +58,17 @@ class TestTripleCount:
         short = taverna[:1] + wings[:2]
         monkeypatch.setattr(builder, "plan", lambda: (by_id, short))
         exports = []
-        for name in ("to_graph", "to_dataset"):
+        for name in ("taverna_export", "wings_export", "serialize_turtle", "serialize_trig"):
             real = getattr(builder_module, name)
 
-            def counted(document, _real=real, _name=name):
+            def counted(rdf, _real=real, _name=name):
                 exports.append(_name)
-                return _real(document)
+                return _real(rdf)
 
             monkeypatch.setattr(builder_module, name, counted)
         manifest_path = build_and_write(builder, tmp_path / "corpus")
-        assert sorted(exports) == ["to_dataset", "to_dataset", "to_graph"]
+        assert sorted(exports) == ["serialize_trig", "serialize_trig", "serialize_turtle",
+                                   "taverna_export", "wings_export", "wings_export"]
         stored = load_corpus(tmp_path / "corpus")
         manifest = json.loads(manifest_path.read_text())
         assert manifest["statistics"]["triples"] == sum(

@@ -155,6 +155,34 @@ class TestVersioning:
         ds.graph(EX.g1).add((EX.c, PROV.used, EX.d))
         assert ds.version > v1
 
+    def test_every_member_graph_mutation_moves_dataset_version(self):
+        ds = Dataset()
+        member = ds.graph(EX.g1)
+        mutations = [
+            lambda: ds.graph(EX.g1).add((EX.a, PROV.used, EX.b)),
+            lambda: member.add((EX.c, PROV.used, EX.d)),
+            lambda: ds.default.add((EX.e, PROV.used, EX.f)),
+            lambda: member.remove((EX.a, PROV.used, EX.b)),
+            lambda: member.remove_pattern(EX.c, None, None),
+            lambda: ds.default.clear(),
+        ]
+        for mutate in mutations:
+            before = ds.version
+            mutate()
+            assert ds.version > before
+        before = ds.version
+        member.add((EX.c, PROV.used, EX.d))  # already absent → effective
+        member.add((EX.c, PROV.used, EX.d))  # duplicate → no change
+        assert ds.version == before + 1
+
+    def test_removed_graph_no_longer_moves_dataset_version(self):
+        ds = Dataset()
+        member = ds.graph(EX.g1)
+        ds.remove_graph(EX.g1)
+        before = ds.version
+        member.add((EX.a, PROV.used, EX.b))
+        assert ds.version == before
+
     def test_dataset_version_monotonic_across_graph_removal(self):
         ds = Dataset()
         ds.graph(EX.g1).add_all(

@@ -2,7 +2,7 @@
 
 Invariants:
 
-* every serializer round-trips arbitrary graphs (N-Triples, Turtle, JSON);
+* every serializer round-trips arbitrary graphs (N-Triples, Turtle);
 * string escaping round-trips arbitrary text;
 * graph set operations obey their algebraic laws;
 * indexes agree with the linear scan on arbitrary patterns.
@@ -13,7 +13,6 @@ import string
 from hypothesis import given, settings, strategies as st
 
 from repro.rdf import Graph, parse_ntriples, parse_turtle, serialize_ntriples, serialize_turtle
-from repro.rdf.jsonld import dumps as jsonld_dumps, loads as jsonld_loads
 from repro.rdf.terms import (
     XSD,
     BlankNode,
@@ -64,12 +63,6 @@ def test_ntriples_roundtrip(graph):
 @given(graphs)
 def test_turtle_roundtrip(graph):
     assert parse_turtle(serialize_turtle(graph)) == graph
-
-
-@settings(max_examples=50, deadline=None)
-@given(graphs)
-def test_jsonld_roundtrip(graph):
-    assert jsonld_loads(jsonld_dumps(graph)) == graph
 
 
 # -- graph algebra -------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for N-Triples, Turtle, TriG, and JSON-LD serializations."""
+"""Unit tests for N-Triples, Turtle and TriG serializations."""
 
 import datetime as dt
 
@@ -20,7 +20,6 @@ from repro.rdf import (
     serialize_trig,
     serialize_turtle,
 )
-from repro.rdf.jsonld import dumps as jsonld_dumps, loads as jsonld_loads
 from repro.rdf.ntriples import NTriplesError
 from repro.rdf.terms import BlankNode, IRI, Literal, XSD
 from repro.rdf.turtle import TurtleError
@@ -207,24 +206,6 @@ class TestTriG:
         ds = parse_trig(text)
         assert (EX.x, EX.p, EX.y) in ds.default
         assert (EX.a, EX.p, EX.b) in ds.graph(EX.g1)
-
-
-class TestJsonLd:
-    def test_roundtrip(self):
-        g = rich_graph()
-        assert jsonld_loads(jsonld_dumps(g)) == g
-
-    def test_type_key_used(self):
-        text = jsonld_dumps(rich_graph())
-        assert '"@type"' in text
-
-    def test_plain_values_for_common_datatypes(self):
-        from repro.rdf.jsonld import to_jsonld
-
-        doc = to_jsonld(rich_graph())
-        node = next(n for n in doc["@graph"] if n["@id"].endswith("/data"))
-        assert node["ex:size"] == 42
-        assert node["ex:ok"] is True
 
 
 class TestParseErrorContext:

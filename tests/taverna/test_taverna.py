@@ -4,8 +4,6 @@ import datetime as dt
 
 import pytest
 
-from repro.prov.model import Association, Usage
-from repro.prov.rdf_io import to_graph
 from repro.rdf import PROV, RDF
 from repro.rdf.terms import IRI
 from repro.taverna import (
@@ -56,9 +54,9 @@ class TestProvExportConventions:
 
     @pytest.fixture
     def graph(self, run, linear_template):
-        doc = export_run(run)
-        export_template_description(linear_template, doc)
-        return to_graph(doc)
+        graph = export_run(run)
+        export_template_description(linear_template, graph)
+        return graph
 
     def test_activities_and_timestamps(self, graph):
         assert list(graph.triples(None, RDF.type, PROV.Activity))
@@ -75,7 +73,11 @@ class TestProvExportConventions:
 
     def test_association_with_hadplan(self, graph):
         assert list(graph.triples(None, PROV.wasAssociatedWith, None))
-        assert list(graph.triples(None, PROV.hadPlan, None))
+        # One qualified association, the run's: its plan is the wfdesc workflow.
+        (link,) = graph.triples(None, PROV.qualifiedAssociation, None)
+        assert (link.subject, RDF.type, wfprov.WorkflowRun) in graph
+        (plan,) = graph.objects(link.object, PROV.hadPlan)
+        assert (plan, RDF.type, wfdesc.Workflow) in graph
 
     def test_no_plan_class_asserted(self, graph):
         assert not list(graph.triples(None, RDF.type, PROV.Plan))
@@ -113,7 +115,7 @@ class TestFailedRunExport:
             linear_template, {"accession": "P1"}, run_id="rf",
             fault_plan=FaultPlan.single("shape", "illegal-input-value"),
         )
-        graph = to_graph(export_run(run))
+        graph = export_run(run)
         process_runs = list(graph.triples(None, RDF.type, wfprov.ProcessRun))
         assert len(process_runs) == 2  # fetch + shape, publish never ran
         failed = list(graph.triples(None, TAVERNAPROV.processStatus, None))
@@ -133,7 +135,7 @@ class TestNestedExport:
         reg_gen = gen.build_registry()
         engine2 = TavernaEngine(reg_gen, clock)
         run = engine2.run(nested_template, gen.inputs_for(nested_template), run_id="rn")
-        graph = to_graph(export_run(run))
+        graph = export_run(run)
         informed = list(graph.triples(None, PROV.wasInformedBy, None))
         assert informed, "nested workflow must be connected via prov:wasInformedBy"
         workflow_runs = list(graph.triples(None, RDF.type, wfprov.WorkflowRun))

@@ -4,7 +4,6 @@ import datetime as dt
 
 import pytest
 
-from repro.prov.rdf_io import to_dataset, to_graph
 from repro.rdf import PROV, RDF
 from repro.vocab import opmw
 from repro.wings import (
@@ -185,13 +184,13 @@ class TestProvExportConventions:
     def export(self, engine, template):
         run = engine.run(template, {"features": "train-data", "testset": "test-data"},
                          run_id="A-9", user="dgarijo")
-        doc = export_run(run)
-        export_template(template, doc)
-        return doc
+        dataset = export_run(run)
+        export_template(template, dataset)
+        return dataset
 
     @pytest.fixture
     def graph(self, export):
-        return to_graph(export)
+        return export.union_graph()
 
     def test_no_activity_timestamps(self, graph):
         assert not list(graph.triples(None, PROV.startedAtTime, None))
@@ -227,10 +226,14 @@ class TestProvExportConventions:
         assert list(graph.triples(None, RDF.type, PROV.Plan))
 
     def test_bundle_and_named_graph(self, export):
-        ds = to_dataset(export)
-        assert len(ds.graph_names()) == 1
-        account = ds.graph_names()[0]
-        assert (account, RDF.type, PROV.Bundle) in ds.default
+        assert len(export.graph_names()) == 1
+        account = export.graph_names()[0]
+        assert (account, RDF.type, PROV.Bundle) in export.default
+        assert (account, RDF.type, PROV.Entity) in export.default
+        # The account's statements live in its named graph, not the default.
+        processes = set(export.graph(account).subjects(RDF.type, opmw.WorkflowExecutionProcess))
+        assert processes
+        assert not set(export.default.subjects(RDF.type, opmw.WorkflowExecutionProcess))
 
     def test_opmw_typing(self, graph):
         for cls in (opmw.WorkflowExecutionAccount, opmw.WorkflowExecutionProcess,
@@ -245,6 +248,6 @@ class TestProvExportConventions:
     def test_failed_run_status(self, engine, template):
         run = engine.run(template, {"features": ["x", "y"], "testset": ["z"]}, run_id="A-10",
                          fault_plan=FaultPlan.single("train", "service-timeout"))
-        graph = to_graph(export_run(run))
+        graph = export_run(run).union_graph()
         statuses = {t.object.lexical for t in graph.triples(None, opmw.hasStatus, None)}
         assert "FAILURE" in statuses

@@ -103,7 +103,6 @@ class TestImplicitIteration:
 
 class TestIterationProvenance:
     def test_iterations_exported_as_process_runs(self, registry, clock):
-        from repro.prov.rdf_io import to_graph
         from repro.rdf import RDF
         from repro.taverna import TavernaEngine, export_run
         from repro.taverna.provexport import TAVERNAPROV
@@ -111,7 +110,7 @@ class TestIterationProvenance:
 
         engine = TavernaEngine(registry, clock)
         run = engine.run(iterating_template(), {"accession": "P1"}, run_id="it-prov")
-        graph = to_graph(export_run(run))
+        graph = export_run(run)
         iteration_marks = list(graph.triples(None, TAVERNAPROV.iteration, None))
         assert len(iteration_marks) == 4
         # each iteration is a timestamped wfprov:ProcessRun of the run
@@ -121,11 +120,10 @@ class TestIterationProvenance:
                                predicate=graph.namespaces.expand("prov:startedAtTime")) is not None
 
     def test_trace_remains_constraint_valid(self, registry, clock):
-        from repro.prov.constraints import validate_document
+        from repro.queries import CorpusQueries
         from repro.taverna import TavernaEngine, export_run
 
         engine = TavernaEngine(registry, clock)
         run = engine.run(iterating_template(), {"accession": "P1"}, run_id="it-valid")
-        document = export_run(run)
-        errors = [v for v in validate_document(document) if v.severity == "error"]
-        assert not errors, [str(e) for e in errors]
+        violations = CorpusQueries(export_run(run)).trace_violations()
+        assert not [v for v in violations if v[1] == "error"], violations
