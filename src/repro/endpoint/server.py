@@ -3,7 +3,8 @@
 Section 6 of the paper lists "providing access to the corpus via a SPARQL
 endpoint and web interfaces" as future work; this module implements it as
 an extension.  A :class:`SparqlEndpoint` wraps a graph or dataset with a
-minimal SPARQL 1.1 Protocol surface on stdlib ``http.server``:
+minimal SPARQL 1.1 Protocol surface on the stdlib's ``ThreadingHTTPServer``
+with a request reader of its own (see below):
 
 * ``GET /sparql?query=...`` and ``POST /sparql`` (form-encoded or
   ``application/sparql-query``, any declared charset) evaluate a query;
@@ -55,6 +56,18 @@ bytes are never parsed as the next request.
 ``repro_http_connections_total`` beside ``repro_http_requests_total``
 gives connections per request.
 
+Requests are read by :meth:`_Handler.parse_request`, not the stdlib's
+``email.parser``: the request line by the stdlib's rules, the header
+block into a plain dict keyed by lower-cased name, at most
+``MAX_LINE_BYTES`` a line and ``MAX_HEADER_LINES`` lines (431 beyond),
+and with 400 and ``Connection: close`` for what RFC 9112 has a server
+refuse — a line without ``:``, whitespace before the ``:``, an obs-fold
+continuation line, a repeated ``Content-Length``.  The ``query``
+parameter of a GET query string or form body is extracted by
+:func:`_form_value`, which equals ``urllib.parse.parse_qs`` on it and
+decodes a clean value's escapes in one C call.  A request's clock starts
+once its request line is read, so its duration covers the header block.
+
 SELECT answers are serialised once: the encoded body is memoised per
 media type on the immutable :class:`~repro.sparql.results.ResultTable`
 (:meth:`~repro.sparql.results.ResultTable.encoded`), so a result-cache
@@ -76,6 +89,7 @@ tests and examples can exercise it in-process.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import socket
@@ -104,6 +118,15 @@ __all__ = ["SparqlEndpoint"]
 #: Largest POST body the endpoint reads.  Query texts are a few KB; a
 #: larger declared length is answered 413 before a byte of it is read.
 MAX_BODY_BYTES = 1 << 20
+
+#: Longest header line the endpoint reads, its line end included; a
+#: longer one is answered 431.  (The stdlib's ``handle_one_request`` holds
+#: the request line to the same 65,536 bytes and answers 414.)
+MAX_LINE_BYTES = 65536
+
+#: Most lines a request's header block may take, the blank line that
+#: ends it included; a longer block is answered 431.
+MAX_HEADER_LINES = 100
 
 #: Longest the endpoint waits on a client's socket, in seconds.  A client
 #: that connects and goes quiet, or sends less body than it declared,
@@ -156,6 +179,45 @@ _STORE_TERMS = _metrics.gauge("repro_store_terms", "Terms in the attached store 
 _STORE_GENERATION = _metrics.gauge(
     "repro_store_generation", "Compaction generation of the attached store"
 )
+
+
+def _unquote_plus(text: str) -> str:
+    """``urllib.parse.unquote_plus(text)``.  An ASCII text whose every
+    ``%`` starts a ``%XX`` escape — any query a client encoded itself —
+    is decoded in one C call: each backslash is doubled, each ``%``
+    becomes ``\\x`` and ``codecs.escape_decode`` turns the escapes into
+    bytes, refusing (``ValueError``) a ``\\x`` without two hex digits
+    after it.  Any other text takes the stdlib's per-escape loop."""
+    if text.isascii():
+        escaped = text.replace("\\", "\\\\").replace("%", "\\x").replace("+", " ")
+        try:
+            return codecs.escape_decode(escaped)[0].decode("utf-8", "replace")
+        except ValueError:  # a % that starts no %XX escape
+            pass
+    return urllib.parse.unquote_plus(text)
+
+
+def _form_value(text: str, key: str) -> Optional[str]:
+    """The first non-empty *key* field of the form-encoded *text*, or
+    None: ``urllib.parse.parse_qs(text).get(key, [None])[0]`` without
+    decoding the values it does not return."""
+    for field in text.split("&"):
+        name, _, value = field.partition("=")
+        if value and _unquote_plus(name) == key:
+            return _unquote_plus(value)
+    return None
+
+
+def _http_version(word: str) -> Optional[tuple]:
+    """``(major, minor)`` of an ``HTTP/x.y`` version word, None when it
+    is malformed: one dot, and at most ten digits on either side."""
+    if not word.startswith("HTTP/"):
+        return None
+    numbers = word[5:].split(".")
+    if len(numbers) != 2 or not all(
+            n.isascii() and n.isdigit() and len(n) <= 10 for n in numbers):
+        return None
+    return int(numbers[0]), int(numbers[1])
 
 
 def _prefers_csv(accept: str) -> bool:
@@ -219,6 +281,103 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- protocol ------------------------------------------------------------
 
+    def parse_request(self) -> bool:
+        """Read the request whose line ``handle_one_request`` has just
+        taken off the socket: ``command``, ``path``, ``request_version``
+        and ``headers``, a plain dict keyed by lower-cased field name.
+        False once an error is answered (or, for a blank line, when the
+        connection is to close unanswered).
+
+        The request line follows the stdlib's rules: 400 for bad syntax
+        or version, 505 for HTTP/2.0 and later, a two-word line is an
+        HTTP/0.9 GET, a leading ``//`` collapses to ``/``, and HTTP/1.0
+        closes unless it asks to keep alive.  Header lines are read up to
+        the blank line (or EOF), each split at its first ``:`` and
+        trimmed of surrounding whitespace; a repeated field keeps its
+        first value.  Refused with 431: a line over ``MAX_LINE_BYTES``, a
+        block over ``MAX_HEADER_LINES``.  Refused with 400 (RFC 9112
+        §5.1, §5.2, §6.3): a line without ``:``, whitespace before the
+        ``:``, an obs-fold continuation line, a repeated
+        ``Content-Length``.  Every refusal closes the connection.
+
+        The request's clock starts here, so reading the headers counts
+        toward its duration."""
+        self._started = time.perf_counter()
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _http_version(version)
+            if number is None:
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            if number >= (2, 0):
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.close_connection = number < (1, 1)
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        if path.startswith("//"):
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+        headers = self._read_headers()
+        if headers is None:
+            return False
+        self.headers = headers
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (headers.get("expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
+
+    def _read_headers(self) -> Optional[dict]:
+        """The header block as ``{lower-cased name: value}``, or None
+        once its refusal is answered (see :meth:`parse_request`)."""
+        readline = self.rfile.readline
+        headers: dict = {}
+        for _ in range(MAX_HEADER_LINES):
+            line = readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                self.send_error(431, "Line too long")
+                return None
+            if line in (b"\r\n", b"\n", b""):
+                return headers
+            name, colon, value = str(line, "iso-8859-1").partition(":")
+            name = name.lower()
+            if name.startswith((" ", "\t")):
+                problem = "obs-fold continuation line"
+            elif not colon:
+                problem = "header line without ':'"
+            elif not name or name.endswith((" ", "\t")):
+                problem = "whitespace or nothing before ':'"
+            elif name == "content-length" and name in headers:
+                problem = "repeated Content-Length"
+            else:
+                headers.setdefault(name, value.strip(" \t\r\n"))
+                continue
+            self.send_error(400, f"Bad header: {problem}")
+            return None
+        self.send_error(431, "Too many headers")
+        return None
+
     def do_GET(self):
         self._handle("GET", self._do_get)
 
@@ -235,14 +394,14 @@ class _Handler(BaseHTTPRequestHandler):
         counted exactly once and the inflight gauge comes back down —
         after the root span has closed and the response is written,
         outside every engine lock: a retained record enters the ring and
-        is the event line, any other leaves its four endpoint fields."""
-        self._started = time.perf_counter()
+        is the event line, any other leaves its four endpoint fields.
+        The request's clock started in :meth:`parse_request`."""
         # A declared request body sits unread on the socket until
         # ``_do_post`` has taken all of it.  An answer written before
         # then (``_send``) closes the connection, so leftover body bytes
         # are never parsed as the next request.
-        self._body_unread = ("Content-Length" in self.headers
-                             or "Transfer-Encoding" in self.headers)
+        headers = self.headers
+        self._body_unread = "content-length" in headers or "transfer-encoding" in headers
         parsed = urllib.parse.urlparse(self.path)
         path = parsed.path
         if path == "/trace" or path.startswith("/trace/"):
@@ -252,7 +411,7 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             route = "/" if path == "" else "other"
         endpoint: "SparqlEndpoint" = self.server.endpoint  # type: ignore[attr-defined]
-        ctx = _tracectx.start_trace(self.headers.get("traceparent"))
+        ctx = _tracectx.start_trace(headers.get("traceparent"))
         record = ctx.record = self._record = RequestRecord(
             route, ctx.trace_id, profile=endpoint.slow_query_ms is not None)
         token = _tracectx.activate(ctx)
@@ -292,23 +451,22 @@ class _Handler(BaseHTTPRequestHandler):
         elif parsed.path == "/trace" or parsed.path.startswith("/trace/"):
             self._send_trace(parsed.path)
         elif parsed.path == "/debug/profile":
-            self._send_profile(urllib.parse.parse_qs(parsed.query))
+            self._send_profile(parsed.query)
         elif parsed.path != "/sparql":
             self._send_error(404, "not found: use /sparql")
         else:
-            params = urllib.parse.parse_qs(parsed.query)
-            queries = params.get("query")
-            if not queries:
+            query = _form_value(parsed.query, "query")
+            if query is None:
                 self._send_error(400, "missing 'query' parameter")
             else:
-                self._run_query(queries[0])
+                self._run_query(query)
 
     def _do_post(self, parsed):
         if parsed.path != "/sparql":
             self._send_error(404, "not found: use /sparql")
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            length = int(self.headers.get("content-length", "0"))
         except ValueError:
             self._send_error(400, "malformed Content-Length header")
             return
@@ -336,7 +494,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         # all of the declared length is read; a chunked body never is
-        self._body_unread = "Transfer-Encoding" in self.headers
+        self._body_unread = "transfer-encoding" in self.headers
         content_type, type_params = self._parse_content_type()
         charset = type_params.get("charset", "utf-8")
         try:
@@ -347,17 +505,15 @@ class _Handler(BaseHTTPRequestHandler):
         if content_type == "application/sparql-query":
             query = body
         else:
-            params = urllib.parse.parse_qs(body)
-            queries = params.get("query")
-            if not queries:
+            query = _form_value(body, "query")
+            if query is None:
                 self._send_error(400, "missing 'query' parameter")
                 return
-            query = queries[0]
         self._run_query(query)
 
     def _parse_content_type(self):
         """Split Content-Type into (media type, {param: value})."""
-        header = self.headers.get("Content-Type", "")
+        header = self.headers.get("content-type", "")
         parts = header.split(";")
         params = {}
         for part in parts[1:]:
@@ -403,7 +559,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif isinstance(result, ResultTable):
             # Serialised once per table and media type: a result-cache
             # hit hands back the table of the miss, bytes included.
-            accept = self.headers.get("Accept", "")
+            accept = self.headers.get("accept", "")
             # Only a header that names CSV at all is worth parsing.
             content_type = CSV if CSV in accept and _prefers_csv(accept) else SPARQL_JSON
             payload = result.encoded(content_type)
@@ -478,11 +634,11 @@ class _Handler(BaseHTTPRequestHandler):
         record["tree"] = _tracectx.span_tree(record["spans"])
         self._send(200, "application/json", json.dumps(record, indent=2))
 
-    def _send_profile(self, params):
+    def _send_profile(self, query: str):
         """``GET /debug/profile?seconds=N``: folded stacks over the window."""
         endpoint: "SparqlEndpoint" = self.server.endpoint  # type: ignore[attr-defined]
         try:
-            seconds = float(params.get("seconds", ["2"])[0])
+            seconds = float(_form_value(query, "seconds") or "2")
             if not math.isfinite(seconds):
                 raise ValueError(seconds)
         except ValueError:

@@ -522,6 +522,240 @@ class TestPersistentConnections:
         assert counted["samples"][0]["value"] >= 2  # at least these two requests'
 
 
+def _exchange(endpoint, request_bytes):
+    """Send *request_bytes* on a fresh connection; return the one
+    response (status, headers, body) and whether the server then closed.
+    Each request below is sent whole and read whole by the server, so a
+    close never finds unread bytes (which would reset the connection)."""
+    with _connect(endpoint) as sock:
+        sock.sendall(request_bytes)
+        status, headers, body = _read_response(sock)
+        closed = sock.recv(4096) == b"" if headers.get("connection") == "close" else False
+    return status, headers, body, closed
+
+
+def _answer_to_eof(endpoint, request_bytes):
+    """Everything the server sends back for *request_bytes* until it closes."""
+    with _connect(endpoint) as sock:
+        sock.sendall(request_bytes)
+        answer = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return answer
+            answer += chunk
+
+
+class TestRequestReader:
+    """The request line and header block, byte by byte: every status the
+    reader answers and when it closes."""
+
+    def test_request_line_too_long_414(self, endpoint):
+        line = b"GET /" + b"a" * 65532  # 65,537 bytes, no line end: all of it is read
+        status, headers, _, closed = _exchange(endpoint, line)
+        assert status == 414 and headers["connection"] == "close" and closed
+
+    def test_header_line_too_long_431(self, endpoint):
+        head = b"GET /healthz HTTP/1.1\r\n"
+        field = b"X-Long: " + b"a" * (65537 - 8)  # one 65,537-byte header line
+        status, headers, _, closed = _exchange(endpoint, head + field)
+        assert status == 431 and headers["connection"] == "close" and closed
+
+    def test_longest_header_line_accepted(self, endpoint):
+        field = "X-Long: " + "a" * (65536 - 10)  # 65,536 bytes with its CRLF
+        status, _, _, _ = _exchange(endpoint, _get("/healthz", field, "Connection: close"))
+        assert status == 200
+
+    def test_too_many_header_lines_431(self, endpoint):
+        fields = [f"X-H{i}: {i}" for i in range(101)]
+        status, headers, _, closed = _exchange(endpoint, _get("/healthz", *fields))
+        assert status == 431 and headers["connection"] == "close" and closed
+
+    def test_ninety_nine_header_fields_accepted(self, endpoint):
+        fields = [f"X-H{i}: {i}" for i in range(97)] + ["Connection: close"]
+        assert len(fields) + 1 == 99  # with Host
+        assert _exchange(endpoint, _get("/healthz", *fields))[0] == 200
+
+    @pytest.mark.parametrize("request_bytes,status", [
+        (b"GARBAGE\r\n", 400),
+        (b"GET /healthz HTTP/1.1 extra\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.x\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.1.1\r\n\r\n", 400),
+        (b"GET /healthz HTTPS/1.1\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.\xb2\r\n\r\n", 400),
+        (b"POST /sparql\r\n\r\n", 400),
+        (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+    ], ids=["one-word", "four-words", "http-1.x", "three-part-version", "not-http",
+            "non-ascii-digit", "http-0.9-post", "http-2.0"])
+    def test_unversioned_refusal_is_a_bare_document(self, endpoint, request_bytes, status):
+        """A request line refused before its version is accepted is
+        answered the HTTP/0.9 way: the error document alone, no status
+        line or header, then the connection closes."""
+        answer = _answer_to_eof(endpoint, request_bytes)
+        assert answer.startswith(b"<!DOCTYPE HTML>"), answer[:80]
+        assert f"<p>Error code: {status}</p>".encode() in answer
+
+    @pytest.mark.parametrize("request_bytes,status", [
+        (b"GET /a b HTTP/1.1\r\n\r\n", 400),
+        (b"PUT /sparql HTTP/1.1\r\n\r\n", 501),
+    ], ids=["four-words", "unknown-method"])
+    def test_versioned_refusal_has_a_head(self, endpoint, request_bytes, status):
+        status_seen, headers, _, closed = _exchange(endpoint, request_bytes)
+        assert status_seen == status and headers["connection"] == "close" and closed
+
+    def test_http_0_9_get_answered_then_closed(self, endpoint):
+        """A two-word GET line is read as HTTP/0.9: the header block is
+        still read, the answer is a full HTTP/1.1 one, and it closes."""
+        status, headers, body, closed = _exchange(endpoint, b"GET /healthz\r\n\r\n")
+        assert status == 200 and headers["connection"] == "close" and closed
+        assert json.loads(body)["status"] == "ok"
+
+    def test_double_slash_collapsed(self, endpoint):
+        assert _exchange(endpoint, _get("//healthz", "Connection: close"))[0] == 200
+
+    def test_bare_line_feeds_accepted(self, endpoint):
+        request = b"GET /healthz HTTP/1.1\nHost: test\nConnection: close\n\n"
+        status, headers, _, closed = _exchange(endpoint, request)
+        assert status == 200 and closed
+
+    def test_blank_request_line_closes_unanswered(self, endpoint):
+        with _connect(endpoint) as sock:
+            sock.sendall(b"\r\n")
+            assert sock.recv(4096) == b""
+
+    def test_head_ended_by_eof_answered(self, endpoint):
+        """A client that half-closes mid-head still gets its answer."""
+        with _connect(endpoint) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n")
+            sock.shutdown(socket.SHUT_WR)
+            assert _read_response(sock)[0] == 200
+
+    def test_expect_100_continue(self, endpoint):
+        body = b"ASK { ?x a prov:Entity }"
+        head = (b"POST /sparql HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/sparql-query\r\n"
+                b"Expect: 100-continue\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode())
+        with _connect(endpoint) as sock:
+            sock.sendall(head)
+            interim = b""
+            while b"\r\n\r\n" not in interim:
+                chunk = sock.recv(4096)
+                assert chunk, interim
+                interim += chunk
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            status, headers, answer = _read_response(sock)
+            assert status == 200 and "connection" not in headers
+            assert json.loads(answer)["boolean"] is True
+
+    @pytest.mark.parametrize("content_type,body", [
+        ("application/sparql-query", b"ASK { ?x a prov:Entity }"),
+        ("application/x-www-form-urlencoded",
+         b"query=ASK+%7B+%3Fx+a+prov%3AEntity+%7D"),
+    ], ids=["sparql-query", "form"])
+    def test_lower_case_field_names(self, endpoint, content_type, body):
+        request = (b"POST /sparql HTTP/1.1\r\nhost: test\r\n"
+                   + f"content-type: {content_type}\r\n".encode()
+                   + f"content-length: {len(body)}\r\n".encode()
+                   + b"connection: close\r\n\r\n" + body)
+        status, headers, answer, closed = _exchange(endpoint, request)
+        assert status == 200 and closed
+        assert json.loads(answer)["boolean"] is True
+
+    def test_mixed_case_field_names(self, endpoint):
+        request = _get(_sparql_path("SELECT ?x WHERE { ?x a prov:Activity }"),
+                       "aCCePT: text/csv", "CONNECTION: Close")
+        status, headers, body, closed = _exchange(endpoint, request)
+        assert status == 200 and closed
+        assert headers["content-type"] == "text/csv; charset=utf-8"
+
+    def test_field_value_whitespace_trimmed(self, endpoint):
+        request = _get(_sparql_path("SELECT ?x WHERE { ?x a prov:Activity }"),
+                       "Accept:\t text/csv \t", "Connection:close")
+        status, headers, _, closed = _exchange(endpoint, request)
+        assert status == 200 and closed
+        assert headers["content-type"] == "text/csv; charset=utf-8"
+
+    def test_repeated_field_keeps_its_first_value(self, endpoint):
+        request = _get(_sparql_path("SELECT ?x WHERE { ?x a prov:Entity }"),
+                       "Accept: text/csv", "Accept: application/sparql-results+json",
+                       "Connection: close")
+        status, headers, body, _ = _exchange(endpoint, request)
+        assert status == 200 and headers["content-type"] == "text/csv; charset=utf-8"
+
+    def test_latin_1_field_value_accepted(self, endpoint):
+        request = _get("/healthz", "Connection: close").replace(
+            b"Host: test", b"Host: test\r\nX-Name: caf\xe9")
+        assert _exchange(endpoint, request)[0] == 200
+
+    def test_http_1_0_keep_alive_kept(self, endpoint):
+        with _connect(endpoint) as sock:
+            for _ in range(2):
+                sock.sendall(_get("/healthz", "Connection: keep-alive", version="HTTP/1.0"))
+                status, headers, _ = _read_response(sock)
+                assert status == 200 and "connection" not in headers
+
+    def test_http_1_0_expect_gets_no_interim_answer(self, endpoint):
+        body = b"ASK { ?x a prov:Entity }"
+        request = (b"POST /sparql HTTP/1.0\r\nContent-Type: application/sparql-query\r\n"
+                   b"Expect: 100-continue\r\n"
+                   + f"Content-Length: {len(body)}\r\n\r\n".encode() + body)
+        status, _, answer, closed = _exchange(endpoint, request)
+        assert status == 200 and closed and json.loads(answer)["boolean"] is True
+
+    def test_no_stdlib_parsers_on_the_request_path(self, endpoint, monkeypatch):
+        """Headers and the ``query`` / ``seconds`` parameters are read by
+        the endpoint's own reader: the stdlib's parsers are never called."""
+        import http.client
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("stdlib parser called")
+
+        monkeypatch.setattr(http.client, "parse_headers", refuse)
+        monkeypatch.setattr(urllib.parse, "parse_qs", refuse)
+        monkeypatch.setattr(urllib.parse, "parse_qsl", refuse)
+        form = urllib.parse.urlencode({"query": "ASK { ?x a prov:Entity }"}).encode()
+        requests = [
+            _get(_sparql_path("ASK { ?x a prov:Entity }"), "Connection: close"),
+            _post(len(form), form).replace(b"application/sparql-query",
+                                           b"application/x-www-form-urlencoded"),
+            _get("/debug/profile?seconds=0.05", "Connection: close"),
+        ]
+        for request in requests:
+            assert _exchange(endpoint, request)[0] == 200
+
+
+class TestHeaderRefusals:
+    """What the header block may not hold (RFC 9112 §5.1, §5.2, §6.3):
+    each is answered 400 and closes, its request never reaching a route."""
+
+    @pytest.mark.parametrize("fields", [
+        ["X-Folded: a", " continued"],
+        ["X-Folded: a", "\tcontinued"],
+        ["No colon here"],
+        ["Accept : text/csv"],
+        ["Accept\t: text/csv"],
+        [": no name"],
+        ["Content-Length: 0", "Content-Length: 0"],
+        ["Content-Length: 0", "content-length: 0"],
+    ], ids=["obs-fold-space", "obs-fold-tab", "no-colon",
+            "space-before-colon", "tab-before-colon", "empty-name",
+            "repeated-content-length", "repeated-content-length-any-case"])
+    def test_refused_400_and_closed(self, endpoint, fields):
+        requests = _requests_by_status()
+        status, headers, _, closed = _exchange(endpoint, _get("/healthz", *fields))
+        assert status == 400 and headers["connection"] == "close" and closed
+        assert _requests_by_status() == requests  # no route saw it
+
+    def test_repeated_content_length_cannot_smuggle_a_body(self, endpoint):
+        """Two lengths frame the body two ways: neither is believed."""
+        body = b"ASK { ?x a prov:Entity }"
+        head = _post(3).replace(b"\r\n\r\n", f"\r\nContent-Length: {len(body)}\r\n\r\n".encode())
+        status, headers, _, closed = _exchange(endpoint, head + body)
+        assert status == 400 and headers["connection"] == "close" and closed
+
+
 class TestSerialiseOnce:
     """A cached table is encoded once per media type and served as bytes."""
 

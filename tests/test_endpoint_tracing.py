@@ -321,3 +321,40 @@ class TestProfileRoute:
         finally:
             server.stop()
         assert profiler_mod.get_profiler() is None
+
+
+class TestRequestClock:
+    """A request's duration runs from the moment its request line has
+    been read: the header block is part of what it reports."""
+
+    class _SlowHeaders:
+        """The handler's ``rfile``, stalling on the first header line."""
+
+        def __init__(self, rfile):
+            self._rfile = rfile
+            self._lines = 0
+
+        def readline(self, *args):
+            self._lines += 1
+            if self._lines == 2:  # line 1 is the request line
+                time.sleep(0.05)
+            return self._rfile.readline(*args)
+
+        def read(self, *args):
+            return self._rfile.read(*args)
+
+    def test_header_read_counts_toward_duration(self, endpoint, monkeypatch):
+        from repro.endpoint import server as endpoint_server
+
+        original_setup = endpoint_server._Handler.setup
+
+        def setup(handler):
+            original_setup(handler)
+            handler.rfile = self._SlowHeaders(handler.rfile)
+
+        monkeypatch.setattr(endpoint_server._Handler, "setup", setup)
+        with _get(endpoint.url + "/healthz", {"traceparent": TRACEPARENT}) as response:
+            duration_ms = float(response.headers["X-Query-Duration-ms"])
+        assert duration_ms >= 50.0
+        _wait_admitted(endpoint, TRACE_ID)
+        assert endpoint.requests.get(TRACE_ID)["duration_ms"] >= 50.0
