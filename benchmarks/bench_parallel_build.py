@@ -3,7 +3,7 @@
 The one check on the build path that no tier-1 test and no harness
 metric holds yet: a full 198-run serial build with the metrics registry
 enabled, a span tracer active and one ``/metrics`` render per round —
-and, separately, under the always-on profiler — may cost at most 1.05×
+and, separately, under the statistical profiler — may cost at most 1.05×
 the bare build, best-of-3 against best-of-3.  (That ``--jobs N`` output is
 byte-identical to serial is asserted by ``tests/corpus/test_parallel_build.py``,
 ``tests/store/test_parallel_ingest.py`` and the CI ``diff -r``.)
@@ -81,7 +81,7 @@ def measure_instrumentation_overhead() -> dict:
 
 
 def measure_profiler_overhead() -> dict:
-    """Best-of-N serial build bare vs. under the always-on profiler.
+    """Best-of-N serial build bare vs. under the statistical profiler.
 
     The profiler's cost model: one ``sys._current_frames()`` walk per
     tick on a background thread, zero instrumentation on the observed
@@ -90,7 +90,7 @@ def measure_profiler_overhead() -> dict:
     ≤1.05× envelope the metrics/tracer instrumentation promises.
     """
     from repro.corpus import CorpusBuilder
-    from repro.obs import profiler
+    from repro.obs.profiler import DEFAULT_HZ, StackProfiler
 
     # One warmup build (caches, imports), then alternate bare/profiled
     # rounds so machine-load drift hits both sides equally; best-of-N
@@ -103,17 +103,14 @@ def measure_profiler_overhead() -> dict:
         elapsed = _timed(lambda: CorpusBuilder(seed=2013).build())
         if bare_s is None or elapsed < bare_s:
             bare_s = elapsed
-        prof = profiler.start(hz=profiler.DEFAULT_HZ)
-        try:
+        with StackProfiler(hz=DEFAULT_HZ) as prof:
             elapsed = _timed(lambda: CorpusBuilder(seed=2013).build())
-        finally:
-            snapshot = prof.snapshot()
-            profiler.stop()
+        snapshot = prof.snapshot()
         if profiled_s is None or elapsed < profiled_s:
             profiled_s = elapsed
     return {
         "rounds": ROUNDS,
-        "hz": profiler.DEFAULT_HZ,
+        "hz": DEFAULT_HZ,
         "bare_s": round(bare_s, 3),
         "profiled_s": round(profiled_s, 3),
         "overhead_ratio": round(profiled_s / bare_s, 4),

@@ -17,11 +17,7 @@ Sub-commands:
   persistent quad store (only new/changed traces are parsed);
 * ``store info <store-dir>`` — print a quad store's manifest summary;
 * ``obs summary <trace>`` — aggregate a span trace file per phase;
-* ``obs scrape <url>`` — fetch and print ``/metrics`` from a running
-  endpoint;
 * ``obs slowlog <url|dir>`` — print retained query records;
-* ``obs profile <url>`` — sample a live endpoint's profiler (folded
-  stacks on stdout);
 * ``report`` — build in memory and print every paper artifact (Tables
   1–3, Figure 1, Section 2, applications, profile, maintenance) as one
   Markdown report; exits 1 when a paper cell deviates or the
@@ -43,7 +39,10 @@ line per request.
 ``build``, ``store ingest``, ``query``, and ``serve`` accept
 ``--trace FILE`` to write a Chrome ``trace_event`` file (open it in
 ``chrome://tracing`` or https://ui.perfetto.dev) covering the command's
-phase spans — including spans forwarded from ``--jobs N`` pool workers.
+phase spans — including spans forwarded from ``--jobs N`` pool workers;
+a traced ``serve`` stamps each request's spans with its record's trace
+id (``X-Trace-Id``).  A live endpoint's ``/metrics`` and
+``/debug/profile?seconds=N`` are plain HTTP GETs (``curl``).
 """
 
 from __future__ import annotations
@@ -143,12 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
              "/trace/<id>, with per-operator statistics (0 retains every "
              "request; default: /slowlog off, retention at 100 ms)",
     )
-    p_serve.add_argument(
-        "--profile-hz", type=float, default=None, metavar="HZ",
-        help="run the always-on statistical profiler at HZ samples/s; "
-             "GET /debug/profile returns collapsed stacks over a window "
-             "(default: profiler started per /debug/profile request only)",
-    )
     _add_trace_flag(p_serve, "endpoint request/query spans, written on shutdown")
     _add_obs_dir_flag(p_serve)
 
@@ -177,10 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_obs_summary.add_argument("trace", type=Path, help="trace file written by --trace")
     p_obs_summary.add_argument("--json", action="store_true", help="print JSON")
-    p_obs_scrape = obs_sub.add_parser(
-        "scrape", help="fetch and print /metrics from a running endpoint"
-    )
-    p_obs_scrape.add_argument("url", help="endpoint base URL or .../metrics URL")
     p_obs_slowlog = obs_sub.add_parser(
         "slowlog", help="print retained query records (live endpoint URL, "
                         "obs dir or events.jsonl)"
@@ -189,16 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         "source", help="endpoint base URL, .../slowlog URL, obs dir or events.jsonl"
     )
     p_obs_slowlog.add_argument("--json", action="store_true", help="print raw JSON")
-    p_obs_profile = obs_sub.add_parser(
-        "profile", help="print a live endpoint's /debug/profile folded stacks"
-    )
-    p_obs_profile.add_argument(
-        "source", help="endpoint base URL or .../debug/profile URL",
-    )
-    p_obs_profile.add_argument(
-        "--seconds", type=float, default=2.0, metavar="N",
-        help="sampling window (default: 2)",
-    )
 
     sub.add_parser(
         "report", help="print the full reproduction report (Markdown); exit 1 "
@@ -477,7 +456,6 @@ def _cmd_serve(args) -> int:
         StoreDataset(store), host=args.host, port=args.port, cache_size=cache_size,
         tracer=tracer, slow_query_ms=args.slow_query_ms,
         obs_dir=str(args.obs_dir) if args.obs_dir is not None else None,
-        profile_hz=args.profile_hz,
     )
     endpoint.start()
     print(f"serving SPARQL endpoint over store {store.path} at {endpoint.query_url} "
@@ -490,8 +468,6 @@ def _cmd_serve(args) -> int:
     slowlog = f"{endpoint.slowlog_url}, " if endpoint.slow_query_ms is not None else ""
     print(f"  retained: {slowlog}{endpoint.trace_url}/<trace-id> "
           f"(requests ≥ {endpoint.requests.slow_ms:g} ms or errored)")
-    if args.profile_hz:
-        print(f"  profiler: {endpoint.profile_url} ({args.profile_hz:g} Hz)")
     try:
         import time
 
@@ -555,31 +531,7 @@ def _cmd_obs(args) -> int:
             print(f"{row['cat']:<10} {row['name']:<16} {row['count']:>7} "
                   f"{row['total_ms']:>10.3f} {row['mean_ms']:>9.3f} {row['max_ms']:>9.3f}")
         return 0
-    if args.obs_command == "scrape":
-        import urllib.request
-
-        url = args.url
-        if not url.rstrip("/").endswith("/metrics"):
-            url = url.rstrip("/") + "/metrics"
-        with urllib.request.urlopen(url, timeout=10) as response:
-            sys.stdout.write(response.read().decode("utf-8"))
-        return 0
-    if args.obs_command == "slowlog":
-        return _obs_slowlog(args)
-    return _obs_profile(args)
-
-
-def _obs_profile(args) -> int:
-    """Folded stacks from a live endpoint's sampling window."""
-    import urllib.request
-
-    url = args.source.rstrip("/")
-    if not url.endswith("/debug/profile"):
-        url += "/debug/profile"
-    url += f"?seconds={args.seconds:g}"
-    with urllib.request.urlopen(url, timeout=args.seconds + 30) as response:
-        sys.stdout.write(response.read().decode("utf-8"))
-    return 0
+    return _obs_slowlog(args)
 
 
 def _obs_slowlog(args) -> int:

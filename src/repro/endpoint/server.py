@@ -21,24 +21,26 @@ with a request reader of its own (see below):
 * ``GET /healthz`` is the liveness probe: 200 plus the store generation;
 * ``GET /slowlog`` lists the retained requests that ran a query (enabled
   by constructing the endpoint with ``slow_query_ms``);
-* ``GET /trace/<trace_id>`` returns one retained request with its span
-  tree (see below);
-* ``GET /debug/profile?seconds=N`` samples the live process and returns
-  collapsed (folded) stacks.
+* ``GET /trace/<trace_id>`` returns one retained request's record (see
+  below);
+* ``GET /debug/profile?seconds=N`` samples the live process over a
+  window and returns collapsed (folded) stacks.
 
-Every request participates in W3C trace context: an inbound
-``traceparent`` header is parsed (malformed → fresh root trace, per
-spec) and the resulting :class:`~repro.obs.tracectx.TraceContext` is
-active for the whole request, carrying the request's one record (see
-:mod:`repro.obs.request`) that the handler, the engine and every span
-write onto.  The trace id is echoed on **every** response — success and
-error alike — as ``X-Trace-Id``, alongside ``X-Query-Duration-ms``;
-``/sparql`` answers add ``Server-Timing`` with the record's ``cache`` /
-``parse`` / ``plan`` / ``exec`` / ``ser`` layer times.  Retention is tail-based:
-only a request that errored (status ≥ 400) or took at least
-``slow_query_ms`` (100 ms when unset) keeps its record, in one bounded
-ring — ``GET /trace/<id>`` answers 404 once a record is evicted or was
-never retained.
+Every request has one record (see :mod:`repro.obs.request`), the only
+in-process account of it, which the handler and the engine write onto.
+Its trace id continues an inbound W3C ``traceparent`` header (malformed
+→ fresh root trace, per spec) and is echoed on **every** response —
+success and error alike — as ``X-Trace-Id``, alongside
+``X-Query-Duration-ms``; ``/sparql`` answers add ``Server-Timing`` with
+the record's ``cache`` / ``parse`` / ``plan`` / ``exec`` / ``ser`` layer
+times.  Retention is tail-based: only a request that errored (status ≥
+400) or took at least ``slow_query_ms`` (100 ms when unset) keeps its
+record, in one bounded ring — ``GET /trace/<id>`` answers 404 once a
+record is evicted or was never retained.  Spans are opened only under a
+``tracer`` (``serve --trace FILE``): the request then runs in an active
+:class:`~repro.obs.tracectx.TraceContext` under the record's trace id,
+so its ``http.request`` → ``sparql.query`` spans in the trace file carry
+that id.
 
 Connections are persistent (HTTP/1.1): one handler thread per connection
 answers request after request until the client sends ``Connection:
@@ -62,7 +64,8 @@ block into a plain dict keyed by lower-cased name, at most
 ``MAX_LINE_BYTES`` a line and ``MAX_HEADER_LINES`` lines (431 beyond),
 and with 400 and ``Connection: close`` for what RFC 9112 has a server
 refuse — a line without ``:``, whitespace before the ``:``, an obs-fold
-continuation line, a repeated ``Content-Length``.  The ``query``
+continuation line, a repeated ``Content-Length``, a field value holding
+a bare CR or a NUL.  The ``query``
 parameter of a GET query string or form body is extracted by
 :func:`_form_value`, which equals ``urllib.parse.parse_qs`` on it and
 decodes a clean value's escapes in one C call.  A request's clock starts
@@ -81,7 +84,9 @@ engine's result/statistics caches are lock-protected.  Request latency
 has one account, the ``repro_endpoint_request_seconds{route}`` histogram
 observed at the response choke point (:meth:`_Handler._finish_request`),
 so 4xx/5xx responses count toward the ``/stats`` averages exactly like
-successes.
+successes.  The engine's result-cache counters are plain ints that a
+registry collector mirrors into ``repro_query_cache_total``, so
+``/metrics`` and ``/stats.result_cache`` read the same numbers.
 
 The server runs on a background thread (:meth:`SparqlEndpoint.start`) so
 tests and examples can exercise it in-process.
@@ -151,11 +156,18 @@ _REQUEST_SECONDS = _metrics.histogram(
     "repro_endpoint_request_seconds", "HTTP request wall time", labels=("route",)
 )
 
-# Mirrors of the store's plain-int counters (decode LRU, dictionary
-# intern/lookup, segment bisect probes).  Those ints live on the hot
-# read path where per-op registry locking would be measurable, so a
-# collector copies them in just before each /metrics render or
-# /stats snapshot — both views read the same underlying numbers.
+# Mirrors of plain-int counters: the engine's result cache, and the
+# store's (decode LRU, dictionary intern/lookup, segment bisect probes).
+# Those ints live on the hot read path where per-op registry locking
+# would be measurable, so a collector copies them in just before each
+# /metrics render or /stats snapshot — both views read the same
+# underlying numbers.
+_CACHE_EVENTS = _metrics.counter(
+    "repro_query_cache_total", "Query result cache events", labels=("event",)
+)
+for _event in ("hit", "miss", "eviction"):
+    _CACHE_EVENTS.labels(_event)
+del _event
 _STORE_DECODE_CACHE = _metrics.counter(
     "repro_store_decode_cache_total", "Store decode-LRU lookups", labels=("result",)
 )
@@ -291,14 +303,17 @@ class _Handler(BaseHTTPRequestHandler):
         The request line follows the stdlib's rules: 400 for bad syntax
         or version, 505 for HTTP/2.0 and later, a two-word line is an
         HTTP/0.9 GET, a leading ``//`` collapses to ``/``, and HTTP/1.0
-        closes unless it asks to keep alive.  Header lines are read up to
-        the blank line (or EOF), each split at its first ``:`` and
-        trimmed of surrounding whitespace; a repeated field keeps its
-        first value.  Refused with 431: a line over ``MAX_LINE_BYTES``, a
-        block over ``MAX_HEADER_LINES``.  Refused with 400 (RFC 9112
-        §5.1, §5.2, §6.3): a line without ``:``, whitespace before the
-        ``:``, an obs-fold continuation line, a repeated
-        ``Content-Length``.  Every refusal closes the connection.
+        closes unless it asks to keep alive.  A line refused before its
+        version is accepted is answered as HTTP/1.0 — status line and
+        headers — not as the stdlib's bare HTTP/0.9 document.  Header
+        lines are read up to the blank line (or EOF), each split at its
+        first ``:`` and trimmed of surrounding whitespace; a repeated
+        field keeps its first value.  Refused with 431: a line over
+        ``MAX_LINE_BYTES``, a block over ``MAX_HEADER_LINES``.  Refused
+        with 400 (RFC 9112 §5.1, §5.2, §6.3; RFC 9110 §5.5): a line
+        without ``:``, whitespace before the ``:``, an obs-fold
+        continuation line, a repeated ``Content-Length``, a value holding
+        a bare CR or a NUL.  Every refusal closes the connection.
 
         The request's clock starts here, so reading the headers counts
         toward its duration."""
@@ -315,22 +330,18 @@ class _Handler(BaseHTTPRequestHandler):
             version = words[-1]
             number = _http_version(version)
             if number is None:
-                self.send_error(400, f"Bad request version ({version!r})")
-                return False
+                return self._refuse_line(400, f"Bad request version ({version!r})")
             if number >= (2, 0):
-                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
-                return False
+                return self._refuse_line(505, f"Invalid HTTP version ({version[5:]})")
             self.close_connection = number < (1, 1)
             self.request_version = version
         if not 2 <= len(words) <= 3:
-            self.send_error(400, f"Bad request syntax ({requestline!r})")
-            return False
+            return self._refuse_line(400, f"Bad request syntax ({requestline!r})")
         command, path = words[:2]
         if len(words) == 2:
             self.close_connection = True
             if command != "GET":
-                self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
-                return False
+                return self._refuse_line(400, f"Bad HTTP/0.9 request type ({command!r})")
         if path.startswith("//"):
             path = "/" + path.lstrip("/")
         self.command, self.path = command, path
@@ -348,6 +359,16 @@ class _Handler(BaseHTTPRequestHandler):
             return self.handle_expect_100()
         return True
 
+    def _refuse_line(self, status: int, message: str) -> bool:
+        """Answer a refused request line with a status line and headers,
+        then close.  A line whose version was never accepted is answered
+        as HTTP/1.0: the stdlib would send an HTTP/0.9 document, which a
+        client reads as a broken response, not as the refusal."""
+        if self.request_version == self.default_request_version:
+            self.request_version = self.protocol_version = "HTTP/1.0"
+        self.send_error(status, message)
+        return False
+
     def _read_headers(self) -> Optional[dict]:
         """The header block as ``{lower-cased name: value}``, or None
         once its refusal is answered (see :meth:`parse_request`)."""
@@ -362,6 +383,7 @@ class _Handler(BaseHTTPRequestHandler):
                 return headers
             name, colon, value = str(line, "iso-8859-1").partition(":")
             name = name.lower()
+            value = value.strip(" \t\r\n")
             if name.startswith((" ", "\t")):
                 problem = "obs-fold continuation line"
             elif not colon:
@@ -370,8 +392,10 @@ class _Handler(BaseHTTPRequestHandler):
                 problem = "whitespace or nothing before ':'"
             elif name == "content-length" and name in headers:
                 problem = "repeated Content-Length"
+            elif not value.isprintable() and ("\r" in value or "\0" in value):
+                problem = "bare CR or NUL in a field value"
             else:
-                headers.setdefault(name, value.strip(" \t\r\n"))
+                headers.setdefault(name, value)
                 continue
             self.send_error(400, f"Bad header: {problem}")
             return None
@@ -385,17 +409,19 @@ class _Handler(BaseHTTPRequestHandler):
         self._handle("POST", self._do_post)
 
     def _handle(self, method: str, respond) -> None:
-        """One request, one record: open it on a fresh trace context
-        (continuing an inbound ``traceparent``, malformed tolerated),
-        answer under the ``http.request`` span, finalise it.
+        """One request, one record: open it under a trace id (continuing
+        an inbound ``traceparent``, malformed tolerated), answer,
+        finalise it.  Under a tracer the answer runs in the activated
+        trace context and an ``http.request`` span; without one no span
+        is opened.
 
         Finalisation runs whatever happened — a request an exception
         ended before any response counts as a 500, so whatever begins is
         counted exactly once and the inflight gauge comes back down —
-        after the root span has closed and the response is written,
-        outside every engine lock: a retained record enters the ring and
-        is the event line, any other leaves its four endpoint fields.
-        The request's clock started in :meth:`parse_request`."""
+        after the response is written, outside every engine lock: a
+        retained record enters the ring and is the event line, any other
+        leaves its four endpoint fields.  The request's clock started in
+        :meth:`parse_request`."""
         # A declared request body sits unread on the socket until
         # ``_do_post`` has taken all of it.  An answer written before
         # then (``_send``) closes the connection, so leftover body bytes
@@ -412,26 +438,25 @@ class _Handler(BaseHTTPRequestHandler):
             route = "/" if path == "" else "other"
         endpoint: "SparqlEndpoint" = self.server.endpoint  # type: ignore[attr-defined]
         ctx = _tracectx.start_trace(headers.get("traceparent"))
-        record = ctx.record = self._record = RequestRecord(
+        record = self._record = RequestRecord(
             route, ctx.trace_id, profile=endpoint.slow_query_ms is not None)
-        token = _tracectx.activate(ctx)
-        # the profiler attributes this thread's stack samples to the route
-        _profiler.register_thread(route)
+        tracer = endpoint.tracer
+        token = None if tracer is None else _tracectx.activate(ctx)
         _HTTP_INFLIGHT.inc()
         try:
-            with _span(endpoint.tracer, "http.request", cat="endpoint",
+            with _span(tracer, "http.request", cat="endpoint",
                        method=method, route=route) as request_span:
                 respond(parsed)
                 request_span.set(status=record.status)
         finally:
             if record.status is None:
                 self._finish_request(500)
-            _profiler.unregister_thread()
-            _tracectx.deactivate(token)
+            if token is not None:
+                _tracectx.deactivate(token)
             if endpoint.requests.retains(record.status, record.duration_ms):
                 entry = record.to_dict()
                 _events.emit("endpoint.request", **entry)
-                endpoint.requests.admit(entry, record.spans)
+                endpoint.requests.admit(entry)
             else:
                 _events.emit("endpoint.request", trace_id=record.trace_id,
                              route=route, status=record.status,
@@ -544,7 +569,7 @@ class _Handler(BaseHTTPRequestHandler):
         record = self._record
         started = time.perf_counter()
         try:
-            result = engine.query(query)
+            result = engine.query(query, record=record)
         except SparqlSyntaxError as exc:
             self._send_error(400, f"malformed query: {exc}")
             return
@@ -616,7 +641,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(200, "application/json", payload)
 
     def _send_trace(self, path: str):
-        """``GET /trace/<trace_id>``: one retained request and its span tree."""
+        """``GET /trace/<trace_id>``: one retained request's record."""
         requests = self.server.endpoint.requests  # type: ignore[attr-defined]
         trace_id = path[len("/trace/"):].strip("/") if path.startswith("/trace/") else ""
         if not trace_id:
@@ -631,12 +656,11 @@ class _Handler(BaseHTTPRequestHandler):
         if record is None:
             self._send_error(404, f"unknown or evicted trace id: {trace_id}")
             return
-        record["tree"] = _tracectx.span_tree(record["spans"])
         self._send(200, "application/json", json.dumps(record, indent=2))
 
     def _send_profile(self, query: str):
-        """``GET /debug/profile?seconds=N``: folded stacks over the window."""
-        endpoint: "SparqlEndpoint" = self.server.endpoint  # type: ignore[attr-defined]
+        """``GET /debug/profile?seconds=N``: folded stacks of a profiler
+        sampling the process over the window."""
         try:
             seconds = float(_form_value(query, "seconds") or "2")
             if not math.isfinite(seconds):
@@ -645,12 +669,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error(400, "malformed 'seconds' parameter")
             return
         seconds = min(max(seconds, 0.05), 60.0)
-        hz = endpoint.profile_hz or _profiler.DEFAULT_HZ
-        counts, snap = _profiler.profile_window(seconds, hz=hz)
+        counts, snap = _profiler.profile_window(seconds)
         extra = {
-            "X-Profile-Samples": str(snap.get("samples_kept", 0)),
-            "X-Profile-Dropped": str(snap.get("samples_dropped", 0)),
-            "X-Profile-Hz": f"{snap.get('hz', hz):g}",
+            "X-Profile-Samples": str(snap["samples_kept"]),
+            "X-Profile-Dropped": str(snap["samples_dropped"]),
+            "X-Profile-Hz": f"{snap['hz']:g}",
         }
         self._send(200, "text/plain", _profiler.render_folded(counts), extra)
 
@@ -744,7 +767,6 @@ class SparqlEndpoint:
         tracer=None,
         slow_query_ms: Optional[float] = None,
         obs_dir: Optional[str] = None,
-        profile_hz: Optional[float] = None,
     ):
         self.source = source
         self.tracer = tracer
@@ -754,11 +776,6 @@ class SparqlEndpoint:
         # turns /slowlog on and makes every miss collect operator rows.
         self.slow_query_ms = slow_query_ms
         self.requests = RequestRing(slow_query_ms)
-        self.profile_hz = profile_hz
-        self._profiler_started = False
-        if profile_hz:
-            _profiler.start(hz=profile_hz)
-            self._profiler_started = True
         # With an obs_dir, every request appends one line to the JSONL
         # event log there.
         self.obs_dir = obs_dir
@@ -775,17 +792,25 @@ class SparqlEndpoint:
         self._server.engine = self.engine  # type: ignore[attr-defined]
         self._server.endpoint = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
-        self._collector = None
-        if callable(getattr(source, "store_info", None)):
-            self._collector = self._make_store_collector()
-            _metrics.get_registry().register_collector(self._collector)
+        self._collector = self._make_collector()
+        _metrics.get_registry().register_collector(self._collector)
 
-    def _make_store_collector(self):
-        """A registry collector mirroring the store's plain-int counters."""
-        source = self.source
+    def _make_collector(self):
+        """A registry collector mirroring the plain-int counters of the
+        engine's result cache and, for a store source, of the store."""
+        engine = self.engine
+        store_info = getattr(self.source, "store_info", None)
+        if not callable(store_info):
+            store_info = None
 
         def collect(registry) -> None:
-            info = source.store_info()
+            cache = engine.cache_info()
+            _CACHE_EVENTS.labels("hit").set_total(cache["hits"])
+            _CACHE_EVENTS.labels("miss").set_total(cache["misses"])
+            _CACHE_EVENTS.labels("eviction").set_total(cache["evictions"])
+            if store_info is None:
+                return
+            info = store_info()
             decode = info["decoded_term_cache"]
             _STORE_DECODE_CACHE.labels("hit").set_total(decode["hits"])
             _STORE_DECODE_CACHE.labels("miss").set_total(decode["misses"])
@@ -833,11 +858,6 @@ class SparqlEndpoint:
             "slow_ms": self.requests.slow_ms,
             "ring": self.requests.info(),
         }
-        active_profiler = _profiler.get_profiler()
-        payload["profiler"] = (
-            active_profiler.snapshot() if active_profiler is not None
-            else {"running": False}
-        )
         # Store-backed sources (repro.store.StoreDataset) report segment,
         # dictionary, and decoded-term-cache sizes alongside cache counters.
         store_info = getattr(self.source, "store_info", None)
@@ -874,10 +894,6 @@ class SparqlEndpoint:
     def trace_url(self) -> str:
         return f"{self.url}/trace"
 
-    @property
-    def profile_url(self) -> str:
-        return f"{self.url}/debug/profile"
-
     def start(self) -> "SparqlEndpoint":
         """Serve on a daemon thread; returns self for chaining."""
         if self._thread is not None:
@@ -895,9 +911,6 @@ class SparqlEndpoint:
             self._thread = None
         self._server.close_connections()
         self._server.server_close()
-        if self._profiler_started:
-            _profiler.stop()
-            self._profiler_started = False
         if self._collector is not None:
             _metrics.get_registry().unregister_collector(self._collector)
             self._collector = None

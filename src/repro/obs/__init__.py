@@ -7,18 +7,17 @@ place numbers live, request latency included.
 Chrome ``trace_event`` dict (deterministic logical-clock mode for
 byte-stable test traces), and its tolerant line reader.
 ``repro.obs.request`` holds the per-request record the endpoint and
-query engine fill in and the one bounded ring of retained records that
-``GET /slowlog``, ``GET /trace/<id>`` and ``obs slowlog`` are views of.
+query engine fill in — the one in-process account of a request — and
+the one bounded ring of retained records that ``GET /slowlog``,
+``GET /trace/<id>`` and ``obs slowlog`` are views of.
 ``repro.obs.progress`` holds the TTY-gated one-line progress reporter
 long builds and ingests drive from the counters.
 ``repro.obs.events`` holds the schema-versioned, size-rotated JSONL
 event log that build/ingest/compaction/spill/endpoint paths append to.
 ``repro.obs.tracectx`` holds the W3C trace-context plumbing — the
 ``traceparent`` parser and the contextvar every span stamps its
-``trace_id``/``parent_id`` from, which also carries the request
-record.  ``repro.obs.profiler`` holds the always-on
-statistical profiler (folded stacks, thread→route attribution,
-overhead accounting).
+``trace_id``/``parent_id`` from.  ``repro.obs.profiler`` holds the
+on-demand statistical profiler (folded stacks, overhead accounting).
 """
 
 from . import events, metrics, profiler, tracectx

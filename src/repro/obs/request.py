@@ -1,19 +1,21 @@
-"""One record per request; every other request signal is a view of it.
+"""One record per request: the only in-process account of a request.
 
-The endpoint opens a :class:`RequestRecord` when a request begins and
-hangs it on the request's :class:`~repro.obs.tracectx.TraceContext`
-(``ctx.record``).  Whichever layer knows a fact writes it there — the
-endpoint its outcome, the query engine the query's, and every
-:class:`~repro.obs.trace.Span` that closes appends its Chrome trace
-event to ``spans`` — the same dict a ``--trace`` tracer keeps.
-The endpoint finalises the record once, after the response is written
-and outside every engine lock.  A record is *retained* when the request
-errored (status ≥ 400) or took at least ``slow_ms``; retained records
-live in one bounded :class:`RequestRing`.  ``GET /slowlog`` lists the
-retained records that ran a query, ``GET /trace`` and ``/trace/<id>``
-look the same ring up by trace id, and the event log gets one
-``endpoint.request`` line per request — the whole record (minus spans)
-when retained, the four endpoint fields otherwise.
+The endpoint opens a :class:`RequestRecord` when a request's line has
+been read and hands it to the query engine (``QueryEngine.query(text,
+record=...)``).  Whichever layer knows a fact writes it there — the
+endpoint its outcome, the query engine the query's, its layer times
+included.  ``Server-Timing`` and ``X-Query-Duration-ms`` are read off
+it before the response is written; the endpoint finalises it once,
+after the response and outside every engine lock.  A record is
+*retained* when the request errored (status ≥ 400) or took at least
+``slow_ms``; retained records live, as :meth:`RequestRecord.to_dict`,
+in one bounded :class:`RequestRing`.  ``GET /trace/<id>`` and
+``GET /slowlog`` are two views of that ring (one record by trace id,
+the records that ran a query), and the event log gets one
+``endpoint.request`` line per request — the whole record when
+retained, the four endpoint fields otherwise.  Spans are not part of
+it: they exist only under a ``--trace`` tracer, which stamps them with
+the record's ``trace_id``.
 
 Record schema (:meth:`RequestRecord.to_dict`; the query fields are
 present only on records whose query the engine answered):
@@ -42,7 +44,8 @@ present only on records whose query the engine answered):
                     rendered only when the record is kept
 ``generation``      source version / store generation at query time
 ``span_id``         W3C id of the ``sparql.query`` span — ``args.span_id``
-                    of the same span in a ``--trace`` file
+                    of the same span in a ``--trace`` file (``None``
+                    without a tracer)
 ``operators``       flat per-operator profile rows (a miss of a request
                     that asked to ``profile``; ``[]`` otherwise)
 ``misestimates``    scans whose actual rows beat the estimate 10x
@@ -96,7 +99,6 @@ class RequestRecord:
     execute_ms: float = 0.0
     serialize_ms: float = 0.0
     write_ms: float = 0.0
-    spans: List[dict] = field(default_factory=list)
 
     def server_timing(self) -> str:
         """The ``Server-Timing`` header value: the layer stamps as sent."""
@@ -105,8 +107,8 @@ class RequestRecord:
                 f"ser;dur={self.serialize_ms:.3f}")
 
     def to_dict(self) -> Dict:
-        """The JSON-ready record, without spans (bounded: the query text
-        is truncated and hashed here, not when it was stamped)."""
+        """The JSON-ready record (bounded: the query text is truncated
+        and hashed here, not when it was stamped)."""
         timings = {
             "cache": round(self.cache_ms, 3),
             "parse": round(self.parse_ms, 3),
@@ -162,19 +164,19 @@ class RequestRing:
     def retains(self, status: int, duration_ms: float) -> bool:
         return status >= 400 or duration_ms >= self.slow_ms
 
-    def admit(self, entry: Dict, spans: List[dict]) -> None:
+    def admit(self, entry: Dict) -> None:
         """Append one finalised record; at capacity the oldest drops off."""
         with self._lock:
-            self._records.append(dict(entry, spans=spans))
+            self._records.append(entry)
             self._admitted += 1
             self._recorded += "query" in entry
 
     def get(self, trace_id: str) -> Optional[Dict]:
-        """The newest retained record stamped *trace_id*, spans included."""
+        """The newest retained record stamped *trace_id*."""
         with self._lock:
             for record in reversed(self._records):
                 if record["trace_id"] == trace_id:
-                    return dict(record)
+                    return record
         return None
 
     def trace_ids(self) -> List[str]:
@@ -182,11 +184,10 @@ class RequestRing:
             return [record["trace_id"] for record in self._records]
 
     def queries(self) -> List[Dict]:
-        """The retained records that ran a query, oldest first, without
-        their spans — the ``/slowlog`` entries."""
+        """The retained records that ran a query, oldest first — the
+        ``/slowlog`` entries."""
         with self._lock:
-            records = [r for r in self._records if "query" in r]
-        return [{k: v for k, v in r.items() if k != "spans"} for r in records]
+            return [r for r in self._records if "query" in r]
 
     def info(self) -> Dict:
         """Ring counters for ``/trace`` and ``/stats``."""

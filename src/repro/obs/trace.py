@@ -30,19 +30,16 @@ Two clock modes:
 
 Spans participate in request tracing (:mod:`repro.obs.tracectx`): when
 a W3C trace context is active on the current thread, every span stamps
-``trace_id`` / ``span_id`` / ``parent_id`` into its args, pushes
-itself as the parent for nested spans, and — when the context carries
-a request *record* — appends its completed event to ``record.spans``
-even if no tracer is attached at all (how the endpoint collects span
-trees for ``GET /trace/<id>`` without ``--trace``).  A closed span
-builds its event once: the tracer and the record hold the same dict.
-With no active context nothing is stamped, so pre-existing
-byte-identical trace expectations hold unchanged.
+``trace_id`` / ``span_id`` / ``parent_id`` into its args and pushes
+itself as the parent for nested spans.  With no active context nothing
+is stamped, so pre-existing byte-identical trace expectations hold
+unchanged.
 
 ``span(tracer, ...)`` is the instrumentation-site helper: it returns a
-shared no-op span when ``tracer`` is ``None`` and no request record is
-active, so hot paths pay one ``is None`` check plus one contextvar read
-when tracing is off.
+shared no-op span when ``tracer`` is ``None``, so hot paths pay one
+``is None`` check when tracing is off.  Spans exist only under a
+tracer; what a request learned about itself without one is its
+:class:`~repro.obs.request.RequestRecord`.
 """
 
 from __future__ import annotations
@@ -81,38 +78,23 @@ NULL_SPAN = _NullSpan()
 
 
 def span(tracer: Optional["Tracer"], name: str, cat: str = "repro", **attrs: object):
-    """Open a span on ``tracer``, or a shared no-op when tracing is off.
-
-    With no tracer but an active request record (an endpoint request),
-    a real span is still opened: the completed event lands only in
-    ``record.spans``, which ``/trace/<id>`` serves if the request is
-    retained.
-    """
+    """Open a span on ``tracer``, or a shared no-op when tracing is off."""
     if tracer is None:
-        ctx = _tracectx.current()
-        if ctx is None or ctx.record is None:
-            return NULL_SPAN
-        return Span(None, name, cat, attrs)
+        return NULL_SPAN
     return tracer.span(name, cat=cat, **attrs)
-
-
-def _real_now_us() -> int:
-    return int(time.perf_counter() * 1_000_000)
 
 
 class Span:
     """A single timed region; records one complete event on exit.
 
-    ``tracer`` may be ``None``: the span then runs on the real clock and
-    its event goes only to the active request record.  ``span_id`` is
-    the W3C id minted on entry under an active trace context (``None``
-    outside one).
+    ``span_id`` is the W3C id minted on entry under an active trace
+    context (``None`` outside one).
     """
 
     __slots__ = ("_tracer", "name", "cat", "args", "_ts", "_cpu_start", "span_id",
-                 "_ctx", "_ctx_token")
+                 "_ctx_token")
 
-    def __init__(self, tracer: Optional["Tracer"], name: str, cat: str, args: dict):
+    def __init__(self, tracer: "Tracer", name: str, cat: str, args: dict):
         self._tracer = tracer
         self.name = name
         self.cat = cat
@@ -120,7 +102,6 @@ class Span:
         self._ts = 0
         self._cpu_start = 0.0
         self.span_id: Optional[str] = None
-        self._ctx = None
         self._ctx_token = None
 
     def set(self, **attrs: object) -> None:
@@ -136,20 +117,19 @@ class Span:
             self.args["trace_id"] = ctx.trace_id
             self.args["span_id"] = span_id
             self.args["parent_id"] = ctx.span_id
-            self._ctx = ctx
             self._ctx_token = _tracectx.activate(ctx.child(span_id))
         tracer = self._tracer
-        self._ts = tracer._now_us() if tracer is not None else _real_now_us()
-        if tracer is None or not tracer.deterministic:
+        self._ts = tracer._now_us()
+        if not tracer.deterministic:
             self._cpu_start = time.process_time()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         tracer = self._tracer
-        end = tracer._now_us() if tracer is not None else _real_now_us()
+        end = tracer._now_us()
         if exc_type is not None:
             self.args.setdefault("error", exc_type.__name__)
-        deterministic = tracer is not None and tracer.deterministic
+        deterministic = tracer.deterministic
         if deterministic:
             duration = end - self._ts
         else:
@@ -169,12 +149,8 @@ class Span:
             "tid": 0 if deterministic else threading.get_ident() & 0xFFFFFFFF,
             "args": self.args,
         }
-        if tracer is not None:
-            with tracer._lock:
-                tracer._events.append(event)
-        ctx = self._ctx
-        if ctx is not None and ctx.record is not None:
-            ctx.record.spans.append(event)
+        with tracer._lock:
+            tracer._events.append(event)
 
 
 class Tracer:
@@ -193,7 +169,7 @@ class Tracer:
                 tick = self._logical
                 self._logical += 1
                 return tick
-        return _real_now_us()
+        return int(time.perf_counter() * 1_000_000)
 
     def reset_clock(self) -> None:
         """Rewind the logical clock (deterministic mode only).

@@ -7,13 +7,9 @@ From there the id rides every layer without explicit plumbing:
 
 * :class:`~repro.obs.trace.Span` consults the contextvar on entry, so
   engine / evaluator / store spans all carry ``trace_id`` /
-  ``span_id`` / ``parent_id`` args and nest into a proper tree;
-* the request's :class:`~repro.obs.request.RequestRecord` rides the
-  context (``ctx.record``): the engine writes its facts there and every
-  span that closes appends its Chrome trace event to ``record.spans``,
-  so a Perfetto timeline, a ``/slowlog`` entry, an ``endpoint.request``
-  event and the ``X-Trace-Id`` response header are one record under one
-  id;
+  ``span_id`` / ``parent_id`` args and nest into a proper tree — the
+  endpoint activates a context only under a ``--trace`` tracer, with
+  the trace id its request record and ``X-Trace-Id`` carry;
 * pool workers receive the context through the task envelope
   (:class:`repro.parallel.ObsConfig`) and re-derive a per-task child
   context from the *task key* (run id, trace file path), so a
@@ -36,7 +32,7 @@ import hashlib
 import os
 import re
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 __all__ = [
     "TraceContext",
@@ -118,14 +114,9 @@ class TraceContext:
     allocates ids for new children; in deterministic mode the per-
     context ordinal makes allocation a pure function of the span's
     position under its parent.
-
-    ``record``, when set, is the request's
-    :class:`~repro.obs.request.RequestRecord`: completed spans append
-    themselves to ``record.spans`` and the engine stamps its facts on it.
     """
 
-    __slots__ = ("trace_id", "span_id", "flags", "deterministic", "record",
-                 "_ordinal", "_lock")
+    __slots__ = ("trace_id", "span_id", "flags", "deterministic", "_ordinal", "_lock")
 
     def __init__(
         self,
@@ -133,13 +124,11 @@ class TraceContext:
         span_id: str,
         flags: str = "01",
         deterministic: bool = False,
-        record=None,
     ):
         self.trace_id = trace_id
         self.span_id = span_id
         self.flags = flags
         self.deterministic = deterministic
-        self.record = record
         self._ordinal = 0
         self._lock = threading.Lock()
 
@@ -156,7 +145,7 @@ class TraceContext:
         """A nested context whose children parent onto *span_id*."""
         return TraceContext(
             self.trace_id, span_id, flags=self.flags,
-            deterministic=self.deterministic, record=self.record,
+            deterministic=self.deterministic,
         )
 
     def derived(self, key: str) -> "TraceContext":
@@ -240,28 +229,3 @@ class task_scope:
             _current.reset(self._token)
             self._token = None
 
-
-def span_tree(spans: List[dict]) -> List[dict]:
-    """Nest a flat list of span events into parent→children trees, by
-    their ``args.span_id`` / ``args.parent_id``.
-
-    Spans whose parent is absent from the list (the request root, or an
-    orphan after partial capture) become roots.  Children keep their
-    recorded order.
-    """
-    by_id: Dict[str, dict] = {}
-    nodes: List[dict] = []
-    for span in spans:
-        node = dict(span, children=[])
-        nodes.append(node)
-        span_id = node["args"].get("span_id")
-        if span_id:
-            by_id[span_id] = node
-    roots: List[dict] = []
-    for node in nodes:
-        parent = by_id.get(node["args"].get("parent_id") or "")
-        if parent is not None and parent is not node:
-            parent["children"].append(node)
-        else:
-            roots.append(node)
-    return roots

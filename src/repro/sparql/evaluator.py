@@ -87,7 +87,6 @@ from .functions import (
     order_key,
 )
 from ..obs import metrics as _metrics
-from ..obs import tracectx as _tracectx
 from ..obs.trace import span as _span
 from .encoded import encoded_executor
 from .parser import QueryParser, resolve_iriref
@@ -116,21 +115,16 @@ DEFAULT_RESULT_CACHE_SIZE = 128
 #: IRIREF positions it remembers).
 _PLAN_CACHE_SIZE = 256
 
-_CACHE_EVENTS = _metrics.counter(
-    "repro_query_cache_total", "Query result cache events", labels=("event",)
-)
 _QUERY_SECONDS = _metrics.histogram(
     "repro_query_seconds", "SPARQL query phase wall time in seconds",
     labels=("phase",),
 )
-# The label sets are fixed and small, so materialise every series up
+# The label set is fixed and small, so materialise every series up
 # front — scrapes see them at zero instead of the family appearing to
 # have no data until the first event.
-for _event in ("hit", "miss", "eviction"):
-    _CACHE_EVENTS.labels(_event)
 for _phase in ("parse", "execute"):
     _QUERY_SECONDS.labels(_phase)
-del _event, _phase
+del _phase
 
 _MISS = object()  # sentinel: cached-None must be distinguishable
 
@@ -175,7 +169,9 @@ class QueryEngine:
         # Result cache: (query text, source version) → (result, the
         # operator tree that computed it).  The lock also guards the plan cache and the
         # lazy union-graph refresh; the endpoint shares one engine across
-        # ThreadingHTTPServer worker threads.
+        # ThreadingHTTPServer worker threads.  Its counters are plain ints,
+        # booked once: the endpoint's registry collector mirrors them into
+        # repro_query_cache_total.
         self.cache_size = max(0, cache_size)
         self._lock = threading.RLock()
         self._result_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
@@ -244,7 +240,7 @@ class QueryEngine:
 
     # -- public API ----------------------------------------------------------
 
-    def query(self, query: TyUnion[str, SelectQuery, AskQuery]):
+    def query(self, query: TyUnion[str, SelectQuery, AskQuery], record=None):
         """Run a SELECT (→ ResultTable) or ASK (→ bool) query.
 
         String queries go through the LRU result cache: a hit returns
@@ -253,13 +249,14 @@ class QueryEngine:
         makes every older cache entry unreachable (logical invalidation
         — entries age out of the LRU without explicit purging).  A miss
         takes its plan from :meth:`_prepare`.
+
+        *record*, a :class:`~repro.obs.request.RequestRecord`, gets the
+        query's facts and layer times stamped on it (a text query only).
         """
         tracer = self.tracer
         if not isinstance(query, str):
             with _span(tracer, "sparql.execute", cat="query"):
                 return self._compile(query).execute()
-        ctx = _tracectx.current()
-        record = ctx.record if ctx is not None else None
         started = time.perf_counter()
         with _span(tracer, "sparql.query", cat="query",
                    query=query[:120]) as query_span:
@@ -271,11 +268,9 @@ class QueryEngine:
                     if cached is not _MISS:
                         self._result_cache.move_to_end(key)
                         self._cache_hits += 1
-                        _CACHE_EVENTS.labels("hit").inc()
                         query_span.set(cache="hit")
                     else:
                         self._cache_misses += 1
-                        _CACHE_EVENTS.labels("miss").inc()
                         query_span.set(cache="miss")
             looked_up = time.perf_counter()
             if cached is not _MISS:
@@ -307,7 +302,6 @@ class QueryEngine:
                     while len(self._result_cache) > self.cache_size:
                         self._result_cache.popitem(last=False)
                         self._cache_evictions += 1
-                        _CACHE_EVENTS.labels("eviction").inc()
             if record is not None:
                 stored_at = time.perf_counter()
                 record.cache_ms = ((looked_up - started)
@@ -321,8 +315,8 @@ class QueryEngine:
 
     def _fill_record(self, record, key, cache: str, plan: QueryPlan,
                      profile: Optional[QueryProfile], query_span) -> None:
-        """Write what the engine knows about this query onto the active
-        request record.  *plan* is the plan that computed the answer
+        """Write what the engine knows about this query onto the request
+        record.  *plan* is the plan that computed the answer
         (its digest is rendered only if the record is kept); *profile*
         is the profiled execution, if any."""
         record.query, record.generation = key  # (text, version)

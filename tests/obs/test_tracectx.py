@@ -12,7 +12,7 @@ import pytest
 
 from repro.obs import tracectx
 from repro.obs.trace import Tracer
-from repro.obs.request import RequestRecord, RequestRing
+from repro.obs.request import RequestRing
 from repro.obs.tracectx import TraceContext
 
 
@@ -137,36 +137,6 @@ class TestSpanIntegration:
         assert "trace_id" not in event["args"]
         assert "parent_id" not in event["args"]
 
-    def test_sink_collects_spans_even_without_tracer(self):
-        from repro.obs.trace import span
-
-        ctx = tracectx.start_trace()
-        request = ctx.record = RequestRecord("/sparql")
-        token = tracectx.activate(ctx)
-        try:
-            with span(None, "work", cat="test", detail=7):
-                pass
-        finally:
-            tracectx.deactivate(token)
-        (event,) = request.spans
-        assert event["name"] == "work" and event["ph"] == "X"
-        assert event["args"]["trace_id"] == ctx.trace_id
-        assert event["args"]["parent_id"] == ctx.span_id
-        assert event["args"]["detail"] == 7
-
-    def test_tracer_and_record_hold_the_same_event(self):
-        tracer = Tracer(deterministic=True)
-        ctx = tracectx.start_trace(deterministic=True, seed="t")
-        request = ctx.record = RequestRecord("/sparql")
-        token = tracectx.activate(ctx)
-        try:
-            with tracer.span("work"):
-                pass
-        finally:
-            tracectx.deactivate(token)
-        (event,) = tracer.events()
-        assert request.spans == [event] and request.spans[0] is event
-
     def test_span_helper_still_noop_without_any_context(self):
         from repro.obs.trace import NULL_SPAN, span
 
@@ -176,11 +146,9 @@ class TestSpanIntegration:
 class TestTraceRing:
     def test_admit_and_get(self):
         ring = RequestRing(capacity=4)
-        ring.admit({"trace_id": "t1", "route": "/sparql", "status": 200},
-                   [{"name": "a"}])
+        ring.admit({"trace_id": "t1", "route": "/sparql", "status": 200})
         record = ring.get("t1")
-        assert record["route"] == "/sparql"
-        assert record["spans"] == [{"name": "a"}]
+        assert record == {"trace_id": "t1", "route": "/sparql", "status": 200}
 
     def test_get_unknown_is_none(self):
         assert RequestRing().get("missing") is None
@@ -188,7 +156,7 @@ class TestTraceRing:
     def test_eviction_drops_oldest(self):
         ring = RequestRing(capacity=2)
         for i in range(3):
-            ring.admit({"trace_id": f"t{i}"}, [])
+            ring.admit({"trace_id": f"t{i}"})
         assert ring.get("t0") is None  # evicted
         assert ring.get("t1") is not None
         assert ring.get("t2") is not None
@@ -197,9 +165,9 @@ class TestTraceRing:
 
     def test_shared_trace_id_keeps_both_and_answers_newest(self):
         ring = RequestRing(capacity=2)
-        ring.admit({"trace_id": "t1", "query": "q"}, [{"name": "old"}])
-        ring.admit({"trace_id": "t1", "query": "q"}, [{"name": "new"}])
-        assert ring.get("t1")["spans"] == [{"name": "new"}]
+        ring.admit({"trace_id": "t1", "query": "old"})
+        ring.admit({"trace_id": "t1", "query": "new"})
+        assert ring.get("t1")["query"] == "new"
         assert ring.trace_ids() == ["t1", "t1"]
         assert len(ring.queries()) == ring.info()["current"] == 2
 
@@ -207,26 +175,3 @@ class TestTraceRing:
         with pytest.raises(ValueError):
             RequestRing(capacity=0)
 
-
-def _event(name, span_id, parent_id):
-    return {"name": name, "cat": "test", "ph": "X", "ts": 0, "dur": 1,
-            "pid": 0, "tid": 0,
-            "args": {"trace_id": "t", "span_id": span_id, "parent_id": parent_id}}
-
-
-class TestSpanTree:
-    def test_nests_children_under_parents(self):
-        spans = [
-            _event("root", "a", "external"),
-            _event("child", "b", "a"),
-            _event("grandchild", "c", "b"),
-            _event("sibling", "d", "a"),
-        ]
-        (root,) = tracectx.span_tree(spans)
-        assert root["name"] == "root"
-        assert [c["name"] for c in root["children"]] == ["child", "sibling"]
-        assert root["children"][0]["children"][0]["name"] == "grandchild"
-
-    def test_orphans_become_roots(self):
-        roots = tracectx.span_tree([_event("lost", "x", "gone")])
-        assert [r["name"] for r in roots] == ["lost"]

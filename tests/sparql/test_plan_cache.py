@@ -10,7 +10,6 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import tracectx
 from repro.obs.request import RequestRecord
 from repro.rdf import Dataset, Graph, Namespace
 from repro.sparql import QueryEngine, SparqlSyntaxError, parse_query
@@ -231,13 +230,8 @@ class TestConcurrency:
                 for round_ in range(60):
                     i = 1 + (n + round_) % 5
                     query = text.format(EX[f"s{i}"], EX)
-                    ctx = tracectx.start_trace()
-                    record = ctx.record = RequestRecord("/sparql", profile=n % 2 == 0)
-                    token = tracectx.activate(ctx)
-                    try:
-                        rows = [row.asdict() for row in engine.query(query)]
-                    finally:
-                        tracectx.deactivate(token)
+                    record = RequestRecord("/sparql", profile=n % 2 == 0)
+                    rows = [row.asdict() for row in engine.query(query, record=record)]
                     if rows != serial[i]:
                         failures.append(("rows", n, i, rows))
                     scans = [op for op in record.operators if op["op"] == "scan"]

@@ -588,12 +588,15 @@ class TestRequestReader:
     ], ids=["one-word", "four-words", "http-1.x", "three-part-version", "not-http",
             "non-ascii-digit", "http-0.9-post", "http-2.0"])
     def test_unversioned_refusal_is_a_bare_document(self, endpoint, request_bytes, status):
-        """A request line refused before its version is accepted is
-        answered the HTTP/0.9 way: the error document alone, no status
-        line or header, then the connection closes."""
+        """A request line refused before its version is accepted gets an
+        HTTP/1.0 status line and headers, not the bare HTTP/0.9 document
+        the test's name recalls (which a client reads as a broken
+        response), then the connection closes."""
         answer = _answer_to_eof(endpoint, request_bytes)
-        assert answer.startswith(b"<!DOCTYPE HTML>"), answer[:80]
-        assert f"<p>Error code: {status}</p>".encode() in answer
+        assert answer.startswith(f"HTTP/1.0 {status} ".encode()), answer[:80]
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert b"\r\nConnection: close" in head
+        assert f"<p>Error code: {status}</p>".encode() in body
 
     @pytest.mark.parametrize("request_bytes,status", [
         (b"GET /a b HTTP/1.1\r\n\r\n", 400),
@@ -727,8 +730,9 @@ class TestRequestReader:
 
 
 class TestHeaderRefusals:
-    """What the header block may not hold (RFC 9112 §5.1, §5.2, §6.3):
-    each is answered 400 and closes, its request never reaching a route."""
+    """What the header block may not hold (RFC 9112 §5.1, §5.2, §6.3;
+    RFC 9110 §5.5): each is answered 400 and closes, its request never
+    reaching a route."""
 
     @pytest.mark.parametrize("fields", [
         ["X-Folded: a", " continued"],
@@ -739,9 +743,13 @@ class TestHeaderRefusals:
         [": no name"],
         ["Content-Length: 0", "Content-Length: 0"],
         ["Content-Length: 0", "content-length: 0"],
+        ["X-A: a\rb"],
+        ["X-A: a\x00b"],
+        ["Accept: text/csv\rX-Evil: 1"],
     ], ids=["obs-fold-space", "obs-fold-tab", "no-colon",
             "space-before-colon", "tab-before-colon", "empty-name",
-            "repeated-content-length", "repeated-content-length-any-case"])
+            "repeated-content-length", "repeated-content-length-any-case",
+            "bare-cr-in-value", "nul-in-value", "bare-cr-smuggled-field"])
     def test_refused_400_and_closed(self, endpoint, fields):
         requests = _requests_by_status()
         status, headers, _, closed = _exchange(endpoint, _get("/healthz", *fields))

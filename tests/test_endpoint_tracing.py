@@ -3,6 +3,7 @@
 One record per request, one id: the ``traceparent`` a client sends
 comes back as ``X-Trace-Id`` (on errors too) and names the same retained
 record at ``/slowlog``, at ``GET /trace/<id>`` and in the event log.
+Spans exist only under a tracer, stamped with that id.
 """
 
 import json
@@ -89,7 +90,8 @@ class TestTraceHeaders:
 
 
 class TestTraceRing:
-    def test_span_tree_retrievable_by_trace_id(self, endpoint):
+    def test_record_retrievable_by_trace_id(self, endpoint):
+        """``/trace/<id>`` is the retained record, as ``/slowlog`` lists it."""
         with _get(_query_url(endpoint), {"traceparent": TRACEPARENT}):
             pass
         _wait_admitted(endpoint, TRACE_ID)
@@ -98,15 +100,16 @@ class TestTraceRing:
         assert record["trace_id"] == TRACE_ID
         assert record["route"] == "/sparql"
         assert record["status"] == 200
-        names = {span["name"] for span in record["spans"]}
-        assert "http.request" in names
-        assert "sparql.query" in names
-        (root,) = record["tree"]
-        assert root["name"] == "http.request"
-        assert root["children"], "query spans must nest under the request"
+        assert record["cache"] == "miss"
+        assert set(record["timings_ms"]) == {"cache", "parse", "plan", "exec", "ser", "write"}
+        with _get(endpoint.url + "/slowlog") as response:
+            (entry,) = json.loads(response.read())["entries"]
+        assert entry == record
 
     def test_trace_spans_are_the_tracer_events(self):
-        """One span shape: the ring's span list is the tracer's events."""
+        """A request's spans live in the tracer alone, stamped with its
+        record's trace id and nested request → query; the record names
+        its query span."""
         g = Graph()
         g.add((EX.r1, RDF.type, PROV.Activity))
         tracer = Tracer()
@@ -116,16 +119,20 @@ class TestTraceRing:
                 pass
             _wait_admitted(server, TRACE_ID)
             with _get(server.url + "/trace/" + TRACE_ID) as response:
-                spans = json.loads(response.read())["spans"]
+                record = json.loads(response.read())
         finally:
             server.stop()
-        traced = [e for e in tracer.events() if e["args"].get("trace_id") == TRACE_ID]
-        assert spans == traced
-        assert {span["name"] for span in spans} >= {"http.request", "sparql.query"}
-        for span in spans:
+        assert "spans" not in record
+        spans = {e["name"]: e for e in tracer.events()
+                 if e["args"].get("trace_id") == TRACE_ID}
+        assert set(spans) >= {"http.request", "sparql.query"}
+        request, query = spans["http.request"], spans["sparql.query"]
+        assert request["args"]["parent_id"] == "00f067aa0ba902b7"  # the inbound span
+        assert query["args"]["parent_id"] == request["args"]["span_id"]
+        assert record["span_id"] == query["args"]["span_id"]
+        for span in spans.values():
             assert span["ph"] == "X"
             assert isinstance(span["ts"], int) and isinstance(span["dur"], int)
-            assert span["args"]["span_id"]
 
     def test_unknown_trace_id_404(self, endpoint):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -299,28 +306,73 @@ class TestProfileRoute:
             assert excinfo.value.code == 400
 
     def test_stats_reports_tracing_and_profiler(self, endpoint):
+        """The ring is on ``/stats``; a profiler runs only inside a
+        ``/debug/profile`` window, so there is no profiler section."""
         with _get(endpoint.url + "/stats") as response:
             stats = json.loads(response.read())
         assert stats["tracing"]["slow_ms"] == 0.0
         assert "admitted" in stats["tracing"]["ring"]
-        assert stats["profiler"] == {"running": False}
+        assert "profiler" not in stats
 
-    def test_always_on_profiler_lifecycle(self):
-        from repro.obs import profiler as profiler_mod
+    def test_handler_frame_names_the_route(self, endpoint):
+        """The thread serving the window is sampled inside its handler."""
+        with _get(endpoint.url + "/debug/profile?seconds=0.2") as response:
+            folded = response.read().decode()
+        assert any("_send_profile (endpoint/server.py:" in line
+                   for line in folded.splitlines())
 
+
+def _cache_series(server):
+    with _get(server.metrics_url) as response:
+        text = response.read().decode()
+    prefix = 'repro_query_cache_total{event="'
+    series = {}
+    for line in text.splitlines():
+        if line.startswith(prefix):
+            event, _, value = line[len(prefix):].partition('"} ')
+            series[event] = float(value)
+    return series
+
+
+class TestOneAccount:
+    """A request is told once: its record, not spans, without a tracer,
+    and each result-cache fact is one plain int that ``/metrics`` and
+    ``/stats`` both read."""
+
+    def test_untraced_requests_construct_no_span(self, endpoint, monkeypatch):
+        from repro.obs import trace
+
+        made = []
+        real_init = trace.Span.__init__
+
+        def counting_init(span, *args, **kwargs):
+            made.append(args)
+            real_init(span, *args, **kwargs)
+
+        monkeypatch.setattr(trace.Span, "__init__", counting_init)
+        for _ in range(2):  # a cold request, then a cached one
+            with _get(_query_url(endpoint)) as response:
+                response.read()
+                assert len(response.headers["X-Trace-Id"]) == 32
+                assert response.headers["Server-Timing"].startswith("cache;dur=")
+        info = endpoint.engine.cache_info()
+        assert (info["misses"], info["hits"]) == (1, 1)
+        assert made == []
+
+    def test_metrics_cache_series_equal_stats(self):
         g = Graph()
         g.add((EX.r1, RDF.type, PROV.Activity))
-        server = SparqlEndpoint(g, profile_hz=100.0).start()
-        try:
-            with _get(server.url + "/stats") as response:
-                stats = json.loads(response.read())
-            assert stats["profiler"]["running"] is True
-            assert stats["profiler"]["hz"] == 100.0
-            with _get(server.url + "/debug/profile?seconds=0.2") as response:
-                assert response.read().decode().strip()
-        finally:
-            server.stop()
-        assert profiler_mod.get_profiler() is None
+        with SparqlEndpoint(g, cache_size=1) as server:
+            for limit in (1, 1, 2, 1):  # miss, hit, miss + eviction, miss + eviction
+                query = f"SELECT ?x WHERE {{ ?x a prov:Activity }} LIMIT {limit}"
+                with _get(_query_url(server, query)) as response:
+                    response.read()
+            series = _cache_series(server)
+            with _get(server.stats_url) as response:
+                cache = json.loads(response.read())["result_cache"]
+        assert (cache["hits"], cache["misses"], cache["evictions"]) == (1, 3, 2)
+        assert series == {"hit": cache["hits"], "miss": cache["misses"],
+                          "eviction": cache["evictions"]}
 
 
 class TestRequestClock:
@@ -342,6 +394,9 @@ class TestRequestClock:
 
         def read(self, *args):
             return self._rfile.read(*args)
+
+        def close(self):
+            self._rfile.close()
 
     def test_header_read_counts_toward_duration(self, endpoint, monkeypatch):
         from repro.endpoint import server as endpoint_server
